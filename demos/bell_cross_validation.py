@@ -1,12 +1,12 @@
 """Two independent routes to every coefficient table.
 
 Each expansion family carries displayed special-value formulas for its
-partial Bell polynomials B(n, k).  The library never trusts them blindly:
-a verification gate compares each closed form against the generic
-recurrence over the family's derivative sequence, and any family that
-fails falls back to the recurrence with a warning.  This demo runs the
-comparison by hand for a few families, shows the scaling identity the
-recurrence obeys, and prints the gate's own report.
+partial Bell polynomials B(n, k).  The library's values always come from
+the generic recurrence over the family's derivative sequence; the closed
+forms only check it.  A verification gate compares each formula with the
+recurrence on the first bell_values call and warns on any disagreement.
+This demo runs the comparison by hand for a few families, shows the
+scaling identity the recurrence obeys, and prints the gate's own report.
 
 Run:  python3 demos/bell_cross_validation.py
 """

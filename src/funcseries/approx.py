@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .bell import _raw, _triangle
 from .catalog import DomainError, Expansion, Interval, eval_g, get_expansion
 from .exact import ONE, ZERO, ExactScalar, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries
@@ -251,26 +252,22 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
 
     a_0 = f(x0) and a_n = (sum over k of d_k * B(n, k)) / n! where d_k are
     f's derivatives at x0 and B is the triangle of the expansion's inverse
-    basis.  Zero factors are skipped so that exact zeros survive even in
-    otherwise float-contaminated rows.
+    basis, computed by the Bell recurrence (the closed forms and their
+    gate are not involved).  A coefficient whose terms are all exact is
+    summed exactly; one float term switches it to compensated float
+    summation.  Zero factors are skipped so that exact zeros survive even
+    in otherwise float-contaminated rows.
     """
     _check_model_order(order)
     d = [func.derivative(k) for k in range(order + 1)]
-    triangle = exp.bell_values(order)
+    triangle = _triangle(_raw(exp.derivative_sequence(order)), order)
+    raw = _raw(d)
     coeffs = [d[0]]
     for n in range(1, order + 1):
-        terms = [
-            d[k] * triangle[n][k]
-            for k in range(1, n + 1)
-            if d[k] and triangle[n][k]
-        ]
-        if not terms:
-            coeffs.append(ZERO)
-        elif all(t.is_exact for t in terms):
-            acc = ZERO
-            for t in terms:
-                acc = acc + t
-            coeffs.append(acc / math.factorial(n))
+        row = triangle[n]
+        terms = [raw[k] * row[k] for k in range(1, n + 1) if raw[k] and row[k]]
+        if not any(isinstance(t, float) for t in terms):
+            coeffs.append(ExactScalar(Fraction(sum(terms), math.factorial(n))))
         else:
             coeffs.append(
                 scalar(_neumaier(float(t) for t in terms) / math.factorial(n))

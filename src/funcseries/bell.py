@@ -1,27 +1,30 @@
-"""Partial Bell polynomials: generic recurrence and closed-form specials.
+"""Partial Bell polynomials: one recurrence kernel, closed forms as checks.
 
-Two independent computations of the same quantities live here.  The
-generic route is the standard recurrence
+Every Bell value the library uses comes from the standard recurrence
+(Comtet, *Advanced Combinatorics*, section 3.3)
 
     B(n, k) = sum_{j=1}^{n-k+1} C(n-1, j-1) * x_j * B(n-j, k-1),
 
-with B(0, 0) = 1, evaluated exactly over the argument vector x_j.  The
-closed-form route implements one special-value formula per family whose
-argument vector matches a catalog inverse basis; fifteen such formulas are
-available ("a1" .. "a13", "c1", "c2").
+with B(0, 0) = 1, over the argument vector x_j = d_j of the family's
+inverse-basis derivatives.  The kernel works on raw int/Fraction/float
+values.  When every d_j is exact it scales them by the lcm D of their
+denominators, runs the recurrence in integers and divides cell (n, k) by
+D^k, which homogeneity makes exact.  A float d_j (a7 with an irrational
+root) runs the same recurrence on the mixed values.
+:func:`funcseries.approx.assemble`, :func:`bell_values` and
+:func:`bell_generic` all go through it.
 
-Closed forms were transcribed from several sources and a couple of them
-carry typo risk (the power base in "a13", the half-integer exponent in
-"a7"), so they ship behind a verification gate: on first use with a given
-parameter set, each family's formula is compared against the recurrence up
-to n = 10.  On mismatch the family transparently falls back to the
-recurrence and a RuntimeWarning reports the discrepancy.  Assembled
-approximation coefficients therefore never depend on transcription
-fidelity.
+The paper's special-value formulas for fifteen families ("a1" .. "a13",
+"c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
+a route: on the first :func:`bell_values` call per parameter set, a
+verification gate compares each formula with the kernel up to n = 10,
+records the outcome (see :func:`gate_report`) and warns with a
+RuntimeWarning on a mismatch.  Returned values never depend on the
+outcome, and coefficient assembly never runs the gate.
 
 The remaining families ("c3" .. "c6") have no closed form here; their
-values always come from the recurrence, with derivative sequences supplied
-by series arithmetic in :mod:`funcseries.pseries`.
+derivative sequences come from series arithmetic in
+:mod:`funcseries.pseries`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import threading
 import warnings
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .exact import (
     ExactScalar,
@@ -75,30 +78,47 @@ def bell_generic(n: int, k: int, args: Sequence) -> ExactScalar:
         return ONE if n == 0 else ZERO
     if k > n:
         return ZERO
-    values = [scalar(a) for a in args[: n - k + 1]]
-    return _generic_triangle(n, k, values, full=False)[n][k]
+    # B(n, k) reads only d_1 .. d_{n-k+1}; the zero padding feeds cells of
+    # the triangle that B(n, k) does not depend on.
+    values = [scalar(a)._v for a in args[: n - k + 1]] + [0] * (k - 1)
+    return ExactScalar(_triangle(values, n, k)[n][k])
 
 
-def _generic_triangle(nmax: int, kmax: int, values, full: bool = True) -> list:
-    """Rows B(i, j) for 0 <= j <= min(i, kmax), i <= nmax.
+def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
+    """Rows B(i, j) for 0 <= j <= min(i, kmax), i <= nmax, as raw numbers.
 
-    With full=False only the wedge of cells feeding B(nmax, kmax) is
-    filled, which is what lets the argument list stop at d_{n-k+1}.
+    values[j-1] holds d_j as an int, Fraction or float; at least nmax of
+    them are needed.  When every value is exact the recurrence runs in
+    integers over D * d_j, with D the lcm of the denominators, and each
+    cell is divided by D^j at the end (B(n, k) is homogeneous of degree k
+    in its arguments).  Otherwise it runs on the raw mixed values.  Zero
+    factors are skipped either way, so cells fed only by zeros stay exact.
     """
-    rows = [[ZERO] * (min(i, kmax) + 1) for i in range(nmax + 1)]
-    rows[0][0] = ONE
+    kmax = nmax if kmax is None else kmax
+    values = values[:nmax]
+    exact = not any(isinstance(v, float) for v in values)
+    if exact:
+        scale = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+    nonzero = [(m, x) for m, x in enumerate(values, 1) if x]
+    rows = [[1]]
     for i in range(1, nmax + 1):
-        j_lo = 1 if full else max(1, kmax - (nmax - i))
-        for j in range(j_lo, min(i, kmax) + 1):
-            acc = ZERO
-            for m in range(1, i - j + 2):
-                x = values[m - 1]
-                if not x:
-                    continue
-                below = rows[i - m]
-                if j - 1 < len(below) and below[j - 1]:
-                    acc = acc + math.comb(i - 1, m - 1) * x * below[j - 1]
-            rows[i][j] = acc
+        # (m, C(i-1, m-1) * d_m) for the nonzero d_m, m ascending
+        weighted = [(m, math.comb(i - 1, m - 1) * x) for m, x in nonzero if m <= i]
+        row = [0] * (min(i, kmax) + 1)
+        for j in range(1, len(row)):
+            acc = 0
+            for m, wx in weighted:
+                if m > i - j + 1:
+                    break
+                below = rows[i - m][j - 1]
+                if below:
+                    acc += wx * below
+            row[j] = acc
+        rows.append(row)
+    if exact and scale != 1:
+        powers = [scale**j for j in range(kmax + 1)]
+        rows = [[Fraction(b, powers[j]) if b else 0 for j, b in enumerate(row)] for row in rows]
     return rows
 
 
@@ -295,8 +315,9 @@ def bell_closed_form(key: str, n: int, k: int, *, alpha=None, beta=None, w=None)
     """The displayed special-value formula for one family, evaluated directly.
 
     Exact for rational parameters (for "a7" this additionally needs the
-    square root of alpha to be rational); callers wanting the gated,
-    fallback-protected values should go through :func:`bell_values`.
+    square root of alpha to be rational).  It serves as an independent
+    check of the recurrence; :func:`bell_values` gives the values the
+    library uses.
     """
     if key not in _CLOSED_FORMS:
         raise ValueError(f"no closed form for family {key!r}")
@@ -379,13 +400,11 @@ def _values_close(a: ExactScalar, b: ExactScalar) -> bool:
 
 def _run_gate(key: str, kwargs: dict) -> bool:
     depth = _GATE_DEPTH
-    seq = derivative_sequence(key, depth, **kwargs)
+    rows = _triangle(_raw(derivative_sequence(key, depth, **kwargs)), depth)
     formula = _CLOSED_FORMS[key]
     for n in range(1, depth + 1):
         for k in range(1, n + 1):
-            closed = formula(n, k, **kwargs)
-            generic = bell_generic(n, k, seq)
-            if not _values_close(closed, generic):
+            if not _values_close(formula(n, k, **kwargs), ExactScalar(rows[n][k])):
                 return False
     return True
 
@@ -415,25 +434,26 @@ def gate_report() -> dict:
         return {token: ok for token, ok in _gate_results.items()}
 
 
+def _raw(seq) -> list:
+    return [v._v for v in seq]
+
+
 def bell_values(key: str, nmax: int, *, alpha=None, beta=None, w=None) -> list:
     """Triangle rows[n][k] = B(n, k) for the family, 0 <= k <= n <= nmax.
 
-    Uses the family's closed form when the verification gate approves it,
-    otherwise the generic recurrence over the family's derivative sequence.
+    The values always come from the recurrence over the family's
+    derivative sequence.  For a family with a closed form, the first call
+    per parameter set also runs the verification gate (see
+    :func:`gate_report`); a disagreement only raises a RuntimeWarning.
     """
     if not isinstance(nmax, int) or isinstance(nmax, bool) or nmax < 0:
         raise ValueError("nmax must be a non-negative integer")
     if nmax > MAX_ORDER:
         raise ValueError(f"nmax exceeds the supported cap {MAX_ORDER}")
     kwargs = _validated_params(key, alpha, beta, w)
-    use_closed = key in _CLOSED_FORMS and _gate_passes(key, kwargs)
+    if key in _CLOSED_FORMS:
+        _gate_passes(key, kwargs)
     if nmax == 0:
         return [[ONE]]
-    if use_closed:
-        formula = _CLOSED_FORMS[key]
-        rows = [[ONE]]
-        for n in range(1, nmax + 1):
-            rows.append([ZERO] + [formula(n, k, **kwargs) for k in range(1, n + 1)])
-        return rows
-    seq = derivative_sequence(key, nmax, **kwargs)
-    return _generic_triangle(nmax, nmax, list(seq))
+    rows = _triangle(_raw(derivative_sequence(key, nmax, **kwargs)), nmax)
+    return [[ExactScalar(v) for v in row] for row in rows]

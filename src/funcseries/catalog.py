@@ -868,7 +868,12 @@ def eval_g(exp: Expansion, x: float) -> float:
         raise DomainError(
             f"x={x!r} outside the validity domain {exp.domain} of family {exp.key!r}"
         )
-    return exp._g(_clip_to(exp.domain, x))
+    try:
+        return exp._g(_clip_to(exp.domain, x))
+    except OverflowError:
+        raise DomainError(
+            f"g(x) overflows the float range at x={x!r} for family {exp.key!r}"
+        ) from None
 
 
 def eval_ginv(exp: Expansion, y: float) -> float:

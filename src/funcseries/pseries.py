@@ -118,14 +118,15 @@ class TruncatedSeries:
         even when the other series carries approximate (float) entries.
         """
         self._require_same_order(other)
-        a, b = self._c, other._c
-        n = self.order
+        a = [c._v for c in self._c]
+        b = [c._v for c in other._c]
         out = []
-        for m in range(n + 1):
-            acc = ZERO
+        for m in range(len(a)):
+            acc = 0
             for i in range(m + 1):
-                if a[i] and b[m - i]:
-                    acc = acc + a[i] * b[m - i]
+                x, y = a[i], b[m - i]
+                if x and y:
+                    acc += x * y
             out.append(acc)
         return TruncatedSeries(out)
 
@@ -182,27 +183,28 @@ class TruncatedSeries:
         t_1 .. t_{m-1}, after which t_m drops out of the requirement that
         [y^m] self(t(y)) vanishes for m >= 2.
         """
-        s = self._c
-        if s[0] != 0:
+        if self._c[0] != 0:
             raise ValueError("reversion requires constant term 0")
-        if self.order < 1 or not s[1]:
+        if self.order < 1 or not self._c[1]:
             raise ValueError("reversion requires a nonzero linear term")
+        s = [c._v for c in self._c]
         n = self.order
-        t = [ZERO] * (n + 1)
-        t[1] = ONE / s[1]
-        pw = [[ZERO] * (n + 1) for _ in range(n + 1)]
+        t = [0] * (n + 1)
+        t[1] = 1 / s[1]
+        pw = [[0] * (n + 1) for _ in range(n + 1)]
         pw[1][1] = t[1]
         for m in range(2, n + 1):
             for k in range(2, m + 1):
-                acc = ZERO
+                prev = pw[k - 1]
+                acc = 0
                 for j in range(1, m - k + 2):
-                    if t[j] and pw[k - 1][m - j]:
-                        acc = acc + pw[k - 1][m - j] * t[j]
+                    if t[j] and prev[m - j]:
+                        acc += prev[m - j] * t[j]
                 pw[k][m] = acc
-            acc = ZERO
+            acc = 0
             for k in range(2, m + 1):
                 if s[k] and pw[k][m]:
-                    acc = acc + s[k] * pw[k][m]
+                    acc += s[k] * pw[k][m]
             t[m] = -acc / s[1]
             pw[1][m] = t[m]
         return TruncatedSeries(t)

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,11 +23,152 @@ from funcseries.approx import (
     taylor_baseline,
 )
 from funcseries.catalog import DomainError, get_expansion
+from funcseries.pseries import FAMILY_KEYS, MAX_ORDER
 from oracles import poly_eval_float
 
 
 def fracs(model):
     return [c.as_fraction() for c in model.coefficients]
+
+
+# repr of every coefficient of assemble(get_expansion(key), f at x0 = 1, 16),
+# recorded before the Bell kernel replaced the gated closed forms.  The
+# exp rows take the compensated float path term by term, so any change in
+# the exact Bell values they are built from shows up here.
+SHIFTED_CENTER_REPRS = {
+    ('a1', 'ln1p'): (
+        'ExactScalar(~0.6931471805599453)',
+        'ExactScalar(1/2)',
+        'ExactScalar(1/8)',
+        'ExactScalar(0)',
+        'ExactScalar(-1/192)',
+        'ExactScalar(0)',
+        'ExactScalar(1/2880)',
+        'ExactScalar(0)',
+        'ExactScalar(-17/645120)',
+        'ExactScalar(0)',
+        'ExactScalar(31/14515200)',
+        'ExactScalar(0)',
+        'ExactScalar(-691/3832012800)',
+        'ExactScalar(0)',
+        'ExactScalar(5461/348713164800)',
+        'ExactScalar(0)',
+        'ExactScalar(-929569/669529276416000)',
+    ),
+    ('a1', 'exp'): (
+        'ExactScalar(~2.718281828459045)',
+        'ExactScalar(~2.718281828459045)',
+        'ExactScalar(~2.718281828459045)',
+        'ExactScalar(~2.2652348570492045)',
+        'ExactScalar(~1.6989261427869033)',
+        'ExactScalar(~1.177922125665586)',
+        'ExactScalar(~0.7664044599683141)',
+        'ExactScalar(~0.4730026118171791)',
+        'ExactScalar(~0.27910929488641983)',
+        'ExactScalar(~0.1584091320172603)',
+        'ExactScalar(~0.08687520256160101)',
+        'ExactScalar(~0.04620972874422434)',
+        'ExactScalar(~0.02391170333783759)',
+        'ExactScalar(~0.012067628030900567)',
+        'ExactScalar(~0.005952378177122976)',
+        'ExactScalar(~0.0028747761479298644)',
+        'ExactScalar(~0.001361576544540878)',
+    ),
+    ('a8', 'ln1p'): (
+        'ExactScalar(~0.6931471805599453)',
+        'ExactScalar(1)',
+        'ExactScalar(1)',
+        'ExactScalar(5/6)',
+        'ExactScalar(5/8)',
+        'ExactScalar(9/20)',
+        'ExactScalar(1/3)',
+        'ExactScalar(15/56)',
+        'ExactScalar(15/64)',
+        'ExactScalar(31/144)',
+        'ExactScalar(1/5)',
+        'ExactScalar(65/352)',
+        'ExactScalar(65/384)',
+        'ExactScalar(129/832)',
+        'ExactScalar(1/7)',
+        'ExactScalar(17/128)',
+        'ExactScalar(255/2048)',
+    ),
+    ('a8', 'exp'): (
+        'ExactScalar(~2.718281828459045)',
+        'ExactScalar(~5.43656365691809)',
+        'ExactScalar(~13.591409142295227)',
+        'ExactScalar(~30.80719405586918)',
+        'ExactScalar(~65.69181085442692)',
+        'ExactScalar(~133.92068474874895)',
+        'ExactScalar(~263.46191544053613)',
+        'ExactScalar(~503.313611571028)',
+        'ExactScalar(~937.9377514934672)',
+        'ExactScalar(~1710.8407987201974)',
+        'ExactScalar(~3062.7072408039708)',
+        'ExactScalar(~5392.493832020861)',
+        'ExactScalar(~9354.469507091066)',
+        'ExactScalar(~16011.124401600908)',
+        'ExactScalar(~27072.33074018488)',
+        'ExactScalar(~45266.82233271947)',
+        'ExactScalar(~74915.46098567889)',
+    ),
+    ('c3', 'ln1p'): (
+        'ExactScalar(~0.6931471805599453)',
+        'ExactScalar(1/12)',
+        'ExactScalar(5/288)',
+        'ExactScalar(17/6480)',
+        'ExactScalar(109/414720)',
+        'ExactScalar(73/8709120)',
+        'ExactScalar(-4223/1567641600)',
+        'ExactScalar(-3767/6270566400)',
+        'ExactScalar(-33217/601974374400)',
+        'ExactScalar(175699/111741493248000)',
+        'ExactScalar(1011413/758487711744000)',
+        'ExactScalar(5361683/26031298267054080)',
+        'ExactScalar(2407264577/234281684403486720000)',
+        'ExactScalar(-1085148937/468563368806973440000)',
+        'ExactScalar(-544945319/865040065489797120000)',
+        'ExactScalar(-10043437935919/150549410397680566272000000)',
+        'ExactScalar(7510887714973/7708129812361244993126400000)',
+    ),
+    ('c3', 'exp'): (
+        'ExactScalar(~2.718281828459045)',
+        'ExactScalar(~0.45304697140984085)',
+        'ExactScalar(~0.1510156571366136)',
+        'ExactScalar(~0.04362674539502171)',
+        'ExactScalar(~0.0115708755815322)',
+        'ExactScalar(~0.002910613718070645)',
+        'ExactScalar(~0.0007054906684991491)',
+        'ExactScalar(~0.00016592091926565032)',
+        'ExactScalar(~3.799718086059017e-05)',
+        'ExactScalar(~8.49587197847385e-06)',
+        'ExactScalar(~1.859258526447091e-06)',
+        'ExactScalar(~3.991171431597848e-07)',
+        'ExactScalar(~8.419637929478191e-08)',
+        'ExactScalar(~1.7481614091832013e-08)',
+        'ExactScalar(~3.5769884309305574e-09)',
+        'ExactScalar(~7.220609181033952e-10)',
+        'ExactScalar(~1.4393353642011628e-10)',
+    ),
+}
+
+# a7 with alpha = 2 (irrational root) at N = 12, as the closed form gave it.
+A7_IRRATIONAL_FLOATS = {
+    "ln1p": [
+        0.0, 1.0606601717798212, -0.960247564417433,
+        1.1179332377305078, -1.4390463287006197, 1.955421014365139,
+        -2.7484772601769323, 3.9535544094284707, -5.783458281408734,
+        8.569247740204515, -12.82535289929267, 19.35217505428049,
+        -29.397454156253144,
+    ],
+    "exp": [
+        1.0, 1.0606601717798212, 0.16475243558256703,
+        0.07530945552179118, -0.055157073715813576, 0.06215108427470504,
+        -0.07198836007338615, 0.08650818555813472, -0.10687804588259381,
+        0.13494924775258818, -0.17339626645808226, 0.2260071443090762,
+        -0.298112185994794,
+    ],
+}
 
 
 class TestBuiltinFunctions:
@@ -159,6 +301,37 @@ class TestAssemble:
         short = function_from_derivatives([0, 1])
         with pytest.raises(ValueError):
             assemble(get_expansion("a1"), short, 3)
+
+    @pytest.mark.parametrize("key,fname", sorted(SHIFTED_CENTER_REPRS))
+    def test_shifted_center_coefficients_pinned(self, key, fname):
+        m = assemble(get_expansion(key), builtin_function(fname, x0=1), 16)
+        assert tuple(repr(c) for c in m.coefficients) == SHIFTED_CENTER_REPRS[key, fname]
+
+    @pytest.mark.parametrize("fname", sorted(A7_IRRATIONAL_FLOATS))
+    def test_irrational_root_stays_float(self, fname):
+        m = assemble(get_expansion("a7", alpha=2, beta=3), builtin_function(fname), 12)
+        assert len(m.coefficients) == len(A7_IRRATIONAL_FLOATS[fname])
+        assert m.coefficients[0].is_exact
+        for n, (c, ref) in enumerate(zip(m.coefficients, A7_IRRATIONAL_FLOATS[fname])):
+            if n:
+                assert not c.is_exact, n
+            assert float(c) == pytest.approx(ref, rel=1e-12, abs=0), n
+
+    def test_every_family_at_max_order_within_budget(self):
+        # one catalog64 benchmark pass: every family with its fixed target.
+        # With the gated closed forms on the hot path it took 35-88 s on a
+        # 2-vCPU x86-64 VM (a5 and a10 most of it).  Never loosen this bound.
+        targets = [
+            builtin_function("ln1p"),
+            builtin_function("exp"),
+            builtin_function("pow", alpha=Fraction(1, 5)),
+        ]
+        start = time.perf_counter()
+        for i, key in enumerate(FAMILY_KEYS):
+            m = assemble(get_expansion(key), targets[i % 3], MAX_ORDER)
+            assert m.is_exact(), key
+        elapsed = time.perf_counter() - start
+        assert elapsed < 8.0, f"order-{MAX_ORDER} pass took {elapsed:.2f}s"
 
 
 class TestCompositionRoute:

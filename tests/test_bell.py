@@ -7,12 +7,14 @@ import pytest
 
 import funcseries.bell as bell
 from funcseries.bell import (
+    CLOSED_FORM_FAMILIES,
     bell_closed_form,
     bell_generic,
     bell_values,
     derivative_sequence,
     gate_report,
 )
+from funcseries.catalog import get_expansion
 from funcseries.exact import ONE, ZERO, stirling2
 from oracles import bell_by_partitions, stirling1_rec
 
@@ -241,12 +243,16 @@ class TestBellValues:
         assert bell_values("a2", 0) == [[ONE]]
 
     def test_matches_closed_form_per_cell(self):
-        for key in ("a2", "a8", "c2"):
-            rows = bell_values(key, 8)
-            for n in range(1, 9):
+        # every cell of the recurrence kernel against the paper's formula,
+        # at the catalog's default parameters (exact for all fifteen)
+        for key in CLOSED_FORM_FAMILIES:
+            params = get_expansion(key).param_dict()
+            rows = bell_values(key, 16, **params)
+            for n in range(1, 17):
                 assert rows[n][0] == ZERO
                 for k in range(1, n + 1):
-                    assert rows[n][k] == bell_closed_form(key, n, k), (key, n, k)
+                    assert rows[n][k].is_exact, (key, n, k)
+                    assert rows[n][k] == bell_closed_form(key, n, k, **params), (key, n, k)
 
     def test_series_defined_families_use_recurrence(self):
         seq = derivative_sequence("c3", 6)

@@ -313,6 +313,14 @@ class TestEvaluators:
         with pytest.raises(DomainError):
             eval_g(get_expansion("a1"), math.nan)
 
+    def test_overflow_becomes_domain_error(self):
+        # -expm1(-x) leaves the float range below x = -709.78
+        e = get_expansion("a2")
+        assert eval_g(e, -709.0) == pytest.approx(-math.expm1(709.0), rel=1e-15)
+        for x in (-710.0, -1000.0, -1e300):
+            with pytest.raises(DomainError, match="overflows"):
+                eval_g(e, x)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("key", sorted(X_WINDOWS))

@@ -144,6 +144,19 @@ class TestEval:
         assert lines[1].split(",")[1] == "nan"
         assert lines[3].split(",")[1] != "nan"
 
+    def test_overflowing_basis_is_a_domain_failure(self, capsys):
+        rc = main(["eval", "--expansion", "a2", "--function", "exp", "--at=-1e300"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows" in captured.err
+        rc = main(["eval", "--expansion", "a2", "--function", "exp", "--grid=-1000:0:3"])
+        assert rc == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "x,approx"
+        assert lines[1] == "-1000.0000000000000,nan"
+        assert lines[3] == "0.0000000000000000,1.0000000000000000"
+
     def test_bad_grid_spec(self, capsys):
         for spec in ("1:0:5", "0:1", "0:1:0", "a:b:c"):
             assert main(["eval", "--expansion", "a1", "--function", "ln1p", "--grid", spec]) == 1
