@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .bell import _raw, _triangle
+from .bell import _raw, _scaled_triangle, _unscaled
 from .catalog import DomainError, Expansion, Interval, eval_g, get_expansion
-from .exact import ONE, ZERO, ExactScalar, falling_factorial, scalar
+from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries
 
 __all__ = [
@@ -97,9 +96,10 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             raise ValueError("builtin 'pow' is only provided at x0 = 0")
         av = scalar(alpha)
         af = float(av)
+        table = tuple(ExactScalar(v) for v in _falling_factorials(av, MAX_ORDER))
 
-        def deriv(n, _av=av):
-            return falling_factorial(_av, n)
+        def deriv(n, _av=av, _table=table):
+            return _table[n] if n <= MAX_ORDER else falling_factorial(_av, n)
 
         if af > 0:
             dom = Interval(-1.0, math.inf, lo_closed=True)
@@ -203,6 +203,18 @@ class ApproximationModel:
     def is_exact(self) -> bool:
         return all(c.is_exact for c in self.coefficients)
 
+    @cached_property
+    def _float_form(self) -> tuple:
+        """(float(x0), (float(a_N), ..., float(a_0))): the Horner input.
+
+        Converted once per model on first use; not a field, so it takes no
+        part in repr, equality, hashing or the JSON form.
+        """
+        return (
+            float(self.func.x0),
+            tuple(float(c) for c in reversed(self.coefficients)),
+        )
+
     def to_json_dict(self) -> dict:
         def exact_str(v: ExactScalar) -> str:
             return str(v.as_fraction()) if v.is_exact else repr(float(v))
@@ -247,21 +259,50 @@ def _neumaier(values) -> float:
     return total + comp
 
 
+def _integer_sums(raw: list, rows: list, scale: int) -> list:
+    """Exact a_1 .. a_N in integer arithmetic, one Fraction per coefficient.
+
+    rows[n][k] = D^k B(n, k) with D = scale (see bell._scaled_triangle),
+    and d_k = c_k / Q with Q the lcm of the denominators of d_1 .. d_N, so
+
+        n! a_n = (sum over k of c_k rows[n][k] D^(n-k)) / (Q D^n),
+
+    with the sum run in Horner form in D.  Fraction reduces to lowest
+    terms, so each value equals the sum of the exact terms d_k B(n, k)/n!.
+    """
+    q = math.lcm(*(v.denominator for v in raw[1:]))
+    c = [0] + [v.numerator * (q // v.denominator) for v in raw[1:]]
+    out = []
+    for n in range(1, len(rows)):
+        row = rows[n]
+        acc = 0
+        for k in range(1, n + 1):
+            acc = acc * scale + c[k] * row[k]
+        out.append(ExactScalar(Fraction(acc, q * scale**n * math.factorial(n))))
+    return out
+
+
 def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationModel:
     """Coefficients via the expansion's Bell triangle.
 
     a_0 = f(x0) and a_n = (sum over k of d_k * B(n, k)) / n! where d_k are
     f's derivatives at x0 and B is the triangle of the expansion's inverse
     basis, computed by the Bell recurrence (the closed forms and their
-    gate are not involved).  A coefficient whose terms are all exact is
+    gate are not involved).  When the triangle and d_1 .. d_N are all
+    exact, each coefficient is one integer sum over the scaled triangle,
+    divided once.  Otherwise a coefficient whose terms are all exact is
     summed exactly; one float term switches it to compensated float
     summation.  Zero factors are skipped so that exact zeros survive even
     in otherwise float-contaminated rows.
     """
     _check_model_order(order)
     d = [func.derivative(k) for k in range(order + 1)]
-    triangle = _triangle(_raw(exp.derivative_sequence(order)), order)
     raw = _raw(d)
+    rows, scale = _scaled_triangle(_raw(exp.derivative_sequence(order)), order)
+    if scale is not None and not any(isinstance(v, float) for v in raw[1:]):
+        coeffs = [d[0]] + _integer_sums(raw, rows, scale)
+        return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
+    triangle = _unscaled(rows, scale)
     coeffs = [d[0]]
     for n in range(1, order + 1):
         row = triangle[n]
@@ -293,11 +334,19 @@ def assemble_via_composition(
 
 
 def evaluate(model: ApproximationModel, x: float) -> float:
-    """Float value of the approximation at x (Horner in u = g(x - x0))."""
-    u = eval_g(model.expansion, float(x) - float(model.func.x0))
+    """Float value of the approximation at x (Horner in u = g(x - x0)).
+
+    The Horner sum runs over the model's float coefficients, converted
+    from the exact ones once per model, so every point costs one basis
+    evaluation and N multiply-adds.  The result equals converting each
+    coefficient at every call, bit for bit.
+    """
+    x = float(x)
+    x0, horner = model._float_form
+    u = eval_g(model.expansion, x - x0)
     acc = 0.0
-    for c in reversed(model.coefficients):
-        acc = acc * u + float(c)
+    for c in horner:
+        acc = acc * u + c
     return acc
 
 
@@ -316,16 +365,19 @@ def estimate_radius(model: ApproximationModel) -> float:
     """
     if model.order < 8:
         raise ValueError("radius estimation needs order >= 8")
+    coeffs = model._float_form[1][::-1]
     picked = [
-        (n, abs(float(model.coefficients[n])))
+        (n, abs(coeffs[n]))
         for n in range(model.order // 2, model.order + 1)
-        if float(model.coefficients[n]) != 0.0
+        if coeffs[n] != 0.0
     ]
     if not picked:
         return math.inf
     if len(picked) == 1:
         n, mag = picked[0]
         return mag ** (-1.0 / n)
+    import numpy as np  # only the least-squares fit needs it
+
     ns = np.array([n for n, _ in picked], dtype=float)
     logs = np.array([math.log(mag) for _, mag in picked])
     slope = np.polyfit(ns, logs, 1)[0]

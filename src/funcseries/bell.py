@@ -39,6 +39,7 @@ from .exact import (
     ExactScalar,
     ONE,
     ZERO,
+    _falling_factorials,
     double_factorial,
     falling_factorial,
     scalar,
@@ -94,6 +95,16 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     in its arguments).  Otherwise it runs on the raw mixed values.  Zero
     factors are skipped either way, so cells fed only by zeros stay exact.
     """
+    return _unscaled(*_scaled_triangle(values, nmax, kmax))
+
+
+def _scaled_triangle(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
+    """(rows, D): the recurrence of :func:`_triangle` before the division.
+
+    When every value is exact, D is the lcm of their denominators and
+    rows[i][j] is the integer D^j * B(i, j); otherwise D is None and the
+    rows hold B(i, j) over the raw mixed values.
+    """
     kmax = nmax if kmax is None else kmax
     values = values[:nmax]
     exact = not any(isinstance(v, float) for v in values)
@@ -116,10 +127,15 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
                     acc += wx * below
             row[j] = acc
         rows.append(row)
-    if exact and scale != 1:
-        powers = [scale**j for j in range(kmax + 1)]
-        rows = [[Fraction(b, powers[j]) if b else 0 for j, b in enumerate(row)] for row in rows]
-    return rows
+    return rows, (scale if exact else None)
+
+
+def _unscaled(rows: list, scale: Optional[int]) -> list:
+    """The rows B(i, j) from :func:`_scaled_triangle`'s output."""
+    if scale is None or scale == 1:
+        return rows
+    powers = [scale**j for j in range(len(rows[-1]))]
+    return [[Fraction(b, powers[j]) if b else 0 for j, b in enumerate(row)] for row in rows]
 
 
 # -- closed-form special values ---------------------------------------------
@@ -351,17 +367,15 @@ def derivative_sequence(key: str, order: int, *, alpha=None, beta=None, w=None) 
     if key == "a4":
         return tuple(scalar((-1) ** (i // 2)) if i % 2 else ZERO for i in r)
     if key == "a5":
-        return tuple(falling_factorial(kwargs["alpha"], i) for i in r)
+        return tuple(ExactScalar(v) for v in _falling_factorials(kwargs["alpha"], order)[1:])
     if key == "a6":
         seq = [kwargs["w"], ONE] + [ZERO] * (order - 2)
         return tuple(seq[:order])
     if key == "a7":
         root = kwargs["alpha"].sqrt()
         beta_ = kwargs["beta"]
-        return tuple(
-            root ** (1 - 2 * i) * beta_**i * falling_factorial(Fraction(1, 2), i)
-            for i in r
-        )
+        half = _falling_factorials(Fraction(1, 2), order)
+        return tuple(root ** (1 - 2 * i) * beta_**i * half[i] for i in r)
     if key == "a8":
         return tuple(scalar(math.factorial(i + 1)) for i in r)
     if key == "a9":

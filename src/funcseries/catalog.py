@@ -890,7 +890,10 @@ def invert_numeric(exp: Expansion, x: float) -> float:
     """Solve g(y-var) = x by Newton/bisection regardless of family kind.
 
     For explicit families this provides an independent cross-check of the
-    closed-form basis evaluator.
+    closed-form basis evaluator.  Where the inverse basis or its
+    derivative leaves the float range near an image endpoint (a2 and a11
+    at large x, a8 at 1e300, a9 at -1e300) the solver's math error is
+    raised as :class:`DomainError`.
     """
     x = float(x)
     if not exp.domain.contains(x, _slack(x)):
@@ -898,10 +901,15 @@ def invert_numeric(exp: Expansion, x: float) -> float:
             f"x={x!r} outside the validity domain {exp.domain} of family {exp.key!r}"
         )
     x = _clip_to(exp.domain, x)
-    return _invert_monotone(
-        x, exp._ginv, exp._dginv, exp.image, exp.increasing, exp._d1,
-        f"family {exp.key!r} numeric inversion",
-    )
+    try:
+        return _invert_monotone(
+            x, exp._ginv, exp._dginv, exp.image, exp.increasing, exp._d1,
+            f"family {exp.key!r} numeric inversion",
+        )
+    except (ValueError, ZeroDivisionError) as err:
+        raise DomainError(
+            f"numeric inversion fails at x={x!r} for family {exp.key!r}: {err}"
+        ) from None
 
 
 def map_domain(exp: Expansion, radius: float) -> Interval:

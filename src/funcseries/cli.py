@@ -2,9 +2,10 @@
 
 All numeric output is deterministic: floats are printed as their shortest
 round-trip decimal padded to 17 significant digits, CSV uses LF line
-endings and a header row, and grids come from numpy.linspace on the
-parsed start:stop:count triple.  Exit codes: 0 success, 1 usage error,
-2 domain or convergence failure, 3 I/O failure.
+endings and a header row, and grids are the points numpy.linspace gives
+for the parsed start:stop:count triple, computed in plain Python so that
+only the radius command imports numpy.  Exit codes: 0 success, 1 usage
+error, 2 domain or convergence failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .approx import (
     BUILTIN_FUNCTIONS,
@@ -185,9 +184,28 @@ def _write_text(config: RunConfig, text: str):
             fh.close()
 
 
+def _linspace(start: float, stop: float, count: int) -> list:
+    """numpy.linspace(start, stop, count) as a list of floats, bit for bit.
+
+    Same arithmetic as numpy: i * step + start, or (i / div) * delta +
+    start when the step underflows to zero, with the last point set to
+    stop exactly.
+    """
+    div = count - 1
+    delta = stop - start
+    if div <= 0:
+        return [0.0 * delta + start] * count
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    points[-1] = stop
+    return points
+
+
 def _grid_points(config: RunConfig):
-    start, stop, count = config.grid
-    return [float(x) for x in np.linspace(start, stop, count)]
+    return _linspace(*config.grid)
 
 
 # -- commands ------------------------------------------------------------------
@@ -253,7 +271,7 @@ def _cmd_figures(config: RunConfig) -> int:
     a5 = assemble(get_expansion("a5", alpha=2), func, config.terms)
     tp = taylor_baseline(func, config.terms)
     rows = []
-    for x in [float(v) for v in np.linspace(-1.0, 6.0, 281)]:
+    for x in _linspace(-1.0, 6.0, 281):
         rows.append([
             format_decimal(x),
             format_decimal(evaluate(a5, x)),

@@ -283,15 +283,25 @@ def stirling1(n: int, m: int) -> ExactScalar:
     return ExactScalar(_stirling1_raw(n, m))
 
 
-def falling_factorial(a: ScalarLike, n: int) -> ExactScalar:
-    """Product a (a-1) ... (a-n+1); empty product is 1."""
+def _falling_factorials(a: ScalarLike, n: int) -> list:
+    """Raw values of a (a-1) ... (a-k+1) for k = 0 .. n, as prefix products.
+
+    Entry k is entry k - 1 times (a - k + 1), so a whole sequence of
+    derivatives costs n multiplications, and a float base gives the same
+    bits as multiplying the factors one at a time from the left.
+    """
     if n < 0:
         raise ValueError("falling_factorial requires n >= 0")
-    base = scalar(a)
-    out = ONE
+    base = _coerce(a)
+    out = [Fraction(1)]
     for k in range(n):
-        out = out * (base - k)
+        out.append(out[-1] * (base - k))
     return out
+
+
+def falling_factorial(a: ScalarLike, n: int) -> ExactScalar:
+    """Product a (a-1) ... (a-n+1); empty product is 1."""
+    return ExactScalar(_falling_factorials(a, n)[n])
 
 
 def double_factorial(n: int) -> ExactScalar:

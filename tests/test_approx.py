@@ -22,7 +22,8 @@ from funcseries.approx import (
     function_from_derivatives,
     taylor_baseline,
 )
-from funcseries.catalog import DomainError, get_expansion
+from funcseries.catalog import ConvergenceError, DomainError, eval_g, get_expansion
+from funcseries.exact import falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER
 from oracles import poly_eval_float
 
@@ -206,6 +207,12 @@ class TestBuiltinFunctions:
         assert f.value_at(-1.0) == 0.0
         assert f.value_at(-2.0) is None
 
+    def test_pow_derivatives_are_falling_factorials(self):
+        for alpha in (Fraction(1, 5), Fraction(-7, 3), 2):
+            f = builtin_function("pow", alpha=alpha)
+            for n in range(MAX_ORDER + 3):
+                assert f.derivative(n) == falling_factorial(alpha, n), (alpha, n)
+
     def test_pow_requires_alpha_and_origin(self):
         with pytest.raises(ValueError):
             builtin_function("pow")
@@ -381,6 +388,76 @@ class TestEvaluate:
         got = evaluate(m, 1.5)
         assert got == pytest.approx(math.log(2.5), abs=1e-3)
         assert evaluate(m, 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+def _reference_outcome(model, x):
+    """Horner with every coefficient converted to float at call time."""
+    try:
+        u = eval_g(model.expansion, float(x) - float(model.func.x0))
+        acc = 0.0
+        for c in reversed(model.coefficients):
+            acc = acc * u + float(c)
+        return repr(acc)
+    except (DomainError, ConvergenceError) as err:
+        return type(err).__name__
+
+
+def _outcome(model, x):
+    try:
+        return repr(evaluate(model, x))
+    except (DomainError, ConvergenceError) as err:
+        return type(err).__name__
+
+
+_EXTREME_POINTS = (
+    -1e300, -1e6, -800.0, -500.0, -40.0, -1.0, -0.999, 40.0, 50.0, 1e6, 1e300,
+    math.inf, -math.inf, math.nan,
+)
+
+
+class TestEvaluateFloatForm:
+    """evaluate runs Horner on float coefficients converted once per model;
+    its results must equal converting each coefficient at call time."""
+
+    @pytest.mark.parametrize("key", FAMILY_KEYS + ("tp",))
+    def test_matches_call_time_conversion_bit_for_bit(self, key):
+        f = builtin_function("ln1p")
+        if key == "tp":
+            m = taylor_baseline(f, 20)
+        else:
+            m = assemble(get_expansion(key), f, 20)
+        rng = random.Random(f"float-form:{key}")
+        xs = [rng.uniform(-0.99, 6.0) for _ in range(40)] + list(_EXTREME_POINTS)
+        outcomes = [_outcome(m, x) for x in xs]
+        assert outcomes == [_reference_outcome(m, x) for x in xs]
+        assert any(o not in ("DomainError", "ConvergenceError") for o in outcomes)
+
+    def test_overflowing_points_stay_inf(self):
+        m = assemble(get_expansion("a2"), builtin_function("ln1p"), 20)
+        assert _reference_outcome(m, -500.0) in ("inf", "-inf")
+        assert _outcome(m, -500.0) == _reference_outcome(m, -500.0)
+
+    @pytest.mark.parametrize("key,fname", [("a1", "ln1p"), ("a8", "exp"), ("c3", "sin")])
+    def test_float_tagged_model(self, key, fname):
+        f = builtin_function(fname, x0=Fraction(1, 2))
+        m = assemble(get_expansion(key), f, 16)
+        assert not m.is_exact()
+        xs = [0.5 + 0.1 * i for i in range(-12, 30)] + list(_EXTREME_POINTS)
+        assert [_outcome(m, x) for x in xs] == [_reference_outcome(m, x) for x in xs]
+
+    def test_float_form_stays_out_of_identity_and_json(self):
+        exp = get_expansion("a8")
+        f = builtin_function("ln1p")
+        used = assemble(exp, f, 10)
+        fresh = assemble(exp, f, 10)
+        state = dict(vars(used))
+        evaluate(used, 0.5)
+        estimate_radius(used)
+        assert len(vars(used)) > len(state)  # the float form is now held
+        assert repr(used) == repr(fresh)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert used.to_json_dict() == fresh.to_json_dict()
 
 
 class TestTaylorBaseline:

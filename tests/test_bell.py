@@ -15,7 +15,8 @@ from funcseries.bell import (
     gate_report,
 )
 from funcseries.catalog import get_expansion
-from funcseries.exact import ONE, ZERO, stirling2
+from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
+from funcseries.pseries import MAX_ORDER
 from oracles import bell_by_partitions, stirling1_rec
 
 
@@ -161,6 +162,21 @@ class TestDerivativeSequences:
             Fraction(-9, 32),
             Fraction(81, 256),
         ]
+
+    def test_a5_a7_at_max_order_match_each_falling_factorial(self):
+        # the sequences are built as prefix products; each entry must equal
+        # its own falling factorial, including a7's float-tagged entries
+        for alpha in (Fraction(2), Fraction(-5, 3)):
+            seq = derivative_sequence("a5", MAX_ORDER, alpha=alpha)
+            assert seq == tuple(falling_factorial(alpha, i) for i in range(1, MAX_ORDER + 1))
+        for alpha, beta in ((Fraction(4, 9), Fraction(-1, 2)), (Fraction(2), Fraction(3))):
+            root = scalar(alpha).sqrt()
+            want = tuple(
+                repr(root ** (1 - 2 * i) * scalar(beta) ** i * falling_factorial(Fraction(1, 2), i))
+                for i in range(1, MAX_ORDER + 1)
+            )
+            seq = derivative_sequence("a7", MAX_ORDER, alpha=alpha, beta=beta)
+            assert tuple(repr(d) for d in seq) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -401,6 +401,16 @@ class TestInvertNumeric:
         with pytest.raises(DomainError):
             invert_numeric(get_expansion("a1"), -3.0)
 
+    @pytest.mark.parametrize("key,x", [
+        ("a2", 40.0), ("a2", 50.0), ("a2", 1e6), ("a11", 1e6),  # math domain error
+        ("a8", 1e300), ("a9", -1e300),  # float division by zero
+    ])
+    def test_math_errors_become_domain_errors(self, key, x):
+        e = get_expansion(key)
+        eval_g(e, x)  # the closed form still answers there
+        with pytest.raises(DomainError, match="numeric inversion"):
+            invert_numeric(e, x)
+
 
 class TestMapDomain:
     def test_unit_radius_examples(self):

@@ -6,10 +6,15 @@ byte-stable across runs since downstream plotting scripts diff its files.
 
 import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from funcseries.cli import main
+import funcseries
+from funcseries.cli import _linspace, main
 
 
 TABLE_GOLDEN = """\
@@ -304,3 +309,51 @@ class TestDerivativeFiles:
         rc = main(["coeffs", "--expansion", "a1", "--function", str(path), "--terms", "5"])
         assert rc == 1
         capsys.readouterr()
+
+
+class TestLinspace:
+    """The grids must be numpy.linspace's points, bit for bit."""
+
+    @staticmethod
+    def check(start, stop, count):
+        np = pytest.importorskip("numpy")
+        want = [repr(float(v)) for v in np.linspace(start, stop, count)]
+        assert [repr(v) for v in _linspace(start, stop, count)] == want, (start, stop, count)
+
+    def test_small_counts_and_equal_ends(self):
+        for start, stop in ((-3.0, 3.0), (0.0, 0.0), (-0.0, 0.0), (2.5, 2.5), (-1e300, 1e300)):
+            for count in (1, 2, 3):
+                self.check(start, stop, count)
+
+    def test_fixed_grids(self):
+        self.check(-1.0, 6.0, 281)  # the fifth-root figure
+        self.check(-3.0, 3.0, 241)  # the figures default
+        self.check(-1000.0, 0.0, 3)
+
+    def test_subnormal_step_branch(self):
+        self.check(0.0, 5e-324, 10)
+        self.check(-1e-320, 1e-320, 7)
+
+    def test_random_grids(self):
+        rng = random.Random(20261018)
+        for _ in range(500):
+            scale = 10.0 ** rng.randint(-320, 300)
+            a, b = sorted((rng.uniform(-scale, scale), rng.uniform(-scale, scale)))
+            self.check(a, b, rng.randint(1, 400))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # Only the radius command's least-squares fit needs numpy; importing
+    # the CLI and running a grid command must not load it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(funcseries.__file__)))
+    code = (
+        "import sys\n"
+        "from funcseries.cli import main\n"
+        "main(['eval', '--expansion', 'a8', '--function', 'ln1p', '--grid=-0.5:1:5'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                       text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"

@@ -10,6 +10,7 @@ from funcseries.exact import (
     ONE,
     ZERO,
     ExactScalar,
+    _falling_factorials,
     binomial,
     double_factorial,
     falling_factorial,
@@ -221,6 +222,19 @@ class TestFallingFactorial:
             for i in range(n):
                 prod *= a - i
             assert falling_factorial(a, n).as_fraction() == prod
+
+    def test_prefix_products_match_each_order(self):
+        # the sequence helper behind the a5/a7 and pow derivatives; float
+        # bases must give the same bits as the one-at-a-time product
+        for a in (Fraction(1, 5), Fraction(-7, 3), 4, 0.3, -2.75):
+            seq = _falling_factorials(a, 40)
+            assert len(seq) == 41
+            for n, v in enumerate(seq):
+                prod = Fraction(1)
+                for i in range(n):
+                    prod = prod * (a - i)
+                assert repr(v) == repr(prod), (a, n)
+                assert repr(falling_factorial(a, n)) == repr(ExactScalar(prod))
 
 
 class TestDoubleFactorial:
