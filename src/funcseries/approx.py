@@ -190,6 +190,14 @@ def function_from_derivatives(values: Sequence, name: str = "custom", x0=0) -> F
     return FunctionSpec(name, scalar(x0), _FULL_LINE, deriv, None)
 
 
+def _to_float(value: ExactScalar, name: str) -> float:
+    """float(value); a value beyond the float range is a DomainError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is beyond the float range") from None
+
+
 @dataclass(frozen=True)
 class ApproximationModel:
     """A finished approximation: expansion, target, and coefficients a_0..a_N."""
@@ -208,12 +216,13 @@ class ApproximationModel:
         """(float(x0), (float(a_N), ..., float(a_0))): the Horner input.
 
         Converted once per model on first use; not a field, so it takes no
-        part in repr, equality, hashing or the JSON form.
+        part in repr, equality, hashing or the JSON form.  A value beyond
+        the float range raises DomainError (and nothing is cached).
         """
-        return (
-            float(self.func.x0),
-            tuple(float(c) for c in reversed(self.coefficients)),
+        floats = tuple(
+            _to_float(c, f"coefficient a_{n}") for n, c in enumerate(self.coefficients)
         )
+        return (_to_float(self.func.x0, "x0"), floats[::-1])
 
     def to_json_dict(self) -> dict:
         def exact_str(v: ExactScalar) -> str:
@@ -221,7 +230,7 @@ class ApproximationModel:
 
         rows = []
         for n, c in enumerate(self.coefficients):
-            entry = {"n": n, "decimal": format_decimal(float(c))}
+            entry = {"n": n, "decimal": format_decimal(_to_float(c, f"coefficient a_{n}"))}
             if c.is_exact:
                 fr = c.as_fraction()
                 entry["exact"] = {"num": str(fr.numerator), "den": str(fr.denominator)}

@@ -13,8 +13,10 @@ equal orders and return the same order; truncation never happens silently.
 :func:`elementary` constructs the inverse-basis series for the expansion
 families whose g-inverse has a standalone closed form.  :func:`family_series`
 extends the mapping to every family key, building the composite cases
-(c1 .. c5) by series arithmetic on an exponential backbone and the
-squared-arccosine case (c6) by reversion.
+(c1 .. c5) by series arithmetic on an exponential backbone.  The
+squared-arccosine case (c6) has closed-form coefficients from the series
+of (arcsin x)^2; :meth:`TruncatedSeries.reversion` reproduces them from
+the series of cos(sqrt(s)) - 1 and serves as their check.
 """
 
 from __future__ import annotations
@@ -332,15 +334,20 @@ def _build_arcsin(order):
 
 
 def _build_sq_arccos_shift(order):
-    # The square of the arccosine shift solves cos(sqrt(s)) - 1 = y for
-    # s = [arccos(1+y)]^2, so the series is obtained by reverting
-    # y(s) = sum_{j>=1} (-1)^j s^j / (2j)! and dividing out one power of y.
-    inner = TruncatedSeries(
-        [0]
-        + [Fraction((-1) ** j, math.factorial(2 * j)) for j in range(1, order + 2)]
-    )
-    t = inner.reversion()
-    return t.shift_down(1).scale(Fraction(-1, 2)).sub(constant(1, order))
+    # The kind is -[arccos(1+y)]^2 / (2y) - 1.  Since
+    # arccos(1+y) = 2 arcsin(sqrt(-y/2)) and
+    # (arcsin x)^2 = 1/2 sum_{n>=1} (2x)^(2n) / (n^2 C(2n, n)),
+    # [arccos(1+y)]^2 = 2 sum_{n>=1} (-2y)^n / (n^2 C(2n, n)); dividing by
+    # -2y gives c_m = -(-2)^(m+1) / ((m+1)^2 C(2m+2, m+1)), whose c_0 = 1
+    # cancels the -1.  O(N) exact operations; the tests check the result
+    # against reverting y(s) = sum_{j>=1} (-1)^j s^j / (2j)!, the series of
+    # cos(sqrt(s)) - 1, which is O(N^3).
+    coeffs = [
+        Fraction(-((-2) ** (m + 1)), (m + 1) ** 2 * math.comb(2 * m + 2, m + 1))
+        for m in range(order + 1)
+    ]
+    coeffs[0] -= 1
+    return TruncatedSeries(coeffs)
 
 
 _ELEMENTARY = {
@@ -380,9 +387,10 @@ def elementary(kind: str, order: int, *, alpha=None, beta=None, w=None) -> Trunc
     """Exact Maclaurin coefficients of a named inverse-basis function.
 
     The removable-singularity kinds (log_ratio, expm1_ratio,
-    sq_arccos_shift) are assembled from series of the primitive functions
-    with the constant term shifted out, never by evaluating their defining
-    formula at zero.
+    sq_arccos_shift) take their coefficients from the closed-form series
+    of the primitive functions (-ln(1-y), e^y - 1, [arccos(1+y)]^2) with
+    one power of y divided out and the constant term shifted out, never by
+    evaluating their defining formula at zero.
     """
     _check_order(order)
     try:

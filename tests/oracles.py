@@ -2,8 +2,9 @@
 
 Nothing in here imports from funcseries.  The oracles are deliberately
 naive: set partitions enumerated one element at a time, polynomial
-arithmetic as nested loops over Fraction lists, Stirling numbers by their
-recurrences, derivatives by central differences.  Slow is fine; the point
+arithmetic as nested loops over Fraction lists, series reversion by the
+Lagrange inversion formula, Stirling numbers by their recurrences,
+derivatives by central differences.  Slow is fine; the point
 is that a bug in the package and a bug here would have to coincide.
 """
 
@@ -115,6 +116,55 @@ def poly_eval_float(coeffs, x):
     for c in reversed(list(coeffs)):
         total = total * x + float(c)
     return total
+
+
+def poly_reciprocal(a, order):
+    """Coefficients of 1/a(y) truncated at ``order``; a[0] must be nonzero."""
+    out = [Fraction(0)] * (order + 1)
+    for n in range(order + 1):
+        acc = Fraction(int(n == 0))
+        for i in range(1, min(n, len(a) - 1) + 1):
+            acc -= Fraction(a[i]) * out[n - i]
+        out[n] = acc / Fraction(a[0])
+    return out
+
+
+def revert_by_lagrange(y, order):
+    """Compositional inverse t of y (y[0] = 0, y[1] != 0) to ``order``.
+
+    Lagrange inversion: [u^n] t(u) = (1/n) [s^(n-1)] (s / y(s))^n, with
+    the powers of phi = s / y(s) built one naive product at a time.  Each
+    power is an integer list over one common denominator, reduced by the
+    gcd of all its entries after every product.
+    """
+    phi = poly_reciprocal(y[1:], order)
+    d = math.lcm(*(c.denominator for c in phi))
+    p = [int(c * d) for c in phi]
+    t = [Fraction(0)] * (order + 1)
+    num, den = [1] + [0] * order, 1
+    for n in range(1, order + 1):
+        num = [sum(num[i] * p[k - i] for i in range(k + 1)) for k in range(order + 1)]
+        den *= d
+        g = math.gcd(den, *num)
+        num = [v // g for v in num]
+        den //= g
+        t[n] = Fraction(num[n - 1], n * den)
+    return t
+
+
+def sq_arccos_shift_by_reversion(order):
+    """c_0 .. c_order of -[arccos(1+y)]^2 / (2y) - 1, by reversion.
+
+    s = [arccos(1+y)]^2 solves cos(sqrt(s)) - 1 = y, so s(y) reverts
+    y(s) = sum_{j>=1} (-1)^j s^j / (2j)!.
+    """
+    y = [Fraction(0)] + [
+        Fraction((-1) ** j, math.factorial(2 * j)) for j in range(1, order + 2)
+    ]
+    s = revert_by_lagrange(y, order + 1)
+    coeffs = [-c / 2 for c in s[1:]]
+    coeffs[0] -= 1
+    return coeffs
 
 
 # -- numerical derivatives ----------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for coefficient assembly, evaluation, radius and error reporting."""
 
+import hashlib
 import json
 import math
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from funcseries import catalog
 from funcseries.approx import (
     BUILTIN_FUNCTIONS,
     ApproximationModel,
@@ -24,7 +26,7 @@ from funcseries.approx import (
 )
 from funcseries.catalog import ConvergenceError, DomainError, eval_g, get_expansion
 from funcseries.exact import falling_factorial
-from funcseries.pseries import FAMILY_KEYS, MAX_ORDER
+from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, TruncatedSeries
 from oracles import poly_eval_float
 
 
@@ -340,6 +342,30 @@ class TestAssemble:
         elapsed = time.perf_counter() - start
         assert elapsed < 8.0, f"order-{MAX_ORDER} pass took {elapsed:.2f}s"
 
+    def test_c6_builds_without_series_reversion(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("c6 must not revert a series")
+
+        catalog._series_floats.cache_clear()
+        catalog._series_deriv_floats.cache_clear()
+        monkeypatch.setattr(TruncatedSeries, "reversion", refuse)
+        exp = get_expansion("c6")
+        m = assemble(exp, builtin_function("ln1p"), MAX_ORDER)
+        assert m.is_exact()
+        # x = 0.01 lands on the float series table (|g| < 0.0625); both
+        # values were recorded while c6 was built by reversion
+        assert eval_g(exp, 0.01) == -0.05905206466549482
+        assert eval_g(exp, 0.3) == -1.1792266969130962
+
+    def test_c6_max_order_coefficients_pinned(self):
+        # sha256 of the coefficient reprs, recorded while c6 was still built
+        # by reverting the series of cos(sqrt(s)) - 1
+        m = assemble(get_expansion("c6"), builtin_function("ln1p"), MAX_ORDER)
+        text = "\n".join(repr(c) for c in m.coefficients)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1e16e21537d5b2ef753881dea224113178bf9f891daf56b3774afd345775d791"
+        )
+
 
 class TestCompositionRoute:
     @pytest.mark.parametrize("key", ["a2", "a5", "a7", "a10", "c3", "c6"])
@@ -458,6 +484,16 @@ class TestEvaluateFloatForm:
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert used.to_json_dict() == fresh.to_json_dict()
+
+    def test_coefficient_beyond_float_range_is_a_domain_error(self):
+        # a_1 = 1e400 from a derivative list; converting it to float overflows
+        f = function_from_derivatives([0, Fraction(10) ** 400, 1])
+        m = assemble(get_expansion("a1"), f, 2)
+        for call in (lambda: evaluate(m, 0.5), m.to_json_dict):
+            with pytest.raises(DomainError, match="coefficient a_1 "):
+                call()
+        with pytest.raises(DomainError, match="coefficient a_1 "):
+            evaluate(m, -5.0)  # outside a1's domain: the conversion comes first
 
 
 class TestTaylorBaseline:

@@ -303,6 +303,20 @@ class TestDerivativeFiles:
         assert rc == 1
         assert ":3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--at=0.5"],
+        ["coeffs"],
+        ["coeffs", "--format", "json"],
+    ])
+    def test_coefficient_beyond_float_range(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.derivs"
+        path.write_text("0\n1e400\n1\n")
+        rc = main(command + ["--expansion", "a1", "--function", str(path), "--terms", "2"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: coefficient a_1 is beyond the float range\n"
+
     def test_too_few_values(self, tmp_path, capsys):
         path = tmp_path / "short.derivs"
         path.write_text("0\n1\n")

@@ -17,7 +17,7 @@ from funcseries.pseries import (
     family_series,
     identity,
 )
-from oracles import poly_compose, poly_eval_float, poly_mul
+from oracles import poly_compose, poly_eval_float, poly_mul, sq_arccos_shift_by_reversion
 
 
 def frac_coeffs(series):
@@ -270,6 +270,9 @@ FAMILY_SERIES_CASES = {
 }
 
 
+C6_ORACLE = sq_arccos_shift_by_reversion(MAX_ORDER)
+
+
 class TestFamilySeries:
     @pytest.mark.parametrize("key,params", sorted(FAMILY_SERIES_CASES, key=str))
     def test_implicit_family_coefficients(self, key, params):
@@ -290,6 +293,20 @@ class TestFamilySeries:
             assert s.order == 10
             assert s[0] == 0
             assert s.is_exact()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 20, MAX_ORDER])
+    def test_c6_matches_reversion_oracle(self, order):
+        # lower orders are prefixes of the order-MAX_ORDER oracle
+        assert frac_coeffs(family_series("c6", order)) == C6_ORACLE[: order + 1]
+
+    def test_c6_matches_package_reversion(self):
+        # the series of cos(sqrt(s)) - 1, reverted, is [arccos(1+y)]^2
+        order = 24
+        y = TruncatedSeries(
+            [0] + [Fraction((-1) ** j, math.factorial(2 * j)) for j in range(1, order + 2)]
+        )
+        expected = y.reversion().shift_down(1).scale(Fraction(-1, 2)).sub(constant(1, order))
+        assert family_series("c6", order) == expected
 
     def test_param_rejection(self):
         with pytest.raises(ValueError):
