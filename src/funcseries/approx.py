@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .bell import _raw, _scaled_triangle, _unscaled
+from .bell import _columns, _raw, _triangle
 from .catalog import DomainError, Expansion, Interval, eval_g, get_expansion
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries
@@ -268,51 +268,34 @@ def _neumaier(values) -> float:
     return total + comp
 
 
-def _integer_sums(raw: list, rows: list, scale: int) -> list:
-    """Exact a_1 .. a_N in integer arithmetic, one Fraction per coefficient.
-
-    rows[n][k] = D^k B(n, k) with D = scale (see bell._scaled_triangle),
-    and d_k = c_k / Q with Q the lcm of the denominators of d_1 .. d_N, so
-
-        n! a_n = (sum over k of c_k rows[n][k] D^(n-k)) / (Q D^n),
-
-    with the sum run in Horner form in D.  Fraction reduces to lowest
-    terms, so each value equals the sum of the exact terms d_k B(n, k)/n!.
-    """
-    q = math.lcm(*(v.denominator for v in raw[1:]))
-    c = [0] + [v.numerator * (q // v.denominator) for v in raw[1:]]
-    out = []
-    for n in range(1, len(rows)):
-        row = rows[n]
-        acc = 0
-        for k in range(1, n + 1):
-            acc = acc * scale + c[k] * row[k]
-        out.append(ExactScalar(Fraction(acc, q * scale**n * math.factorial(n))))
-    return out
-
-
 def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationModel:
     """Coefficients via the expansion's Bell triangle.
 
     a_0 = f(x0) and a_n = (sum over k of d_k * B(n, k)) / n! where d_k are
     f's derivatives at x0 and B is the triangle of the expansion's inverse
-    basis, computed by the Bell recurrence (the closed forms and their
-    gate are not involved).  When the triangle and d_1 .. d_N are all
-    exact, each coefficient is one integer sum over the scaled triangle,
-    divided once.  Otherwise a coefficient whose terms are all exact is
-    summed exactly; one float term switches it to compensated float
-    summation.  Zero factors are skipped so that exact zeros survive even
-    in otherwise float-contaminated rows.
+    basis, computed by the column kernel of :mod:`funcseries.bell` (the
+    closed forms and their gate are not involved).  When the triangle and
+    d_1 .. d_N are all exact, column k is P_k / S_k in integers; with
+    d_k = c_k / Q and L the lcm of the S_k, n! a_n is the integer sum of
+    c_k P_k[n] L / S_k over k, divided once by Q L.  Otherwise a
+    coefficient whose terms are all exact is summed exactly; one float
+    term switches it to compensated float summation.  Zero factors are
+    skipped so that exact zeros survive even in float-contaminated rows.
     """
     _check_model_order(order)
     d = [func.derivative(k) for k in range(order + 1)]
     raw = _raw(d)
-    rows, scale = _scaled_triangle(_raw(exp.derivative_sequence(order)), order)
-    if scale is not None and not any(isinstance(v, float) for v in raw[1:]):
-        coeffs = [d[0]] + _integer_sums(raw, rows, scale)
-        return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
-    triangle = _unscaled(rows, scale)
+    values = _raw(exp.derivative_sequence(order))
     coeffs = [d[0]]
+    if not any(isinstance(v, float) for v in raw[1:] + values):
+        cols, scales = _columns(values, order)
+        q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
+        c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(raw[1:], scales[1:])]
+        for n in range(1, order + 1):
+            acc = sum(ck * col[n] for ck, col in zip(c[:n], cols[1:]))
+            coeffs.append(ExactScalar(Fraction(acc, q * lcm * math.factorial(n))))
+        return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
+    triangle = _triangle(values, order)
     for n in range(1, order + 1):
         row = triangle[n]
         terms = [raw[k] * row[k] for k in range(1, n + 1) if raw[k] and row[k]]

@@ -6,13 +6,17 @@ Every Bell value the library uses comes from the standard recurrence
     B(n, k) = sum_{j=1}^{n-k+1} C(n-1, j-1) * x_j * B(n-j, k-1),
 
 with B(0, 0) = 1, over the argument vector x_j = d_j of the family's
-inverse-basis derivatives.  The kernel works on raw int/Fraction/float
-values.  When every d_j is exact it scales them by the lcm D of their
-denominators, runs the recurrence in integers and divides cell (n, k) by
-D^k, which homogeneity makes exact.  A float d_j (a7 with an irrational
-root) runs the same recurrence on the mixed values.
-:func:`funcseries.approx.assemble`, :func:`bell_values` and
-:func:`bell_generic` all go through it.
+inverse-basis derivatives.  The kernel builds the triangle column by
+column, since column k needs only column k - 1.  When every d_j is exact
+it scales them by the lcm D of their denominators and keeps each column
+as integers P_k over one scale S_k, B(n, k) = P_k[n] / S_k: column k is
+computed over D * S_{k-1}, and the gcd of that scale and the column's
+entries (its content) is divided out before the next column starts (the
+primitive-part reduction of Knuth, *TAOCP* vol. 2, section 4.6.1).  The
+integers then stay near the size of the Bell values rather than growing
+with D^k.  A float d_j (a7 with an irrational root) runs the same
+recurrence on the mixed values.  :func:`funcseries.approx.assemble`,
+:func:`bell_values` and :func:`bell_generic` all go through it.
 
 The paper's special-value formulas for fifteen families ("a1" .. "a13",
 "c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
@@ -89,21 +93,25 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     """Rows B(i, j) for 0 <= j <= min(i, kmax), i <= nmax, as raw numbers.
 
     values[j-1] holds d_j as an int, Fraction or float; at least nmax of
-    them are needed.  When every value is exact the recurrence runs in
-    integers over D * d_j, with D the lcm of the denominators, and each
-    cell is divided by D^j at the end (B(n, k) is homogeneous of degree k
-    in its arguments).  Otherwise it runs on the raw mixed values.  Zero
-    factors are skipped either way, so cells fed only by zeros stay exact.
+    them are needed.  Cell (i, j) is P_j[i] / S_j from :func:`_columns`
+    over exact inputs, its raw mixed value otherwise.
     """
-    return _unscaled(*_scaled_triangle(values, nmax, kmax))
+    cols, scales = _columns(values, nmax, kmax)
+    if scales is not None:
+        cols = [[Fraction(p, s) if p else 0 for p in col] for col, s in zip(cols, scales)]
+    return [[col[i] for col in cols[: i + 1]] for i in range(nmax + 1)]
 
 
-def _scaled_triangle(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
-    """(rows, D): the recurrence of :func:`_triangle` before the division.
+def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
+    """(cols, scales): cols[k][n] for 0 <= k <= kmax and 0 <= n <= nmax.
 
-    When every value is exact, D is the lcm of their denominators and
-    rows[i][j] is the integer D^j * B(i, j); otherwise D is None and the
-    rows hold B(i, j) over the raw mixed values.
+    Over exact values the recurrence runs in integers over D * d_j, with D
+    the lcm of the denominators, and B(n, k) = cols[k][n] / scales[k]:
+    column k is computed over the scale D * scales[k-1], and its content,
+    the gcd of that scale and its entries, is divided out before column
+    k + 1 starts.  Otherwise scales is None and the columns hold B(n, k)
+    over the raw mixed values, each cell summed in the same order.  Zero
+    factors are skipped either way, so cells fed only by zeros stay exact.
     """
     kmax = nmax if kmax is None else kmax
     values = values[:nmax]
@@ -111,31 +119,28 @@ def _scaled_triangle(values: list, nmax: int, kmax: Optional[int] = None) -> tup
     if exact:
         scale = math.lcm(*(v.denominator for v in values))
         values = [v.numerator * (scale // v.denominator) for v in values]
-    nonzero = [(m, x) for m, x in enumerate(values, 1) if x]
-    rows = [[1]]
-    for i in range(1, nmax + 1):
-        # (m, C(i-1, m-1) * d_m) for the nonzero d_m, m ascending
-        weighted = [(m, math.comb(i - 1, m - 1) * x) for m, x in nonzero if m <= i]
-        row = [0] * (min(i, kmax) + 1)
-        for j in range(1, len(row)):
-            acc = 0
-            for m, wx in weighted:
-                if m > i - j + 1:
-                    break
-                below = rows[i - m][j - 1]
+    # (m, [C(i-1, m-1) * d_m for i <= nmax]) for the nonzero d_m, m ascending
+    weighted = [(m, [0] * m + [math.comb(i - 1, m - 1) * x for i in range(m, nmax + 1)])
+                for m, x in enumerate(values, 1) if x]
+    cols = [[1] + [0] * nmax]
+    scales = [1] if exact else None
+    for k in range(1, kmax + 1):
+        prev = cols[-1]
+        col = [0] * (nmax + 1)
+        # each cell sums its terms in ascending m; the mixed-value floats depend on it
+        for m, w in weighted:
+            for i in range(m + k - 1, nmax + 1):
+                below = prev[i - m]
                 if below:
-                    acc += wx * below
-            row[j] = acc
-        rows.append(row)
-    return rows, (scale if exact else None)
-
-
-def _unscaled(rows: list, scale: Optional[int]) -> list:
-    """The rows B(i, j) from :func:`_scaled_triangle`'s output."""
-    if scale is None or scale == 1:
-        return rows
-    powers = [scale**j for j in range(len(rows[-1]))]
-    return [[Fraction(b, powers[j]) if b else 0 for j, b in enumerate(row)] for row in rows]
+                    col[i] += w[i] * below
+        if exact:
+            top = scale * scales[-1]
+            content = math.gcd(top, *col) if top > 1 else 1
+            if content > 1:
+                col = [c // content for c in col]
+            scales.append(top // content)
+        cols.append(col)
+    return cols, scales
 
 
 # -- closed-form special values ---------------------------------------------

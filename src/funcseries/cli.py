@@ -4,8 +4,9 @@ All numeric output is deterministic: floats are printed as their shortest
 round-trip decimal padded to 17 significant digits, CSV uses LF line
 endings and a header row, and grids are the points numpy.linspace gives
 for the parsed start:stop:count triple, computed in plain Python so that
-only the radius command imports numpy.  Exit codes: 0 success, 1 usage
-error, 2 domain or convergence failure, 3 I/O failure.
+only the radius command imports numpy (the optional "radius" extra).
+Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
+3 I/O failure or a missing optional dependency (radius without numpy).
 """
 
 from __future__ import annotations
@@ -501,6 +502,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except ModuleNotFoundError as err:  # only radius imports lazily: numpy
+        print(f"error: {err.name} is not installed; it comes with the 'radius' extra: "
+              "pip install 'funcseries[radius]'", file=sys.stderr)
         return 3
 
 

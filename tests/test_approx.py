@@ -174,6 +174,65 @@ A7_IRRATIONAL_FLOATS = {
 }
 
 
+# sha256 of the reprs of every coefficient of assemble(get_expansion(key,
+# **params), target, N), one repr a line, over the case's targets and then
+# its orders N.  Recorded from the commit before the column Bell kernel;
+# the c6 ln1p digest is older, from when c6 was built by reverting the
+# series of cos(sqrt(s)) - 1.  "name@1/2" is the builtin at x0 = 1/2.
+PIN_TARGETS = ("ln1p", "exp", "pow:1/5", "sin", "sq")
+PIN_ORDERS = (1, 7, 20, MAX_ORDER)
+FAMILY_DIGESTS = {
+    "a1": "c2d554694c76d9a67de44191cf9ed817a633ee496709d7ff71c86769b6c97967",
+    "a2": "01948df27faf5dff7d5cc5d42e1c966c8d27d4b4737b590ddf36af4e8a67766c",
+    "a3": "c48ecb15f1c5ffcdc86dc6b48626a47cf03198bbafe4e44b101406bc07934344",
+    "a4": "f25fe586ad97e1eeeab56ea6f99ced9679a3ec83b82f805e18806ae26abb8777",
+    "a5": "68f6a33f2fa3171695b8cb6ffa1b3414d3194c21b6e797ec1c0e05f2c1b9d56e",
+    "a6": "f6a2624cbb21ac135c106869831501c25f8cc409b0d7d99b3d397d84f5b20cfd",
+    "a7": "2158028ed9e171f316607cd5bee02d3cb10be6546cebe05245c018cf2fc8793b",
+    "a8": "6f97fab0e10b485ea04169f34d4086ff38a863b217f5800fbd6d4897ec2c396a",
+    "a9": "b0d77796e6c92e6918675c4039116b5948d415b0ba8092f53f16735e23cde6ba",
+    "a10": "25cc6b5a96e59b326f03cd13f52e76f7aa0741d279750b7456e8b0c525a495f1",
+    "a11": "59a72fa46364ba87892a501f1178e15e243d925336d8be7d0303622aa433033e",
+    "a12": "e4868fe30264461233c9db662dad4aa0e437a0328ef1e4e40549ca140c1bec3d",
+    "a13": "c123a1868a55f71afcc4282964796aaa9aef11e5f9fa2412368f7e6db55f288b",
+    "c1": "25cc6b5a96e59b326f03cd13f52e76f7aa0741d279750b7456e8b0c525a495f1",
+    "c2": "a8540fcd031d3a220de4ce9b0682146e801204c742112a09a9af9459c3ca5d1d",
+    "c3": "1d26230938fd3df788faf33681b36350bd50d6e9e6e69d4c3ac71a70b7f4f157",
+    "c4": "8f0edb340a1882642ae52ce7f03c976350c73d9230fb70615ebe46adfd48822f",
+    "c5": "2e7424aef6c5485ad5ad90541fc90881492ad400a7a14d8e03d2686d7a803282",
+    "c6": "2f545fa0d6afb5c7c25b9ab4667c59c4caae611437349a09d4a887c06cfed1ca",
+}
+FLOAT_TARGETS = ("ln1p@1/2", "exp@1/2", "sin@1/2", "sq@1/2")
+COEFFICIENT_PINS = [
+    pytest.param(key, {}, PIN_TARGETS, PIN_ORDERS, digest, id=key)
+    for key, digest in FAMILY_DIGESTS.items()
+] + [
+    pytest.param("c6", {}, ("ln1p",), (MAX_ORDER,),
+                 "1e16e21537d5b2ef753881dea224113178bf9f891daf56b3774afd345775d791",
+                 id=f"c6-ln1p-{MAX_ORDER}"),
+    # float paths: an irrational root in the triangle, float target derivatives
+    pytest.param("a7", {"alpha": Fraction(31, 21)}, PIN_TARGETS, (MAX_ORDER,),
+                 "5a7bdfd285e96c84f7ebb9bdd335bf49861874b043d1953c897187efda7ea698",
+                 id="a7-irrational-root"),
+    pytest.param("a1", {}, FLOAT_TARGETS, PIN_ORDERS,
+                 "5c21b37d2f807f462db8a24beee3dde58d9b5c37ff3f1ae69210c77fe8fd4c13",
+                 id="a1-x0-half"),
+    pytest.param("a8", {}, FLOAT_TARGETS, PIN_ORDERS,
+                 "f45488a7affea29921035b8d76f64f3dd1fc23d30c10200786444583b7be6d6e",
+                 id="a8-x0-half"),
+    pytest.param("c3", {}, FLOAT_TARGETS, PIN_ORDERS,
+                 "850bd4d0e2c18c9f6043a92bfaffea9ba0e00d10a86cb9e3b9cc00d391aa0bd6",
+                 id="c3-x0-half"),
+]
+
+
+def pin_target(spec):
+    name, _, x0 = spec.partition("@")
+    if name.startswith("pow:"):
+        return builtin_function("pow", alpha=Fraction(name[4:]))
+    return builtin_function(name, x0=Fraction(x0 or 0))
+
+
 class TestBuiltinFunctions:
     def test_registry(self):
         assert set(BUILTIN_FUNCTIONS) == {"exp", "sin", "sq", "ln1p", "pow"}
@@ -357,15 +416,16 @@ class TestAssemble:
         assert eval_g(exp, 0.01) == -0.05905206466549482
         assert eval_g(exp, 0.3) == -1.1792266969130962
 
-    def test_c6_max_order_coefficients_pinned(self):
-        # sha256 of the coefficient reprs, recorded while c6 was still built
-        # by reverting the series of cos(sqrt(s)) - 1
-        m = assemble(get_expansion("c6"), builtin_function("ln1p"), MAX_ORDER)
-        text = "\n".join(repr(c) for c in m.coefficients)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "1e16e21537d5b2ef753881dea224113178bf9f891daf56b3774afd345775d791"
+    @pytest.mark.parametrize("key,params,targets,orders,digest", COEFFICIENT_PINS)
+    def test_coefficients_pinned(self, key, params, targets, orders, digest):
+        exp = get_expansion(key, **params)
+        text = "\n".join(
+            repr(c)
+            for spec in targets
+            for n in orders
+            for c in assemble(exp, pin_target(spec), n).coefficients
         )
-
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 class TestCompositionRoute:
     @pytest.mark.parametrize("key", ["a2", "a5", "a7", "a10", "c3", "c6"])

@@ -1,5 +1,6 @@
 """Tests for partial Bell polynomial evaluation and the closed-form gate."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -282,6 +283,29 @@ class TestBellValues:
             bell_values("a1", -1)
         with pytest.raises(ValueError):
             bell_values("a1", bell.MAX_ORDER + 1)
+
+
+class TestColumnKernel:
+    @pytest.mark.parametrize("key", ["c6", "a7"])
+    def test_stored_integers_stay_small(self, key):
+        # Scaling cell (n, k) by D^k stored integers of 15,009 (c6) and
+        # 12,198 (a7) bits at this order; removing each column's content
+        # keeps them near the size of the values.
+        params = get_expansion(key).param_dict()
+        values = bell._raw(derivative_sequence(key, MAX_ORDER, **params))
+        cols, scales = bell._columns(values, MAX_ORDER)
+        stored = [*scales, *(c for col in cols for c in col)]
+        assert max(abs(v).bit_length() for v in stored) < 1000
+
+    def test_columns_over_their_scales_match_the_partition_oracle(self):
+        values = bell._raw(derivative_sequence("c4", 8))
+        cols, scales = bell._columns(values, 8)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                expected = bell_by_partitions(n, k, values[: n - k + 1])
+                assert Fraction(cols[k][n], scales[k]) == expected, (n, k)
+        # with its content removed no column shares a factor with its scale
+        assert all(math.gcd(scale, *col) == 1 for col, scale in zip(cols, scales))
 
 
 class TestGate:

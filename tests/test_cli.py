@@ -371,3 +371,30 @@ def test_cli_import_leaves_numpy_unloaded():
                        text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "False"
+
+
+def test_radius_without_numpy_is_one_line_error():
+    # numpy is the optional "radius" extra: a fit without it exits 3 with
+    # one line naming the extra; a1's one-term tail needs no fit at all.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(funcseries.__file__)))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from funcseries.cli import main\n"
+        "sys.exit(main(['radius', '--expansion', sys.argv[1], '--function', 'ln1p',"
+        " '--terms', '12']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = {key: subprocess.run([sys.executable, "-c", code, key], env=env,
+                                capture_output=True, text=True, timeout=60)
+            for key in ("a8", "a1")}
+    fit, no_fit = runs["a8"], runs["a1"]
+    assert fit.returncode == 3
+    assert fit.stdout == ""
+    assert fit.stderr.splitlines() == [
+        "error: numpy is not installed; it comes with the 'radius' extra: "
+        "pip install 'funcseries[radius]'"
+    ]
+    assert no_fit.returncode == 0, no_fit.stderr
+    assert no_fit.stdout.splitlines()[1] == "inf,-1.0000000000000000,inf"
+    assert "Traceback" not in fit.stderr + no_fit.stderr
