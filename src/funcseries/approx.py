@@ -18,13 +18,12 @@ for that coefficient switches to compensated float summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .bell import _columns, _raw, _triangle
-from .catalog import DomainError, Expansion, Interval, eval_g, get_expansion
+from .catalog import DomainError, Expansion, Interval, _Record, eval_g, get_expansion
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries
 
@@ -47,15 +46,24 @@ __all__ = [
 _FULL_LINE = Interval(-math.inf, math.inf)
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """A target function known through its derivatives at a base point."""
+class FunctionSpec(_Record):
+    """A target function known through its derivatives at a base point.
 
-    name: str
-    x0: ExactScalar
-    domain: Interval  # where the float reference evaluator is defined
-    _deriv: Callable = field(repr=False)
-    _value: Optional[Callable] = field(repr=False, default=None)
+    domain is where the float reference evaluator _value is defined; the
+    derivative function _deriv and _value are fields that repr leaves out.
+    """
+
+    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value")
+    _shown = _fields[:3]
+
+    def __init__(self, name: str, x0: ExactScalar, domain: Interval, _deriv: Callable,
+                 _value: Optional[Callable] = None):
+        set_field = object.__setattr__
+        set_field(self, "name", name)
+        set_field(self, "x0", x0)
+        set_field(self, "domain", domain)
+        set_field(self, "_deriv", _deriv)
+        set_field(self, "_value", _value)
 
     def derivative(self, n: int) -> ExactScalar:
         """n-th derivative at x0; n = 0 is the function value."""
@@ -198,15 +206,22 @@ def _to_float(value: ExactScalar, name: str) -> float:
         raise DomainError(f"{name} is beyond the float range") from None
 
 
-@dataclass(frozen=True)
-class ApproximationModel:
-    """A finished approximation: expansion, target, and coefficients a_0..a_N."""
+class ApproximationModel(_Record):
+    """A finished approximation: expansion, target, and coefficients a_0..a_N.
 
-    expansion: Expansion
-    func: FunctionSpec
-    order: int
-    coefficients: tuple
-    route: str
+    Its fields live in the instance dict, next to the cached float form.
+    """
+
+    _fields = _shown = ("expansion", "func", "order", "coefficients", "route")
+
+    def __init__(self, expansion: Expansion, func: FunctionSpec, order: int,
+                 coefficients: tuple, route: str):
+        set_field = object.__setattr__
+        set_field(self, "expansion", expansion)
+        set_field(self, "func", func)
+        set_field(self, "order", order)
+        set_field(self, "coefficients", coefficients)
+        set_field(self, "route", route)
 
     def is_exact(self) -> bool:
         return all(c.is_exact for c in self.coefficients)
@@ -215,9 +230,10 @@ class ApproximationModel:
     def _float_form(self) -> tuple:
         """(float(x0), (float(a_N), ..., float(a_0))): the Horner input.
 
-        Converted once per model on first use; not a field, so it takes no
-        part in repr, equality, hashing or the JSON form.  A value beyond
-        the float range raises DomainError (and nothing is cached).
+        Converted once per model on first use and kept in the instance
+        dict; not a field, so it takes no part in repr, equality, hashing
+        or the JSON form.  A value beyond the float range raises
+        DomainError (and nothing is cached).
         """
         floats = tuple(
             _to_float(c, f"coefficient a_{n}") for n, c in enumerate(self.coefficients)
@@ -376,15 +392,19 @@ def estimate_radius(model: ApproximationModel) -> float:
     return float(math.exp(-slope))
 
 
-@dataclass(frozen=True)
-class PointReport:
+class PointReport(_Record):
     """One evaluation point: approximation, reference, and their gap."""
 
-    x: float
-    approx: float
-    exact: float
-    delta: float
-    note: str = ""
+    __slots__ = _fields = _shown = ("x", "approx", "exact", "delta", "note")
+
+    def __init__(self, x: float, approx: float, exact: float, delta: float,
+                 note: str = ""):
+        set_field = object.__setattr__
+        set_field(self, "x", x)
+        set_field(self, "approx", approx)
+        set_field(self, "exact", exact)
+        set_field(self, "delta", delta)
+        set_field(self, "note", note)
 
 
 def error_report(model: ApproximationModel, xs) -> list:

@@ -16,7 +16,9 @@ primitive-part reduction of Knuth, *TAOCP* vol. 2, section 4.6.1).  The
 integers then stay near the size of the Bell values rather than growing
 with D^k.  A float d_j (a7 with an irrational root) runs the same
 recurrence on the mixed values.  :func:`funcseries.approx.assemble`,
-:func:`bell_values` and :func:`bell_generic` all go through it.
+:func:`bell_values` and :func:`bell_generic` all go through it, and so do
+the coefficients of an inverse function (the a11/a12 Newton start tables
+of :mod:`funcseries.catalog`).
 
 The paper's special-value formulas for fifteen families ("a1" .. "a13",
 "c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
@@ -27,8 +29,8 @@ RuntimeWarning on a mismatch.  Returned values never depend on the
 outcome, and coefficient assembly never runs the gate.
 
 The remaining families ("c3" .. "c6") have no closed form here; their
-derivative sequences come from series arithmetic in
-:mod:`funcseries.pseries`.
+derivative sequences come from the inverse-basis series of
+:mod:`funcseries.pseries`, whose coefficients are closed expressions.
 """
 
 from __future__ import annotations
@@ -141,6 +143,36 @@ def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
             scales.append(top // content)
         cols.append(col)
     return cols, scales
+
+
+def _inverse_coefficients(values: list, order: int) -> list:
+    """t_0 .. t_order, the Maclaurin coefficients of the inverse function.
+
+    values[j-1] holds d_j, the j-th derivative at 0 of a function h with
+    h(0) = 0 and d_1 != 0, as an int or Fraction, for j <= order.  The
+    derivatives g_n of the compositional inverse g are Bell polynomials in
+    d_2, d_3, ... (Comtet, *Advanced Combinatorics*, section 3.8):
+    g_1 = 1 / d_1 and, for n >= 2,
+
+        g_n = sum_{k=1}^{n-1} (-1)^k d_1^(-n-k) B(n-1+k, k)(0, d_2, d_3, ...).
+
+    B(n-1+k, k) reads d_2 .. d_n only, so the kernel's columns to row
+    2 order - 2 over (0, d_2, .., d_order, 0, ...) hold every term.  With
+    d_1 = p / q and L the lcm of the column scales, n! t_n = g_n is one
+    integer sum over L p^(2n-1), divided once.  Equals
+    :meth:`funcseries.pseries.TruncatedSeries.reversion` of the series
+    sum d_j y^j / j!, which is its check.
+    """
+    p, q = values[0].numerator, values[0].denominator
+    cols, scales = _columns([0] + values[1:order] + [0] * (order - 1), 2 * order - 2,
+                            order - 1)
+    lcm = math.lcm(*scales)
+    out = [Fraction(0), Fraction(q, p)]
+    for n in range(2, order + 1):
+        acc = sum((-1) ** k * cols[k][n - 1 + k] * (lcm // scales[k]) * q ** (n + k)
+                  * p ** (n - 1 - k) for k in range(1, n))
+        out.append(Fraction(acc, lcm * p ** (2 * n - 1) * math.factorial(n)))
+    return out
 
 
 # -- closed-form special values ---------------------------------------------

@@ -24,7 +24,6 @@ documented threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -55,22 +54,63 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its residual target."""
 
 
-@dataclass(frozen=True)
-class Interval:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass lists its fields in ``_fields``, in constructor order, and
+    the ones its repr shows in ``_shown``; its ``__init__`` sets each field
+    once through ``object.__setattr__``.  Records compare and hash by the
+    tuple of all their fields, only against an instance of the same class,
+    and any later assignment or deletion raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _shown: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Interval(_Record):
     """A real interval with independent open/closed endpoint flags."""
 
-    lo: float
-    hi: float
-    lo_closed: bool = False
-    hi_closed: bool = False
+    __slots__ = _fields = _shown = ("lo", "hi", "lo_closed", "hi_closed")
 
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
-            raise ValueError(f"bad interval bounds {self.lo}, {self.hi}")
-        if math.isinf(self.lo) and self.lo_closed:
+    def __init__(self, lo: float, hi: float, lo_closed: bool = False,
+                 hi_closed: bool = False):
+        if math.isnan(lo) or math.isnan(hi) or lo > hi:
+            raise ValueError(f"bad interval bounds {lo}, {hi}")
+        if math.isinf(lo) and lo_closed:
             raise ValueError("an infinite endpoint cannot be closed")
-        if math.isinf(self.hi) and self.hi_closed:
+        if math.isinf(hi) and hi_closed:
             raise ValueError("an infinite endpoint cannot be closed")
+        set_field = object.__setattr__
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "lo_closed", lo_closed)
+        set_field(self, "hi_closed", hi_closed)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         """Membership test; closed endpoints tolerate `slack` of float fuzz."""
@@ -109,22 +149,37 @@ class Interval:
         return f"{left}{self.lo!r}, {self.hi!r}{right}"
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """One catalog entry, immutable after construction."""
+class Expansion(_Record):
+    """One catalog entry, immutable after construction.
 
-    key: str
-    label: str
-    params: tuple  # ordered (name, ExactScalar) pairs
-    domain: Interval  # x-interval of validity, side restriction applied
-    image: Interval  # y = g(domain)
-    side: str  # "both" | "right_of_zero" | "left_of_zero"
-    increasing: bool
-    implicit: bool  # g computed by numeric inversion of the inverse basis
-    _g: Callable = field(repr=False)
-    _ginv: Callable = field(repr=False)
-    _dginv: Callable = field(repr=False)
-    _d1: float = field(repr=False)
+    params holds ordered (name, ExactScalar) pairs; domain is the
+    x-interval of validity with the side restriction applied, image is
+    g(domain), side is "both", "right_of_zero" or "left_of_zero", and an
+    implicit g is computed by numeric inversion of the inverse basis.  The
+    float evaluators _g, _ginv, _dginv and d_1 as a float are fields that
+    repr leaves out.
+    """
+
+    __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
+                           "increasing", "implicit", "_g", "_ginv", "_dginv", "_d1")
+    _shown = _fields[:8]
+
+    def __init__(self, key: str, label: str, params: tuple, domain: Interval,
+                 image: Interval, side: str, increasing: bool, implicit: bool,
+                 _g: Callable, _ginv: Callable, _dginv: Callable, _d1: float):
+        set_field = object.__setattr__
+        set_field(self, "key", key)
+        set_field(self, "label", label)
+        set_field(self, "params", params)
+        set_field(self, "domain", domain)
+        set_field(self, "image", image)
+        set_field(self, "side", side)
+        set_field(self, "increasing", increasing)
+        set_field(self, "implicit", implicit)
+        set_field(self, "_g", _g)
+        set_field(self, "_ginv", _ginv)
+        set_field(self, "_dginv", _dginv)
+        set_field(self, "_d1", _d1)
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -221,8 +276,9 @@ def _series_deriv_floats(key: str, order: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _g_init_floats(key: str, order: int) -> tuple:
-    """Float coefficients of the basis series (reversion of the inverse)."""
-    return tuple(float(c) for c in family_series(key, order).reversion().coeffs)
+    """Float coefficients of the basis series, the inverse of the inverse basis."""
+    d = bell._raw(bell.derivative_sequence(key, order))
+    return tuple(float(c) for c in bell._inverse_coefficients(d, order))
 
 
 # -- numeric inversion of a monotone inverse basis ----------------------------

@@ -5,6 +5,8 @@ round-trip decimal padded to 17 significant digits, CSV uses LF line
 endings and a header row, and grids are the points numpy.linspace gives
 for the parsed start:stop:count triple, computed in plain Python so that
 only the radius command imports numpy (the optional "radius" extra).
+Likewise json and csv are imported by the commands that write them, so
+start-up loads only what every command needs.
 Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
 3 I/O failure or a missing optional dependency (radius without numpy).
 """
@@ -12,12 +14,9 @@ Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -33,7 +32,7 @@ from .approx import (
     function_from_derivatives,
     taylor_baseline,
 )
-from .catalog import ConvergenceError, DomainError, get_expansion, map_domain
+from .catalog import ConvergenceError, DomainError, _Record, get_expansion, map_domain
 from .pseries import FAMILY_KEYS
 
 __all__ = ["main", "RunConfig", "UsageError"]
@@ -51,22 +50,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus its validated inputs."""
+class RunConfig(_Record):
+    """Parsed invocation: one command plus its validated inputs.
 
-    command: str
-    expansions: tuple = ()  # family keys, possibly including "tp"
-    alpha: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
-    w: Optional[Fraction] = None
-    function: Optional[str] = None
-    terms: int = 8
-    at: Optional[float] = None
-    grid: Optional[tuple] = None  # (start, stop, count)
-    out: Optional[str] = None
-    fmt: str = "csv"
-    n_list: tuple = (3, 7, 10, 20)
+    expansions holds family keys, possibly including "tp"; grid is a
+    (start, stop, count) triple.
+    """
+
+    __slots__ = _fields = _shown = ("command", "expansions", "alpha", "beta", "w",
+                                    "function", "terms", "at", "grid", "out", "fmt",
+                                    "n_list")
+
+    def __init__(self, command: str, expansions: tuple = (),
+                 alpha: Optional[Fraction] = None, beta: Optional[Fraction] = None,
+                 w: Optional[Fraction] = None, function: Optional[str] = None,
+                 terms: int = 8, at: Optional[float] = None, grid: Optional[tuple] = None,
+                 out: Optional[str] = None, fmt: str = "csv",
+                 n_list: tuple = (3, 7, 10, 20)):
+        set_field = object.__setattr__
+        set_field(self, "command", command)
+        set_field(self, "expansions", expansions)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "w", w)
+        set_field(self, "function", function)
+        set_field(self, "terms", terms)
+        set_field(self, "at", at)
+        set_field(self, "grid", grid)
+        set_field(self, "out", out)
+        set_field(self, "fmt", fmt)
+        set_field(self, "n_list", n_list)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -166,6 +179,8 @@ def _open_out(config: RunConfig):
 
 
 def _write_csv(config: RunConfig, header, rows):
+    import csv
+
     fh, owned = _open_out(config)
     try:
         writer = csv.writer(fh, lineterminator="\n")
@@ -231,6 +246,8 @@ _FIGURE_FAMILIES = tuple(f"a{i}" for i in range(1, 14)) + ("tp",)
 
 
 def _cmd_figures(config: RunConfig) -> int:
+    import csv
+
     out_dir = config.out if config.out is not None else "figures"
     os.makedirs(out_dir, exist_ok=True)
     xs = _grid_points(config)
@@ -303,6 +320,8 @@ def _cmd_coeffs(config: RunConfig) -> int:
     func = _load_function(config.function)
     model = _build_model(key, config, func)
     if config.fmt == "json":
+        import json
+
         _write_text(config, json.dumps(model.to_json_dict(), indent=2) + "\n")
         return 0
     rows = []
@@ -350,6 +369,8 @@ def _cmd_radius(config: RunConfig) -> int:
         exp, math.inf
     )
     if config.fmt == "json":
+        import json
+
         _write_text(config, json.dumps({
             "R": format_decimal(radius),
             "x_lo": format_decimal(interval.lo),

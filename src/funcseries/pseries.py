@@ -12,8 +12,9 @@ equal orders and return the same order; truncation never happens silently.
 
 :func:`elementary` constructs the inverse-basis series for the expansion
 families whose g-inverse has a standalone closed form.  :func:`family_series`
-extends the mapping to every family key, building the composite cases
-(c1 .. c5) by series arithmetic on an exponential backbone.  The
+extends the mapping to every family key; the composite cases (c1 .. c5),
+polynomials in y plus a polynomial times e^y, get one closed expression
+per coefficient, in O(N) exact operations.  The
 squared-arccosine case (c6) has closed-form coefficients from the series
 of (arcsin x)^2; :meth:`TruncatedSeries.reversion` reproduces them from
 the series of cos(sqrt(s)) - 1 and serves as their check.
@@ -437,48 +438,51 @@ FAMILY_KEYS = tuple(f"a{i}" for i in range(1, 14)) + tuple(
 )
 
 
-def _exp_full(order):
-    return TruncatedSeries(
-        Fraction(1, math.factorial(n)) for n in range(order + 1)
-    )
+# The composite inverse bases c1 .. c5 are polynomials in y plus a
+# polynomial times e^y = sum y^n / n!, so each coefficient is one closed
+# expression; tests/oracles.py rebuilds them by series products.
 
 
 def _family_c1(order, w):
+    # y (e^y + w - 1)
     if w == 0:
         raise ValueError("family 'c1' requires w != 0")
-    shifted = _exp_full(order).add(constant(w - 1, order))
-    return identity(order).mul(shifted)
+    return TruncatedSeries(
+        [ZERO, w] + [Fraction(1, math.factorial(n - 1)) for n in range(2, order + 1)]
+    )
 
 
 def _family_c2(order):
-    lin = TruncatedSeries([-2, 1] + [0] * (order - 1))
-    out = _exp_full(order).mul(lin)
-    return out.sub(identity(order)).add(constant(2, order))
+    # (y - 2) e^y - y + 2
+    return TruncatedSeries(
+        [0, -2] + [Fraction(n - 2, math.factorial(n)) for n in range(2, order + 1)]
+    )
 
 
 def _family_c3(order):
-    m = order + 2
-    poly = TruncatedSeries([2, 2, 1] + [0] * (m - 2))
-    num = _exp_full(m).scale(2).sub(poly)
-    return num.shift_down(2).scale(Fraction(1, 2))
+    # (2 e^y - y^2 - 2y - 2) / (2 y^2)
+    return TruncatedSeries(
+        [0] + [Fraction(1, math.factorial(m + 2)) for m in range(1, order + 1)]
+    )
 
 
 def _family_c4(order):
-    m = order + 3
-    poly = TruncatedSeries([12, 6, 0, -1] + [0] * (m - 3))
-    num = identity(m).mul(_exp_full(m)).scale(6).sub(_exp_full(m).scale(12)).add(poly)
-    return num.shift_down(3).scale(Fraction(1, 6))
+    # (6y e^y - 12 e^y - y^3 + 6y + 12) / (6 y^3)
+    return TruncatedSeries(
+        [0] + [Fraction(m + 1, math.factorial(m + 3)) for m in range(1, order + 1)]
+    )
 
 
 def _family_c5(order, alpha, w, beta):
+    # alpha + (alpha + w - 1) y + (alpha + beta - 2) y^2 / 2 + (y - alpha) e^y:
     # alpha is the constant shift; w and beta are the prescribed first and
     # second derivative values of the inverse basis.
     if w == 0:
         raise ValueError("family 'c5' requires w != 0 (the linear coefficient)")
-    head_coeffs = [alpha, alpha + w - 1, (alpha + beta - 2) / 2]
-    head = TruncatedSeries(head_coeffs[: order + 1] + [0] * max(0, order - 2))
-    lin = identity(order).add(constant(-alpha, order))
-    return head.add(lin.mul(_exp_full(order)))
+    head = [ZERO, w, beta / 2]
+    return TruncatedSeries(
+        head[: order + 1] + [(n - alpha) / math.factorial(n) for n in range(3, order + 1)]
+    )
 
 
 def family_series(key: str, order: int, *, alpha=None, beta=None, w=None) -> TruncatedSeries:

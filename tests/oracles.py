@@ -167,6 +167,44 @@ def sq_arccos_shift_by_reversion(order):
     return coeffs
 
 
+def composite_inverse_series(key, order, alpha=0, w=1, beta=0):
+    """c_0 .. c_order of the inverse basis of family c1 .. c5, by products.
+
+    Each basis is built from the series of e^y with naive products, sums
+    and divisions by a power of y, never from a per-coefficient formula.
+    For c5, alpha is the constant shift and w, beta the first and second
+    derivatives of the inverse basis.
+    """
+    alpha, w, beta = Fraction(alpha), Fraction(w), Fraction(beta)
+
+    def exp(n):
+        return [Fraction(1, math.factorial(k)) for k in range(n + 1)]
+
+    def plus(a, b):
+        return [x + y for x, y in zip(a, b + [0] * len(a))]
+
+    def divided_by_y_power(num, k, den):
+        if any(num[:k]):
+            raise ValueError("leading coefficients do not vanish")
+        return [c / den for c in num[k:]]
+
+    if key == "c1":  # y (e^y + w - 1)
+        return poly_mul([0, 1], plus(exp(order), [w - 1]), order)
+    if key == "c2":  # (y - 2) e^y - y + 2
+        return plus(poly_mul([-2, 1], exp(order), order), [2, -1])
+    if key == "c3":  # (2 e^y - y^2 - 2y - 2) / (2 y^2)
+        num = plus([2 * c for c in exp(order + 2)], [-2, -2, -1])
+        return divided_by_y_power(num, 2, 2)
+    if key == "c4":  # (6y e^y - 12 e^y - y^3 + 6y + 12) / (6 y^3)
+        m = order + 3
+        num = plus(poly_mul([0, 6], exp(m), m), [-12 * c for c in exp(m)])
+        return divided_by_y_power(plus(num, [12, 6, 0, -1]), 3, 6)
+    if key == "c5":  # alpha + (alpha+w-1) y + (alpha+beta-2) y^2/2 + (y - alpha) e^y
+        head = [alpha, alpha + w - 1, (alpha + beta - 2) / 2]
+        return plus(poly_mul([-alpha, 1], exp(order), order), head)
+    raise ValueError(f"no composite inverse basis for {key!r}")
+
+
 # -- numerical derivatives ----------------------------------------------------
 
 

@@ -26,7 +26,7 @@ from funcseries.approx import (
 )
 from funcseries.catalog import ConvergenceError, DomainError, eval_g, get_expansion
 from funcseries.exact import falling_factorial
-from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, TruncatedSeries
+from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, TruncatedSeries, family_series
 from oracles import poly_eval_float
 
 
@@ -415,6 +415,28 @@ class TestAssemble:
         # values were recorded while c6 was built by reversion
         assert eval_g(exp, 0.01) == -0.05905206466549482
         assert eval_g(exp, 0.3) == -1.1792266969130962
+
+    def test_a11_a12_start_tables_without_series_reversion(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the Newton start tables must not revert a series")
+
+        expected = {key: tuple(float(c) for c in family_series(key, 16).reversion())
+                    for key in ("a11", "a12")}
+        catalog._g_init_floats.cache_clear()
+        monkeypatch.setattr(TruncatedSeries, "reversion", refuse)
+        for key, expected_table in expected.items():
+            assert catalog._g_init_floats(key, 16) == expected_table
+        # points on the Newton branch that starts from the table; the values
+        # were recorded while the tables came from the reversion
+        recorded = {
+            "a11": {0.0005: 0.0009993337220075228, 0.01: 0.019736410439591724,
+                    0.05: 0.09370183707290142, 0.0624: 0.11512371661995716},
+            "a12": {-0.0005: -0.0010003334722852133, -0.01: -0.02013445461476048,
+                    -0.05: -0.10347883154622285, -0.0624: -0.13027788085100317},
+        }
+        for key, points in recorded.items():
+            exp = get_expansion(key)
+            assert {x: eval_g(exp, x) for x in points} == points
 
     @pytest.mark.parametrize("key,params,targets,orders,digest", COEFFICIENT_PINS)
     def test_coefficients_pinned(self, key, params, targets, orders, digest):

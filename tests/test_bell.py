@@ -17,7 +17,7 @@ from funcseries.bell import (
 )
 from funcseries.catalog import get_expansion
 from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
-from funcseries.pseries import MAX_ORDER
+from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series
 from oracles import bell_by_partitions, stirling1_rec
 
 
@@ -306,6 +306,28 @@ class TestColumnKernel:
                 assert Fraction(cols[k][n], scales[k]) == expected, (n, k)
         # with its content removed no column shares a factor with its scale
         assert all(math.gcd(scale, *col) == 1 for col, scale in zip(cols, scales))
+
+
+class TestInverseCoefficients:
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_matches_series_reversion(self, key):
+        # the reversion loop of TruncatedSeries is the oracle, at catalog defaults
+        params = get_expansion(key).param_dict()
+        for order in (1, 2, 3, 9, 16):
+            values = bell._raw(derivative_sequence(key, order, **params))
+            expected = family_series(key, order, **params).reversion()
+            got = bell._inverse_coefficients(values, order)
+            assert got == [c.as_fraction() for c in expected], order
+            assert all(isinstance(t, Fraction) for t in got)
+
+    def test_second_parameter_sets(self):
+        for key, params in [("a5", {"alpha": Fraction(-3, 2)}), ("a6", {"w": 3}),
+                            ("a10", {"w": Fraction(1, 2)}), ("c1", {"w": -2}),
+                            ("c5", {"alpha": 2, "w": -1, "beta": 3})]:
+            values = bell._raw(derivative_sequence(key, 12, **params))
+            expected = family_series(key, 12, **params).reversion()
+            assert bell._inverse_coefficients(values, 12) == [
+                c.as_fraction() for c in expected], key
 
 
 class TestGate:

@@ -358,11 +358,17 @@ class TestLinspace:
 
 def test_cli_import_leaves_numpy_unloaded():
     # Only the radius command's least-squares fit needs numpy; importing
-    # the CLI and running a grid command must not load it.
+    # the CLI and running a grid command must not load it.  Start-up pays
+    # for every module it imports, so the import itself also loads no
+    # dataclasses (which brings inspect, ast and dis) and no json or csv,
+    # which only the commands that write them import.
     src = os.path.dirname(os.path.dirname(os.path.abspath(funcseries.__file__)))
     code = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from funcseries.cli import main\n"
+        "heavy = ('dataclasses', 'inspect', 'json', 'csv', 'numpy')\n"
+        "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
         "main(['eval', '--expansion', 'a8', '--function', 'ln1p', '--grid=-0.5:1:5'])\n"
         "print('numpy' in sys.modules)\n"
     )
@@ -370,7 +376,9 @@ def test_cli_import_leaves_numpy_unloaded():
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                        text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "False"
+    lines = r.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "False"
 
 
 def test_radius_without_numpy_is_one_line_error():

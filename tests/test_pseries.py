@@ -17,7 +17,13 @@ from funcseries.pseries import (
     family_series,
     identity,
 )
-from oracles import poly_compose, poly_eval_float, poly_mul, sq_arccos_shift_by_reversion
+from oracles import (
+    composite_inverse_series,
+    poly_compose,
+    poly_eval_float,
+    poly_mul,
+    sq_arccos_shift_by_reversion,
+)
 
 
 def frac_coeffs(series):
@@ -272,6 +278,15 @@ FAMILY_SERIES_CASES = {
 
 C6_ORACLE = sq_arccos_shift_by_reversion(MAX_ORDER)
 
+# The parameter sets of c1 and c5 used across the tests, plus one with
+# fractional and zero entries.
+COMPOSITE_CASES = [
+    ("c1", {"w": 1}), ("c1", {"w": 2}), ("c1", {"w": 3}), ("c1", {"w": Fraction(-1, 2)}),
+    ("c2", {}), ("c3", {}), ("c4", {}),
+    ("c5", {"alpha": 1, "w": 1, "beta": 1}), ("c5", {"alpha": 2, "w": 1, "beta": 3}),
+    ("c5", {"alpha": Fraction(-3, 2), "w": Fraction(5, 7), "beta": 0}),
+]
+
 
 class TestFamilySeries:
     @pytest.mark.parametrize("key,params", sorted(FAMILY_SERIES_CASES, key=str))
@@ -298,6 +313,13 @@ class TestFamilySeries:
     def test_c6_matches_reversion_oracle(self, order):
         # lower orders are prefixes of the order-MAX_ORDER oracle
         assert frac_coeffs(family_series("c6", order)) == C6_ORACLE[: order + 1]
+
+    @pytest.mark.parametrize("key,params", COMPOSITE_CASES, ids=str)
+    def test_composite_families_match_product_oracle(self, key, params):
+        # every order, since the head terms are cut at orders 1 and 2
+        for order in range(1, MAX_ORDER + 1):
+            expected = composite_inverse_series(key, order, **params)
+            assert frac_coeffs(family_series(key, order, **params)) == expected, order
 
     def test_c6_matches_package_reversion(self):
         # the series of cos(sqrt(s)) - 1, reverted, is [arccos(1+y)]^2
