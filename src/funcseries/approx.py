@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .bell import _columns, _raw, _triangle
+from .bell import _columns, _graded, _raw, _triangle
 from .catalog import DomainError, Expansion, Interval, _Record, eval_g, get_expansion
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries
@@ -164,10 +164,12 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             raise ValueError("builtin 'ln1p' requires x0 > -1")
         d0 = ZERO if x0v == 0 else scalar(math.log1p(float(x0v)))
 
-        def deriv(n, _d0=d0, _base=base):
+        def deriv(n, _d0=d0, _base=None if base.is_exact and base == 1 else base):
             if n == 0:
                 return _d0
             sign = 1 if n % 2 == 1 else -1
+            if _base is None:  # x0 = 0 exactly: no power of 1 + x0 to divide by
+                return ExactScalar(sign * math.factorial(n - 1))
             return scalar(sign * math.factorial(n - 1)) / _base ** n
 
         return FunctionSpec(
@@ -293,10 +295,12 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     closed forms and their gate are not involved).  When the triangle and
     d_1 .. d_N are all exact, column k is P_k / S_k in integers; with
     d_k = c_k / Q and L the lcm of the S_k, n! a_n is the integer sum of
-    c_k P_k[n] L / S_k over k, divided once by Q L.  Otherwise a
-    coefficient whose terms are all exact is summed exactly; one float
-    term switches it to compensated float summation.  Zero factors are
-    skipped so that exact zeros survive even in float-contaminated rows.
+    c_k P_k[n] L / S_k over k, divided once by Q L (times r**n when the
+    basis values carry a geometric factor r**j, see ``bell._graded``).
+    Otherwise a coefficient whose terms are all exact is summed exactly;
+    one float term switches it to compensated float summation.  Zero
+    factors are skipped so that exact zeros survive even in
+    float-contaminated rows.
     """
     _check_model_order(order)
     d = [func.derivative(k) for k in range(order + 1)]
@@ -304,12 +308,14 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     values = _raw(exp.derivative_sequence(order))
     coeffs = [d[0]]
     if not any(isinstance(v, float) for v in raw[1:] + values):
+        r, values = _graded(values)
         cols, scales = _columns(values, order)
         q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
         c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(raw[1:], scales[1:])]
+        rn, rd = r.numerator, r.denominator
         for n in range(1, order + 1):
             acc = sum(ck * col[n] for ck, col in zip(c[:n], cols[1:]))
-            coeffs.append(ExactScalar(Fraction(acc, q * lcm * math.factorial(n))))
+            coeffs.append(ExactScalar(Fraction(acc * rn**n, q * lcm * math.factorial(n) * rd**n)))
         return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
     triangle = _triangle(values, order)
     for n in range(1, order + 1):

@@ -145,6 +145,36 @@ def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
     return cols, scales
 
 
+def _graded(values: list) -> tuple:
+    """(r, e) with values[j-1] = r**j * e[j-1], or (1, values) unchanged.
+
+    Every term of B(n, k) has weight n in the d_j, so B(n, k) over
+    r**j * e_j is r**n times B(n, k) over e_j: a geometric factor in the
+    exact values can leave the triangle as one factor per row.  With
+    r = d_2 / d_1 this is used when the values are not all integers and
+    every d_j / (d_1 r**(j-1)) is one, so that the e_j share the one
+    denominator of e_1 (a7 with a rational root: d_j = d_1 r**(j-1) times
+    +-(2j - 3)!!, and the kernel's scale D, 2**192 at the catalog default
+    and N = 64, drops to 1).
+    """
+    if len(values) < 2 or not values[0] or not values[1]:
+        return 1, values
+    if all(v.denominator == 1 for v in values):
+        return 1, values
+    r = Fraction(values[1]) / values[0]
+    if abs(r) == 1:
+        return 1, values
+    first = values[0] / r
+    out, power = [], 1
+    for v in values:
+        power *= r
+        e = v / power
+        if (e / first).denominator != 1:
+            return 1, values
+        out.append(e)
+    return r, out
+
+
 def _inverse_coefficients(values: list, order: int) -> list:
     """t_0 .. t_order, the Maclaurin coefficients of the inverse function.
 

@@ -52,6 +52,8 @@ ScalarLike = Union[int, float, Fraction, str, "ExactScalar"]
 
 def _coerce(value: ScalarLike):
     """Return the raw Fraction or float behind any scalar-like input."""
+    if type(value) is Fraction or type(value) is float:  # already raw; Fraction(value) only copies
+        return value
     if isinstance(value, ExactScalar):
         return value._v
     if isinstance(value, bool):

@@ -223,8 +223,8 @@ class TruncatedSeries:
     def derivatives(self) -> tuple:
         """Derivative values d_1 .. d_N at zero (d_n = n! * c_n)."""
         return tuple(
-            self._c[m] * math.factorial(m) if self._c[m] else self._c[m]
-            for m in range(1, len(self._c))
+            ExactScalar(c._v * math.factorial(m)) if c else c
+            for m, c in enumerate(self._c[1:], 1)
         )
 
     def eval_float(self, x: float) -> float:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcseries import catalog
+from funcseries import bell, catalog
 from funcseries.approx import (
     BUILTIN_FUNCTIONS,
     ApproximationModel,
@@ -259,6 +259,15 @@ class TestBuiltinFunctions:
         assert f.value_at(4.0) == pytest.approx(math.log(5.0), rel=1e-15)
         assert f.value_at(-1.5) is None
 
+    def test_ln1p_derivatives_at_zero_and_elsewhere(self):
+        exact, shifted = builtin_function("ln1p"), builtin_function("ln1p", x0=Fraction(1, 2))
+        for n in range(1, MAX_ORDER + 1):
+            assert exact.derivative(n).as_fraction() == (-1) ** (n - 1) * math.factorial(n - 1)
+            assert shifted.derivative(n).as_fraction() == (
+                Fraction((-1) ** (n - 1) * math.factorial(n - 1)) / Fraction(3, 2) ** n)
+        # a float x0 of zero stays approximate
+        assert not builtin_function("ln1p", x0=0.0).derivative(3).is_exact
+
     def test_pow(self):
         f = builtin_function("pow", alpha=Fraction(1, 5))
         assert f.name == "pow:1/5"
@@ -464,6 +473,16 @@ class TestCompositionRoute:
         direct = assemble(get_expansion("a5", alpha=2), f, 12)
         composed = assemble_via_composition(get_expansion("a5", alpha=2), f, 12)
         assert direct.coefficients == composed.coefficients
+
+    @pytest.mark.parametrize("alpha,beta", [(4, 3), (Fraction(4, 9), 3), (Fraction(9, 4), 1)])
+    def test_graded_a7_agrees(self, alpha, beta):
+        # these a7 triangles are built over d_j / r^j (bell._graded)
+        exp = get_expansion("a7", alpha=alpha, beta=beta)
+        assert bell._graded(bell._raw(exp.derivative_sequence(10)))[0] != 1
+        for fname in ("ln1p", "sq", "exp"):
+            f = builtin_function(fname)
+            direct = assemble(exp, f, 10)
+            assert direct.coefficients == assemble_via_composition(exp, f, 10).coefficients
 
 
 class TestEvaluate:

@@ -308,6 +308,37 @@ class TestColumnKernel:
         assert all(math.gcd(scale, *col) == 1 for col, scale in zip(cols, scales))
 
 
+class TestGrading:
+    def test_a7_values_are_a_power_times_an_integer(self):
+        values = bell._raw(derivative_sequence("a7", MAX_ORDER, alpha=4, beta=3))
+        r, graded = bell._graded(values)
+        assert r == Fraction(-3, 8)
+        assert all(e.denominator == 1 for e in graded)
+        assert [r**j * e for j, e in enumerate(graded, 1)] == values
+
+    def test_graded_triangle_is_the_row_scaled_triangle(self):
+        # B(n, k) over r^j e_j is r^n B(n, k) over e_j
+        for params in A7_EXACT_SAMPLES:
+            values = bell._raw(derivative_sequence("a7", 10, **params))
+            r, graded = bell._graded(values)
+            plain, scaled = bell._triangle(values, 10), bell._triangle(graded, 10)
+            for n in range(11):
+                assert plain[n] == [r**n * b for b in scaled[n]], (params, n)
+
+    @pytest.mark.parametrize("key", [k for k in FAMILY_KEYS if k != "a7"])
+    def test_other_families_are_left_alone(self, key):
+        # a candidate that would enlarge some numerator or denominator is refused
+        params = get_expansion(key).param_dict()
+        values = bell._raw(derivative_sequence(key, MAX_ORDER, **params))
+        assert bell._graded(values) == (1, values)
+
+    def test_degenerate_inputs(self):
+        assert bell._graded([Fraction(1, 2)]) == (1, [Fraction(1, 2)])
+        assert bell._graded([Fraction(0), Fraction(1, 4)]) == (1, [Fraction(0), Fraction(1, 4)])
+        same = [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3)]
+        assert bell._graded(same) == (1, same)
+
+
 class TestInverseCoefficients:
     @pytest.mark.parametrize("key", FAMILY_KEYS)
     def test_matches_series_reversion(self, key):

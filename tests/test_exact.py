@@ -52,6 +52,14 @@ class TestConstruction:
         with pytest.raises(TypeError):
             ExactScalar([1])
 
+    def test_exact_values_are_held_as_plain_fractions(self):
+        class Half(Fraction):
+            pass
+
+        for value in (3, Fraction(2, 3), Half(1, 2), "5/7", ExactScalar(Half(1, 3))):
+            assert type(ExactScalar(value)._v) is Fraction, value
+        assert type((ExactScalar(Fraction(1, 2)) * 3)._v) is Fraction
+
     def test_scalar_passthrough(self):
         s = ExactScalar(3)
         assert scalar(s) is s
