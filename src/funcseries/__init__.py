@@ -11,7 +11,8 @@ wherever the inputs are; floats only enter through explicitly approximate
 derivative values or at final evaluation time.
 
 Layering: exact scalars and combinatorics (`exact`), truncated series
-arithmetic (`pseries`), Bell triangles and derivative sequences (`bell`),
+arithmetic and the registry of the 19 basis families (`pseries`), Bell
+triangles and derivative sequences (`bell`),
 the basis catalog with float evaluators (`catalog`), model assembly and
 evaluation (`approx`), and the command-line front end (`cli`).
 """

@@ -6,13 +6,16 @@ requirement that all derivatives up to the chosen order match those of f
 at x0, which makes the n-th coefficient a weighted sum of f's derivatives
 against the expansion's Bell triangle, divided by n factorial.
 
-Two independent assembly routes are provided.  :func:`assemble` uses the
-Bell triangle directly; :func:`assemble_via_composition` composes the
-truncated series of f with the series of the inverse basis.  Both produce
-identical exact coefficients, which the test suite checks family by
-family.  Coefficient arithmetic stays in exact rationals whenever every
-contributing derivative is exact; as soon as one float enters, the sum
-for that coefficient switches to compensated float summation.
+Two assembly routes are provided.  :func:`assemble` uses the Bell
+triangle directly; :func:`assemble_via_composition` composes the truncated
+series of f with the series of the inverse basis.  Both read the family's
+derivative formula from the registry of :mod:`funcseries.pseries` and
+produce identical exact coefficients, which the test suite checks family
+by family; the formulas themselves are checked against series built
+independently in ``tests/oracles.py``.  Coefficient arithmetic stays in
+exact rationals whenever every contributing derivative is exact; as soon
+as one float enters, the sum for that coefficient switches to compensated
+float summation.
 """
 
 from __future__ import annotations
@@ -336,8 +339,8 @@ def assemble_via_composition(
     """Coefficients via series composition of f with the inverse basis.
 
     Substituting the inverse-basis series into f's truncated series must
-    reproduce :func:`assemble` exactly; the two routes share no code
-    beyond scalar arithmetic.
+    reproduce :func:`assemble` exactly; the two routes share the family's
+    derivative formula and scalar arithmetic, nothing else.
     """
     _check_model_order(order)
     outer = TruncatedSeries(

@@ -28,9 +28,9 @@ records the outcome (see :func:`gate_report`) and warns with a
 RuntimeWarning on a mismatch.  Returned values never depend on the
 outcome, and coefficient assembly never runs the gate.
 
-The remaining families ("c3" .. "c6") have no closed form here; their
-derivative sequences come from the inverse-basis series of
-:mod:`funcseries.pseries`, whose coefficients are closed expressions.
+Every family's argument vector, closed form or not, is the derivative
+formula of its record in the registry :data:`funcseries.pseries.FAMILIES`,
+which also validates the family's parameters.
 """
 
 from __future__ import annotations
@@ -45,14 +45,15 @@ from .exact import (
     ExactScalar,
     ONE,
     ZERO,
-    _falling_factorials,
     double_factorial,
     falling_factorial,
     scalar,
     stirling1,
     stirling2,
 )
-from .pseries import FAMILY_KEYS, FAMILY_PARAMS, MAX_ORDER, family_series, _take_params
+# family_series is not used here; it is bound in this namespace for callers
+# that wrap it per module (perfbench/tracer.py).
+from .pseries import FAMILY_KEYS, MAX_ORDER, _check_order, family_series, get_family
 
 __all__ = [
     "CLOSED_FORM_FAMILIES",
@@ -62,8 +63,6 @@ __all__ = [
     "bell_values",
     "gate_report",
 ]
-
-CLOSED_FORM_FAMILIES = tuple(f"a{i}" for i in range(1, 14)) + ("c1", "c2")
 
 _GATE_DEPTH = 10
 
@@ -375,23 +374,7 @@ _CLOSED_FORMS = {
     "c2": _cf_c2,
 }
 
-
-def _validated_params(key: str, alpha, beta, w) -> dict:
-    if key not in FAMILY_KEYS:
-        raise ValueError(f"unknown family key {key!r}")
-    kwargs = _take_params(f"family {key!r}", FAMILY_PARAMS.get(key, ()), alpha, beta, w)
-    if key in ("a5",) and kwargs["alpha"] == 0:
-        raise ValueError("family 'a5' requires alpha != 0")
-    if key in ("a6", "a10", "c1") and kwargs["w"] == 0:
-        raise ValueError(f"family {key!r} requires w != 0")
-    if key == "a7":
-        if not kwargs["alpha"] > 0:
-            raise ValueError("family 'a7' requires alpha > 0")
-        if kwargs["beta"] == 0:
-            raise ValueError("family 'a7' requires beta != 0")
-    if key == "c5" and kwargs["w"] == 0:
-        raise ValueError("family 'c5' requires w != 0 (the linear coefficient)")
-    return kwargs
+CLOSED_FORM_FAMILIES = tuple(key for key in FAMILY_KEYS if key in _CLOSED_FORMS)
 
 
 def bell_closed_form(key: str, n: int, k: int, *, alpha=None, beta=None, w=None) -> ExactScalar:
@@ -408,58 +391,18 @@ def bell_closed_form(key: str, n: int, k: int, *, alpha=None, beta=None, w=None)
         raise ValueError("closed forms are defined for 1 <= k <= n")
     if n > MAX_ORDER:
         raise ValueError(f"n exceeds the supported cap {MAX_ORDER}")
-    kwargs = _validated_params(key, alpha, beta, w)
-    return _CLOSED_FORMS[key](n, k, **kwargs)
+    return _CLOSED_FORMS[key](n, k, **get_family(key).validate(alpha, beta, w))
 
 
 def derivative_sequence(key: str, order: int, *, alpha=None, beta=None, w=None) -> tuple:
     """Derivative values d_1 .. d_order of the family's inverse basis.
 
-    The families with a displayed argument vector get it verbatim; the
-    series-defined families ("c3" .. "c6") get n! times the coefficients
-    produced by :func:`funcseries.pseries.family_series`.
+    The derivative formula of the family's registry record (see
+    :class:`funcseries.pseries.Family`).
     """
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise ValueError("order must be a positive integer")
-    if order > MAX_ORDER:
-        raise ValueError(f"order exceeds the supported cap {MAX_ORDER}")
-    kwargs = _validated_params(key, alpha, beta, w)
-    r = range(1, order + 1)
-    if key == "a1":
-        return tuple(ONE for _ in r)
-    if key == "a2":
-        return tuple(scalar(math.factorial(i - 1)) for i in r)
-    if key == "a3":
-        return tuple(ONE if i % 2 else ZERO for i in r)
-    if key == "a4":
-        return tuple(scalar((-1) ** (i // 2)) if i % 2 else ZERO for i in r)
-    if key == "a5":
-        return tuple(ExactScalar(v) for v in _falling_factorials(kwargs["alpha"], order)[1:])
-    if key == "a6":
-        seq = [kwargs["w"], ONE] + [ZERO] * (order - 2)
-        return tuple(seq[:order])
-    if key == "a7":
-        root = kwargs["alpha"].sqrt()
-        beta_ = kwargs["beta"]
-        half = _falling_factorials(Fraction(1, 2), order)
-        return tuple(root ** (1 - 2 * i) * beta_**i * half[i] for i in r)
-    if key == "a8":
-        return tuple(scalar(math.factorial(i + 1)) for i in r)
-    if key == "a9":
-        return tuple(scalar(math.factorial(i)) if i % 2 else ZERO for i in r)
-    if key == "a10":
-        return tuple(kwargs["w"] - 1 + i for i in r)
-    if key == "a11":
-        return tuple(scalar(Fraction(math.factorial(i), i + 1)) for i in r)
-    if key == "a12":
-        return tuple(scalar(Fraction(1, i + 1)) for i in r)
-    if key == "a13":
-        return tuple(double_factorial(i - 2) ** 2 if i % 2 else ZERO for i in r)
-    if key == "c1":
-        return (kwargs["w"],) + tuple(scalar(i) for i in range(2, order + 1))
-    if key == "c2":
-        return (scalar(-2),) + tuple(scalar(i - 2) for i in range(2, order + 1))
-    return family_series(key, order, **kwargs).derivatives()
+    _check_order(order)
+    fam = get_family(key)
+    return fam.derivatives(order, **fam.validate(alpha, beta, w))
 
 
 # -- verification gate -------------------------------------------------------
@@ -531,7 +474,7 @@ def bell_values(key: str, nmax: int, *, alpha=None, beta=None, w=None) -> list:
         raise ValueError("nmax must be a non-negative integer")
     if nmax > MAX_ORDER:
         raise ValueError(f"nmax exceeds the supported cap {MAX_ORDER}")
-    kwargs = _validated_params(key, alpha, beta, w)
+    kwargs = get_family(key).validate(alpha, beta, w)
     if key in _CLOSED_FORMS:
         _gate_passes(key, kwargs)
     if nmax == 0:

@@ -1,9 +1,13 @@
 """Expansion catalog: basis evaluators, validity domains, numeric inversion.
 
-Each registry entry binds a family key ("a1" .. "a13", "c1" .. "c6") to
+Each catalog entry binds a family key ("a1" .. "a13", "c1" .. "c6") to
 float evaluators for the basis g and its inverse, the interval on which the
-construction is valid, the image interval in the substituted variable, and
-the link to the family's derivative sequence.  The recorded domain is the
+construction is valid, and the image interval in the substituted variable.
+The float pieces come from one basis builder per key; the label, the
+parameters with their defaults and checks, and the derivative sequence
+come from the family's record in :data:`funcseries.pseries.FAMILIES`.
+The a6 and a10 builders add the one catalog-only check, w > 0, without
+which g(0) = 0 fails.  The recorded domain is the
 maximal interval around zero on which g stays monotone (hence invertible);
 families whose defining formula only works on one side of zero carry a side
 marker and their domain is already restricted accordingly.
@@ -24,12 +28,11 @@ documented threshold.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from . import bell
-from .pseries import FAMILY_KEYS, FAMILY_PARAMS, family_series
+from .pseries import FAMILIES, family_series, get_family
 
 __all__ = [
     "DomainError",
@@ -59,9 +62,10 @@ class _Record:
 
     A subclass lists its fields in ``_fields``, in constructor order, and
     the ones its repr shows in ``_shown``; its ``__init__`` sets each field
-    once through ``object.__setattr__``.  Records compare and hash by the
-    tuple of all their fields, only against an instance of the same class,
-    and any later assignment or deletion raises AttributeError.
+    once through ``object.__setattr__``.  Records compare and hash by
+    ``_identity()``, the tuple of all their fields unless a subclass
+    narrows it, only against an instance of the same class, and any later
+    assignment or deletion raises AttributeError.
     """
 
     __slots__ = ()
@@ -71,13 +75,15 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    _identity = _values
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._identity() == other._identity()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._identity())
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
@@ -157,7 +163,8 @@ class Expansion(_Record):
     g(domain), side is "both", "right_of_zero" or "left_of_zero", and an
     implicit g is computed by numeric inversion of the inverse basis.  The
     float evaluators _g, _ginv, _dginv and d_1 as a float are fields that
-    repr leaves out.
+    repr leaves out.  Every field is a function of key and params, so two
+    entries compare and hash by those two alone.
     """
 
     __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
@@ -180,6 +187,9 @@ class Expansion(_Record):
         set_field(self, "_ginv", _ginv)
         set_field(self, "_dginv", _dginv)
         set_field(self, "_d1", _d1)
+
+    def _identity(self) -> tuple:
+        return self.key, self.params
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -270,8 +280,8 @@ def _series_floats(key: str, order: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _series_deriv_floats(key: str, order: int) -> tuple:
-    s = family_series(key, order)
-    return tuple(n * float(s[n]) for n in range(1, order + 1))
+    c = _series_floats(key, order)
+    return tuple(n * c[n] for n in range(1, order + 1))
 
 
 @lru_cache(maxsize=None)
@@ -491,6 +501,8 @@ def _make_a5(p):
 
 
 def _make_a6(p):
+    if not p["w"] > 0:
+        raise ValueError("family 'a6' requires w > 0; non-positive w breaks g(0) = 0")
     wf = float(p["w"])
 
     def g(x):
@@ -570,6 +582,8 @@ def _make_a9(p):
 
 
 def _make_a10(p):
+    if not p["w"] > 0:
+        raise ValueError("family 'a10' requires w > 0; non-positive w breaks g(0) = 0")
     wf = float(p["w"])
     scale = math.exp(wf - 1.0)
 
@@ -811,40 +825,9 @@ _BUILDERS = {
     "c4": _make_c4, "c5": _make_c5, "c6": _make_c6,
 }
 
-_LABELS = {
-    "a1": "powers of ln(1+x)",
-    "a2": "powers of 1 - exp(-x)",
-    "a3": "powers of asinh(x)",
-    "a4": "powers of arcsin(x)",
-    "a5": "powers of (1+x)^(1/alpha) - 1",
-    "a6": "powers of sqrt(2x + w^2) - w",
-    "a7": "powers of (x^2 + 2 sqrt(alpha) x)/beta",
-    "a8": "powers of 1 - 1/sqrt(1+x)",
-    "a9": "powers of (sqrt(4x^2+1) - 1)/(2x)",
-    "a10": "powers of W(exp(w-1) (w+x-1)) + 1 - w",
-    "a11": "powers of W(-(1+x) exp(-(1+x)))/(1+x) + 1",
-    "a12": "powers of the inverse of (exp(y)-1)/y - 1",
-    "a13": "powers of sin(x)",
-    "c1": "inverse basis y (exp(y) + w - 1)",
-    "c2": "inverse basis (y-2) exp(y) - y + 2",
-    "c3": "inverse basis (2 exp(y) - y^2 - 2y - 2)/(2 y^2)",
-    "c4": "inverse basis (6y exp(y) - 12 exp(y) - y^3 + 6y + 12)/(6 y^3)",
-    "c5": "inverse basis alpha + (alpha+w-1) y + (alpha+beta-2) y^2/2 + (y-alpha) exp(y)",
-    "c6": "inverse basis -arccos(1+y)^2/(2y) - 1",
-}
-
-# Defaults match the parameter values used for the library's bundled
-# figure data: alpha=2 for a5, w=1 for a6 and a10, (alpha=4, beta=3) for
-# a7.  c1 defaults to w=1 (the pure W basis) and c5 to the globally
-# monotone (1, 1, 1) shape.
-PARAM_DEFAULTS = {
-    "a5": {"alpha": Fraction(2)},
-    "a6": {"w": Fraction(1)},
-    "a7": {"alpha": Fraction(4), "beta": Fraction(3)},
-    "a10": {"w": Fraction(1)},
-    "c1": {"w": Fraction(1)},
-    "c5": {"alpha": Fraction(1), "w": Fraction(1), "beta": Fraction(1)},
-}
+# {key: {name: default}} for the families that take parameters, read from
+# the registry.
+PARAM_DEFAULTS = {key: dict(f.defaults) for key, f in FAMILIES.items() if f.defaults}
 
 
 def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
@@ -854,27 +837,10 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     alpha -> constant shift, w -> first derivative, beta -> second
     derivative of the inverse basis.
     """
-    if key not in FAMILY_KEYS:
-        raise ValueError(f"unknown family key {key!r}")
-    needed = FAMILY_PARAMS.get(key, ())
-    defaults = PARAM_DEFAULTS.get(key, {})
-    given = {"alpha": alpha, "beta": beta, "w": w}
-    merged = {}
-    for name in ("alpha", "beta", "w"):
-        if name in needed:
-            merged[name] = given[name] if given[name] is not None else defaults[name]
-        elif given[name] is not None:
-            raise ValueError(f"family {key!r} takes no parameter {name!r}")
-    # Schema checks shared with the Bell layer, then the catalog-only ones:
-    params = bell._validated_params(
-        key, merged.get("alpha"), merged.get("beta"), merged.get("w")
-    )
-    if key in ("a6", "a10") and not params["w"] > 0:
-        raise ValueError(
-            f"family {key!r} requires w > 0; non-positive w breaks g(0) = 0"
-        )
+    fam = get_family(key)
+    params = fam.validate(alpha, beta, w, fill=True)
     pieces = _BUILDERS[key](params)
-    d1 = float(bell.derivative_sequence(key, 1, **params)[0])
+    d1 = float(fam.derivatives(1, **params)[0])
     g = pieces["g"]
     if g is None:
         image = pieces["image"]
@@ -888,8 +854,8 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
 
     return Expansion(
         key=key,
-        label=_LABELS[key],
-        params=tuple((name, params[name]) for name in needed),
+        label=fam.label,
+        params=tuple(params.items()),
         domain=pieces["domain"],
         image=pieces["image"],
         side=pieces["side"],

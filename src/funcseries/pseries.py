@@ -1,4 +1,4 @@
-"""Truncated Maclaurin series arithmetic over exact scalars.
+"""Truncated Maclaurin series arithmetic over exact scalars, and the families.
 
 Series are the engine behind two independent routes to the same
 approximation coefficients: direct composition of Maclaurin expansions,
@@ -10,29 +10,36 @@ A :class:`TruncatedSeries` of order N stores c_0 .. c_N, with c_n the
 plain Maclaurin coefficient, so d_n = n! * c_n.  Binary operations require
 equal orders and return the same order; truncation never happens silently.
 
-:func:`elementary` constructs the inverse-basis series for the expansion
-families whose g-inverse has a standalone closed form.  :func:`family_series`
-extends the mapping to every family key; the composite cases (c1 .. c5),
-polynomials in y plus a polynomial times e^y, get one closed expression
-per coefficient, in O(N) exact operations.  The
-squared-arccosine case (c6) has closed-form coefficients from the series
-of (arcsin x)^2; :meth:`TruncatedSeries.reversion` reproduces them from
-the series of cos(sqrt(s)) - 1 and serves as their check.
+:data:`FAMILIES` is the registry of the 19 basis families ("a1" .. "a13",
+"c1" .. "c6"), one immutable :class:`Family` record per key: its label, its
+parameters with their defaults and constraints, and one exact formula for
+the derivatives d_1 .. d_N of its inverse basis at 0, in O(N) exact
+operations.  Everything else exact about a family is read from that
+formula: :func:`family_series` is c_n = d_n / n!, :func:`elementary` names
+the same series by the kind of its inverse basis, and the Bell layer
+(:mod:`funcseries.bell`) and the catalog (:mod:`funcseries.catalog`) look
+up the record.  The squared-arccosine case (c6) has closed-form
+coefficients from the series of (arcsin x)^2;
+:meth:`TruncatedSeries.reversion` reproduces them from the series of
+cos(sqrt(s)) - 1 and serves as their check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .exact import ExactScalar, ONE, ZERO, binomial, scalar
+from .exact import ExactScalar, ONE, ZERO, _falling_factorials, double_factorial, scalar
 
 __all__ = [
     "MAX_ORDER",
     "TruncatedSeries",
     "constant",
     "identity",
+    "Family",
+    "FAMILIES",
+    "get_family",
     "elementary",
     "family_series",
     "ELEMENTARY_KINDS",
@@ -247,260 +254,230 @@ def identity(order: int) -> TruncatedSeries:
     return TruncatedSeries([ZERO, ONE] + [ZERO] * (order - 1))
 
 
-# -- elementary inverse-basis series ---------------------------------------
+# -- the family registry ------------------------------------------------------
+#
+# A basis family is fully described by d_1, d_2, .. , the derivatives at 0
+# of its inverse basis: they are the arguments of its Bell polynomials, and
+# its Maclaurin series is d_n / n!.  Each function below gives d_1 .. d_n
+# from one closed expression per entry; the comment names the inverse basis.
 
 
-def _build_exp_m1(order):
-    return TruncatedSeries(
-        [0] + [Fraction(1, math.factorial(n)) for n in range(1, order + 1)]
-    )
+def _d_a1(n):  # e^y - 1
+    return (ONE,) * n
 
 
-def _build_neg_ln_1m(order):
-    return TruncatedSeries([0] + [Fraction(1, n) for n in range(1, order + 1)])
+def _d_a2(n):  # -ln(1 - y)
+    return tuple(scalar(math.factorial(i - 1)) for i in range(1, n + 1))
 
 
-def _build_sinh(order):
-    return TruncatedSeries(
-        Fraction(1, math.factorial(n)) if n % 2 else Fraction(0)
-        for n in range(order + 1)
-    )
+def _d_a3(n):  # sinh(y)
+    return tuple(ONE if i % 2 else ZERO for i in range(1, n + 1))
 
 
-def _build_sin(order):
-    return TruncatedSeries(
-        Fraction((-1) ** (n // 2), math.factorial(n)) if n % 2 else Fraction(0)
-        for n in range(order + 1)
-    )
+def _d_a4(n):  # sin(y)
+    return tuple(scalar((-1) ** (i // 2)) if i % 2 else ZERO for i in range(1, n + 1))
 
 
-def _build_pow_alpha_m1(order, alpha):
-    if alpha == 0:
-        raise ValueError("pow_alpha_m1 requires alpha != 0")
-    return TruncatedSeries([ZERO] + [binomial(alpha, n) for n in range(1, order + 1)])
+def _d_a5(n, alpha):  # (1 + y)^alpha - 1
+    return tuple(ExactScalar(v) for v in _falling_factorials(alpha, n)[1:])
 
 
-def _build_half_sq_plus_wx(order, w):
-    if w == 0:
-        raise ValueError("half_sq_plus_wx requires w != 0")
-    tail = [Fraction(1, 2)] + [0] * (order - 2) if order >= 2 else []
-    return TruncatedSeries([ZERO, w] + tail)
+def _d_a6(n, w):  # y^2 / 2 + w y
+    return (w, ONE, *[ZERO] * (n - 2))[:n]
 
 
-def _build_sqrt_shift(order, alpha, beta):
-    if not alpha > 0:
-        raise ValueError("sqrt_shift requires alpha > 0")
-    if beta == 0:
-        raise ValueError("sqrt_shift requires beta != 0")
+def _d_a7(n, alpha, beta):  # sqrt(alpha + beta y) - sqrt(alpha)
     root = alpha.sqrt()
-    ratio = beta / alpha
-    return TruncatedSeries(
-        [ZERO]
-        + [root * binomial(Fraction(1, 2), n) * ratio**n for n in range(1, order + 1)]
-    )
+    half = _falling_factorials(Fraction(1, 2), n)
+    return tuple(root ** (1 - 2 * i) * beta**i * half[i] for i in range(1, n + 1))
 
 
-def _build_inv_sq_m1(order):
-    return TruncatedSeries([0] + [n + 1 for n in range(1, order + 1)])
+def _d_a8(n):  # 1 / (1 - y)^2 - 1
+    return tuple(scalar(math.factorial(i + 1)) for i in range(1, n + 1))
 
 
-def _build_odd_geom(order):
-    return TruncatedSeries(1 if n % 2 else 0 for n in range(order + 1))
+def _d_a9(n):  # y / (1 - y^2)
+    return tuple(scalar(math.factorial(i)) if i % 2 else ZERO for i in range(1, n + 1))
 
 
-def _build_lambert_pair(order, w):
-    if w == 0:
-        raise ValueError("lambert_pair requires w != 0")
-    return TruncatedSeries(
-        [ZERO] + [(w - 1 + n) / math.factorial(n) for n in range(1, order + 1)]
-    )
+def _d_a10(n, w):  # (w + y - 1) e^y + 1 - w
+    return tuple(w - 1 + i for i in range(1, n + 1))
 
 
-def _build_log_ratio(order):
-    return TruncatedSeries([0] + [Fraction(1, n + 1) for n in range(1, order + 1)])
+def _d_a11(n):  # -ln(1 - y) / y - 1
+    return tuple(scalar(Fraction(math.factorial(i), i + 1)) for i in range(1, n + 1))
 
 
-def _build_expm1_ratio(order):
-    return TruncatedSeries(
-        [0] + [Fraction(1, math.factorial(n + 1)) for n in range(1, order + 1)]
-    )
+def _d_a12(n):  # (e^y - 1) / y - 1
+    return tuple(scalar(Fraction(1, i + 1)) for i in range(1, n + 1))
 
 
-def _build_arcsin(order):
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1, 2):
-        j = n // 2
-        coeffs[n] = Fraction(math.comb(2 * j, j), 4**j * n)
-    return TruncatedSeries(coeffs)
+def _d_a13(n):  # arcsin(y)
+    return tuple(double_factorial(i - 2) ** 2 if i % 2 else ZERO for i in range(1, n + 1))
 
 
-def _build_sq_arccos_shift(order):
-    # The kind is -[arccos(1+y)]^2 / (2y) - 1.  Since
+def _d_c1(n, w):  # y (e^y + w - 1)
+    return (w,) + tuple(scalar(i) for i in range(2, n + 1))
+
+
+def _d_c2(n):  # (y - 2) e^y - y + 2
+    return (scalar(-2),) + tuple(scalar(i - 2) for i in range(2, n + 1))
+
+
+def _d_c3(n):  # (2 e^y - y^2 - 2y - 2) / (2 y^2) = sum_{m>=1} y^m / (m+2)!
+    return tuple(scalar(Fraction(1, (m + 1) * (m + 2))) for m in range(1, n + 1))
+
+
+def _d_c4(n):  # (6y e^y - 12 e^y - y^3 + 6y + 12) / (6 y^3) = sum_{m>=1} (m+1) y^m / (m+3)!
+    return tuple(scalar(Fraction(1, (m + 2) * (m + 3))) for m in range(1, n + 1))
+
+
+def _d_c5(n, alpha, w, beta):
+    # alpha + (alpha + w - 1) y + (alpha + beta - 2) y^2 / 2 + (y - alpha) e^y:
+    # alpha is the constant shift; w and beta are the prescribed first and
+    # second derivative values of the inverse basis.
+    return (w, beta, *(i - alpha for i in range(3, n + 1)))[:n]
+
+
+def _d_c6(n):
+    # The inverse basis is -[arccos(1+y)]^2 / (2y) - 1.  Since
     # arccos(1+y) = 2 arcsin(sqrt(-y/2)) and
     # (arcsin x)^2 = 1/2 sum_{n>=1} (2x)^(2n) / (n^2 C(2n, n)),
     # [arccos(1+y)]^2 = 2 sum_{n>=1} (-2y)^n / (n^2 C(2n, n)); dividing by
     # -2y gives c_m = -(-2)^(m+1) / ((m+1)^2 C(2m+2, m+1)), whose c_0 = 1
-    # cancels the -1.  O(N) exact operations; the tests check the result
-    # against reverting y(s) = sum_{j>=1} (-1)^j s^j / (2j)!, the series of
-    # cos(sqrt(s)) - 1, which is O(N^3).
-    coeffs = [
-        Fraction(-((-2) ** (m + 1)), (m + 1) ** 2 * math.comb(2 * m + 2, m + 1))
-        for m in range(order + 1)
-    ]
-    coeffs[0] -= 1
-    return TruncatedSeries(coeffs)
+    # cancels the -1, and d_m = m! c_m.  O(N) exact operations; the tests
+    # check the result against reverting y(s) = sum_{j>=1} (-1)^j s^j / (2j)!,
+    # the series of cos(sqrt(s)) - 1, which is O(N^3).
+    return tuple(
+        scalar(Fraction(-((-2) ** (m + 1)) * math.factorial(m),
+                        (m + 1) ** 2 * math.comb(2 * m + 2, m + 1)))
+        for m in range(1, n + 1)
+    )
 
 
-_ELEMENTARY = {
-    "exp_m1": ((), _build_exp_m1),
-    "neg_ln_1m": ((), _build_neg_ln_1m),
-    "sinh": ((), _build_sinh),
-    "sin": ((), _build_sin),
-    "pow_alpha_m1": (("alpha",), _build_pow_alpha_m1),
-    "half_sq_plus_wx": (("w",), _build_half_sq_plus_wx),
-    "sqrt_shift": (("alpha", "beta"), _build_sqrt_shift),
-    "inv_sq_m1": ((), _build_inv_sq_m1),
-    "odd_geom": ((), _build_odd_geom),
-    "lambert_pair": (("w",), _build_lambert_pair),
-    "log_ratio": ((), _build_log_ratio),
-    "expm1_ratio": ((), _build_expm1_ratio),
-    "arcsin": ((), _build_arcsin),
-    "sq_arccos_shift": ((), _build_sq_arccos_shift),
-}
+class Family(NamedTuple):
+    """One basis family: its key, label, parameters and derivative formula.
 
-ELEMENTARY_KINDS = tuple(_ELEMENTARY)
+    ``derivatives(n, **params)`` gives d_1 .. d_n of the inverse basis, the
+    family's only exact fact.  ``defaults`` lists the (name, default) pairs
+    of its parameters in order; a parameter named in ``nonzero`` must not
+    be 0 and one named in ``positive`` must be > 0.  ``kind`` names the
+    inverse basis as an :func:`elementary` series, when it has a standalone
+    closed form.
+    """
+
+    key: str
+    label: str
+    derivatives: Callable
+    defaults: tuple = ()
+    nonzero: tuple = ()
+    positive: tuple = ()
+    kind: Optional[str] = None
+
+    @property
+    def params(self) -> tuple:
+        return tuple(name for name, _ in self.defaults)
+
+    def validate(self, alpha=None, beta=None, w=None, *, fill=False) -> dict:
+        """The parameters as {name: ExactScalar}, in the family's order.
+
+        Raises ValueError for a parameter the family does not take, a
+        missing one (unless ``fill`` supplies its default) and a broken
+        constraint.
+        """
+        given = {"alpha": alpha, "beta": beta, "w": w}
+        for name, value in given.items():
+            if value is not None and name not in self.params:
+                raise ValueError(f"family {self.key!r} takes no parameter {name!r}")
+        params = {}
+        for name, default in self.defaults:
+            if given[name] is None and not fill:
+                raise ValueError(f"family {self.key!r} requires parameter {name!r}")
+            params[name] = scalar(default if given[name] is None else given[name])
+        for name in self.nonzero:
+            if params[name] == 0:
+                raise ValueError(f"family {self.key!r} requires {name} != 0")
+        for name in self.positive:
+            if not params[name] > 0:
+                raise ValueError(f"family {self.key!r} requires {name} > 0")
+        return params
 
 
-def _take_params(context: str, needed, alpha, beta, w) -> dict:
-    given = {"alpha": alpha, "beta": beta, "w": w}
-    kwargs = {}
-    for name, value in given.items():
-        if name in needed:
-            if value is None:
-                raise ValueError(f"{context} requires parameter {name!r}")
-            kwargs[name] = scalar(value)
-        elif value is not None:
-            raise ValueError(f"{context} takes no parameter {name!r}")
-    return kwargs
+# Defaults match the parameter values used for the library's bundled
+# figure data: alpha=2 for a5, w=1 for a6 and a10, (alpha=4, beta=3) for
+# a7.  c1 defaults to w=1 (the pure W basis) and c5 to the globally
+# monotone (1, 1, 1) shape.  For c5 the library-wide flag names map onto
+# its three shape parameters as alpha -> additive constant, w -> first
+# derivative, beta -> second derivative of the inverse basis.
+FAMILIES = {f.key: f for f in (
+    Family("a1", "powers of ln(1+x)", _d_a1, kind="exp_m1"),
+    Family("a2", "powers of 1 - exp(-x)", _d_a2, kind="neg_ln_1m"),
+    Family("a3", "powers of asinh(x)", _d_a3, kind="sinh"),
+    Family("a4", "powers of arcsin(x)", _d_a4, kind="sin"),
+    Family("a5", "powers of (1+x)^(1/alpha) - 1", _d_a5, kind="pow_alpha_m1",
+           defaults=(("alpha", Fraction(2)),), nonzero=("alpha",)),
+    Family("a6", "powers of sqrt(2x + w^2) - w", _d_a6, kind="half_sq_plus_wx",
+           defaults=(("w", Fraction(1)),), nonzero=("w",)),
+    Family("a7", "powers of (x^2 + 2 sqrt(alpha) x)/beta", _d_a7, kind="sqrt_shift",
+           defaults=(("alpha", Fraction(4)), ("beta", Fraction(3))),
+           positive=("alpha",), nonzero=("beta",)),
+    Family("a8", "powers of 1 - 1/sqrt(1+x)", _d_a8, kind="inv_sq_m1"),
+    Family("a9", "powers of (sqrt(4x^2+1) - 1)/(2x)", _d_a9, kind="odd_geom"),
+    Family("a10", "powers of W(exp(w-1) (w+x-1)) + 1 - w", _d_a10, kind="lambert_pair",
+           defaults=(("w", Fraction(1)),), nonzero=("w",)),
+    Family("a11", "powers of W(-(1+x) exp(-(1+x)))/(1+x) + 1", _d_a11, kind="log_ratio"),
+    Family("a12", "powers of the inverse of (exp(y)-1)/y - 1", _d_a12, kind="expm1_ratio"),
+    Family("a13", "powers of sin(x)", _d_a13, kind="arcsin"),
+    Family("c1", "inverse basis y (exp(y) + w - 1)", _d_c1,
+           defaults=(("w", Fraction(1)),), nonzero=("w",)),
+    Family("c2", "inverse basis (y-2) exp(y) - y + 2", _d_c2),
+    Family("c3", "inverse basis (2 exp(y) - y^2 - 2y - 2)/(2 y^2)", _d_c3),
+    Family("c4", "inverse basis (6y exp(y) - 12 exp(y) - y^3 + 6y + 12)/(6 y^3)", _d_c4),
+    Family("c5",
+           "inverse basis alpha + (alpha+w-1) y + (alpha+beta-2) y^2/2 + (y-alpha) exp(y)",
+           _d_c5, defaults=(("alpha", Fraction(1)), ("w", Fraction(1)), ("beta", Fraction(1))),
+           nonzero=("w",)),
+    Family("c6", "inverse basis -arccos(1+y)^2/(2y) - 1", _d_c6, kind="sq_arccos_shift"),
+)}
+
+FAMILY_KEYS = tuple(FAMILIES)
+
+FAMILY_PARAMS = {key: f.params for key, f in FAMILIES.items() if f.defaults}
+
+_KIND_FAMILY = {f.kind: key for key, f in FAMILIES.items() if f.kind}
+
+ELEMENTARY_KINDS = tuple(_KIND_FAMILY)
+
+
+def get_family(key: str) -> Family:
+    """The registry record of a family key."""
+    if key not in FAMILY_KEYS:
+        raise ValueError(f"unknown family key {key!r}")
+    return FAMILIES[key]
+
+
+def family_series(key: str, order: int, *, alpha=None, beta=None, w=None) -> TruncatedSeries:
+    """Maclaurin series of the inverse basis function for a family key.
+
+    Every inverse basis vanishes at 0, so c_0 = 0, and c_n = d_n / n! over
+    the family's derivative formula.
+    """
+    _check_order(order)
+    fam = get_family(key)
+    d = fam.derivatives(order, **fam.validate(alpha, beta, w))
+    return TruncatedSeries([ZERO] + [v / math.factorial(n) for n, v in enumerate(d, 1)])
 
 
 def elementary(kind: str, order: int, *, alpha=None, beta=None, w=None) -> TruncatedSeries:
     """Exact Maclaurin coefficients of a named inverse-basis function.
 
-    The removable-singularity kinds (log_ratio, expm1_ratio,
-    sq_arccos_shift) take their coefficients from the closed-form series
-    of the primitive functions (-ln(1-y), e^y - 1, [arccos(1+y)]^2) with
-    one power of y divided out and the constant term shifted out, never by
-    evaluating their defining formula at zero.
+    The series of the family whose inverse basis the kind names.  The
+    removable-singularity kinds (log_ratio, expm1_ratio, sq_arccos_shift)
+    take their coefficients from the closed-form series of the primitive
+    functions (-ln(1-y), e^y - 1, [arccos(1+y)]^2) with one power of y
+    divided out and the constant term shifted out, never by evaluating
+    their defining formula at zero.
     """
-    _check_order(order)
-    try:
-        needed, builder = _ELEMENTARY[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementary kind {kind!r}") from None
-    kwargs = _take_params(f"elementary kind {kind!r}", needed, alpha, beta, w)
-    return builder(order, **kwargs)
-
-
-# -- per-family inverse series ----------------------------------------------
-
-_FAMILY_ELEMENTARY = {
-    "a1": "exp_m1",
-    "a2": "neg_ln_1m",
-    "a3": "sinh",
-    "a4": "sin",
-    "a5": "pow_alpha_m1",
-    "a6": "half_sq_plus_wx",
-    "a7": "sqrt_shift",
-    "a8": "inv_sq_m1",
-    "a9": "odd_geom",
-    "a10": "lambert_pair",
-    "a11": "log_ratio",
-    "a12": "expm1_ratio",
-    "a13": "arcsin",
-    "c6": "sq_arccos_shift",
-}
-
-# Parameter names per family key.  For c5 the library-wide flag names map
-# onto the three shape parameters as alpha -> additive constant, w -> first
-# derivative, beta -> second derivative of the inverse basis.
-FAMILY_PARAMS = {
-    "a5": ("alpha",),
-    "a6": ("w",),
-    "a7": ("alpha", "beta"),
-    "a10": ("w",),
-    "c1": ("w",),
-    "c5": ("alpha", "w", "beta"),
-}
-
-FAMILY_KEYS = tuple(f"a{i}" for i in range(1, 14)) + tuple(
-    f"c{i}" for i in range(1, 7)
-)
-
-
-# The composite inverse bases c1 .. c5 are polynomials in y plus a
-# polynomial times e^y = sum y^n / n!, so each coefficient is one closed
-# expression; tests/oracles.py rebuilds them by series products.
-
-
-def _family_c1(order, w):
-    # y (e^y + w - 1)
-    if w == 0:
-        raise ValueError("family 'c1' requires w != 0")
-    return TruncatedSeries(
-        [ZERO, w] + [Fraction(1, math.factorial(n - 1)) for n in range(2, order + 1)]
-    )
-
-
-def _family_c2(order):
-    # (y - 2) e^y - y + 2
-    return TruncatedSeries(
-        [0, -2] + [Fraction(n - 2, math.factorial(n)) for n in range(2, order + 1)]
-    )
-
-
-def _family_c3(order):
-    # (2 e^y - y^2 - 2y - 2) / (2 y^2)
-    return TruncatedSeries(
-        [0] + [Fraction(1, math.factorial(m + 2)) for m in range(1, order + 1)]
-    )
-
-
-def _family_c4(order):
-    # (6y e^y - 12 e^y - y^3 + 6y + 12) / (6 y^3)
-    return TruncatedSeries(
-        [0] + [Fraction(m + 1, math.factorial(m + 3)) for m in range(1, order + 1)]
-    )
-
-
-def _family_c5(order, alpha, w, beta):
-    # alpha + (alpha + w - 1) y + (alpha + beta - 2) y^2 / 2 + (y - alpha) e^y:
-    # alpha is the constant shift; w and beta are the prescribed first and
-    # second derivative values of the inverse basis.
-    if w == 0:
-        raise ValueError("family 'c5' requires w != 0 (the linear coefficient)")
-    head = [ZERO, w, beta / 2]
-    return TruncatedSeries(
-        head[: order + 1] + [(n - alpha) / math.factorial(n) for n in range(3, order + 1)]
-    )
-
-
-def family_series(key: str, order: int, *, alpha=None, beta=None, w=None) -> TruncatedSeries:
-    """Maclaurin series of the inverse basis function for a family key."""
-    _check_order(order)
-    if key not in FAMILY_KEYS:
-        raise ValueError(f"unknown family key {key!r}")
-    needed = FAMILY_PARAMS.get(key, ())
-    kwargs = _take_params(f"family {key!r}", needed, alpha, beta, w)
-    kind = _FAMILY_ELEMENTARY.get(key)
-    if kind is not None:
-        return elementary(kind, order, **kwargs)
-    if key == "c1":
-        return _family_c1(order, kwargs["w"])
-    if key == "c2":
-        return _family_c2(order)
-    if key == "c3":
-        return _family_c3(order)
-    if key == "c4":
-        return _family_c4(order)
-    return _family_c5(order, kwargs["alpha"], kwargs["w"], kwargs["beta"])
+    if kind not in _KIND_FAMILY:
+        raise ValueError(f"unknown elementary kind {kind!r}")
+    return family_series(_KIND_FAMILY[kind], order, alpha=alpha, beta=beta, w=w)

@@ -167,6 +167,64 @@ def sq_arccos_shift_by_reversion(order):
     return coeffs
 
 
+def _rational_sqrt(x):
+    """The square root of a rational square, exactly."""
+    x = Fraction(x)
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        raise ValueError(f"{x} is not the square of a rational")
+    return Fraction(num, den)
+
+
+def _binomial(a, n):
+    """C(a, n) for rational a, one factor at a time."""
+    out = Fraction(1)
+    for i in range(n):
+        out = out * (a - i) / (i + 1)
+    return out
+
+
+def elementary_series(kind, order, alpha=None, beta=None, w=None):
+    """c_0 .. c_order of a named inverse basis, each from its textbook term.
+
+    The kinds are the inverse bases of families a1 .. a13 with a standalone
+    Maclaurin series; sqrt_shift needs alpha to be a rational square.
+    """
+    terms = range(1, order + 1)
+    zero = [Fraction(0)]
+    if kind == "exp_m1":  # e^y - 1
+        return zero + [Fraction(1, math.factorial(n)) for n in terms]
+    if kind == "neg_ln_1m":  # -ln(1 - y)
+        return zero + [Fraction(1, n) for n in terms]
+    if kind == "sinh":
+        return zero + [Fraction(n % 2, math.factorial(n)) for n in terms]
+    if kind == "sin":
+        return zero + [Fraction(n % 2 * (-1) ** (n // 2), math.factorial(n)) for n in terms]
+    if kind == "pow_alpha_m1":  # (1 + y)^alpha - 1
+        return zero + [_binomial(Fraction(alpha), n) for n in terms]
+    if kind == "half_sq_plus_wx":  # y^2 / 2 + w y
+        return (zero + [Fraction(w), Fraction(1, 2)] + [Fraction(0)] * order)[: order + 1]
+    if kind == "sqrt_shift":  # sqrt(alpha + beta y) - sqrt(alpha)
+        root, ratio = _rational_sqrt(alpha), Fraction(beta) / Fraction(alpha)
+        return zero + [root * _binomial(Fraction(1, 2), n) * ratio**n for n in terms]
+    if kind == "inv_sq_m1":  # 1 / (1 - y)^2 - 1
+        return zero + [Fraction(n + 1) for n in terms]
+    if kind == "odd_geom":  # y / (1 - y^2)
+        return zero + [Fraction(n % 2) for n in terms]
+    if kind == "lambert_pair":  # (w + y - 1) e^y + 1 - w
+        return zero + [(Fraction(w) - 1 + n) / math.factorial(n) for n in terms]
+    if kind == "log_ratio":  # -ln(1 - y) / y - 1
+        return zero + [Fraction(1, n + 1) for n in terms]
+    if kind == "expm1_ratio":  # (e^y - 1) / y - 1
+        return zero + [Fraction(1, math.factorial(n + 1)) for n in terms]
+    if kind == "arcsin":
+        return zero + [
+            Fraction(math.comb(n - 1, n // 2), 4 ** (n // 2) * n) if n % 2 else Fraction(0)
+            for n in terms
+        ]
+    raise ValueError(f"no elementary series {kind!r}")
+
+
 def composite_inverse_series(key, order, alpha=0, w=1, beta=0):
     """c_0 .. c_order of the inverse basis of family c1 .. c5, by products.
 

@@ -159,8 +159,13 @@ def test_one_field_difference_breaks_equality():
     model = _model()
     assert model != ApproximationModel(model.expansion, model.func, model.order,
                                        model.coefficients, "composition")
-    # the callables are fields: two builds of one family are different records
-    assert get_expansion("a8") != get_expansion("a8")
+    # an entry's evaluators are functions of (key, params): two builds of one
+    # family are equal, and a different parameter set is a different entry
+    assert get_expansion("a8") == get_expansion("a8")
+    assert hash(get_expansion("a8")) == hash(get_expansion("a8"))
+    assert get_expansion("a5") != get_expansion("a5", alpha=3)
+    func = builtin_function("exp")
+    assert assemble(get_expansion("a1"), func, 2) == assemble(get_expansion("a1"), func, 2)
 
 
 def test_positional_and_keyword_construction_with_defaults():
