@@ -26,9 +26,10 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .bell import _columns, _graded, _raw, _triangle
-from .catalog import DomainError, Expansion, Interval, _Record, eval_g, get_expansion
+from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _clip_to, _slack,
+                      eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
-from .pseries import MAX_ORDER, TruncatedSeries
+from .pseries import MAX_ORDER, TruncatedSeries, _check_order
 
 __all__ = [
     "BUILTIN_FUNCTIONS",
@@ -45,9 +46,6 @@ __all__ = [
     "error_report",
     "format_decimal",
 ]
-
-_FULL_LINE = Interval(-math.inf, math.inf)
-
 
 class FunctionSpec(_Record):
     """A target function known through its derivatives at a base point.
@@ -79,13 +77,9 @@ class FunctionSpec(_Record):
         if self._value is None:
             return None
         x = float(x)
-        if not self.domain.contains(x, 1e-12 * max(1.0, abs(x))):
+        if not self.domain.contains(x, _slack(x)):
             return None
-        if self.domain.lo_closed and x < self.domain.lo:
-            x = self.domain.lo
-        if self.domain.hi_closed and x > self.domain.hi:
-            x = self.domain.hi
-        return self._value(x)
+        return self._value(_clip_to(self.domain, x))
 
 
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
@@ -269,13 +263,6 @@ class ApproximationModel(_Record):
         }
 
 
-def _check_model_order(order: int):
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise ValueError("order must be a positive integer")
-    if order > MAX_ORDER:
-        raise ValueError(f"order {order} exceeds the supported maximum {MAX_ORDER}")
-
-
 def _neumaier(values) -> float:
     total = 0.0
     comp = 0.0
@@ -305,7 +292,7 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     factors are skipped so that exact zeros survive even in
     float-contaminated rows.
     """
-    _check_model_order(order)
+    _check_order(order)
     d = [func.derivative(k) for k in range(order + 1)]
     raw = _raw(d)
     values = _raw(exp.derivative_sequence(order))
@@ -342,7 +329,7 @@ def assemble_via_composition(
     reproduce :func:`assemble` exactly; the two routes share the family's
     derivative formula and scalar arithmetic, nothing else.
     """
-    _check_model_order(order)
+    _check_order(order)
     outer = TruncatedSeries(
         func.derivative(k) / math.factorial(k) for k in range(order + 1)
     )

@@ -445,7 +445,7 @@ def _gate_passes(key: str, kwargs: dict) -> bool:
     if not ok:
         warnings.warn(
             f"closed-form Bell values for family {key!r} disagree with the "
-            "generic recurrence; falling back to the recurrence",
+            "generic recurrence; the returned values come from the recurrence",
             RuntimeWarning,
             stacklevel=3,
         )

@@ -9,15 +9,19 @@ come from the family's record in :data:`funcseries.pseries.FAMILIES`.
 The a6 and a10 builders add the one catalog-only check, w > 0, without
 which g(0) = 0 fails.  The recorded domain is the
 maximal interval around zero on which g stays monotone (hence invertible);
-families whose defining formula only works on one side of zero carry a side
-marker and their domain is already restricted accordingly.
+families whose defining formula only works on one side of zero (a11, a12
+and c6) carry a side marker and their domain is already restricted
+accordingly.  :func:`get_expansion` derives three fields of an entry
+instead of taking them from the builder: ``increasing`` is the sign of the
+registry's d_1, ``implicit`` says that the builder gave no g, and ``side``
+is "both" unless the builder names one.
 
 Families "c1" .. "c6" have no explicit basis formula; g is obtained by
 Newton iteration on the inverse basis, with a bisection fallback and a
-reported (never silent) failure mode.  The three Lambert-based families use
-:func:`lambert_w0` away from zero and switch to a series-plus-Newton branch
-near zero, where the W argument sits so close to the branch point that the
-direct formula loses half the mantissa.
+reported (never silent) failure mode.  a10 always calls :func:`lambert_w0`.
+a11 and a12 call it away from zero and switch to a series-plus-Newton
+branch near zero, where the W argument sits so close to the branch point
+that the direct formula loses half the mantissa.
 
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
@@ -410,22 +414,31 @@ def _find_flip(dginv: Callable, s0: float, sgn: float) -> float:
     return sgn * math.inf
 
 
-def _scan_pieces(ginv, dginv, d1: float, tail_neg: float, tail_pos: float):
-    """Domain/image/direction for a family defined only through its inverse."""
+def _scan_pieces(ginv, dginv, d1: float, tail_neg: float):
+    """Domain and image for a family defined only through its inverse.
+
+    tail_neg is the limit of ginv as y -> -inf, used when dginv keeps its
+    sign on the whole negative half-line; towards +inf the exp(y) term of
+    every scanned inverse basis (c1 .. c5) sends ginv to +inf.
+    """
     s0 = 1.0 if d1 > 0 else -1.0
     ylo = _find_flip(dginv, s0, -1.0)
     yhi = _find_flip(dginv, s0, 1.0)
     x_at_ylo = ginv(ylo) if math.isfinite(ylo) else tail_neg
-    x_at_yhi = ginv(yhi) if math.isfinite(yhi) else tail_pos
-    increasing = d1 > 0
-    if increasing:
+    x_at_yhi = ginv(yhi) if math.isfinite(yhi) else math.inf
+    if d1 > 0:
         domain = Interval(x_at_ylo, x_at_yhi)
     else:
         domain = Interval(x_at_yhi, x_at_ylo)
-    return domain, Interval(ylo, yhi), increasing
+    return domain, Interval(ylo, yhi)
 
 
 # -- family builders -----------------------------------------------------------
+#
+# A builder returns what only it knows: the float evaluators ginv, dginv
+# and (for an explicit basis) g, and either the domain and image or, for
+# c1 .. c5, tail_neg (see _scan_pieces); a11, a12 and c6 also name their
+# side.  get_expansion derives the other fields.
 
 _FULL_LINE = Interval(-math.inf, math.inf)
 
@@ -433,15 +446,14 @@ _FULL_LINE = Interval(-math.inf, math.inf)
 def _make_a1(p):
     dom = Interval(-1.0, math.inf)
     return dict(
-        domain=dom, image=_FULL_LINE, increasing=True, implicit=False, side="both",
+        domain=dom, image=_FULL_LINE,
         g=math.log1p, ginv=math.expm1, dginv=math.exp,
     )
 
 
 def _make_a2(p):
     return dict(
-        domain=_FULL_LINE, image=Interval(-math.inf, 1.0), increasing=True,
-        implicit=False, side="both",
+        domain=_FULL_LINE, image=Interval(-math.inf, 1.0),
         g=lambda x: -math.expm1(-x),
         ginv=lambda y: -math.log1p(-y),
         dginv=lambda y: 1.0 / (1.0 - y),
@@ -450,8 +462,8 @@ def _make_a2(p):
 
 def _make_a3(p):
     return dict(
-        domain=_FULL_LINE, image=_FULL_LINE, increasing=True, implicit=False,
-        side="both", g=math.asinh, ginv=math.sinh, dginv=math.cosh,
+        domain=_FULL_LINE, image=_FULL_LINE,
+        g=math.asinh, ginv=math.sinh, dginv=math.cosh,
     )
 
 
@@ -460,7 +472,6 @@ def _make_a4(p):
     return dict(
         domain=Interval(-1.0, 1.0, True, True),
         image=Interval(-half_pi, half_pi, True, True),
-        increasing=True, implicit=False, side="both",
         g=math.asin, ginv=math.sin, dginv=math.cos,
     )
 
@@ -469,8 +480,8 @@ def _make_a5(p):
     af = float(p["alpha"])
     if p["alpha"] == 1:
         return dict(
-            domain=_FULL_LINE, image=_FULL_LINE, increasing=True, implicit=False,
-            side="both", g=lambda x: x, ginv=lambda y: y, dginv=lambda y: 1.0,
+            domain=_FULL_LINE, image=_FULL_LINE,
+            g=lambda x: x, ginv=lambda y: y, dginv=lambda y: 1.0,
         )
 
     def ginv(y):
@@ -488,16 +499,9 @@ def _make_a5(p):
             return -1.0
         return math.expm1(math.log1p(x) / af)
 
-    if af > 0:
-        dom = Interval(-1.0, math.inf, lo_closed=True)
-        img = Interval(-1.0, math.inf, lo_closed=True)
-        increasing = True
-    else:
-        dom = Interval(-1.0, math.inf)
-        img = Interval(-1.0, math.inf)
-        increasing = False
-    return dict(domain=dom, image=img, increasing=increasing, implicit=False,
-                side="both", g=g, ginv=ginv, dginv=dginv)
+    # -1 belongs to both intervals only when it maps to -1, i.e. alpha > 0.
+    dom = img = Interval(-1.0, math.inf, lo_closed=af > 0)
+    return dict(domain=dom, image=img, g=g, ginv=ginv, dginv=dginv)
 
 
 def _make_a6(p):
@@ -511,7 +515,6 @@ def _make_a6(p):
     return dict(
         domain=Interval(-0.5 * wf * wf, math.inf, lo_closed=True),
         image=Interval(-wf, math.inf, lo_closed=True),
-        increasing=True, implicit=False, side="both",
         g=g,
         ginv=lambda y: 0.5 * y * y + wf * y,
         dginv=lambda y: y + wf,
@@ -534,13 +537,10 @@ def _make_a7(p):
 
     if bf > 0:
         img = Interval(-af / bf, math.inf, lo_closed=True)
-        increasing = True
     else:
         img = Interval(-math.inf, -af / bf, hi_closed=True)
-        increasing = False
     return dict(
         domain=Interval(-root, math.inf, lo_closed=True), image=img,
-        increasing=increasing, implicit=False, side="both",
         g=g, ginv=ginv, dginv=dginv,
     )
 
@@ -556,7 +556,6 @@ def _make_a8(p):
 
     return dict(
         domain=Interval(-1.0, math.inf), image=Interval(-math.inf, 1.0),
-        increasing=True, implicit=False, side="both",
         g=lambda x: -math.expm1(-0.5 * math.log1p(x)),
         ginv=ginv, dginv=dginv,
     )
@@ -576,8 +575,8 @@ def _make_a9(p):
         return (1.0 + y * y) / (u * u)
 
     return dict(
-        domain=_FULL_LINE, image=Interval(-1.0, 1.0), increasing=True,
-        implicit=False, side="both", g=g, ginv=ginv, dginv=dginv,
+        domain=_FULL_LINE, image=Interval(-1.0, 1.0),
+        g=g, ginv=ginv, dginv=dginv,
     )
 
 
@@ -599,7 +598,6 @@ def _make_a10(p):
     return dict(
         domain=Interval(1.0 - wf - math.exp(-wf), math.inf, lo_closed=True),
         image=Interval(-wf, math.inf, lo_closed=True),
-        increasing=True, implicit=False, side="both",
         g=g, ginv=ginv, dginv=dginv,
     )
 
@@ -638,8 +636,7 @@ def _make_a11(p):
     return dict(
         domain=Interval(0.0, math.inf, lo_closed=True),
         image=Interval(0.0, 1.0, lo_closed=True),
-        increasing=True, implicit=False, side="right_of_zero",
-        g=g, ginv=ginv, dginv=dginv,
+        side="right_of_zero", g=g, ginv=ginv, dginv=dginv,
     )
 
 
@@ -671,8 +668,7 @@ def _make_a12(p):
     return dict(
         domain=Interval(-1.0, 0.0, hi_closed=True),
         image=Interval(-math.inf, 0.0, hi_closed=True),
-        increasing=True, implicit=False, side="left_of_zero",
-        g=g, ginv=ginv, dginv=dginv,
+        side="left_of_zero", g=g, ginv=ginv, dginv=dginv,
     )
 
 
@@ -681,7 +677,6 @@ def _make_a13(p):
     return dict(
         domain=Interval(-half_pi, half_pi, True, True),
         image=Interval(-1.0, 1.0, True, True),
-        increasing=True, implicit=False, side="both",
         g=math.sin, ginv=math.asin,
         dginv=lambda y: 1.0 / math.sqrt(max(1.0 - y * y, 5e-324)),
     )
@@ -702,9 +697,7 @@ def _make_c1(p):
         tail_neg = 0.0  # unreachable: the w=1 branch has a critical point first
     else:
         tail_neg = math.inf
-    domain, image, increasing = _scan_pieces(ginv, dginv, wf, tail_neg, math.inf)
-    return dict(domain=domain, image=image, increasing=increasing, implicit=True,
-                side="both", g=None, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=tail_neg, ginv=ginv, dginv=dginv)
 
 
 def _make_c2(p):
@@ -714,9 +707,7 @@ def _make_c2(p):
     def dginv(y):
         return (y - 1.0) * math.exp(y) - 1.0
 
-    domain, image, increasing = _scan_pieces(ginv, dginv, -2.0, math.inf, math.inf)
-    return dict(domain=domain, image=image, increasing=increasing, implicit=True,
-                side="both", g=None, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=math.inf, ginv=ginv, dginv=dginv)
 
 
 def _make_c3(p):
@@ -736,9 +727,7 @@ def _make_c3(p):
         nump = 2.0 * ey - 2.0 - 2.0 * y
         return (y * nump - 2.0 * num) / (2.0 * y ** 3)
 
-    domain, image, increasing = _scan_pieces(ginv, dginv, 1.0 / 6.0, -0.5, math.inf)
-    return dict(domain=domain, image=image, increasing=increasing, implicit=True,
-                side="both", g=None, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=-0.5, ginv=ginv, dginv=dginv)
 
 
 def _make_c4(p):
@@ -759,11 +748,7 @@ def _make_c4(p):
         nump = (6.0 * y - 6.0) * ey - 3.0 * y * y + 6.0
         return (y * nump - 3.0 * num) / (6.0 * y ** 4)
 
-    domain, image, increasing = _scan_pieces(
-        ginv, dginv, 1.0 / 12.0, -1.0 / 6.0, math.inf
-    )
-    return dict(domain=domain, image=image, increasing=increasing, implicit=True,
-                side="both", g=None, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=-1.0 / 6.0, ginv=ginv, dginv=dginv)
 
 
 def _make_c5(p):
@@ -786,9 +771,7 @@ def _make_c5(p):
         tail_neg = -math.copysign(math.inf, lin)
     else:
         tail_neg = af
-    domain, image, increasing = _scan_pieces(ginv, dginv, a1f, tail_neg, math.inf)
-    return dict(domain=domain, image=image, increasing=increasing, implicit=True,
-                side="both", g=None, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=tail_neg, ginv=ginv, dginv=dginv)
 
 
 def _make_c6(p):
@@ -812,8 +795,7 @@ def _make_c6(p):
     return dict(
         domain=Interval(0.0, hi, True, True),
         image=Interval(-2.0, 0.0, True, True),
-        increasing=False, implicit=True, side="right_of_zero",
-        g=None, ginv=ginv, dginv=dginv,
+        side="right_of_zero", ginv=ginv, dginv=dginv,
     )
 
 
@@ -841,12 +823,15 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     params = fam.validate(alpha, beta, w, fill=True)
     pieces = _BUILDERS[key](params)
     d1 = float(fam.derivatives(1, **params)[0])
-    g = pieces["g"]
-    if g is None:
-        image = pieces["image"]
-        increasing = pieces["increasing"]
-        ginv = pieces["ginv"]
-        dginv = pieces["dginv"]
+    ginv, dginv = pieces["ginv"], pieces["dginv"]
+    if "tail_neg" in pieces:
+        domain, image = _scan_pieces(ginv, dginv, d1, pieces["tail_neg"])
+    else:
+        domain, image = pieces["domain"], pieces["image"]
+    increasing = d1 > 0
+    g = pieces.get("g")
+    implicit = g is None
+    if implicit:
         ctx = f"family {key!r} numeric inversion"
 
         def g(x, _ginv=ginv, _dginv=dginv, _img=image, _inc=increasing, _d1=d1, _ctx=ctx):
@@ -856,14 +841,14 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
         key=key,
         label=fam.label,
         params=tuple(params.items()),
-        domain=pieces["domain"],
-        image=pieces["image"],
-        side=pieces["side"],
-        increasing=pieces["increasing"],
-        implicit=pieces["implicit"],
+        domain=domain,
+        image=image,
+        side=pieces.get("side", "both"),
+        increasing=increasing,
+        implicit=implicit,
         _g=g,
-        _ginv=pieces["ginv"],
-        _dginv=pieces["dginv"],
+        _ginv=ginv,
+        _dginv=dginv,
         _d1=d1,
     )
 

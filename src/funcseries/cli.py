@@ -54,7 +54,8 @@ class RunConfig(_Record):
     """Parsed invocation: one command plus its validated inputs.
 
     expansions holds family keys, possibly including "tp"; grid is a
-    (start, stop, count) triple.
+    (start, stop, count) triple.  The parser's destinations are these field
+    names, so main builds the record from the parsed namespace as it is.
     """
 
     __slots__ = _fields = _shown = ("command", "expansions", "alpha", "beta", "w",
@@ -80,6 +81,29 @@ class RunConfig(_Record):
         set_field(self, "out", out)
         set_field(self, "fmt", fmt)
         set_field(self, "n_list", n_list)
+
+
+# Converters for argparse's type=.  argparse turns only ArgumentTypeError,
+# TypeError and ValueError into its own message, so the UsageError each of
+# them raises reaches main() with its text unchanged.
+
+
+def _parse_expansions(text: str) -> tuple:
+    keys = tuple(key.strip() for key in text.split(",") if key.strip())
+    for key in keys:
+        if key != "tp" and key not in FAMILY_KEYS:
+            raise UsageError(f"unknown family key {key!r}")
+    return keys
+
+
+def _parse_terms(text: str) -> int:
+    try:
+        terms = int(text)
+    except ValueError as err:
+        raise UsageError(f"--terms must be an integer, got {text!r}") from err
+    if terms < 1:
+        raise UsageError("--terms must be at least 1")
+    return terms
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -128,8 +152,6 @@ def _parse_n_list(text: str) -> tuple:
         if n < 1:
             raise UsageError("--n-list entries must be at least 1")
         out.append(n)
-    if not out:
-        raise UsageError("--n-list must not be empty")
     return tuple(out)
 
 
@@ -172,16 +194,17 @@ def _build_model(key: str, config: RunConfig, func: FunctionSpec):
     return assemble(exp, func, config.terms)
 
 
-def _open_out(config: RunConfig):
-    if config.out is None:
+def _open_out(path: Optional[str]):
+    if path is None:
         return sys.stdout, False
-    return open(config.out, "w", encoding="utf-8", newline=""), True
+    return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_csv(config: RunConfig, header, rows):
+def _write_csv(path: Optional[str], header, rows):
+    """Write header and rows as CSV to the file at path, or to stdout."""
     import csv
 
-    fh, owned = _open_out(config)
+    fh, owned = _open_out(path)
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -191,8 +214,8 @@ def _write_csv(config: RunConfig, header, rows):
             fh.close()
 
 
-def _write_text(config: RunConfig, text: str):
-    fh, owned = _open_out(config)
+def _write_text(path: Optional[str], text: str):
+    fh, owned = _open_out(path)
     try:
         fh.write(text)
     finally:
@@ -220,10 +243,6 @@ def _linspace(start: float, stop: float, count: int) -> list:
     return points
 
 
-def _grid_points(config: RunConfig):
-    return _linspace(*config.grid)
-
-
 # -- commands ------------------------------------------------------------------
 
 
@@ -237,7 +256,7 @@ def _cmd_table(config: RunConfig) -> int:
         delta_a8 = abs(evaluate(assemble(a8, func, n), x) - exact)
         delta_tp = abs(evaluate(taylor_baseline(func, n), x) - exact)
         rows.append([str(n), format_decimal(delta_a8), format_decimal(delta_tp)])
-    _write_csv(config, ["N", "delta_a8", "delta_tp"], rows)
+    _write_csv(config.out, ["N", "delta_a8", "delta_tp"], rows)
     return 0
 
 
@@ -246,19 +265,13 @@ _FIGURE_FAMILIES = tuple(f"a{i}" for i in range(1, 14)) + ("tp",)
 
 
 def _cmd_figures(config: RunConfig) -> int:
-    import csv
-
     out_dir = config.out if config.out is not None else "figures"
     os.makedirs(out_dir, exist_ok=True)
-    xs = _grid_points(config)
+    xs = _linspace(*config.grid)
     manifest = []
 
     def emit(filename, header, rows, func_name, family):
-        path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(os.path.join(out_dir, filename), header, rows)
         kept = [float(r[0]) for r in rows]
         manifest.append([
             func_name, family, filename, str(len(rows)),
@@ -301,11 +314,8 @@ def _cmd_figures(config: RunConfig) -> int:
         rows, func.name, "a5",
     )
 
-    with open(os.path.join(out_dir, "manifest.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["function", "expansion", "file", "points", "x_lo", "x_hi"])
-        writer.writerows(manifest)
+    _write_csv(os.path.join(out_dir, "manifest.csv"),
+               ["function", "expansion", "file", "points", "x_lo", "x_hi"], manifest)
     return 0
 
 
@@ -322,7 +332,7 @@ def _cmd_coeffs(config: RunConfig) -> int:
     if config.fmt == "json":
         import json
 
-        _write_text(config, json.dumps(model.to_json_dict(), indent=2) + "\n")
+        _write_text(config.out, json.dumps(model.to_json_dict(), indent=2) + "\n")
         return 0
     rows = []
     for entry in model.to_json_dict()["coefficients"]:
@@ -331,7 +341,7 @@ def _cmd_coeffs(config: RunConfig) -> int:
             Fraction(int(exact["num"]), int(exact["den"]))
         )
         rows.append([str(entry["n"]), entry["decimal"], exact_text])
-    _write_csv(config, ["n", "decimal", "exact"], rows)
+    _write_csv(config.out, ["n", "decimal", "exact"], rows)
     return 0
 
 
@@ -342,18 +352,18 @@ def _cmd_eval(config: RunConfig) -> int:
     if (config.at is None) == (config.grid is None):
         raise UsageError("eval needs exactly one of --at or --grid")
     if config.at is not None:
-        _write_text(config, format_decimal(evaluate(model, config.at)) + "\n")
+        _write_text(config.out, format_decimal(evaluate(model, config.at)) + "\n")
         return 0
     failed = False
     rows = []
-    for x in _grid_points(config):
+    for x in _linspace(*config.grid):
         try:
             value = evaluate(model, x)
         except DomainError:
             value = math.nan
             failed = True
         rows.append([format_decimal(x), format_decimal(value)])
-    _write_csv(config, ["x", "approx"], rows)
+    _write_csv(config.out, ["x", "approx"], rows)
     return 2 if failed else 0
 
 
@@ -361,23 +371,19 @@ def _cmd_radius(config: RunConfig) -> int:
     key = _require_single_expansion(config)
     if key == "tp":
         raise UsageError("radius needs a catalog family, not the Taylor baseline")
-    func = _load_function(config.function)
-    exp = get_expansion(key, alpha=config.alpha, beta=config.beta, w=config.w)
-    model = assemble(exp, func, config.terms)
+    model = _build_model(key, config, _load_function(config.function))
     radius = estimate_radius(model)
-    interval = map_domain(exp, radius) if math.isfinite(radius) else map_domain(
-        exp, math.inf
-    )
+    interval = map_domain(model.expansion, radius if math.isfinite(radius) else math.inf)
     if config.fmt == "json":
         import json
 
-        _write_text(config, json.dumps({
+        _write_text(config.out, json.dumps({
             "R": format_decimal(radius),
             "x_lo": format_decimal(interval.lo),
             "x_hi": format_decimal(interval.hi),
         }, indent=2) + "\n")
         return 0
-    _write_csv(config, ["R", "x_lo", "x_hi"], [[
+    _write_csv(config.out, ["R", "x_lo", "x_hi"], [[
         format_decimal(radius), format_decimal(interval.lo),
         format_decimal(interval.hi),
     ]])
@@ -390,7 +396,7 @@ def _cmd_compare(config: RunConfig) -> int:
     if (config.at is None) == (config.grid is None):
         raise UsageError("compare needs exactly one of --at or --grid")
     func = _load_function(config.function)
-    xs = [config.at] if config.at is not None else _grid_points(config)
+    xs = [config.at] if config.at is not None else _linspace(*config.grid)
     failed = False
     rows = []
     for key in config.expansions:
@@ -405,7 +411,7 @@ def _cmd_compare(config: RunConfig) -> int:
                 format_decimal(point.exact),
                 format_decimal(point.delta),
             ])
-    _write_csv(config, ["expansion", "x", "approx", "exact", "delta"], rows)
+    _write_csv(config.out, ["expansion", "x", "approx", "exact", "delta"], rows)
     return 2 if failed else 0
 
 
@@ -419,18 +425,33 @@ _COMMANDS = {
 }
 
 
-def _add_model_flags(sub, *, function_required=True):
-    sub.add_argument("--expansion", required=True,
+def _add_terms_flag(sub):
+    sub.add_argument("--terms", type=_parse_terms, default=8,
+                     help="matched derivative order N (default 8)")
+
+
+def _add_model_flags(sub, *, points: bool):
+    """The flags of the one-model commands: eval and compare also take
+    --at/--grid, coeffs and radius take --format."""
+    sub.add_argument("--expansion", dest="expansions", metavar="EXPANSION",
+                     type=_parse_expansions, required=True,
                      help="family key (a1..a13, c1..c6) or tp; compare "
                           "accepts a comma-separated list")
-    sub.add_argument("--alpha", help="alpha parameter (rational, e.g. 1/2)")
-    sub.add_argument("--beta", help="beta parameter (rational)")
-    sub.add_argument("--w", help="w parameter (rational)")
-    sub.add_argument("--function", required=function_required,
+    sub.add_argument("--alpha", type=_parse_rational,
+                     help="alpha parameter (rational, e.g. 1/2)")
+    sub.add_argument("--beta", type=_parse_rational, help="beta parameter (rational)")
+    sub.add_argument("--w", type=_parse_rational, help="w parameter (rational)")
+    sub.add_argument("--function", required=True,
                      help="exp | sin | sq | ln1p | pow:RATIONAL | derivative file")
-    sub.add_argument("--terms", type=int, default=8,
-                     help="matched derivative order N (default 8)")
+    _add_terms_flag(sub)
     sub.add_argument("--out", help="output path (default stdout)")
+    if points:
+        sub.add_argument("--at", type=_parse_point,
+                         help="single evaluation point (use --at=-0.5 for negative values)")
+        sub.add_argument("--grid", type=_parse_grid,
+                         help="start:stop:count (use --grid=-1:1:21 when start is negative)")
+    else:
+        sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
 
 def _build_parser() -> _Parser:
@@ -442,92 +463,42 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     table = subs.add_parser("table", help="error table for ln1p at x=0.5")
-    table.add_argument("--n-list", default="3,7,10,20",
+    table.add_argument("--n-list", type=_parse_n_list, default="3,7,10,20",
                        help="comma-separated list of orders (default 3,7,10,20)")
     table.add_argument("--out", help="output path (default stdout)")
 
     figures = subs.add_parser("figures", help="grid data files for all families")
     figures.add_argument("--out", help="output directory (default ./figures)")
-    figures.add_argument("--terms", type=int, default=8,
-                         help="matched derivative order N (default 8)")
-    figures.add_argument("--grid", default="-3:3:241",
+    _add_terms_flag(figures)
+    figures.add_argument("--grid", type=_parse_grid, default="-3:3:241",
                          help="start:stop:count; write --grid=-3:3:241 when "
                               "start is negative (default -3:3:241)")
 
-    coeffs = subs.add_parser("coeffs", help="coefficient listing for one model")
-    _add_model_flags(coeffs)
-    coeffs.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    ev = subs.add_parser("eval", help="evaluate one model at a point or grid")
-    _add_model_flags(ev)
-    ev.add_argument("--at", help="single evaluation point (use --at=-0.5 "
-                                 "for negative values)")
-    ev.add_argument("--grid", help="start:stop:count (use --grid=-1:1:21 "
-                                   "when start is negative)")
-
-    radius = subs.add_parser("radius", help="convergence radius and x-interval")
-    _add_model_flags(radius)
-    radius.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    compare = subs.add_parser("compare", help="side-by-side family comparison")
-    _add_model_flags(compare)
-    compare.add_argument("--at", help="single evaluation point (use --at=-0.5 "
-                                      "for negative values)")
-    compare.add_argument("--grid", help="start:stop:count (use --grid=-1:1:21 "
-                                        "when start is negative)")
-
+    for name, help_text, points in (
+        ("coeffs", "coefficient listing for one model", False),
+        ("eval", "evaluate one model at a point or grid", True),
+        ("radius", "convergence radius and x-interval", False),
+        ("compare", "side-by-side family comparison", True),
+    ):
+        _add_model_flags(subs.add_parser(name, help=help_text), points=points)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    expansions = ()
-    if getattr(args, "expansion", None):
-        expansions = tuple(
-            key.strip() for key in args.expansion.split(",") if key.strip()
-        )
-        for key in expansions:
-            if key != "tp" and key not in FAMILY_KEYS:
-                raise UsageError(f"unknown family key {key!r}")
-    terms = getattr(args, "terms", 8)
-    if terms < 1:
-        raise UsageError("--terms must be at least 1")
-    return RunConfig(
-        command=args.command,
-        expansions=expansions,
-        alpha=_parse_rational(args.alpha) if getattr(args, "alpha", None) else None,
-        beta=_parse_rational(args.beta) if getattr(args, "beta", None) else None,
-        w=_parse_rational(args.w) if getattr(args, "w", None) else None,
-        function=getattr(args, "function", None),
-        terms=terms,
-        at=_parse_point(args.at) if getattr(args, "at", None) else None,
-        grid=_parse_grid(args.grid) if getattr(args, "grid", None) else None,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "csv"),
-        n_list=_parse_n_list(getattr(args, "n_list", "3,7,10,20")),
-    )
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = _config_from_args(args)
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
         return _COMMANDS[config.command](config)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (DomainError, ConvergenceError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        code, message = 2, err
+    except (UsageError, ValueError) as err:
+        code, message = 1, err
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        code, message = 3, err
     except ModuleNotFoundError as err:  # only radius imports lazily: numpy
-        print(f"error: {err.name} is not installed; it comes with the 'radius' extra: "
-              "pip install 'funcseries[radius]'", file=sys.stderr)
-        return 3
+        code, message = 3, (f"{err.name} is not installed; it comes with the 'radius' "
+                            "extra: pip install 'funcseries[radius]'")
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -377,7 +377,7 @@ class TestGate:
 
         monkeypatch.setattr(bell, "_gate_results", {})
         monkeypatch.setitem(bell._CLOSED_FORMS, "a1", wrong)
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.warns(RuntimeWarning, match="come from the recurrence"):
             rows = bell_values("a1", 6)
         for n in range(1, 7):
             for k in range(1, n + 1):

@@ -47,6 +47,16 @@ class TestExitCodes:
             ["radius", "--expansion", "tp", "--function", "ln1p"],
             ["coeffs", "--expansion", "a8", "--function", "pow"],
             ["coeffs", "--expansion", "a8", "--function", "ln1p", "--terms", "0"],
+            ["coeffs", "--expansion", "a8", "--function", "ln1p", "--terms", "abc"],
+            ["coeffs", "--expansion", "a8", "--function", "ln1p", "--terms", "65"],
+            ["table", "--n-list", "3,x"],
+            ["figures", "--terms", "0"],
+            # an empty value is an error, not the flag's default
+            ["coeffs", "--expansion", "a5", "--alpha=", "--function", "ln1p", "--terms", "3"],
+            ["coeffs", "--expansion", "a7", "--beta=", "--function", "ln1p", "--terms", "3"],
+            ["coeffs", "--expansion", "c1", "--w=", "--function", "ln1p", "--terms", "3"],
+            ["eval", "--expansion", "a1", "--function", "ln1p", "--at=", "--grid=0:1:3"],
+            ["eval", "--expansion", "a1", "--function", "ln1p", "--at=0.5", "--grid="],
             ["nonsense"],
             [],
         ]
