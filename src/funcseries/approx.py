@@ -26,8 +26,8 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .bell import _columns, _graded, _raw, _triangle
-from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _clip_to, _slack,
-                      eval_g, get_expansion)
+from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit, eval_g,
+                      get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order
 
@@ -76,10 +76,8 @@ class FunctionSpec(_Record):
         """Reference value f(x), or None when unavailable at this x."""
         if self._value is None:
             return None
-        x = float(x)
-        if not self.domain.contains(x, _slack(x)):
-            return None
-        return self._value(_clip_to(self.domain, x))
+        x = _admit(self.domain, float(x))
+        return None if x is None else self._value(x)
 
 
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
@@ -343,9 +341,10 @@ def evaluate(model: ApproximationModel, x: float) -> float:
     The Horner sum runs over the model's float coefficients, converted
     from the exact ones once per model, so every point costs one basis
     evaluation and N multiply-adds.  The result equals converting each
-    coefficient at every call, bit for bit.
+    coefficient at every call, bit for bit.  x is a float, an int or a
+    Fraction: x - x0 is a float, which eval_g admits into the domain in
+    one step (see :func:`funcseries.catalog.eval_g`).
     """
-    x = float(x)
     x0, horner = model._float_form
     u = eval_g(model.expansion, x - x0)
     acc = 0.0

@@ -26,7 +26,16 @@ that the direct formula loses half the mantissa.
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.
+documented threshold.  A series branch sums by Horner over its table,
+reversed once when the family is built.
+
+Every point passes one domain step, :func:`_admit`, before an evaluator
+sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
+``approx.FunctionSpec.value_at``): NaN, and a point at or beyond an open
+end, lies outside; a closed end also admits 1e-12 * max(1, |x|) of float
+fuzz beyond it and clips such a point onto the end.  The Newton and
+bisection loops call only the inverse basis and its derivative; their
+tests are comparisons.
 """
 
 from __future__ import annotations
@@ -266,14 +275,10 @@ def lambert_w0(x: float) -> float:
     raise ConvergenceError(f"lambert_w0 failed to converge at x={x!r}")
 
 
-# -- small numeric helpers ----------------------------------------------------
-
-
-def _horner(coeffs: tuple, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+# -- series tables -------------------------------------------------------------
+#
+# The tables are kept in ascending order; a builder reverses the ones it
+# sums by Horner once, so that each evaluation loops over them directly.
 
 
 @lru_cache(maxsize=None)
@@ -312,23 +317,27 @@ def _invert_monotone(
         return 0.0
     tol = 1e-14 * max(1.0, abs(x))
     lo, hi = image.lo, image.hi
+    inf = math.inf
     y = x / d1
     if y <= lo:
         y = 0.75 * lo
     elif y >= hi:
         y = 0.75 * hi
+    # Each step tests by comparisons, not calls: mtol <= f <= tol is
+    # abs(f) <= tol and -inf < d < inf is isfinite(d), both False for NaN.
+    mtol = -tol
     for _ in range(60):
         try:
             f = ginv(y) - x
         except (OverflowError, ValueError):
             break
-        if abs(f) <= tol:
+        if mtol <= f <= tol:
             return y
         d = dginv(y)
-        if d == 0.0 or not math.isfinite(d):
+        if d == 0.0 or not -inf < d < inf:
             break
         yn = y - f / d
-        if not math.isfinite(yn) or yn <= lo or yn >= hi:
+        if not lo < yn < hi:
             break
         if yn == y:
             break
@@ -336,35 +345,34 @@ def _invert_monotone(
     return _bisect_monotone(x, ginv, image, increasing, tol, context)
 
 
-def _ginv_capped(ginv: Callable, y: float, increasing: bool) -> float:
-    try:
-        return ginv(y)
-    except OverflowError:
-        big = math.inf if (y > 0.0) == increasing else -math.inf
-        return big
-
-
 def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
     # Walk outward from 0 toward the end where ginv passes x, then bisect.
-    f0 = -x  # ginv(0) - x
+    # Where ginv overflows, it counts as the infinity it tends to, which
+    # lies beyond the finite x: f is +-inf.  The tests are comparisons,
+    # as in _invert_monotone.
+    pos0 = -x > 0  # the sign of f = ginv(0) - x
+    mtol = -tol
+    inf = math.inf
     direction = 1.0 if (x > 0.0) == increasing else -1.0
     end = image.hi if direction > 0 else image.lo
+    bounded = -inf < end < inf
     good = 0.0
     bad = None
     y = 0.5 * direction
     for _ in range(200):
-        if math.isfinite(end):
-            if (direction > 0 and y >= end) or (direction < 0 and y <= end):
-                y = 0.5 * (good + end)
-        v = _ginv_capped(ginv, y, increasing)
-        f = v - x
-        if abs(f) <= tol:
+        if bounded and (y >= end if direction > 0 else y <= end):
+            y = 0.5 * (good + end)
+        try:
+            f = ginv(y) - x
+        except OverflowError:
+            f = inf if (y > 0.0) == increasing else -inf
+        if mtol <= f <= tol:
             return y
-        if f == 0.0 or (f > 0) != (f0 > 0):
+        if f == 0.0 or (f > 0) != pos0:
             bad = y
             break
         good = y
-        if math.isfinite(end):
+        if bounded:
             y = 0.5 * (y + end)
             if y == good:
                 break
@@ -377,15 +385,22 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        f = _ginv_capped(ginv, mid, increasing) - x
-        if abs(f) <= tol:
+        try:
+            f = ginv(mid) - x
+        except OverflowError:
+            f = inf if (mid > 0.0) == increasing else -inf
+        if mtol <= f <= tol:
             return mid
-        if (f > 0) == (f0 > 0):
+        if (f > 0) == pos0:
             a = mid
         else:
             b = mid
     y = 0.5 * (a + b)
-    if abs(_ginv_capped(ginv, y, increasing) - x) <= 100.0 * tol:
+    try:
+        f = ginv(y) - x
+    except OverflowError:
+        f = inf
+    if abs(f) <= 100.0 * tol:
         return y
     raise ConvergenceError(f"{context}: inversion stalled at x={x!r}")
 
@@ -610,25 +625,33 @@ _NEAR_ZERO = 1e-3
 
 
 def _make_a11(p):
-    c = _series_floats("a11", 8)
-    dc = _series_deriv_floats("a11", 8)
-    init = _g_init_floats("a11", 16)
+    c = _series_floats("a11", 8)[::-1]
+    dc = _series_deriv_floats("a11", 8)[::-1]
+    init = _g_init_floats("a11", 16)[::-1]
 
     def ginv(y):
         if abs(y) < _NEAR_ZERO:
-            return _horner(c, y)
+            acc = 0.0
+            for cn in c:
+                acc = acc * y + cn
+            return acc
         return -math.log1p(-y) / y - 1.0
 
     def dginv(y):
         if abs(y) < _NEAR_ZERO:
-            return _horner(dc, y)
+            acc = 0.0
+            for cn in dc:
+                acc = acc * y + cn
+            return acc
         return (y / (1.0 - y) + math.log1p(-y)) / (y * y)
 
     def g(x):
         if x >= 0.0625:
             t = 1.0 + x
             return lambert_w0(-t * math.exp(-t)) / t + 1.0
-        y = _horner(init, x)
+        y = 0.0
+        for cn in init:
+            y = y * x + cn
         for _ in range(2):
             y -= (ginv(y) - x) / dginv(y)
         return y
@@ -641,18 +664,24 @@ def _make_a11(p):
 
 
 def _make_a12(p):
-    c = _series_floats("a12", 8)
-    dc = _series_deriv_floats("a12", 8)
-    init = _g_init_floats("a12", 16)
+    c = _series_floats("a12", 8)[::-1]
+    dc = _series_deriv_floats("a12", 8)[::-1]
+    init = _g_init_floats("a12", 16)[::-1]
 
     def ginv(y):
         if abs(y) < _NEAR_ZERO:
-            return _horner(c, y)
+            acc = 0.0
+            for cn in c:
+                acc = acc * y + cn
+            return acc
         return math.expm1(y) / y - 1.0
 
     def dginv(y):
         if abs(y) < _NEAR_ZERO:
-            return _horner(dc, y)
+            acc = 0.0
+            for cn in dc:
+                acc = acc * y + cn
+            return acc
         return ((y - 1.0) * math.exp(y) + 1.0) / (y * y)
 
     def g(x):
@@ -660,7 +689,9 @@ def _make_a12(p):
             t = 1.0 + x
             u = lambert_w0(-math.exp(-1.0 / t) / t)
             return -(u + 1.0 / t)
-        y = _horner(init, x)
+        y = 0.0
+        for cn in init:
+            y = y * x + cn
         for _ in range(2):
             y -= (ginv(y) - x) / dginv(y)
         return y
@@ -711,17 +742,23 @@ def _make_c2(p):
 
 
 def _make_c3(p):
-    c = _series_floats("c3", 20)
-    dc = _series_deriv_floats("c3", 20)
+    c = _series_floats("c3", 20)[::-1]
+    dc = _series_deriv_floats("c3", 20)[::-1]
 
     def ginv(y):
         if abs(y) < 0.25:
-            return _horner(c, y)
+            acc = 0.0
+            for cn in c:
+                acc = acc * y + cn
+            return acc
         return (2.0 * math.exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)
 
     def dginv(y):
         if abs(y) < 0.25:
-            return _horner(dc, y)
+            acc = 0.0
+            for cn in dc:
+                acc = acc * y + cn
+            return acc
         ey = math.exp(y)
         num = 2.0 * ey - 2.0 - 2.0 * y - y * y
         nump = 2.0 * ey - 2.0 - 2.0 * y
@@ -731,18 +768,24 @@ def _make_c3(p):
 
 
 def _make_c4(p):
-    c = _series_floats("c4", 24)
-    dc = _series_deriv_floats("c4", 24)
+    c = _series_floats("c4", 24)[::-1]
+    dc = _series_deriv_floats("c4", 24)[::-1]
 
     def ginv(y):
         if abs(y) < 0.5:
-            return _horner(c, y)
+            acc = 0.0
+            for cn in c:
+                acc = acc * y + cn
+            return acc
         ey = math.exp(y)
         return (6.0 * y * ey - 12.0 * ey - y ** 3 + 6.0 * y + 12.0) / (6.0 * y ** 3)
 
     def dginv(y):
         if abs(y) < 0.5:
-            return _horner(dc, y)
+            acc = 0.0
+            for cn in dc:
+                acc = acc * y + cn
+            return acc
         ey = math.exp(y)
         num = 6.0 * y * ey - 12.0 * ey - y ** 3 + 6.0 * y + 12.0
         nump = (6.0 * y - 6.0) * ey - 3.0 * y * y + 6.0
@@ -775,18 +818,24 @@ def _make_c5(p):
 
 
 def _make_c6(p):
-    c = _series_floats("c6", 20)
-    dc = _series_deriv_floats("c6", 20)
+    c = _series_floats("c6", 20)[::-1]
+    dc = _series_deriv_floats("c6", 20)[::-1]
 
     def ginv(y):
         if abs(y) < 0.0625:
-            return _horner(c, y)
+            acc = 0.0
+            for cn in c:
+                acc = acc * y + cn
+            return acc
         a = math.acos(1.0 + y)
         return -a * a / (2.0 * y) - 1.0
 
     def dginv(y):
         if abs(y) < 0.0625:
-            return _horner(dc, y)
+            acc = 0.0
+            for cn in dc:
+                acc = acc * y + cn
+            return acc
         a = math.acos(1.0 + y)
         ap = -1.0 / math.sqrt(max(-y * (2.0 + y), 5e-324))
         return (a * a - 2.0 * a * ap * y) / (2.0 * y * y)
@@ -856,27 +905,37 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
 # -- public evaluation entry points -------------------------------------------
 
 
-def _slack(x: float) -> float:
-    return 1e-12 * max(1.0, abs(x))
+def _admit(interval: Interval, x: float) -> float | None:
+    """The float x moved into `interval`, or None if it lies outside.
 
-
-def _clip_to(interval: Interval, x: float) -> float:
-    if interval.lo_closed and x < interval.lo:
-        return interval.lo
-    if interval.hi_closed and x > interval.hi:
-        return interval.hi
-    return x
+    NaN lies outside every interval.  An open end admits nothing at or
+    beyond it; a closed end also admits up to 1e-12 * max(1, |x|) of float
+    fuzz beyond it and clips such an x onto the end.
+    """
+    lo, hi = interval.lo, interval.hi
+    if lo < x < hi:
+        return x
+    if math.isnan(x):
+        return None
+    slack = 1e-12 * max(1.0, abs(x))
+    if x < lo - slack if interval.lo_closed else x <= lo:
+        return None
+    if x > hi + slack if interval.hi_closed else x >= hi:
+        return None
+    # a closed end: on it, or within the slack beyond it
+    return lo if x < lo else hi if x > hi else x
 
 
 def eval_g(exp: Expansion, x: float) -> float:
     """g(x) for the expansion, with domain enforcement."""
     x = float(x)
-    if not exp.domain.contains(x, _slack(x)):
+    xd = _admit(exp.domain, x)
+    if xd is None:
         raise DomainError(
             f"x={x!r} outside the validity domain {exp.domain} of family {exp.key!r}"
         )
     try:
-        return exp._g(_clip_to(exp.domain, x))
+        return exp._g(xd)
     except OverflowError:
         raise DomainError(
             f"g(x) overflows the float range at x={x!r} for family {exp.key!r}"
@@ -886,11 +945,12 @@ def eval_g(exp: Expansion, x: float) -> float:
 def eval_ginv(exp: Expansion, y: float) -> float:
     """g^{-1}(y) for the expansion, with image enforcement."""
     y = float(y)
-    if not exp.image.contains(y, _slack(y)):
+    yd = _admit(exp.image, y)
+    if yd is None:
         raise DomainError(
             f"y={y!r} outside the image {exp.image} of family {exp.key!r}"
         )
-    return exp._ginv(_clip_to(exp.image, y))
+    return exp._ginv(yd)
 
 
 def invert_numeric(exp: Expansion, x: float) -> float:
@@ -903,19 +963,19 @@ def invert_numeric(exp: Expansion, x: float) -> float:
     raised as :class:`DomainError`.
     """
     x = float(x)
-    if not exp.domain.contains(x, _slack(x)):
+    xd = _admit(exp.domain, x)
+    if xd is None:
         raise DomainError(
             f"x={x!r} outside the validity domain {exp.domain} of family {exp.key!r}"
         )
-    x = _clip_to(exp.domain, x)
     try:
         return _invert_monotone(
-            x, exp._ginv, exp._dginv, exp.image, exp.increasing, exp._d1,
+            xd, exp._ginv, exp._dginv, exp.image, exp.increasing, exp._d1,
             f"family {exp.key!r} numeric inversion",
         )
     except (ValueError, ZeroDivisionError) as err:
         raise DomainError(
-            f"numeric inversion fails at x={x!r} for family {exp.key!r}: {err}"
+            f"numeric inversion fails at x={xd!r} for family {exp.key!r}: {err}"
         ) from None
 
 

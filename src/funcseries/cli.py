@@ -347,10 +347,9 @@ def _cmd_coeffs(config: RunConfig) -> int:
 
 def _cmd_eval(config: RunConfig) -> int:
     key = _require_single_expansion(config)
-    func = _load_function(config.function)
-    model = _build_model(key, config, func)
     if (config.at is None) == (config.grid is None):
         raise UsageError("eval needs exactly one of --at or --grid")
+    model = _build_model(key, config, _load_function(config.function))
     if config.at is not None:
         _write_text(config.out, format_decimal(evaluate(model, config.at)) + "\n")
         return 0

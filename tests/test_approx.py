@@ -542,6 +542,30 @@ _EXTREME_POINTS = (
 )
 
 
+# Points where Newton leaves the image or hits its step cap, so c4 and c6
+# fall back to bisection; 1e300 in _EXTREME_POINTS does so for c1, c3, c5.
+_BISECTION_POINTS = {"c4": (6.0, 9.0), "c6": (0.9, 1.1, 1.3)}
+
+EVALUATOR_PIN = "bdbbcbed26dd232b2b14b84b292e46bd39be6e765b78f21d9665e5d37531c48d"
+
+
+def _pinned_points(key, exp):
+    """The float-form points of `key`, each closed end of its domain and
+    its bisection-path points."""
+    rng = random.Random(f"float-form:{key}")
+    xs = [rng.uniform(-0.99, 6.0) for _ in range(40)] + list(_EXTREME_POINTS)
+    dom = exp.domain
+    xs += [end for end, closed in ((dom.lo, dom.lo_closed), (dom.hi, dom.hi_closed)) if closed]
+    return xs + list(_BISECTION_POINTS.get(key, ()))
+
+
+def _g_outcome(exp, x):
+    try:
+        return repr(eval_g(exp, x))
+    except (DomainError, ConvergenceError) as err:
+        return type(err).__name__
+
+
 class TestEvaluateFloatForm:
     """evaluate runs Horner on float coefficients converted once per model;
     its results must equal converting each coefficient at call time."""
@@ -558,6 +582,19 @@ class TestEvaluateFloatForm:
         outcomes = [_outcome(m, x) for x in xs]
         assert outcomes == [_reference_outcome(m, x) for x in xs]
         assert any(o not in ("DomainError", "ConvergenceError") for o in outcomes)
+
+    def test_evaluator_bits_pinned(self):
+        # The reference above calls eval_g itself, so it cannot see a moved
+        # bit in a basis evaluator or a solver; this digest was recorded
+        # from the evaluators before their per-point overhead was cut.
+        f = builtin_function("ln1p")
+        lines = []
+        for key in FAMILY_KEYS + ("tp",):
+            m = taylor_baseline(f, 20) if key == "tp" else assemble(get_expansion(key), f, 20)
+            for x in _pinned_points(key, m.expansion):
+                lines.append(f"{key} {x!r} {_g_outcome(m.expansion, x)} {_outcome(m, x)}")
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == EVALUATOR_PIN
 
     def test_overflowing_points_stay_inf(self):
         m = assemble(get_expansion("a2"), builtin_function("ln1p"), 20)

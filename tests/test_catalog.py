@@ -309,9 +309,37 @@ class TestEvaluators:
         with pytest.raises(DomainError):
             eval_g(e, math.pi / 2 + 1e-9)
 
-    def test_nan_rejected(self):
-        with pytest.raises(DomainError):
-            eval_g(get_expansion("a1"), math.nan)
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_nan_rejected(self, key):
+        # NaN fails both `x < lo` and `x > hi`, so a closed-closed domain
+        # (a4, a13, c6) needs its own check as much as an open one.
+        e = get_expansion(key)
+        for evaluator in (eval_g, eval_ginv, invert_numeric):
+            with pytest.raises(DomainError):
+                evaluator(e, math.nan)
+
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_slack_only_at_closed_ends(self, key):
+        # A closed end admits 1e-13 of float fuzz beyond it and clips onto
+        # the end; 1e-9 beyond it, or at or beyond an open end, is outside.
+        e = get_expansion(key)
+        for evaluator, interval in ((eval_g, e.domain), (eval_ginv, e.image),
+                                    (invert_numeric, e.domain)):
+            for end, outward, closed in (
+                (interval.lo, -1.0, interval.lo_closed), (interval.hi, 1.0, interval.hi_closed)
+            ):
+                if not math.isfinite(end):
+                    continue
+                if not closed:
+                    outside = (0.0, 1e-13, 1e-9)
+                else:
+                    outside = (1e-9,)
+                    # invert_numeric cannot bracket a7 just below -2 (CHANGES.md)
+                    if not (evaluator is invert_numeric and key == "a7" and outward < 0):
+                        assert evaluator(e, end + outward * 1e-13) == evaluator(e, end)
+                for beyond in outside:
+                    with pytest.raises(DomainError):
+                        evaluator(e, end + outward * beyond)
 
     def test_overflow_becomes_domain_error(self):
         # -expm1(-x) leaves the float range below x = -709.78

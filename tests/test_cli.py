@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import funcseries
+from funcseries import cli
 from funcseries.cli import _linspace, main
 
 
@@ -171,6 +172,15 @@ class TestEval:
         assert lines[0] == "x,approx"
         assert lines[1] == "-1000.0000000000000,nan"
         assert lines[3] == "0.0000000000000000,1.0000000000000000"
+
+    def test_usage_checked_before_the_model_is_built(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(cli, "assemble", no_build)
+        rc = main(["eval", "--expansion", "c6", "--function", "ln1p", "--terms", "64"])
+        assert rc == 1
+        assert "eval needs exactly one of --at or --grid" in capsys.readouterr().err
 
     def test_bad_grid_spec(self, capsys):
         for spec in ("1:0:5", "0:1", "0:1:0", "a:b:c"):
