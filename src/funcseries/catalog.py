@@ -33,9 +33,15 @@ Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
 ``approx.FunctionSpec.value_at``): NaN, and a point at or beyond an open
 end, lies outside; a closed end also admits 1e-12 * max(1, |x|) of float
-fuzz beyond it and clips such a point onto the end.  The Newton and
-bisection loops call only the inverse basis and its derivative; their
-tests are comparisons.
+fuzz beyond it and clips such a point onto the end.
+
+Each builder gives the inverse basis twice: ``ginv`` alone, and the pair
+``ginv_d(y) -> (ginv(y), ginv'(y))``, which computes their shared
+subexpressions (exp(y), arccos(1+y), a numerator, one series-branch test)
+once.  The pair's value is bit-identical to ``ginv``'s, it raises where
+``ginv`` raises, and its slope never raises on its own.  A Newton step
+makes one pair call; bisection, :func:`eval_ginv` and :func:`map_domain`
+need no slope and call ``ginv``.  The solver loops' tests are comparisons.
 """
 
 from __future__ import annotations
@@ -175,18 +181,18 @@ class Expansion(_Record):
     x-interval of validity with the side restriction applied, image is
     g(domain), side is "both", "right_of_zero" or "left_of_zero", and an
     implicit g is computed by numeric inversion of the inverse basis.  The
-    float evaluators _g, _ginv, _dginv and d_1 as a float are fields that
-    repr leaves out.  Every field is a function of key and params, so two
-    entries compare and hash by those two alone.
+    float evaluators _g, _ginv, the value-and-slope pair _ginv_d and d_1 as
+    a float are fields that repr leaves out.  Every field is a function of
+    key and params, so two entries compare and hash by those two alone.
     """
 
     __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
-                           "increasing", "implicit", "_g", "_ginv", "_dginv", "_d1")
+                           "increasing", "implicit", "_g", "_ginv", "_ginv_d", "_d1")
     _shown = _fields[:8]
 
     def __init__(self, key: str, label: str, params: tuple, domain: Interval,
                  image: Interval, side: str, increasing: bool, implicit: bool,
-                 _g: Callable, _ginv: Callable, _dginv: Callable, _d1: float):
+                 _g: Callable, _ginv: Callable, _ginv_d: Callable, _d1: float):
         set_field = object.__setattr__
         set_field(self, "key", key)
         set_field(self, "label", label)
@@ -198,7 +204,7 @@ class Expansion(_Record):
         set_field(self, "implicit", implicit)
         set_field(self, "_g", _g)
         set_field(self, "_ginv", _ginv)
-        set_field(self, "_dginv", _dginv)
+        set_field(self, "_ginv_d", _ginv_d)
         set_field(self, "_d1", _d1)
 
     def _identity(self) -> tuple:
@@ -277,8 +283,9 @@ def lambert_w0(x: float) -> float:
 
 # -- series tables -------------------------------------------------------------
 #
-# The tables are kept in ascending order; a builder reverses the ones it
-# sums by Horner once, so that each evaluation loops over them directly.
+# The cached tables are kept in ascending order; a builder takes the ones it
+# sums by Horner reversed, once, so that each evaluation loops over them
+# directly.
 
 
 @lru_cache(maxsize=None)
@@ -287,10 +294,11 @@ def _series_floats(key: str, order: int) -> tuple:
     return tuple(float(c) for c in family_series(key, order).coeffs)
 
 
-@lru_cache(maxsize=None)
-def _series_deriv_floats(key: str, order: int) -> tuple:
+def _horner_tables(key: str, order: int) -> tuple:
+    """A series branch's tables: c_order .. c_0 for the inverse basis, the
+    pairs (c_n, n c_n) for n = order .. 1 for it and its slope, and c_0."""
     c = _series_floats(key, order)
-    return tuple(n * c[n] for n in range(1, order + 1))
+    return c[::-1], tuple((c[n], n * c[n]) for n in range(order, 0, -1)), c[0]
 
 
 @lru_cache(maxsize=None)
@@ -306,13 +314,18 @@ def _g_init_floats(key: str, order: int) -> tuple:
 def _invert_monotone(
     x: float,
     ginv: Callable,
-    dginv: Callable,
+    ginv_d: Callable,
     image: Interval,
     increasing: bool,
     d1: float,
     context: str,
 ) -> float:
-    """Solve ginv(y) = x for y inside `image` (monotone there)."""
+    """Solve ginv(y) = x for y inside `image` (monotone there).
+
+    Newton takes value and slope from one ginv_d call per step and hands
+    over to bisection when the pair raises, the slope is 0 or not finite,
+    or a step leaves the image.
+    """
     if x == 0.0:
         return 0.0
     tol = 1e-14 * max(1.0, abs(x))
@@ -328,12 +341,12 @@ def _invert_monotone(
     mtol = -tol
     for _ in range(60):
         try:
-            f = ginv(y) - x
+            v, d = ginv_d(y)
         except (OverflowError, ValueError):
             break
+        f = v - x
         if mtol <= f <= tol:
             return y
-        d = dginv(y)
         if d == 0.0 or not -inf < d < inf:
             break
         yn = y - f / d
@@ -349,12 +362,16 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
     # Walk outward from 0 toward the end where ginv passes x, then bisect.
     # Where ginv overflows, it counts as the infinity it tends to, which
     # lies beyond the finite x: f is +-inf.  The tests are comparisons,
-    # as in _invert_monotone.
+    # as in _invert_monotone.  A walk that stalls next to a closed end
+    # tries the end itself, where the solution may lie (a7 at x = -2).
     pos0 = -x > 0  # the sign of f = ginv(0) - x
     mtol = -tol
     inf = math.inf
     direction = 1.0 if (x > 0.0) == increasing else -1.0
-    end = image.hi if direction > 0 else image.lo
+    if direction > 0:
+        end, closed = image.hi, image.hi_closed
+    else:
+        end, closed = image.lo, image.lo_closed
     bounded = -inf < end < inf
     good = 0.0
     bad = None
@@ -378,6 +395,8 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
                 break
         else:
             y *= 2.0
+    if bad is None and closed and mtol <= ginv(end) - x <= tol:
+        return end  # a closed end maps to a finite x, so ginv(end) is finite
     if bad is None:
         raise ConvergenceError(f"{context}: could not bracket a solution for x={x!r}")
     a, b = good, bad
@@ -408,19 +427,19 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
 # -- monotone-interval scan for the series-defined families -------------------
 
 
-def _find_flip(dginv: Callable, s0: float, sgn: float) -> float:
-    """First sign change of dginv * s0 in direction sgn, or +-inf."""
+def _find_flip(ginv_d: Callable, s0: float, sgn: float) -> float:
+    """First sign change of the slope ginv' * s0 in direction sgn, or +-inf."""
     prev = 0.0
     steps = [0.125 * k for k in range(1, 129)] + [32.0, 64.0]
     for mag in steps:
         y = sgn * mag
-        if dginv(y) * s0 <= 0.0:
+        if ginv_d(y)[1] * s0 <= 0.0:
             a, b = prev, y
             for _ in range(100):
                 mid = 0.5 * (a + b)
                 if mid == a or mid == b:
                     break
-                if dginv(mid) * s0 > 0.0:
+                if ginv_d(mid)[1] * s0 > 0.0:
                     a = mid
                 else:
                     b = mid
@@ -429,16 +448,16 @@ def _find_flip(dginv: Callable, s0: float, sgn: float) -> float:
     return sgn * math.inf
 
 
-def _scan_pieces(ginv, dginv, d1: float, tail_neg: float):
+def _scan_pieces(ginv, ginv_d, d1: float, tail_neg: float):
     """Domain and image for a family defined only through its inverse.
 
-    tail_neg is the limit of ginv as y -> -inf, used when dginv keeps its
-    sign on the whole negative half-line; towards +inf the exp(y) term of
-    every scanned inverse basis (c1 .. c5) sends ginv to +inf.
+    tail_neg is the limit of ginv as y -> -inf, used when the slope keeps
+    its sign on the whole negative half-line; towards +inf the exp(y) term
+    of every scanned inverse basis (c1 .. c5) sends ginv to +inf.
     """
     s0 = 1.0 if d1 > 0 else -1.0
-    ylo = _find_flip(dginv, s0, -1.0)
-    yhi = _find_flip(dginv, s0, 1.0)
+    ylo = _find_flip(ginv_d, s0, -1.0)
+    yhi = _find_flip(ginv_d, s0, 1.0)
     x_at_ylo = ginv(ylo) if math.isfinite(ylo) else tail_neg
     x_at_yhi = ginv(yhi) if math.isfinite(yhi) else math.inf
     if d1 > 0:
@@ -450,10 +469,12 @@ def _scan_pieces(ginv, dginv, d1: float, tail_neg: float):
 
 # -- family builders -----------------------------------------------------------
 #
-# A builder returns what only it knows: the float evaluators ginv, dginv
-# and (for an explicit basis) g, and either the domain and image or, for
-# c1 .. c5, tail_neg (see _scan_pieces); a11, a12 and c6 also name their
-# side.  get_expansion derives the other fields.
+# A builder returns what only it knows: the float evaluators ginv, the pair
+# ginv_d and (for an explicit basis) g, and either the domain and image or,
+# for c1 .. c5, tail_neg (see _scan_pieces); a11, a12 and c6 also name
+# their side.  get_expansion derives the other fields.  A pair evaluates
+# ginv's own expression, computing what it shares with the slope once; a
+# series branch runs both Horner sums in one loop.
 
 _FULL_LINE = Interval(-math.inf, math.inf)
 
@@ -462,7 +483,8 @@ def _make_a1(p):
     dom = Interval(-1.0, math.inf)
     return dict(
         domain=dom, image=_FULL_LINE,
-        g=math.log1p, ginv=math.expm1, dginv=math.exp,
+        g=math.log1p, ginv=math.expm1,
+        ginv_d=lambda y: (math.expm1(y), math.exp(y)),
     )
 
 
@@ -471,14 +493,15 @@ def _make_a2(p):
         domain=_FULL_LINE, image=Interval(-math.inf, 1.0),
         g=lambda x: -math.expm1(-x),
         ginv=lambda y: -math.log1p(-y),
-        dginv=lambda y: 1.0 / (1.0 - y),
+        ginv_d=lambda y: (-math.log1p(-y), 1.0 / (1.0 - y)),
     )
 
 
 def _make_a3(p):
     return dict(
         domain=_FULL_LINE, image=_FULL_LINE,
-        g=math.asinh, ginv=math.sinh, dginv=math.cosh,
+        g=math.asinh, ginv=math.sinh,
+        ginv_d=lambda y: (math.sinh(y), math.cosh(y)),
     )
 
 
@@ -487,7 +510,8 @@ def _make_a4(p):
     return dict(
         domain=Interval(-1.0, 1.0, True, True),
         image=Interval(-half_pi, half_pi, True, True),
-        g=math.asin, ginv=math.sin, dginv=math.cos,
+        g=math.asin, ginv=math.sin,
+        ginv_d=lambda y: (math.sin(y), math.cos(y)),
     )
 
 
@@ -496,7 +520,7 @@ def _make_a5(p):
     if p["alpha"] == 1:
         return dict(
             domain=_FULL_LINE, image=_FULL_LINE,
-            g=lambda x: x, ginv=lambda y: y, dginv=lambda y: 1.0,
+            g=lambda x: x, ginv=lambda y: y, ginv_d=lambda y: (y, 1.0),
         )
 
     def ginv(y):
@@ -504,10 +528,15 @@ def _make_a5(p):
             return -1.0
         return math.expm1(af * math.log1p(y))
 
-    def dginv(y):
-        if y == -1.0:
-            return 0.0 if af > 1 else math.inf
-        return af * math.exp((af - 1.0) * math.log1p(y))
+    def ginv_d(y):
+        if y == -1.0 and af > 0:
+            return -1.0, 0.0 if af > 1 else math.inf
+        ly = math.log1p(y)
+        v = math.expm1(af * ly)
+        try:
+            return v, af * math.exp((af - 1.0) * ly)
+        except OverflowError:  # alpha < -18: the slope leaves the float range first
+            return v, -math.inf
 
     def g(x):
         if x == -1.0:
@@ -516,7 +545,7 @@ def _make_a5(p):
 
     # -1 belongs to both intervals only when it maps to -1, i.e. alpha > 0.
     dom = img = Interval(-1.0, math.inf, lo_closed=af > 0)
-    return dict(domain=dom, image=img, g=g, ginv=ginv, dginv=dginv)
+    return dict(domain=dom, image=img, g=g, ginv=ginv, ginv_d=ginv_d)
 
 
 def _make_a6(p):
@@ -532,7 +561,7 @@ def _make_a6(p):
         image=Interval(-wf, math.inf, lo_closed=True),
         g=g,
         ginv=lambda y: 0.5 * y * y + wf * y,
-        dginv=lambda y: y + wf,
+        ginv_d=lambda y: (0.5 * y * y + wf * y, y + wf),
     )
 
 
@@ -547,8 +576,11 @@ def _make_a7(p):
     def ginv(y):
         return bf * y / (math.sqrt(max(af + bf * y, 0.0)) + root)
 
-    def dginv(y):
-        return bf / (2.0 * math.sqrt(af + bf * y))
+    def ginv_d(y):
+        s = math.sqrt(max(af + bf * y, 0.0))
+        # at (or rounded onto) the closed image end the slope is infinite
+        d = math.copysign(math.inf, bf) if s == 0.0 else bf / (2.0 * s)
+        return bf * y / (s + root), d
 
     if bf > 0:
         img = Interval(-af / bf, math.inf, lo_closed=True)
@@ -556,7 +588,7 @@ def _make_a7(p):
         img = Interval(-math.inf, -af / bf, hi_closed=True)
     return dict(
         domain=Interval(-root, math.inf, lo_closed=True), image=img,
-        g=g, ginv=ginv, dginv=dginv,
+        g=g, ginv=ginv, ginv_d=ginv_d,
     )
 
 
@@ -565,14 +597,15 @@ def _make_a8(p):
         u = 1.0 - y
         return y * (2.0 - y) / (u * u)
 
-    def dginv(y):
+    def ginv_d(y):
         u = 1.0 - y
-        return 2.0 / (u * u * u)
+        uu = u * u
+        return y * (2.0 - y) / uu, 2.0 / (uu * u)
 
     return dict(
         domain=Interval(-1.0, math.inf), image=Interval(-math.inf, 1.0),
         g=lambda x: -math.expm1(-0.5 * math.log1p(x)),
-        ginv=ginv, dginv=dginv,
+        ginv=ginv, ginv_d=ginv_d,
     )
 
 
@@ -585,13 +618,14 @@ def _make_a9(p):
     def ginv(y):
         return y / ((1.0 - y) * (1.0 + y))
 
-    def dginv(y):
-        u = 1.0 - y * y
-        return (1.0 + y * y) / (u * u)
+    def ginv_d(y):
+        yy = y * y
+        u = 1.0 - yy
+        return y / ((1.0 - y) * (1.0 + y)), (1.0 + yy) / (u * u)
 
     return dict(
         domain=_FULL_LINE, image=Interval(-1.0, 1.0),
-        g=g, ginv=ginv, dginv=dginv,
+        g=g, ginv=ginv, ginv_d=ginv_d,
     )
 
 
@@ -607,13 +641,14 @@ def _make_a10(p):
     def ginv(y):
         return (wf + y - 1.0) * math.exp(y) + 1.0 - wf
 
-    def dginv(y):
-        return (wf + y) * math.exp(y)
+    def ginv_d(y):
+        ey = math.exp(y)
+        return (wf + y - 1.0) * ey + 1.0 - wf, (wf + y) * ey
 
     return dict(
         domain=Interval(1.0 - wf - math.exp(-wf), math.inf, lo_closed=True),
         image=Interval(-wf, math.inf, lo_closed=True),
-        g=g, ginv=ginv, dginv=dginv,
+        g=g, ginv=ginv, ginv_d=ginv_d,
     )
 
 
@@ -625,8 +660,7 @@ _NEAR_ZERO = 1e-3
 
 
 def _make_a11(p):
-    c = _series_floats("a11", 8)[::-1]
-    dc = _series_deriv_floats("a11", 8)[::-1]
+    c, cd, c0 = _horner_tables("a11", 8)
     init = _g_init_floats("a11", 16)[::-1]
 
     def ginv(y):
@@ -637,13 +671,15 @@ def _make_a11(p):
             return acc
         return -math.log1p(-y) / y - 1.0
 
-    def dginv(y):
+    def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            acc = 0.0
-            for cn in dc:
+            acc = dacc = 0.0
+            for cn, dn in cd:
                 acc = acc * y + cn
-            return acc
-        return (y / (1.0 - y) + math.log1p(-y)) / (y * y)
+                dacc = dacc * y + dn
+            return acc * y + c0, dacc
+        ly = math.log1p(-y)
+        return -ly / y - 1.0, (y / (1.0 - y) + ly) / (y * y)
 
     def g(x):
         if x >= 0.0625:
@@ -653,19 +689,19 @@ def _make_a11(p):
         for cn in init:
             y = y * x + cn
         for _ in range(2):
-            y -= (ginv(y) - x) / dginv(y)
+            v, d = ginv_d(y)
+            y -= (v - x) / d
         return y
 
     return dict(
         domain=Interval(0.0, math.inf, lo_closed=True),
         image=Interval(0.0, 1.0, lo_closed=True),
-        side="right_of_zero", g=g, ginv=ginv, dginv=dginv,
+        side="right_of_zero", g=g, ginv=ginv, ginv_d=ginv_d,
     )
 
 
 def _make_a12(p):
-    c = _series_floats("a12", 8)[::-1]
-    dc = _series_deriv_floats("a12", 8)[::-1]
+    c, cd, c0 = _horner_tables("a12", 8)
     init = _g_init_floats("a12", 16)[::-1]
 
     def ginv(y):
@@ -676,13 +712,14 @@ def _make_a12(p):
             return acc
         return math.expm1(y) / y - 1.0
 
-    def dginv(y):
+    def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            acc = 0.0
-            for cn in dc:
+            acc = dacc = 0.0
+            for cn, dn in cd:
                 acc = acc * y + cn
-            return acc
-        return ((y - 1.0) * math.exp(y) + 1.0) / (y * y)
+                dacc = dacc * y + dn
+            return acc * y + c0, dacc
+        return math.expm1(y) / y - 1.0, ((y - 1.0) * math.exp(y) + 1.0) / (y * y)
 
     def g(x):
         if x <= -0.0625:
@@ -693,13 +730,14 @@ def _make_a12(p):
         for cn in init:
             y = y * x + cn
         for _ in range(2):
-            y -= (ginv(y) - x) / dginv(y)
+            v, d = ginv_d(y)
+            y -= (v - x) / d
         return y
 
     return dict(
         domain=Interval(-1.0, 0.0, hi_closed=True),
         image=Interval(-math.inf, 0.0, hi_closed=True),
-        side="left_of_zero", g=g, ginv=ginv, dginv=dginv,
+        side="left_of_zero", g=g, ginv=ginv, ginv_d=ginv_d,
     )
 
 
@@ -709,7 +747,7 @@ def _make_a13(p):
         domain=Interval(-half_pi, half_pi, True, True),
         image=Interval(-1.0, 1.0, True, True),
         g=math.sin, ginv=math.asin,
-        dginv=lambda y: 1.0 / math.sqrt(max(1.0 - y * y, 5e-324)),
+        ginv_d=lambda y: (math.asin(y), 1.0 / math.sqrt(max(1.0 - y * y, 5e-324))),
     )
 
 
@@ -719,8 +757,9 @@ def _make_c1(p):
     def ginv(y):
         return y * (math.exp(y) + wf - 1.0)
 
-    def dginv(y):
-        return (y + 1.0) * math.exp(y) + wf - 1.0
+    def ginv_d(y):
+        ey = math.exp(y)
+        return y * (ey + wf - 1.0), (y + 1.0) * ey + wf - 1.0
 
     if wf > 1.0:
         tail_neg = -math.inf
@@ -728,22 +767,22 @@ def _make_c1(p):
         tail_neg = 0.0  # unreachable: the w=1 branch has a critical point first
     else:
         tail_neg = math.inf
-    return dict(tail_neg=tail_neg, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=tail_neg, ginv=ginv, ginv_d=ginv_d)
 
 
 def _make_c2(p):
     def ginv(y):
         return (y - 2.0) * math.exp(y) - y + 2.0
 
-    def dginv(y):
-        return (y - 1.0) * math.exp(y) - 1.0
+    def ginv_d(y):
+        ey = math.exp(y)
+        return (y - 2.0) * ey - y + 2.0, (y - 1.0) * ey - 1.0
 
-    return dict(tail_neg=math.inf, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=math.inf, ginv=ginv, ginv_d=ginv_d)
 
 
 def _make_c3(p):
-    c = _series_floats("c3", 20)[::-1]
-    dc = _series_deriv_floats("c3", 20)[::-1]
+    c, cd, c0 = _horner_tables("c3", 20)
 
     def ginv(y):
         if abs(y) < 0.25:
@@ -753,23 +792,26 @@ def _make_c3(p):
             return acc
         return (2.0 * math.exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)
 
-    def dginv(y):
+    def ginv_d(y):
         if abs(y) < 0.25:
-            acc = 0.0
-            for cn in dc:
+            acc = dacc = 0.0
+            for cn, dn in cd:
                 acc = acc * y + cn
-            return acc
+                dacc = dacc * y + dn
+            return acc * y + c0, dacc
         ey = math.exp(y)
         num = 2.0 * ey - 2.0 - 2.0 * y - y * y
         nump = 2.0 * ey - 2.0 - 2.0 * y
-        return (y * nump - 2.0 * num) / (2.0 * y ** 3)
+        try:
+            return num / (2.0 * y * y), (y * nump - 2.0 * num) / (2.0 * y ** 3)
+        except OverflowError:  # y ** 3 for y < -5e102, where the slope is below 1e-200
+            return num / (2.0 * y * y), 0.0
 
-    return dict(tail_neg=-0.5, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=-0.5, ginv=ginv, ginv_d=ginv_d)
 
 
 def _make_c4(p):
-    c = _series_floats("c4", 24)[::-1]
-    dc = _series_deriv_floats("c4", 24)[::-1]
+    c, cd, c0 = _horner_tables("c4", 24)
 
     def ginv(y):
         if abs(y) < 0.5:
@@ -780,18 +822,23 @@ def _make_c4(p):
         ey = math.exp(y)
         return (6.0 * y * ey - 12.0 * ey - y ** 3 + 6.0 * y + 12.0) / (6.0 * y ** 3)
 
-    def dginv(y):
+    def ginv_d(y):
         if abs(y) < 0.5:
-            acc = 0.0
-            for cn in dc:
+            acc = dacc = 0.0
+            for cn, dn in cd:
                 acc = acc * y + cn
-            return acc
+                dacc = dacc * y + dn
+            return acc * y + c0, dacc
         ey = math.exp(y)
-        num = 6.0 * y * ey - 12.0 * ey - y ** 3 + 6.0 * y + 12.0
+        y3 = y ** 3
+        num = 6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0
         nump = (6.0 * y - 6.0) * ey - 3.0 * y * y + 6.0
-        return (y * nump - 3.0 * num) / (6.0 * y ** 4)
+        try:
+            return num / (6.0 * y3), (y * nump - 3.0 * num) / (6.0 * y ** 4)
+        except OverflowError:  # y ** 4 for y < -1.3e77, where the slope is below 1e-200
+            return num / (6.0 * y3), 0.0
 
-    return dict(tail_neg=-1.0 / 6.0, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=-1.0 / 6.0, ginv=ginv, ginv_d=ginv_d)
 
 
 def _make_c5(p):
@@ -803,23 +850,24 @@ def _make_c5(p):
         return af + (af + a1f - 1.0) * y + 0.5 * (af + a2f - 2.0) * y * y \
             + (y - af) * math.exp(y)
 
-    def dginv(y):
-        return (af + a1f - 1.0) + (af + a2f - 2.0) * y + (1.0 + y - af) * math.exp(y)
-
     q = af + a2f - 2.0
     lin = af + a1f - 1.0
+
+    def ginv_d(y):
+        ey = math.exp(y)
+        return af + lin * y + 0.5 * q * y * y + (y - af) * ey, lin + q * y + (1.0 + y - af) * ey
+
     if q != 0.0:
         tail_neg = math.copysign(math.inf, q)
     elif lin != 0.0:
         tail_neg = -math.copysign(math.inf, lin)
     else:
         tail_neg = af
-    return dict(tail_neg=tail_neg, ginv=ginv, dginv=dginv)
+    return dict(tail_neg=tail_neg, ginv=ginv, ginv_d=ginv_d)
 
 
 def _make_c6(p):
-    c = _series_floats("c6", 20)[::-1]
-    dc = _series_deriv_floats("c6", 20)[::-1]
+    c, cd, c0 = _horner_tables("c6", 20)
 
     def ginv(y):
         if abs(y) < 0.0625:
@@ -830,21 +878,22 @@ def _make_c6(p):
         a = math.acos(1.0 + y)
         return -a * a / (2.0 * y) - 1.0
 
-    def dginv(y):
+    def ginv_d(y):
         if abs(y) < 0.0625:
-            acc = 0.0
-            for cn in dc:
+            acc = dacc = 0.0
+            for cn, dn in cd:
                 acc = acc * y + cn
-            return acc
+                dacc = dacc * y + dn
+            return acc * y + c0, dacc
         a = math.acos(1.0 + y)
         ap = -1.0 / math.sqrt(max(-y * (2.0 + y), 5e-324))
-        return (a * a - 2.0 * a * ap * y) / (2.0 * y * y)
+        return -a * a / (2.0 * y) - 1.0, (a * a - 2.0 * a * ap * y) / (2.0 * y * y)
 
     hi = 0.25 * math.pi * math.pi - 1.0
     return dict(
         domain=Interval(0.0, hi, True, True),
         image=Interval(-2.0, 0.0, True, True),
-        side="right_of_zero", ginv=ginv, dginv=dginv,
+        side="right_of_zero", ginv=ginv, ginv_d=ginv_d,
     )
 
 
@@ -872,9 +921,9 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     params = fam.validate(alpha, beta, w, fill=True)
     pieces = _BUILDERS[key](params)
     d1 = float(fam.derivatives(1, **params)[0])
-    ginv, dginv = pieces["ginv"], pieces["dginv"]
+    ginv, ginv_d = pieces["ginv"], pieces["ginv_d"]
     if "tail_neg" in pieces:
-        domain, image = _scan_pieces(ginv, dginv, d1, pieces["tail_neg"])
+        domain, image = _scan_pieces(ginv, ginv_d, d1, pieces["tail_neg"])
     else:
         domain, image = pieces["domain"], pieces["image"]
     increasing = d1 > 0
@@ -883,8 +932,8 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     if implicit:
         ctx = f"family {key!r} numeric inversion"
 
-        def g(x, _ginv=ginv, _dginv=dginv, _img=image, _inc=increasing, _d1=d1, _ctx=ctx):
-            return _invert_monotone(x, _ginv, _dginv, _img, _inc, _d1, _ctx)
+        def g(x, _ginv=ginv, _ginv_d=ginv_d, _img=image, _inc=increasing, _d1=d1, _ctx=ctx):
+            return _invert_monotone(x, _ginv, _ginv_d, _img, _inc, _d1, _ctx)
 
     return Expansion(
         key=key,
@@ -897,7 +946,7 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
         implicit=implicit,
         _g=g,
         _ginv=ginv,
-        _dginv=dginv,
+        _ginv_d=ginv_d,
         _d1=d1,
     )
 
@@ -950,7 +999,12 @@ def eval_ginv(exp: Expansion, y: float) -> float:
         raise DomainError(
             f"y={y!r} outside the image {exp.image} of family {exp.key!r}"
         )
-    return exp._ginv(yd)
+    try:
+        return exp._ginv(yd)
+    except OverflowError:
+        raise DomainError(
+            f"g^-1(y) overflows the float range at y={y!r} for family {exp.key!r}"
+        ) from None
 
 
 def invert_numeric(exp: Expansion, x: float) -> float:
@@ -970,7 +1024,7 @@ def invert_numeric(exp: Expansion, x: float) -> float:
         )
     try:
         return _invert_monotone(
-            xd, exp._ginv, exp._dginv, exp.image, exp.increasing, exp._d1,
+            xd, exp._ginv, exp._ginv_d, exp.image, exp.increasing, exp._d1,
             f"family {exp.key!r} numeric inversion",
         )
     except (ValueError, ZeroDivisionError) as err:

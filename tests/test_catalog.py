@@ -1,5 +1,6 @@
 """Tests for the expansion catalog: domains, evaluators, inversion, Lambert W."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -334,12 +335,19 @@ class TestEvaluators:
                     outside = (0.0, 1e-13, 1e-9)
                 else:
                     outside = (1e-9,)
-                    # invert_numeric cannot bracket a7 just below -2 (CHANGES.md)
-                    if not (evaluator is invert_numeric and key == "a7" and outward < 0):
-                        assert evaluator(e, end + outward * 1e-13) == evaluator(e, end)
+                    assert evaluator(e, end + outward * 1e-13) == evaluator(e, end)
                 for beyond in outside:
                     with pytest.raises(DomainError):
                         evaluator(e, end + outward * beyond)
+
+    @pytest.mark.parametrize("key", ["a1", "a3", "a10", "c1", "c3", "c4", "c5"])
+    def test_ginv_overflow_becomes_domain_error(self, key):
+        # the inverse basis passes the float range where exp(y) does
+        e = get_expansion(key)
+        assert math.isfinite(eval_ginv(e, 700.0))
+        for y in (757.8, 800.0, 1e300):
+            with pytest.raises(DomainError, match="overflows"):
+                eval_ginv(e, y)
 
     def test_overflow_becomes_domain_error(self):
         # -expm1(-x) leaves the float range below x = -709.78
@@ -425,6 +433,12 @@ class TestInvertNumeric:
                 numeric = invert_numeric(e, x)
                 assert abs(closed - numeric) <= 1e-12 * max(1.0, abs(closed)), (key, x)
 
+    def test_a7_closed_end(self):
+        # one ulp inside the image end the residual is still 3e-8, so the
+        # bracket walk has to try the end itself
+        e = get_expansion("a7")
+        assert invert_numeric(e, -2.0) == eval_g(e, -2.0) == e.image.lo
+
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
             invert_numeric(get_expansion("a1"), -3.0)
@@ -438,6 +452,119 @@ class TestInvertNumeric:
         eval_g(e, x)  # the closed form still answers there
         with pytest.raises(DomainError, match="numeric inversion"):
             invert_numeric(e, x)
+
+
+# -- the value-and-slope pair ---------------------------------------------------
+
+_PAIR_THRESHOLDS = (1e-3, 0.0625, 0.25, 0.5)  # the series-branch switches
+_EXP_LIMIT = 709.782712893384  # the largest y with a finite exp(y) and expm1(y)
+_SINH_LIMIT = 710.4758600739439  # the largest y with a finite sinh(y) and cosh(y)
+_FLIP_SCAN = tuple(0.125 * k for k in range(1, 129)) + (32.0, 64.0)  # catalog._find_flip
+
+
+def _nextafter(y, toward, count):
+    out = []
+    for _ in range(count):
+        y = math.nextafter(y, toward)
+        out.append(y)
+    return out
+
+
+def _pair_grid(e):
+    """The y values on which the pair is pinned: inside the image, its closed
+    ends, within 1e-13 of each finite end, both sides of every series
+    threshold, where exp and sinh overflow, and (c1 .. c5) every scan point."""
+    img = e.image
+    mags = [1e-300, 1e-12, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.7, 0.9, 0.99, 1.0, 1.5,
+            2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 100.0, 700.0, 1e3, 1e4, 1e5]
+    for t in _PAIR_THRESHOLDS + (_EXP_LIMIT, _SINH_LIMIT):
+        mags += [t] + _nextafter(t, 0.0, 2) + _nextafter(t, math.inf, 2)
+    ys = [0.0] + [sign * m for m in mags for sign in (1.0, -1.0)]
+    if math.isfinite(img.lo) and math.isfinite(img.hi):
+        ys += [img.lo + (img.hi - img.lo) * k / 32 for k in range(1, 32)]
+    for end, inward in ((img.lo, math.inf), (img.hi, -math.inf)):
+        if math.isfinite(end):
+            step = math.copysign(1.0, inward)
+            ys += [end] + [end + step * d for d in (1e-14, 3e-14, 1e-13)]
+            ys += _nextafter(end, inward, 3)
+    ys = [y for y in ys if img.contains(y)]
+    if e.key in ("c1", "c2", "c3", "c4", "c5"):
+        ys += [sign * m for m in _FLIP_SCAN for sign in (1.0, -1.0)]
+    return sorted(set(ys))
+
+
+def _outcome(call, y):
+    try:
+        return call(y)
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__
+
+
+def _pair_lines():
+    lines = []
+    for key in FAMILY_KEYS:
+        e = get_expansion(key)
+        for y in _pair_grid(e):
+            if key == "a7" and y == e.image.lo:
+                continue  # the old derivative raised here; see test_a7_slope_at_closed_end
+            out = _outcome(e._ginv_d, y)
+            text = out if isinstance(out, str) else f"{out[0]!r} {out[1]!r}"
+            lines.append(f"{key} {y!r} {text}")
+    return lines
+
+
+# sha256 over _pair_lines(), recorded from ginv and the separate derivative
+# evaluator that the pair replaced; where ginv raised, a line holds only
+# the error's class
+PAIR_PIN = "86065f17c8d4fdb1f1234f84808c8df717be49f02b2a53c5f160ed252794a305"
+
+
+class TestValueSlopePair:
+    def test_pair_pinned(self):
+        lines = _pair_lines()
+        assert len(lines) > 1500
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PAIR_PIN
+
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_value_is_ginv_and_raises_only_where_ginv_raises(self, key):
+        e = get_expansion(key)
+        img = e.image
+        ys = _pair_grid(e) + [math.inf, -math.inf, math.nan]
+        ys += [sign * m for m in (1e77, 1.4e77, 1e90, 1e103, 1e155, 1e200, 1e300)
+               for sign in (1.0, -1.0)]
+        ys += [end + d for end in (img.lo, img.hi) if math.isfinite(end)
+               for d in (-1.0, -1e-9, 1e-9, 1.0)]
+        for y in ys:
+            want = _outcome(e._ginv, y)
+            got = _outcome(e._ginv_d, y)
+            if not isinstance(got, str):
+                got = got[0]
+            assert repr(got) == repr(want), (key, y)
+
+    def test_a7_slope_at_closed_end(self):
+        # ginv' = beta / (2 sqrt(alpha + beta y)) is infinite at the image end
+        for params in ({}, {"alpha": Fraction(9, 4), "beta": -2}):
+            e = get_expansion("a7", **params)
+            beta = float(e.param_dict()["beta"])
+            end = e.image.lo if beta > 0 else e.image.hi
+            value, slope = e._ginv_d(end)
+            assert value == e._ginv(end) == e.domain.lo
+            assert slope == math.copysign(math.inf, beta)
+            beyond = end - math.copysign(1e-9, beta)
+            assert e._ginv_d(beyond)[1] == math.copysign(math.inf, beta)
+
+    def test_newton_makes_one_pair_call_per_step(self):
+        e = get_expansion("c4")
+        calls = []
+
+        def counted(y):
+            calls.append(y)
+            return e._ginv_d(y)
+
+        from funcseries.catalog import _invert_monotone
+        y = _invert_monotone(2.0, e._ginv, counted, e.image, e.increasing, e._d1, "c4")
+        assert y == eval_g(e, 2.0)
+        assert len(calls) == len(set(calls)) > 1
 
 
 class TestMapDomain:

@@ -27,7 +27,7 @@ from funcseries.cli import RunConfig
 from funcseries.exact import ExactScalar
 
 _EXPANSION_FIELDS = ("key", "label", "params", "domain", "image", "side", "increasing",
-                     "implicit", "_g", "_ginv", "_dginv", "_d1")
+                     "implicit", "_g", "_ginv", "_ginv_d", "_d1")
 
 
 def _a7():
