@@ -29,15 +29,11 @@ from .exact import (
     stirling2,
 )
 from .pseries import (
-    ELEMENTARY_KINDS,
     FAMILY_KEYS,
     FAMILY_PARAMS,
     MAX_ORDER,
     TruncatedSeries,
-    constant,
-    elementary,
     family_series,
-    identity,
 )
 from .bell import (
     CLOSED_FORM_FAMILIES,
@@ -84,8 +80,7 @@ __all__ = [
     "ExactScalar", "scalar", "ZERO", "ONE",
     "stirling2", "stirling1", "falling_factorial", "double_factorial", "binomial",
     # pseries
-    "MAX_ORDER", "TruncatedSeries", "constant", "identity", "elementary",
-    "family_series", "ELEMENTARY_KINDS", "FAMILY_KEYS", "FAMILY_PARAMS",
+    "MAX_ORDER", "TruncatedSeries", "family_series", "FAMILY_KEYS", "FAMILY_PARAMS",
     # bell
     "CLOSED_FORM_FAMILIES", "bell_generic", "bell_closed_form",
     "derivative_sequence", "bell_values", "gate_report",

@@ -51,20 +51,27 @@ class FunctionSpec(_Record):
     """A target function known through its derivatives at a base point.
 
     domain is where the float reference evaluator _value is defined; the
-    derivative function _deriv and _value are fields that repr leaves out.
+    derivative function _deriv, _value and _table, the derivative list of
+    a :func:`function_from_derivatives` target (None for a builtin), are
+    fields that repr leaves out.  A builtin's name carries its parameters
+    (pow's alpha), so specs compare and hash by (name, x0, _table).
     """
 
-    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value")
+    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value", "_table")
     _shown = _fields[:3]
 
     def __init__(self, name: str, x0: ExactScalar, domain: Interval, _deriv: Callable,
-                 _value: Optional[Callable] = None):
+                 _value: Optional[Callable] = None, _table: Optional[tuple] = None):
         set_field = object.__setattr__
         set_field(self, "name", name)
         set_field(self, "x0", x0)
         set_field(self, "domain", domain)
         set_field(self, "_deriv", _deriv)
         set_field(self, "_value", _value)
+        set_field(self, "_table", _table)
+
+    def _identity(self) -> tuple:
+        return self.name, self.x0, self._table
 
     def derivative(self, n: int) -> ExactScalar:
         """n-th derivative at x0; n = 0 is the function value."""
@@ -192,7 +199,7 @@ def function_from_derivatives(values: Sequence, name: str = "custom", x0=0) -> F
             )
         return _vals[n]
 
-    return FunctionSpec(name, scalar(x0), _FULL_LINE, deriv, None)
+    return FunctionSpec(name, scalar(x0), _FULL_LINE, deriv, None, vals)
 
 
 def _to_float(value: ExactScalar, name: str) -> float:
@@ -431,16 +438,8 @@ def format_decimal(x: float) -> str:
         return "inf" if x > 0 else "-inf"
     if x == 0.0:
         return "-0.0000000000000000" if math.copysign(1.0, x) < 0 else "0.0000000000000000"
-    s = repr(float(x))
-    if "e" in s:
-        mantissa, _, exponent = s.partition("e")
-        exponent = "e" + exponent
-    else:
-        mantissa, exponent = s, ""
+    mantissa, e, exponent = repr(float(x)).partition("e")
     if "." not in mantissa:
         mantissa += ".0"
-    digits = mantissa.replace("-", "").replace(".", "")
-    significant = len(digits.lstrip("0"))
-    if significant < 17:
-        mantissa += "0" * (17 - significant)
-    return mantissa + exponent
+    pad = 17 - len(mantissa.lstrip("-0.").replace(".", ""))
+    return mantissa + "0" * pad + e + exponent

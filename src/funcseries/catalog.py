@@ -137,37 +137,6 @@ class Interval(_Record):
         set_field(self, "lo_closed", lo_closed)
         set_field(self, "hi_closed", hi_closed)
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        """Membership test; closed endpoints tolerate `slack` of float fuzz."""
-        if math.isnan(x):
-            return False
-        if self.lo_closed:
-            if x < self.lo - slack:
-                return False
-        elif x <= self.lo:
-            return False
-        if self.hi_closed:
-            if x > self.hi + slack:
-                return False
-        elif x >= self.hi:
-            return False
-        return True
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo:
-            lo, lo_closed = self.lo, self.lo_closed
-        elif self.lo < other.lo:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        if self.hi < other.hi:
-            hi, hi_closed = self.hi, self.hi_closed
-        elif self.hi > other.hi:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        return Interval(lo, hi, lo_closed, hi_closed)
-
     def __str__(self):
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
@@ -216,9 +185,6 @@ class Expansion(_Record):
     def derivative_sequence(self, order: int) -> tuple:
         """d_1 .. d_order of the inverse basis (see bell.derivative_sequence)."""
         return bell.derivative_sequence(self.key, order, **self.param_dict())
-
-    def bell_values(self, nmax: int) -> list:
-        return bell.bell_values(self.key, nmax, **self.param_dict())
 
     def series(self, order: int):
         return family_series(self.key, order, **self.param_dict())

@@ -15,8 +15,7 @@ equal orders and return the same order; truncation never happens silently.
 parameters with their defaults and constraints, and one exact formula for
 the derivatives d_1 .. d_N of its inverse basis at 0, in O(N) exact
 operations.  Everything else exact about a family is read from that
-formula: :func:`family_series` is c_n = d_n / n!, :func:`elementary` names
-the same series by the kind of its inverse basis, and the Bell layer
+formula: :func:`family_series` is c_n = d_n / n!, and the Bell layer
 (:mod:`funcseries.bell`) and the catalog (:mod:`funcseries.catalog`) look
 up the record.  The squared-arccosine case (c6) has closed-form
 coefficients from the series of (arcsin x)^2;
@@ -28,21 +27,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 from .exact import ExactScalar, ONE, ZERO, _falling_factorials, double_factorial, scalar
 
 __all__ = [
     "MAX_ORDER",
     "TruncatedSeries",
-    "constant",
-    "identity",
     "Family",
     "FAMILIES",
     "get_family",
-    "elementary",
     "family_series",
-    "ELEMENTARY_KINDS",
     "FAMILY_KEYS",
     "FAMILY_PARAMS",
 ]
@@ -99,9 +94,6 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries([{', '.join(str(c) for c in self._c)}])"
 
-    def is_exact(self) -> bool:
-        return all(c.is_exact for c in self._c)
-
     def _require_same_order(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
             raise TypeError("expected a TruncatedSeries operand")
@@ -111,15 +103,7 @@ class TruncatedSeries:
                 "binary operations require equal orders"
             )
 
-    # -- ring operations ----------------------------------------------------
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_order(other)
-        return TruncatedSeries(a + b for a, b in zip(self._c, other._c))
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_order(other)
-        return TruncatedSeries(a - b for a, b in zip(self._c, other._c))
+    # -- series operations --------------------------------------------------
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the shared order.
@@ -140,35 +124,6 @@ class TruncatedSeries:
             out.append(acc)
         return TruncatedSeries(out)
 
-    def scale(self, factor) -> "TruncatedSeries":
-        s = scalar(factor)
-        return TruncatedSeries(c * s if c else c for c in self._c)
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.add(other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.sub(other)
-        return NotImplemented
-
-    def __neg__(self):
-        return TruncatedSeries(-c for c in self._c)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.mul(other)
-        try:
-            return self.scale(other)
-        except TypeError:
-            return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- structural operations ----------------------------------------------
-
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Coefficients of self(inner(y)) to the shared order.
 
@@ -179,7 +134,7 @@ class TruncatedSeries:
         if inner._c[0] != 0:
             raise ValueError("composition requires inner constant term 0")
         n = self.order
-        acc = constant(self._c[n], n)
+        acc = TruncatedSeries((self._c[n],) + (ZERO,) * n)
         for k in range(n - 1, -1, -1):
             acc = acc.mul(inner)
             acc = TruncatedSeries((acc._c[0] + self._c[k],) + acc._c[1:])
@@ -219,40 +174,12 @@ class TruncatedSeries:
             pw[1][m] = t[m]
         return TruncatedSeries(t)
 
-    def shift_down(self, k: int) -> "TruncatedSeries":
-        """Divide by y^k; the first k coefficients must be exactly zero."""
-        if k < 0 or k >= len(self._c):
-            raise ValueError("shift amount out of range")
-        if any(c != 0 for c in self._c[:k]):
-            raise ValueError("shift_down requires the leading coefficients to vanish")
-        return TruncatedSeries(self._c[k:])
-
     def derivatives(self) -> tuple:
         """Derivative values d_1 .. d_N at zero (d_n = n! * c_n)."""
         return tuple(
             ExactScalar(c._v * math.factorial(m)) if c else c
             for m, c in enumerate(self._c[1:], 1)
         )
-
-    def eval_float(self, x: float) -> float:
-        """Horner evaluation in double precision."""
-        acc = 0.0
-        for c in reversed(self._c):
-            acc = acc * x + float(c)
-        return acc
-
-
-def constant(value, order: int) -> TruncatedSeries:
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return TruncatedSeries([scalar(value)] + [ZERO] * order)
-
-
-def identity(order: int) -> TruncatedSeries:
-    if order < 1:
-        raise ValueError("the identity series needs order >= 1")
-    return TruncatedSeries([ZERO, ONE] + [ZERO] * (order - 1))
-
 
 # -- the family registry ------------------------------------------------------
 #
@@ -361,9 +288,7 @@ class Family(NamedTuple):
     ``derivatives(n, **params)`` gives d_1 .. d_n of the inverse basis, the
     family's only exact fact.  ``defaults`` lists the (name, default) pairs
     of its parameters in order; a parameter named in ``nonzero`` must not
-    be 0 and one named in ``positive`` must be > 0.  ``kind`` names the
-    inverse basis as an :func:`elementary` series, when it has a standalone
-    closed form.
+    be 0 and one named in ``positive`` must be > 0.
     """
 
     key: str
@@ -372,7 +297,6 @@ class Family(NamedTuple):
     defaults: tuple = ()
     nonzero: tuple = ()
     positive: tuple = ()
-    kind: Optional[str] = None
 
     @property
     def params(self) -> tuple:
@@ -410,24 +334,24 @@ class Family(NamedTuple):
 # its three shape parameters as alpha -> additive constant, w -> first
 # derivative, beta -> second derivative of the inverse basis.
 FAMILIES = {f.key: f for f in (
-    Family("a1", "powers of ln(1+x)", _d_a1, kind="exp_m1"),
-    Family("a2", "powers of 1 - exp(-x)", _d_a2, kind="neg_ln_1m"),
-    Family("a3", "powers of asinh(x)", _d_a3, kind="sinh"),
-    Family("a4", "powers of arcsin(x)", _d_a4, kind="sin"),
-    Family("a5", "powers of (1+x)^(1/alpha) - 1", _d_a5, kind="pow_alpha_m1",
+    Family("a1", "powers of ln(1+x)", _d_a1),
+    Family("a2", "powers of 1 - exp(-x)", _d_a2),
+    Family("a3", "powers of asinh(x)", _d_a3),
+    Family("a4", "powers of arcsin(x)", _d_a4),
+    Family("a5", "powers of (1+x)^(1/alpha) - 1", _d_a5,
            defaults=(("alpha", Fraction(2)),), nonzero=("alpha",)),
-    Family("a6", "powers of sqrt(2x + w^2) - w", _d_a6, kind="half_sq_plus_wx",
+    Family("a6", "powers of sqrt(2x + w^2) - w", _d_a6,
            defaults=(("w", Fraction(1)),), nonzero=("w",)),
-    Family("a7", "powers of (x^2 + 2 sqrt(alpha) x)/beta", _d_a7, kind="sqrt_shift",
+    Family("a7", "powers of (x^2 + 2 sqrt(alpha) x)/beta", _d_a7,
            defaults=(("alpha", Fraction(4)), ("beta", Fraction(3))),
            positive=("alpha",), nonzero=("beta",)),
-    Family("a8", "powers of 1 - 1/sqrt(1+x)", _d_a8, kind="inv_sq_m1"),
-    Family("a9", "powers of (sqrt(4x^2+1) - 1)/(2x)", _d_a9, kind="odd_geom"),
-    Family("a10", "powers of W(exp(w-1) (w+x-1)) + 1 - w", _d_a10, kind="lambert_pair",
+    Family("a8", "powers of 1 - 1/sqrt(1+x)", _d_a8),
+    Family("a9", "powers of (sqrt(4x^2+1) - 1)/(2x)", _d_a9),
+    Family("a10", "powers of W(exp(w-1) (w+x-1)) + 1 - w", _d_a10,
            defaults=(("w", Fraction(1)),), nonzero=("w",)),
-    Family("a11", "powers of W(-(1+x) exp(-(1+x)))/(1+x) + 1", _d_a11, kind="log_ratio"),
-    Family("a12", "powers of the inverse of (exp(y)-1)/y - 1", _d_a12, kind="expm1_ratio"),
-    Family("a13", "powers of sin(x)", _d_a13, kind="arcsin"),
+    Family("a11", "powers of W(-(1+x) exp(-(1+x)))/(1+x) + 1", _d_a11),
+    Family("a12", "powers of the inverse of (exp(y)-1)/y - 1", _d_a12),
+    Family("a13", "powers of sin(x)", _d_a13),
     Family("c1", "inverse basis y (exp(y) + w - 1)", _d_c1,
            defaults=(("w", Fraction(1)),), nonzero=("w",)),
     Family("c2", "inverse basis (y-2) exp(y) - y + 2", _d_c2),
@@ -437,16 +361,12 @@ FAMILIES = {f.key: f for f in (
            "inverse basis alpha + (alpha+w-1) y + (alpha+beta-2) y^2/2 + (y-alpha) exp(y)",
            _d_c5, defaults=(("alpha", Fraction(1)), ("w", Fraction(1)), ("beta", Fraction(1))),
            nonzero=("w",)),
-    Family("c6", "inverse basis -arccos(1+y)^2/(2y) - 1", _d_c6, kind="sq_arccos_shift"),
+    Family("c6", "inverse basis -arccos(1+y)^2/(2y) - 1", _d_c6),
 )}
 
 FAMILY_KEYS = tuple(FAMILIES)
 
 FAMILY_PARAMS = {key: f.params for key, f in FAMILIES.items() if f.defaults}
-
-_KIND_FAMILY = {f.kind: key for key, f in FAMILIES.items() if f.kind}
-
-ELEMENTARY_KINDS = tuple(_KIND_FAMILY)
 
 
 def get_family(key: str) -> Family:
@@ -466,18 +386,3 @@ def family_series(key: str, order: int, *, alpha=None, beta=None, w=None) -> Tru
     fam = get_family(key)
     d = fam.derivatives(order, **fam.validate(alpha, beta, w))
     return TruncatedSeries([ZERO] + [v / math.factorial(n) for n, v in enumerate(d, 1)])
-
-
-def elementary(kind: str, order: int, *, alpha=None, beta=None, w=None) -> TruncatedSeries:
-    """Exact Maclaurin coefficients of a named inverse-basis function.
-
-    The series of the family whose inverse basis the kind names.  The
-    removable-singularity kinds (log_ratio, expm1_ratio, sq_arccos_shift)
-    take their coefficients from the closed-form series of the primitive
-    functions (-ln(1-y), e^y - 1, [arccos(1+y)]^2) with one power of y
-    divided out and the constant term shifted out, never by evaluating
-    their defining formula at zero.
-    """
-    if kind not in _KIND_FAMILY:
-        raise ValueError(f"unknown elementary kind {kind!r}")
-    return family_series(_KIND_FAMILY[kind], order, alpha=alpha, beta=beta, w=w)

@@ -184,6 +184,14 @@ def _binomial(a, n):
     return out
 
 
+# The name under which elementary_series knows each a-family's inverse basis.
+KINDS = {
+    "a1": "exp_m1", "a2": "neg_ln_1m", "a3": "sinh", "a4": "sin", "a5": "pow_alpha_m1",
+    "a6": "half_sq_plus_wx", "a7": "sqrt_shift", "a8": "inv_sq_m1", "a9": "odd_geom",
+    "a10": "lambert_pair", "a11": "log_ratio", "a12": "expm1_ratio", "a13": "arcsin",
+}
+
+
 def elementary_series(kind, order, alpha=None, beta=None, w=None):
     """c_0 .. c_order of a named inverse basis, each from its textbook term.
 

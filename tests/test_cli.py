@@ -4,6 +4,7 @@ Golden outputs are frozen as exact strings: the CSV layer must stay
 byte-stable across runs since downstream plotting scripts diff its files.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -236,6 +237,11 @@ class TestRadius:
         capsys.readouterr()
 
 
+# sha256 over the name and bytes of each of the 58 files that
+# `figures --grid=-1:1:9 --terms 5` writes, in name order
+FIGURES_PIN = "38c1adea17d6abb8a8c49892fcd750ab2e0acbe3d1d08dc18cd9d0d80b095fc3"
+
+
 class TestFigures:
     def test_full_run(self, tmp_path):
         out = tmp_path / "figs"
@@ -286,6 +292,15 @@ class TestFigures:
         first = lines[1].split(",")
         assert float(first[0]) == -1.0
         assert float(first[3]) == 0.0
+
+    def test_bytes_pinned(self, tmp_path):
+        main(["figures", "--out", str(tmp_path), "--grid=-1:1:9", "--terms", "5"])
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 58
+        digest = hashlib.sha256()
+        for f in files:
+            digest.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+        assert digest.hexdigest() == FIGURES_PIN
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

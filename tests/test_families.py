@@ -16,14 +16,18 @@ from funcseries.bell import (
 )
 from funcseries.catalog import PARAM_DEFAULTS, get_expansion
 from funcseries.pseries import (
-    ELEMENTARY_KINDS,
     FAMILIES,
     FAMILY_KEYS,
     FAMILY_PARAMS,
     MAX_ORDER,
     family_series,
 )
-from oracles import composite_inverse_series, elementary_series, sq_arccos_shift_by_reversion
+from oracles import (
+    KINDS,
+    composite_inverse_series,
+    elementary_series,
+    sq_arccos_shift_by_reversion,
+)
 
 KEYS = tuple(f"a{i}" for i in range(1, 14)) + tuple(f"c{i}" for i in range(1, 7))
 
@@ -49,14 +53,6 @@ LABELS = {
     "c6": "inverse basis -arccos(1+y)^2/(2y) - 1",
 }
 
-# The elementary series that is each a-family's inverse basis.
-KINDS = {
-    "a1": "exp_m1", "a2": "neg_ln_1m", "a3": "sinh", "a4": "sin", "a5": "pow_alpha_m1",
-    "a6": "half_sq_plus_wx", "a7": "sqrt_shift", "a8": "inv_sq_m1", "a9": "odd_geom",
-    "a10": "lambert_pair", "a11": "log_ratio", "a12": "expm1_ratio", "a13": "arcsin",
-}
-
-
 # -- the registry and its views ------------------------------------------------
 
 
@@ -79,7 +75,6 @@ def test_public_views_are_unchanged():
         "c1": {"w": Fraction(1)},
         "c5": {"alpha": Fraction(1), "w": Fraction(1), "beta": Fraction(1)},
     }
-    assert ELEMENTARY_KINDS == tuple(KINDS.values()) + ("sq_arccos_shift",)
     assert CLOSED_FORM_FAMILIES == KEYS[:13] + ("c1", "c2")
     for key in KEYS:
         assert get_expansion(key).label == LABELS[key], key

@@ -21,6 +21,7 @@ from funcseries import (
     PointReport,
     assemble,
     builtin_function,
+    function_from_derivatives,
     get_expansion,
 )
 from funcseries.cli import RunConfig
@@ -207,12 +208,30 @@ def test_positional_and_keyword_construction_with_defaults():
                               coefficients=m.coefficients, route=m.route) == m
 
 
+def test_function_specs_compare_by_value():
+    # builtins by (name, x0), where pow's name carries its alpha
+    assert builtin_function("ln1p") == builtin_function("ln1p")
+    assert hash(builtin_function("ln1p")) == hash(builtin_function("ln1p"))
+    assert _model() == _model() and hash(_model()) == hash(_model())
+    assert builtin_function("exp") != builtin_function("exp", x0=1)
+    assert builtin_function("pow", alpha=Fraction(1, 5)) != builtin_function(
+        "pow", alpha=Fraction(1, 3))
+    assert builtin_function("sin") != builtin_function("exp")
+    # derivative lists by (name, x0, values)
+    a = function_from_derivatives([0, 1, Fraction(1, 2)])
+    assert a == function_from_derivatives([0, 1, Fraction(1, 2)])
+    assert hash(a) == hash(function_from_derivatives([0, 1, Fraction(1, 2)]))
+    assert a != function_from_derivatives([0, 1, Fraction(1, 3)])
+    assert a != function_from_derivatives([0, 1])
+    assert a != function_from_derivatives([0, 1, Fraction(1, 2)], x0=1)
+
+
 def test_interval_validation():
     for lo, hi, flags in [(math.nan, 1.0, ()), (0.0, math.nan, ()), (2.0, 1.0, ()),
                           (-math.inf, 1.0, (True, False)), (0.0, math.inf, (False, True))]:
         with pytest.raises(ValueError):
             Interval(lo, hi, *flags)
-    assert Interval(1.0, 1.0, True, True).contains(1.0)
+    assert str(Interval(1.0, 1.0, True, True)) == "[1.0, 1.0]"
 
 
 @pytest.mark.parametrize("make", [lambda: Interval(-1.0, 2.0, True),
