@@ -4,18 +4,25 @@ An approximation of f around x0 is a polynomial in u = g(x - x0), where g
 is the basis of a catalog expansion.  Its coefficients are fixed by the
 requirement that all derivatives up to the chosen order match those of f
 at x0, which makes the n-th coefficient a weighted sum of f's derivatives
-against the expansion's Bell triangle, divided by n factorial.
+against the expansion's Bell triangle, divided by n factorial: the n-th
+derivative of F = f o h over n!, with h the inverse basis.
 
-Two assembly routes are provided.  :func:`assemble` uses the Bell
-triangle directly; :func:`assemble_via_composition` composes the truncated
-series of f with the series of the inverse basis.  Both read the family's
-derivative formula from the registry of :mod:`funcseries.pseries` and
-produce identical exact coefficients, which the test suite checks family
-by family; the formulas themselves are checked against series built
-independently in ``tests/oracles.py``.  Coefficient arithmetic stays in
-exact rationals whenever every contributing derivative is exact; as soon
-as one float enters, the sum for that coefficient switches to compensated
-float summation.
+:func:`assemble` computes that sum in one of two ways.  A target that
+declares a first-order linear ODE (1 + rho x) f' = a f + b (exp, ln1p and
+pow at x0 = 0) takes F's derivatives from J. C. P. Miller's O(N**2)
+composition recurrence; every other target (sin, sq, a derivative list,
+x0 != 0) reads the Bell column kernel of :mod:`funcseries.bell`.  Exact
+rationals have one reduced form, so the two give the same coefficients,
+and the model's ``route`` reads "bell" for both.
+:func:`assemble_via_composition` composes the truncated series of f with
+the series of the inverse basis; it is a check, and the test suite
+compares it with :func:`assemble` family by family.  All of them read the
+family's derivative formula from the registry of :mod:`funcseries.pseries`;
+the formulas themselves are checked against series built independently in
+``tests/oracles.py``.  Coefficient arithmetic stays in exact rationals
+whenever every contributing derivative is exact; as soon as one float
+enters, the sum for that coefficient switches to compensated float
+summation.
 """
 
 from __future__ import annotations
@@ -26,8 +33,8 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .bell import _columns, _graded, _raw, _triangle
-from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit, eval_g,
-                      get_expansion)
+from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit, _tagged,
+                      eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order
 
@@ -51,17 +58,21 @@ class FunctionSpec(_Record):
     """A target function known through its derivatives at a base point.
 
     domain is where the float reference evaluator _value is defined; the
-    derivative function _deriv, _value and _table, the derivative list of
-    a :func:`function_from_derivatives` target (None for a builtin), are
-    fields that repr leaves out.  A builtin's name carries its parameters
-    (pow's alpha), so specs compare and hash by (name, x0, _table).
+    derivative function _deriv, _value, _table, the derivative list of a
+    :func:`function_from_derivatives` target (None for a builtin), and
+    _ode are fields that repr leaves out.  _ode is (rho, a, b) when f
+    satisfies (1 + rho x) f'(x) = a f(x) + b, which lets :func:`assemble`
+    take the composition recurrence; it follows from name and x0.  A
+    builtin's name carries its parameters (pow's alpha), so specs compare
+    and hash by (name, x0, _table), each scalar tagged with its exactness.
     """
 
-    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value", "_table")
+    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value", "_table", "_ode")
     _shown = _fields[:3]
 
     def __init__(self, name: str, x0: ExactScalar, domain: Interval, _deriv: Callable,
-                 _value: Optional[Callable] = None, _table: Optional[tuple] = None):
+                 _value: Optional[Callable] = None, _table: Optional[tuple] = None,
+                 _ode: Optional[tuple] = None):
         set_field = object.__setattr__
         set_field(self, "name", name)
         set_field(self, "x0", x0)
@@ -69,9 +80,11 @@ class FunctionSpec(_Record):
         set_field(self, "_deriv", _deriv)
         set_field(self, "_value", _value)
         set_field(self, "_table", _table)
+        set_field(self, "_ode", _ode)
 
     def _identity(self) -> tuple:
-        return self.name, self.x0, self._table
+        table = None if self._table is None else tuple(map(_tagged, self._table))
+        return self.name, _tagged(self.x0), table
 
     def derivative(self, n: int) -> ExactScalar:
         """n-th derivative at x0; n = 0 is the function value."""
@@ -96,7 +109,9 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     Derivatives at x0 = 0 are exact rationals; a nonzero x0 makes the
     transcendental entries approximate (float-tagged), which downstream
     assembly handles by switching to compensated summation.  "pow" is
-    only provided at x0 = 0 and requires alpha.
+    only provided at x0 = 0 and requires alpha; a float alpha gives
+    approximate derivatives.  At x0 = 0, exp, ln1p and pow declare their
+    first-order linear ODE (see :class:`FunctionSpec`).
     """
     x0v = scalar(x0)
     if name == "pow":
@@ -131,13 +146,15 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             def value(x):
                 return 1.0
 
-        return FunctionSpec(f"pow:{av.as_fraction()}", x0v, dom, deriv, value)
+        return FunctionSpec(f"pow:{av}", x0v, dom, deriv, value,
+                            _ode=(1, av._v, 0) if av.is_exact else None)
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
 
     if name == "exp":
         d0 = ONE if x0v == 0 else scalar(math.exp(float(x0v)))
-        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp)
+        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp,
+                            _ode=(0, 1, 0) if x0v == 0 else None)
 
     if name == "sin":
         if x0v == 0:
@@ -174,9 +191,8 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
                 return ExactScalar(sign * math.factorial(n - 1))
             return scalar(sign * math.factorial(n - 1)) / _base ** n
 
-        return FunctionSpec(
-            "ln1p", x0v, Interval(-1.0, math.inf), deriv, math.log1p
-        )
+        return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), deriv, math.log1p,
+                            _ode=(1, 0, 1) if x0v == 0 else None)
 
     raise ValueError(f"unknown builtin function {name!r}")
 
@@ -281,21 +297,77 @@ def _neumaier(values) -> float:
     return total + comp
 
 
-def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationModel:
-    """Coefficients via the expansion's Bell triangle.
+def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
+    """(P_n, S_n) with F^(n)(0) = P_n / S_n for n = 1 .. order, F = f o h.
 
-    a_0 = f(x0) and a_n = (sum over k of d_k * B(n, k)) / n! where d_k are
-    f's derivatives at x0 and B is the triangle of the expansion's inverse
-    basis, computed by the column kernel of :mod:`funcseries.bell` (the
-    closed forms and their gate are not involved).  When the triangle and
-    d_1 .. d_N are all exact, column k is P_k / S_k in integers; with
-    d_k = c_k / Q and L the lcm of the S_k, n! a_n is the integer sum of
-    c_k P_k[n] L / S_k over k, divided once by Q L (times r**n when the
-    basis values carry a geometric factor r**j, see ``bell._graded``).
-    Otherwise a coefficient whose terms are all exact is summed exactly;
-    one float term switches it to compensated float summation.  Zero
-    factors are skipped so that exact zeros survive even in
-    float-contaminated rows.
+    values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, and
+    f satisfies (1 + rho x) f'(x) = a f(x) + b with ode = (rho, a, b) and
+    f(0) = f0.  Leibniz's rule on (1 + rho h) F' = (a F + b) h' gives
+
+        F^(n) = sum_{j=1}^{n} [a C(n-1, j-1) - rho C(n-1, j)] d_j F^(n-j) + b d_n,
+
+    J. C. P. Miller's power-series recurrence (Knuth, *TAOCP* vol. 2,
+    section 4.7), O(N**2) products against the Bell triangle's O(N**3).
+    In integers: rho, a, b are taken over their common denominator t and
+    the d_j over theirs, D; row n sums its terms over L, the lcm of
+    S_0 .. S_{n-1}, keeping each earlier numerator as P_m L / S_m, and
+    divides the gcd of the sum and t D L out once, so P_n / S_n is reduced.
+    """
+    t = math.lcm(*(Fraction(c).denominator for c in ode))
+    rho, a, b = (int(Fraction(c) * t) for c in ode)
+    scale = math.lcm(*(v.denominator for v in values))
+    d = [0] + [v.numerator * (scale // v.denominator) for v in values]
+    nonzero = [j for j in range(1, order + 1) if d[j]]
+    top = f0.denominator  # L
+    over_top = [f0.numerator]  # P_m L / S_m for m < n
+    rows = []
+    for n in range(1, order + 1):
+        acc = b * d[n] * top
+        for j in nonzero:
+            if j > n:
+                break
+            w = a * math.comb(n - 1, j - 1) - rho * math.comb(n - 1, j)
+            if w and over_top[n - j]:
+                acc += w * d[j] * over_top[n - j]
+        den = t * scale * top
+        g = math.gcd(acc, den)
+        p, s = acc // g, den // g
+        rows.append((p, s))
+        grown = math.lcm(top, s)
+        if grown != top:
+            k = grown // top
+            over_top = [q * k for q in over_top]
+            top = grown
+        over_top.append(p * (top // s))
+    return rows
+
+
+def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationModel:
+    """Coefficients a_0 = f(x0) and a_n = F^(n) / n!, F = f o h.
+
+    h is the expansion's inverse basis, with derivatives d_j at 0, and
+    F^(n) = sum over k of f^(k)(x0) B(n, k)(d_1, d_2, ...), the paper's
+    sum over the partial Bell polynomials.  When d_1 .. d_N and f's
+    derivatives are all exact, the sum is taken in integers by one of two
+    routes, after a geometric factor r**j leaves the d_j (``bell._graded``;
+    F^(n) then carries r**n):
+
+    * a target that declares its ODE (1 + rho x) f' = a f + b (exp, ln1p
+      and pow at x0 = 0; see :class:`FunctionSpec`) takes F^(n) = P_n / S_n
+      from the O(N**2) composition recurrence of :func:`_composed`;
+    * any other target (sin, sq, a derivative list, x0 != 0) reads the
+      column kernel of :mod:`funcseries.bell`: column k is P_k / S_k in
+      integers; with f^(k) = c_k / Q and L the lcm of the S_k, F^(n) is the
+      integer sum of c_k P_k[n] L / S_k over k, divided once by Q L.
+
+    An exact rational has one reduced form, so both routes give the same
+    coefficients, and ``route`` reads "bell" for either (it is part of the
+    model's identity and of ``coeffs --format json``).  Otherwise the
+    triangle holds the mixed values: a coefficient whose terms are all
+    exact is summed exactly, and one float term switches it to
+    compensated float summation.  Zero factors are skipped so that exact
+    zeros survive even in float-contaminated rows.  The closed forms and
+    their gate are not involved.
     """
     _check_order(order)
     d = [func.derivative(k) for k in range(order + 1)]
@@ -304,13 +376,18 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     coeffs = [d[0]]
     if not any(isinstance(v, float) for v in raw[1:] + values):
         r, values = _graded(values)
-        cols, scales = _columns(values, order)
-        q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
-        c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(raw[1:], scales[1:])]
+        if func._ode is not None:
+            rows = _composed(values, order, func._ode, raw[0])
+        else:
+            cols, scales = _columns(values, order)
+            q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
+            c = [v.numerator * (q // v.denominator) * (lcm // s)
+                 for v, s in zip(raw[1:], scales[1:])]
+            rows = [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
+                    for n in range(1, order + 1)]
         rn, rd = r.numerator, r.denominator
-        for n in range(1, order + 1):
-            acc = sum(ck * col[n] for ck, col in zip(c[:n], cols[1:]))
-            coeffs.append(ExactScalar(Fraction(acc * rn**n, q * lcm * math.factorial(n) * rd**n)))
+        for n, (num, den) in enumerate(rows, 1):
+            coeffs.append(ExactScalar(Fraction(num * rn**n, den * math.factorial(n) * rd**n)))
         return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
     triangle = _triangle(values, order)
     for n in range(1, order + 1):

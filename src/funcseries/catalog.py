@@ -51,6 +51,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import bell
+from .exact import ExactScalar
 from .pseries import FAMILIES, family_series, get_family
 
 __all__ = [
@@ -118,6 +119,11 @@ class _Record:
         return self.__class__, self._values()
 
 
+def _tagged(value: ExactScalar) -> tuple:
+    """(exactness, raw value): an identity key that tells 1/2 from 0.5."""
+    return value.is_exact, value._v
+
+
 class Interval(_Record):
     """A real interval with independent open/closed endpoint flags."""
 
@@ -152,7 +158,8 @@ class Expansion(_Record):
     implicit g is computed by numeric inversion of the inverse basis.  The
     float evaluators _g, _ginv, the value-and-slope pair _ginv_d and d_1 as
     a float are fields that repr leaves out.  Every field is a function of
-    key and params, so two entries compare and hash by those two alone.
+    key and params, so two entries compare and hash by those two alone,
+    each parameter with its exactness.
     """
 
     __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
@@ -177,7 +184,7 @@ class Expansion(_Record):
         set_field(self, "_d1", _d1)
 
     def _identity(self) -> tuple:
-        return self.key, self.params
+        return self.key, tuple((name, _tagged(v)) for name, v in self.params)
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -329,7 +336,11 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
     # Where ginv overflows, it counts as the infinity it tends to, which
     # lies beyond the finite x: f is +-inf.  The tests are comparisons,
     # as in _invert_monotone.  A walk that stalls next to a closed end
-    # tries the end itself, where the solution may lie (a7 at x = -2).
+    # tries the end itself, where the solution may lie (a7 at x = -2);
+    # when f changes sign between the last point and the end, the root
+    # lies between two adjacent floats, and the one with the smaller
+    # residual is returned (a7 a hair above -2, where g' = 0 and no float
+    # meets the tolerance).
     pos0 = -x > 0  # the sign of f = ginv(0) - x
     mtol = -tol
     inf = math.inf
@@ -339,7 +350,7 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
     else:
         end, closed = image.lo, image.lo_closed
     bounded = -inf < end < inf
-    good = 0.0
+    good, fgood = 0.0, -x
     bad = None
     y = 0.5 * direction
     for _ in range(200):
@@ -354,15 +365,19 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
         if f == 0.0 or (f > 0) != pos0:
             bad = y
             break
-        good = y
+        good, fgood = y, f
         if bounded:
             y = 0.5 * (y + end)
             if y == good:
                 break
         else:
             y *= 2.0
-    if bad is None and closed and mtol <= ginv(end) - x <= tol:
-        return end  # a closed end maps to a finite x, so ginv(end) is finite
+    if bad is None and closed:
+        fend = ginv(end) - x  # a closed end maps to a finite x, so this is finite
+        if mtol <= fend <= tol:
+            return end
+        if (fend > 0) != pos0:
+            return end if abs(fend) < abs(fgood) else good
     if bad is None:
         raise ConvergenceError(f"{context}: could not bracket a solution for x={x!r}")
     a, b = good, bad

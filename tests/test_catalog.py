@@ -15,6 +15,7 @@ from funcseries.catalog import (
     Interval,
     PARAM_DEFAULTS,
     _admit,
+    _bisect_monotone,
     eval_g,
     eval_ginv,
     get_expansion,
@@ -443,6 +444,25 @@ class TestInvertNumeric:
         # bracket walk has to try the end itself
         e = get_expansion("a7")
         assert invert_numeric(e, -2.0) == eval_g(e, -2.0) == e.image.lo
+
+    @pytest.mark.parametrize("x", [-1.9999999999999, -1.999999999998, -1.999999999])
+    def test_a7_next_to_closed_end(self, x):
+        # g'(-2) = 0: the walk stalls between the last float it tried and
+        # the end, f changes sign there, and no float meets the tolerance;
+        # the end has the smaller residual and is g(x) correctly rounded
+        e = get_expansion("a7")
+        y = invert_numeric(e, x)
+        assert y == eval_g(e, x) == e.image.lo
+        step = math.nextafter(y, 0.0)
+        assert abs(e._ginv(y) - x) < abs(e._ginv(step) - x)
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_walk_stall_without_a_root_at_the_end_still_raises(self, closed):
+        # an open end offers no candidate, and a closed end where f keeps
+        # its sign has no root beside it: both keep the error
+        image = Interval(-math.inf, 1.0, hi_closed=closed)
+        with pytest.raises(ConvergenceError, match="could not bracket"):
+            _bisect_monotone(2.0, lambda y: y, image, True, 2e-14, "identity")
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):

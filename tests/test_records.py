@@ -226,6 +226,44 @@ def test_function_specs_compare_by_value():
     assert a != function_from_derivatives([0, 1, Fraction(1, 2)], x0=1)
 
 
+def test_exactness_is_part_of_identity():
+    # 0.5 and 1/2 are equal numbers but build different models: a float
+    # input makes the derivatives (or the basis values) approximate
+    assert builtin_function("sq", x0=0.5) != builtin_function("sq", x0=Fraction(1, 2))
+    assert get_expansion("a5", alpha=0.5) != get_expansion("a5", alpha=Fraction(1, 2))
+    assert function_from_derivatives([0, 0.5]) != function_from_derivatives(
+        [0, Fraction(1, 2)])
+    assert builtin_function("pow", alpha=0.5) != builtin_function("pow", alpha=Fraction(1, 2))
+    assert builtin_function("pow", alpha=0.5).name == "pow:0.5"
+    exact = assemble(get_expansion("a1"), builtin_function("sq", x0=Fraction(1, 2)), 3)
+    floated = assemble(get_expansion("a1"), builtin_function("sq", x0=0.5), 3)
+    assert exact.is_exact() and not floated.is_exact() and exact != floated
+    # equal records still compare and hash equal
+    for make in (lambda: builtin_function("sq", x0=0.5),
+                 lambda: get_expansion("a5", alpha=0.5),
+                 lambda: get_expansion("a5", alpha=Fraction(1, 2)),
+                 lambda: function_from_derivatives([0, 0.5]),
+                 lambda: builtin_function("pow", alpha=0.5)):
+        assert make() == make() and hash(make()) == hash(make())
+
+
+def test_ode_stays_out_of_identity():
+    # the declared ODE follows from name and x0, so a spec built without it
+    # is the same target
+    for f in (builtin_function("exp"), builtin_function("ln1p"),
+              builtin_function("pow", alpha=Fraction(-1, 3))):
+        assert f._ode is not None
+        twin = FunctionSpec(f.name, f.x0, f.domain, f._deriv, f._value)
+        assert twin._ode is None and twin == f and hash(twin) == hash(f)
+    assert builtin_function("exp")._ode == (0, 1, 0)
+    assert builtin_function("ln1p")._ode == (1, 0, 1)
+    assert builtin_function("pow", alpha=Fraction(3, 2))._ode == (1, Fraction(3, 2), 0)
+    for f in (builtin_function("exp", x0=Fraction(1, 2)), builtin_function("ln1p", x0=1),
+              builtin_function("pow", alpha=0.5), builtin_function("sin"),
+              builtin_function("sq"), function_from_derivatives([1, 1, 1])):
+        assert f._ode is None
+
+
 def test_interval_validation():
     for lo, hi, flags in [(math.nan, 1.0, ()), (0.0, math.nan, ()), (2.0, 1.0, ()),
                           (-math.inf, 1.0, (True, False)), (0.0, math.inf, (False, True))]:
