@@ -62,10 +62,8 @@ def test_recurrence_matches_kernel_at_max_order(key, kernel_calls):
         slow = assemble(exp, through_kernel(func, MAX_ORDER), MAX_ORDER)
         assert kernel_calls == [MAX_ORDER]
         kernel_calls.clear()
-        assert fast.is_exact()
+        assert fast.is_exact() and slow.is_exact()
         assert fast.coefficients == slow.coefficients, (key, spec)
-        assert [c.as_fraction() for c in fast.coefficients] == [
-            c.as_fraction() for c in slow.coefficients]
         assert fast.route == slow.route == "bell"
 
 
@@ -163,7 +161,8 @@ FLOAT_MODEL_DIGESTS = [
 
 
 @pytest.mark.parametrize("key,params,targets,digest", [
-    pytest.param(key, params, targets, digest, id=f"{key}-{'-'.join(map(str, params.values()))}")
+    pytest.param(key, params, targets, digest,
+                 id="-".join([key, *(f"{name}={v}" for name, v in params.items())]))
     for key, params, targets, digest in FLOAT_MODEL_DIGESTS
 ])
 def test_float_models_pinned(key, params, targets, digest):
