@@ -33,9 +33,9 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .bell import _columns, _graded, _raw, _triangle
-from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit, _tagged,
-                      eval_g, get_expansion)
-from .exact import ONE, ZERO, ExactScalar, _falling_factorials, falling_factorial, scalar
+from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
+                      _float_param, eval_g, get_expansion)
+from .exact import ONE, ZERO, ExactScalar, _falling_factorials, _tagged, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order
 
 __all__ = [
@@ -93,11 +93,17 @@ class FunctionSpec(_Record):
         return self._deriv(n)
 
     def value_at(self, x: float) -> Optional[float]:
-        """Reference value f(x), or None when unavailable at this x."""
+        """Reference value f(x), or None when unavailable at this x; inf
+        when the value overflows."""
         if self._value is None:
             return None
         x = _admit(self.domain, float(x))
-        return None if x is None else self._value(x)
+        if x is None:
+            return None
+        try:
+            return self._value(x)
+        except OverflowError:  # exp and pow, the builtins that overflow, are positive
+            return math.inf
 
 
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
@@ -110,7 +116,8 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     transcendental entries approximate (float-tagged), which downstream
     assembly handles by switching to compensated summation.  "pow" is
     only provided at x0 = 0 and requires alpha; a float alpha gives
-    approximate derivatives.  At x0 = 0, exp, ln1p and pow declare their
+    approximate derivatives, and an alpha without a finite float raises
+    ValueError.  At x0 = 0, exp, ln1p and pow declare their
     first-order linear ODE (see :class:`FunctionSpec`).
     """
     x0v = scalar(x0)
@@ -120,13 +127,13 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
         if x0v != 0:
             raise ValueError("builtin 'pow' is only provided at x0 = 0")
         av = scalar(alpha)
-        af = float(av)
+        af = _float_param(av, "builtin 'pow' alpha")
         table = tuple(ExactScalar(v) for v in _falling_factorials(av, MAX_ORDER))
 
         def deriv(n, _av=av, _table=table):
             return _table[n] if n <= MAX_ORDER else falling_factorial(_av, n)
 
-        if af > 0:
+        if av > 0:  # the exact sign: an alpha that rounds to 0.0 keeps its domain
             dom = Interval(-1.0, math.inf, lo_closed=True)
 
             def value(x, _af=af):
@@ -134,7 +141,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
                     return 0.0
                 return math.exp(_af * math.log1p(x))
 
-        elif af < 0:
+        elif av < 0:
             dom = Interval(-1.0, math.inf)
 
             def value(x, _af=af):

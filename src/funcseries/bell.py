@@ -45,6 +45,7 @@ from .exact import (
     ExactScalar,
     ONE,
     ZERO,
+    _tagged,
     double_factorial,
     falling_factorial,
     scalar,
@@ -409,7 +410,8 @@ def derivative_sequence(key: str, order: int, *, alpha=None, beta=None, w=None) 
 
 
 def _params_token(kwargs: dict) -> tuple:
-    return tuple(sorted((name, value._v) for name, value in kwargs.items()))
+    # tagged, so that alpha=0.5 and alpha=1/2 are two gate entries
+    return tuple(sorted((name, _tagged(value)) for name, value in kwargs.items()))
 
 
 _gate_lock = threading.Lock()
@@ -453,7 +455,10 @@ def _gate_passes(key: str, kwargs: dict) -> bool:
 
 
 def gate_report() -> dict:
-    """Snapshot of gate outcomes: (key, params) -> closed form verified."""
+    """Snapshot of gate outcomes: (key, params) -> closed form verified.
+
+    params holds a (name, (is_exact, raw value)) pair per parameter.
+    """
     with _gate_lock:
         return {token: ok for token, ok in _gate_results.items()}
 

@@ -6,8 +6,10 @@ construction is valid, and the image interval in the substituted variable.
 The float pieces come from one basis builder per key; the label, the
 parameters with their defaults and checks, and the derivative sequence
 come from the family's record in :data:`funcseries.pseries.FAMILIES`.
-The a6 and a10 builders add the one catalog-only check, w > 0, without
-which g(0) = 0 fails.  The recorded domain is the
+The a6 and a10 builders add one catalog-only check, w > 0, without
+which g(0) = 0 fails, and :func:`get_expansion` another: each parameter
+and the slope d_1 have a finite float, nonzero where the exact value must
+be.  The recorded domain is the
 maximal interval around zero on which g stays monotone (hence invertible);
 families whose defining formula only works on one side of zero (a11, a12
 and c6) carry a side marker and their domain is already restricted
@@ -51,7 +53,7 @@ from functools import lru_cache
 from typing import Callable
 
 from . import bell
-from .exact import ExactScalar
+from .exact import ExactScalar, _tagged
 from .pseries import FAMILIES, family_series, get_family
 
 __all__ = [
@@ -117,11 +119,6 @@ class _Record:
 
     def __reduce__(self):
         return self.__class__, self._values()
-
-
-def _tagged(value: ExactScalar) -> tuple:
-    """(exactness, raw value): an identity key that tells 1/2 from 0.5."""
-    return value.is_exact, value._v
 
 
 class Interval(_Record):
@@ -891,17 +888,40 @@ _BUILDERS = {
 PARAM_DEFAULTS = {key: dict(f.defaults) for key, f in FAMILIES.items() if f.defaults}
 
 
+def _float_param(value: ExactScalar, what: str, nonzero: bool = False) -> float:
+    """float(value), or ValueError when the float evaluators cannot use it:
+    it has no finite float, or it must not be 0 and rounds to 0.0."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError(f"{what} has no finite float value")
+    if nonzero and f == 0.0:
+        raise ValueError(f"{what} must not be 0 and rounds to 0.0 as a float")
+    return f
+
+
 def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     """Construct the catalog entry for a family key, applying defaults.
 
     For "c5" the flags map onto the three shape parameters as
     alpha -> constant shift, w -> first derivative, beta -> second
-    derivative of the inverse basis.
+    derivative of the inverse basis.  Raises ValueError for a parameter,
+    or a slope d_1, that has no finite float or must not be 0 and rounds
+    to 0.0, and for parameters that overflow a basis builder: the float
+    evaluators could not use them.
     """
     fam = get_family(key)
     params = fam.validate(alpha, beta, w, fill=True)
-    pieces = _BUILDERS[key](params)
-    d1 = float(fam.derivatives(1, **params)[0])
+    for name, value in params.items():
+        _float_param(value, f"family {key!r} parameter {name}",
+                     name in fam.nonzero or name in fam.positive)
+    d1 = _float_param(fam.derivatives(1, **params)[0], f"family {key!r} slope d_1", True)
+    try:
+        pieces = _BUILDERS[key](params)
+    except OverflowError:  # a10's exp(w - 1) for w > 710
+        raise ValueError(f"family {key!r} parameters overflow its float evaluators") from None
     ginv, ginv_d = pieces["ginv"], pieces["ginv_d"]
     if "tail_neg" in pieces:
         domain, image = _scan_pieces(ginv, ginv_d, d1, pieces["tail_neg"])

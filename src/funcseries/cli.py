@@ -32,14 +32,14 @@ from .approx import (
     function_from_derivatives,
     taylor_baseline,
 )
-from .catalog import ConvergenceError, DomainError, _Record, get_expansion, map_domain
+from .catalog import ConvergenceError, DomainError, get_expansion, map_domain
 from .pseries import FAMILY_KEYS
 
-__all__ = ["main", "RunConfig", "UsageError"]
+__all__ = ["main", "UsageError"]
 
 
 class UsageError(Exception):
-    """Bad command line or config file content."""
+    """Bad command line or derivative file content."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,39 +48,6 @@ class _Parser(argparse.ArgumentParser):
     # and mapped to exit code 1 in main().
     def error(self, message):
         raise UsageError(message)
-
-
-class RunConfig(_Record):
-    """Parsed invocation: one command plus its validated inputs.
-
-    expansions holds family keys, possibly including "tp"; grid is a
-    (start, stop, count) triple.  The parser's destinations are these field
-    names, so main builds the record from the parsed namespace as it is.
-    """
-
-    __slots__ = _fields = _shown = ("command", "expansions", "alpha", "beta", "w",
-                                    "function", "terms", "at", "grid", "out", "fmt",
-                                    "n_list")
-
-    def __init__(self, command: str, expansions: tuple = (),
-                 alpha: Optional[Fraction] = None, beta: Optional[Fraction] = None,
-                 w: Optional[Fraction] = None, function: Optional[str] = None,
-                 terms: int = 8, at: Optional[float] = None, grid: Optional[tuple] = None,
-                 out: Optional[str] = None, fmt: str = "csv",
-                 n_list: tuple = (3, 7, 10, 20)):
-        set_field = object.__setattr__
-        set_field(self, "command", command)
-        set_field(self, "expansions", expansions)
-        set_field(self, "alpha", alpha)
-        set_field(self, "beta", beta)
-        set_field(self, "w", w)
-        set_field(self, "function", function)
-        set_field(self, "terms", terms)
-        set_field(self, "at", at)
-        set_field(self, "grid", grid)
-        set_field(self, "out", out)
-        set_field(self, "fmt", fmt)
-        set_field(self, "n_list", n_list)
 
 
 # Converters for argparse's type=.  argparse turns only ArgumentTypeError,
@@ -187,11 +154,12 @@ def _load_function(spec_text: str) -> FunctionSpec:
     )
 
 
-def _build_model(key: str, config: RunConfig, func: FunctionSpec):
+def _build_model(key: str, func: FunctionSpec, terms: int, alpha=None, beta=None, w=None):
+    """The order-terms model of a family key, or of "tp", the Taylor
+    baseline; a parameter left None takes the family's catalog default."""
     if key == "tp":
-        return taylor_baseline(func, config.terms)
-    exp = get_expansion(key, alpha=config.alpha, beta=config.beta, w=config.w)
-    return assemble(exp, func, config.terms)
+        return taylor_baseline(func, terms)
+    return assemble(get_expansion(key, alpha=alpha, beta=beta, w=w), func, terms)
 
 
 def _open_out(path: Optional[str]):
@@ -246,17 +214,17 @@ def _linspace(start: float, stop: float, count: int) -> list:
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_table(config: RunConfig) -> int:
+def _cmd_table(args: argparse.Namespace) -> int:
     func = builtin_function("ln1p")
     x = 0.5
     exact = math.log1p(x)
     a8 = get_expansion("a8")
     rows = []
-    for n in config.n_list:
+    for n in args.n_list:
         delta_a8 = abs(evaluate(assemble(a8, func, n), x) - exact)
         delta_tp = abs(evaluate(taylor_baseline(func, n), x) - exact)
         rows.append([str(n), format_decimal(delta_a8), format_decimal(delta_tp)])
-    _write_csv(config.out, ["N", "delta_a8", "delta_tp"], rows)
+    _write_csv(args.out, ["N", "delta_a8", "delta_tp"], rows)
     return 0
 
 
@@ -264,14 +232,13 @@ _FIGURE_FUNCTIONS = ("exp", "sin", "sq", "ln1p")
 _FIGURE_FAMILIES = tuple(f"a{i}" for i in range(1, 14)) + ("tp",)
 
 
-def _cmd_figures(config: RunConfig) -> int:
-    out_dir = config.out if config.out is not None else "figures"
-    os.makedirs(out_dir, exist_ok=True)
-    xs = _linspace(*config.grid)
+def _cmd_figures(args: argparse.Namespace) -> int:
+    os.makedirs(args.out, exist_ok=True)
+    xs = _linspace(*args.grid)
     manifest = []
 
     def emit(filename, header, rows, func_name, family):
-        _write_csv(os.path.join(out_dir, filename), header, rows)
+        _write_csv(os.path.join(args.out, filename), header, rows)
         kept = [float(r[0]) for r in rows]
         manifest.append([
             func_name, family, filename, str(len(rows)),
@@ -282,7 +249,8 @@ def _cmd_figures(config: RunConfig) -> int:
     for func_name in _FIGURE_FUNCTIONS:
         func = builtin_function(func_name)
         for family in _FIGURE_FAMILIES:
-            model = _build_model(family, config, func)
+            # figures takes no --alpha/--beta/--w: each family at its catalog defaults
+            model = _build_model(family, func, args.terms)
             rows = []
             for point in error_report(model, xs):
                 if point.note or math.isnan(point.exact):
@@ -299,8 +267,8 @@ def _cmd_figures(config: RunConfig) -> int:
 
     # The fifth-root experiment: one file, both approximants side by side.
     func = builtin_function("pow", alpha=Fraction(1, 5))
-    a5 = assemble(get_expansion("a5", alpha=2), func, config.terms)
-    tp = taylor_baseline(func, config.terms)
+    a5 = assemble(get_expansion("a5", alpha=2), func, args.terms)
+    tp = taylor_baseline(func, args.terms)
     rows = []
     for x in _linspace(-1.0, 6.0, 281):
         rows.append([
@@ -314,92 +282,91 @@ def _cmd_figures(config: RunConfig) -> int:
         rows, func.name, "a5",
     )
 
-    _write_csv(os.path.join(out_dir, "manifest.csv"),
+    _write_csv(os.path.join(args.out, "manifest.csv"),
                ["function", "expansion", "file", "points", "x_lo", "x_hi"], manifest)
     return 0
 
 
-def _require_single_expansion(config: RunConfig) -> str:
-    if len(config.expansions) != 1:
+def _require_single_expansion(args: argparse.Namespace) -> str:
+    if len(args.expansions) != 1:
         raise UsageError("this command takes exactly one --expansion")
-    return config.expansions[0]
+    return args.expansions[0]
 
 
-def _cmd_coeffs(config: RunConfig) -> int:
-    key = _require_single_expansion(config)
-    func = _load_function(config.function)
-    model = _build_model(key, config, func)
-    if config.fmt == "json":
+def _cmd_coeffs(args: argparse.Namespace) -> int:
+    key = _require_single_expansion(args)
+    func = _load_function(args.function)
+    model = _build_model(key, func, args.terms, args.alpha, args.beta, args.w)
+    if args.fmt == "json":
         import json
 
-        _write_text(config.out, json.dumps(model.to_json_dict(), indent=2) + "\n")
+        _write_text(args.out, json.dumps(model.to_json_dict(), indent=2) + "\n")
         return 0
-    rows = []
-    for entry in model.to_json_dict()["coefficients"]:
-        exact = entry["exact"]
-        exact_text = "" if exact is None else str(
-            Fraction(int(exact["num"]), int(exact["den"]))
-        )
-        rows.append([str(entry["n"]), entry["decimal"], exact_text])
-    _write_csv(config.out, ["n", "decimal", "exact"], rows)
+    # to_json_dict gives the decimal column, and raises DomainError for a
+    # coefficient beyond the float range
+    rows = [[str(entry["n"]), entry["decimal"], str(c) if c.is_exact else ""]
+            for entry, c in zip(model.to_json_dict()["coefficients"], model.coefficients)]
+    _write_csv(args.out, ["n", "decimal", "exact"], rows)
     return 0
 
 
-def _cmd_eval(config: RunConfig) -> int:
-    key = _require_single_expansion(config)
-    if (config.at is None) == (config.grid is None):
+def _cmd_eval(args: argparse.Namespace) -> int:
+    key = _require_single_expansion(args)
+    if (args.at is None) == (args.grid is None):
         raise UsageError("eval needs exactly one of --at or --grid")
-    model = _build_model(key, config, _load_function(config.function))
-    if config.at is not None:
-        _write_text(config.out, format_decimal(evaluate(model, config.at)) + "\n")
+    model = _build_model(key, _load_function(args.function), args.terms,
+                         args.alpha, args.beta, args.w)
+    if args.at is not None:
+        _write_text(args.out, format_decimal(evaluate(model, args.at)) + "\n")
         return 0
     failed = False
     rows = []
-    for x in _linspace(*config.grid):
+    for x in _linspace(*args.grid):
         try:
             value = evaluate(model, x)
         except DomainError:
             value = math.nan
             failed = True
         rows.append([format_decimal(x), format_decimal(value)])
-    _write_csv(config.out, ["x", "approx"], rows)
+    _write_csv(args.out, ["x", "approx"], rows)
     return 2 if failed else 0
 
 
-def _cmd_radius(config: RunConfig) -> int:
-    key = _require_single_expansion(config)
+def _cmd_radius(args: argparse.Namespace) -> int:
+    key = _require_single_expansion(args)
     if key == "tp":
         raise UsageError("radius needs a catalog family, not the Taylor baseline")
-    model = _build_model(key, config, _load_function(config.function))
+    model = _build_model(key, _load_function(args.function), args.terms,
+                         args.alpha, args.beta, args.w)
     radius = estimate_radius(model)
     interval = map_domain(model.expansion, radius if math.isfinite(radius) else math.inf)
-    if config.fmt == "json":
+    if args.fmt == "json":
         import json
 
-        _write_text(config.out, json.dumps({
+        _write_text(args.out, json.dumps({
             "R": format_decimal(radius),
             "x_lo": format_decimal(interval.lo),
             "x_hi": format_decimal(interval.hi),
         }, indent=2) + "\n")
         return 0
-    _write_csv(config.out, ["R", "x_lo", "x_hi"], [[
+    _write_csv(args.out, ["R", "x_lo", "x_hi"], [[
         format_decimal(radius), format_decimal(interval.lo),
         format_decimal(interval.hi),
     ]])
     return 0
 
 
-def _cmd_compare(config: RunConfig) -> int:
-    if not config.expansions:
+def _cmd_compare(args: argparse.Namespace) -> int:
+    if not args.expansions:
         raise UsageError("compare needs --expansion with one or more family keys")
-    if (config.at is None) == (config.grid is None):
+    if (args.at is None) == (args.grid is None):
         raise UsageError("compare needs exactly one of --at or --grid")
-    func = _load_function(config.function)
-    xs = [config.at] if config.at is not None else _linspace(*config.grid)
+    func = _load_function(args.function)
+    xs = [args.at] if args.at is not None else _linspace(*args.grid)
     failed = False
     rows = []
-    for key in config.expansions:
-        model = _build_model(key, config, func)
+    for key in args.expansions:
+        model = _build_model(key, func, args.terms, args.alpha, args.beta, args.w)
         for point in error_report(model, xs):
             if point.note:
                 failed = True
@@ -410,18 +377,8 @@ def _cmd_compare(config: RunConfig) -> int:
                 format_decimal(point.exact),
                 format_decimal(point.delta),
             ])
-    _write_csv(config.out, ["expansion", "x", "approx", "exact", "delta"], rows)
+    _write_csv(args.out, ["expansion", "x", "approx", "exact", "delta"], rows)
     return 2 if failed else 0
-
-
-_COMMANDS = {
-    "table": _cmd_table,
-    "figures": _cmd_figures,
-    "coeffs": _cmd_coeffs,
-    "eval": _cmd_eval,
-    "radius": _cmd_radius,
-    "compare": _cmd_compare,
-}
 
 
 def _add_terms_flag(sub):
@@ -429,9 +386,10 @@ def _add_terms_flag(sub):
                      help="matched derivative order N (default 8)")
 
 
-def _add_model_flags(sub, *, points: bool):
-    """The flags of the one-model commands: eval and compare also take
-    --at/--grid, coeffs and radius take --format."""
+def _add_model_flags(sub, run, *, points: bool):
+    """The flags of the one-model commands, bound to run: eval and compare
+    also take --at/--grid, coeffs and radius take --format."""
+    sub.set_defaults(run=run)
     sub.add_argument("--expansion", dest="expansions", metavar="EXPANSION",
                      type=_parse_expansions, required=True,
                      help="family key (a1..a13, c1..c6) or tp; compare "
@@ -465,28 +423,31 @@ def _build_parser() -> _Parser:
     table.add_argument("--n-list", type=_parse_n_list, default="3,7,10,20",
                        help="comma-separated list of orders (default 3,7,10,20)")
     table.add_argument("--out", help="output path (default stdout)")
+    table.set_defaults(run=_cmd_table)
 
     figures = subs.add_parser("figures", help="grid data files for all families")
-    figures.add_argument("--out", help="output directory (default ./figures)")
+    figures.add_argument("--out", default="figures",
+                         help="output directory (default ./figures)")
     _add_terms_flag(figures)
     figures.add_argument("--grid", type=_parse_grid, default="-3:3:241",
                          help="start:stop:count; write --grid=-3:3:241 when "
                               "start is negative (default -3:3:241)")
+    figures.set_defaults(run=_cmd_figures)
 
-    for name, help_text, points in (
-        ("coeffs", "coefficient listing for one model", False),
-        ("eval", "evaluate one model at a point or grid", True),
-        ("radius", "convergence radius and x-interval", False),
-        ("compare", "side-by-side family comparison", True),
+    for name, help_text, run, points in (
+        ("coeffs", "coefficient listing for one model", _cmd_coeffs, False),
+        ("eval", "evaluate one model at a point or grid", _cmd_eval, True),
+        ("radius", "convergence radius and x-interval", _cmd_radius, False),
+        ("compare", "side-by-side family comparison", _cmd_compare, True),
     ):
-        _add_model_flags(subs.add_parser(name, help=help_text), points=points)
+        _add_model_flags(subs.add_parser(name, help=help_text), run, points=points)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        config = RunConfig(**vars(_build_parser().parse_args(argv)))
-        return _COMMANDS[config.command](config)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (DomainError, ConvergenceError) as err:
         code, message = 2, err
     except (UsageError, ValueError) as err:

@@ -222,6 +222,11 @@ class ExactScalar:
         return str(self._v)
 
 
+def _tagged(value: ExactScalar) -> tuple:
+    """(exactness, raw value): an identity key that tells 1/2 from 0.5."""
+    return value.is_exact, value._v
+
+
 def scalar(value: ScalarLike) -> ExactScalar:
     """Coerce any scalar-like value to :class:`ExactScalar`."""
     if isinstance(value, ExactScalar):

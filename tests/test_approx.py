@@ -24,7 +24,7 @@ from funcseries.approx import (
     function_from_derivatives,
     taylor_baseline,
 )
-from funcseries.catalog import ConvergenceError, DomainError, eval_g, get_expansion
+from funcseries.catalog import ConvergenceError, DomainError, Interval, eval_g, get_expansion
 from funcseries.exact import falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, TruncatedSeries, family_series
 from oracles import poly_eval_float
@@ -251,6 +251,23 @@ class TestBuiltinFunctions:
         f = builtin_function("sq")
         assert [f.derivative(n).as_fraction() for n in range(5)] == [0, 0, 2, 0, 0]
         assert f.value_at(-3.0) == 9.0
+
+    def test_pow_alpha_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="alpha has no finite float value"):
+            builtin_function("pow", alpha=Fraction(10**400))
+        with pytest.raises(ValueError, match="alpha has no finite float value"):
+            builtin_function("pow", alpha=-math.inf)
+
+    def test_pow_alpha_that_rounds_to_zero_keeps_its_domain(self):
+        f = builtin_function("pow", alpha=Fraction(1, 10**400))
+        assert f.domain == Interval(-1.0, math.inf, lo_closed=True)
+        assert f.value_at(-1.0) == 0.0 and f.value_at(3.0) == 1.0
+        assert builtin_function("pow", alpha=Fraction(-1, 10**400)).value_at(-1.0) is None
+
+    def test_overflowing_reference_is_inf(self):
+        assert builtin_function("exp").value_at(1000.0) == math.inf
+        assert builtin_function("pow", alpha=2).value_at(1e300) == math.inf
+        assert builtin_function("pow", alpha=-100).value_at(-1.0 + 1e-16) == math.inf
 
     def test_ln1p(self):
         f = builtin_function("ln1p")
@@ -684,6 +701,12 @@ class TestErrorReport:
         row = error_report(m, [-2.0])[0]
         assert math.isnan(row.approx) and math.isnan(row.delta)
         assert "outside the validity domain" in row.note
+
+    def test_overflowing_reference(self):
+        m = taylor_baseline(builtin_function("exp"), 8)
+        row = error_report(m, [1000.0])[0]
+        assert math.isfinite(row.approx) and row.exact == math.inf
+        assert row.delta == -math.inf and row.note == ""
 
     def test_no_reference_value(self):
         f = function_from_derivatives([0, 1, 0], name="probe")

@@ -384,6 +384,14 @@ class TestGate:
                 assert rows[n][k] == stirling2(n, k), (n, k)
         assert gate_report() == {("a1", ()): False}
 
+    def test_gate_keys_exactness(self, monkeypatch):
+        # 0.5 and 1/2 are equal numbers with different derivative tables
+        monkeypatch.setattr(bell, "_gate_results", {})
+        bell_values("a5", 5, alpha=0.5)
+        bell_values("a5", 5, alpha=Fraction(1, 2))
+        assert gate_report() == {("a5", (("alpha", (False, 0.5)),)): True,
+                                 ("a5", (("alpha", (True, Fraction(1, 2))),)): True}
+
     def test_gate_outcome_is_cached(self, monkeypatch):
         calls = {"n": 0}
         real = bell._run_gate

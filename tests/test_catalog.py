@@ -173,6 +173,36 @@ class TestGetExpansion:
         with pytest.raises(ValueError):
             get_expansion("c5", w=0)
 
+    @pytest.mark.parametrize("key, params", [
+        ("a7", {"alpha": 4, "beta": Fraction(10**400)}),
+        ("a5", {"alpha": Fraction(10**400)}),
+        ("c1", {"w": Fraction(-(10**400))}),
+        ("c5", {"alpha": Fraction(10**400), "w": 1, "beta": 1}),
+        ("a5", {"alpha": Fraction(1, 10**400)}),
+        ("a7", {"alpha": 4, "beta": Fraction(-1, 10**400)}),
+        ("a7", {"alpha": Fraction(1, 10**400), "beta": 3}),
+        ("c5", {"alpha": 1, "w": Fraction(1, 10**400), "beta": 1}),
+        ("a10", {"w": 1000}),
+        # finite parameters whose slope d_1 = beta / (2 sqrt(alpha)) leaves the float range
+        ("a7", {"alpha": Fraction(1, 10**300), "beta": Fraction(10**300)}),
+        ("a7", {"alpha": Fraction(10**300), "beta": Fraction(1, 10**300)}),
+    ])
+    def test_parameters_the_float_evaluators_cannot_use(self, key, params):
+        with pytest.raises(ValueError, match=f"family '{key}' (parameter|slope)"):
+            get_expansion(key, **params)
+        # the exact paths take them as they are
+        assert len(bell_values(key, 3, **params)) == 4
+
+    def test_non_finite_float_parameters(self):
+        for key, params in (("a6", {"w": math.inf}), ("c5", {"beta": math.nan}),
+                            ("a5", {"alpha": -math.inf})):
+            with pytest.raises(ValueError, match="has no finite float value"):
+                get_expansion(key, **params)
+
+    def test_tiny_parameter_that_may_be_zero_is_kept(self):
+        # c5's alpha and beta may be 0, so one that rounds to 0.0 is usable
+        assert get_expansion("c5", alpha=Fraction(1, 10**400)).params[0][1] != 0
+
     def test_positive_w_required_where_shape_needs_it(self):
         # negative w flips these bases into shapes with no inverse at 0
         with pytest.raises(ValueError):

@@ -1,0 +1,107 @@
+"""The CLI's error contract, under fuzzed command lines.
+
+Whatever the arguments, ``main`` returns an exit code in {0, 1, 2, 3}
+and nothing escapes it.  A run that writes no rows and exits nonzero
+writes exactly one ``error:`` line to stderr; eval and compare may also
+exit 2 after writing their rows, with a nan row or note for each failed
+point and nothing on stderr.  A successful run writes nothing to stderr.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from funcseries.cli import main
+from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS
+
+PARAMS = ("0", "1e400", "-1e400", "1e-400", "-1e-400", "1/2", "1000", "junk")
+POINTS = ("1e300", "-1e300", "inf", "-inf", "nan", "junk", "0.5", "-0.5", "0")
+TARGETS = ("exp", "sin", "sq", "ln1p", "pow:1/2", "pow:-3", "pow:1e400", "pow:1e-400",
+           "junk")
+
+
+def run(argv):
+    """main(argv) with stdout and stderr captured: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_contract(argv):
+    code, out, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 0:
+        assert err == "", (argv, err)
+    elif out:
+        assert code == 2 and err == "" and argv[0] in ("eval", "compare"), (argv, code, err)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+    return code, out, err
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(("coeffs", "eval", "radius", "compare")))
+    keys = FAMILY_KEYS + ("tp",)
+    if command == "compare":
+        expansion = ",".join(draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)))
+    else:
+        expansion = draw(st.sampled_from(keys))
+    argv = [command, "--expansion", expansion, "--function", draw(st.sampled_from(TARGETS))]
+    own = FAMILY_PARAMS.get(expansion.split(",")[0], ())
+    for name in ("alpha", "beta", "w"):
+        # mostly the family's own parameters; a stray one is a usage error
+        if draw(st.booleans()) and (name in own or draw(st.integers(0, 7)) == 0):
+            argv.append(f"--{name}={draw(st.sampled_from(PARAMS))}")
+    if draw(st.booleans()):
+        argv += ["--terms", str(draw(st.integers(1, 20)))]
+    if command in ("eval", "compare"):
+        point = st.sampled_from(POINTS)
+        choice = draw(st.sampled_from(("at", "grid", "both", "neither")))
+        if choice in ("at", "both"):
+            argv.append(f"--at={draw(point)}")
+        if choice in ("grid", "both"):
+            argv.append(f"--grid={draw(point)}:{draw(point)}:{draw(st.integers(1, 20))}")
+    elif draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("csv", "json")))]
+    return argv
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(command_lines())
+def test_fuzzed_command_lines_keep_the_contract(argv):
+    check_contract(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--expansion", "a7", "--beta", "1e400", "--function", "ln1p"],
+    ["coeffs", "--expansion", "a5", "--alpha", "1e400", "--function", "ln1p"],
+    ["coeffs", "--expansion", "c1", "--w", "1e400", "--function", "ln1p"],
+    ["coeffs", "--expansion", "c5", "--alpha", "1e400", "--function", "ln1p"],
+    ["coeffs", "--expansion", "a1", "--function", "pow:1e400"],
+    ["eval", "--expansion", "a5", "--alpha", "1e-400", "--function", "exp", "--at=0.5"],
+    ["eval", "--expansion", "a7", "--beta", "1e-400", "--function", "exp", "--at=0.5"],
+    ["eval", "--expansion", "c5", "--w", "1e-400", "--function", "exp", "--at=0.5"],
+    ["coeffs", "--expansion", "a10", "--w", "1000", "--function", "exp"],
+])
+def test_parameter_without_a_usable_float_is_a_usage_error(argv):
+    code, out, err = check_contract(argv)
+    assert code == 1 and out == ""
+    assert any(s in err for s in ("has no finite float value", "rounds to 0.0 as a float",
+                                  "overflow its float evaluators"))
+
+
+def test_overflowing_reference_reads_inf():
+    code, out, _ = check_contract(
+        ["compare", "--expansion", "tp", "--function", "exp", "--grid=0:1000:3"])
+    assert code == 0
+    assert out.splitlines()[3] == "tp,1000.0000000000000,2.5001397264056060e+19,inf,-inf"
+    code, out, _ = check_contract(
+        ["compare", "--expansion", "a13", "--function", "pow:2", "--at=1e300"])
+    assert code == 2  # 1e300 lies outside a13's domain
+    assert out.splitlines()[1] == "a13,1.0000000000000000e+300,nan,inf,nan"

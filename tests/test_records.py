@@ -1,7 +1,7 @@
-"""The six immutable records: repr, equality, hashing, immutability, construction.
+"""The five immutable records: repr, equality, hashing, immutability, construction.
 
-Interval, Expansion, FunctionSpec, ApproximationModel, PointReport and
-RunConfig are compared by value, shown by repr, and cannot be changed after
+Interval, Expansion, FunctionSpec, ApproximationModel and PointReport are
+compared by value, shown by repr, and cannot be changed after
 construction.  The reprs below were recorded from the frozen-dataclass
 versions of these classes and must not move.
 """
@@ -24,7 +24,6 @@ from funcseries import (
     function_from_derivatives,
     get_expansion,
 )
-from funcseries.cli import RunConfig
 from funcseries.exact import ExactScalar
 
 _EXPANSION_FIELDS = ("key", "label", "params", "domain", "image", "side", "increasing",
@@ -51,11 +50,7 @@ def _copy_of(record):
     if isinstance(record, ApproximationModel):
         return ApproximationModel(record.expansion, record.func, record.order,
                                   record.coefficients, record.route)
-    if isinstance(record, PointReport):
-        return PointReport(record.x, record.approx, record.exact, record.delta, record.note)
-    return RunConfig(record.command, record.expansions, record.alpha, record.beta,
-                     record.w, record.function, record.terms, record.at, record.grid,
-                     record.out, record.fmt, record.n_list)
+    return PointReport(record.x, record.approx, record.exact, record.delta, record.note)
 
 
 _RECORDS = {
@@ -90,13 +85,6 @@ _RECORDS = {
     "PointReport": (
         lambda: PointReport(0.5, 1.0, 1.25, -0.25),
         "PointReport(x=0.5, approx=1.0, exact=1.25, delta=-0.25, note='')",
-    ),
-    "RunConfig": (
-        lambda: RunConfig("eval", ("a8",), alpha=Fraction(1, 2), function="ln1p",
-                          grid=(-1.0, 1.0, 3)),
-        "RunConfig(command='eval', expansions=('a8',), alpha=Fraction(1, 2), "
-        "beta=None, w=None, function='ln1p', terms=8, at=None, grid=(-1.0, 1.0, 3), "
-        "out=None, fmt='csv', n_list=(3, 7, 10, 20))",
     ),
 }
 
@@ -156,7 +144,6 @@ def test_subclass_with_equal_fields_is_another_type():
 def test_one_field_difference_breaks_equality():
     assert Interval(0.0, 1.0) != Interval(0.0, 1.0, lo_closed=True)
     assert PointReport(0.5, 1.0, 1.0, 0.0) != PointReport(0.5, 1.0, 1.0, 0.0, "note")
-    assert RunConfig("table") != RunConfig("table", terms=9)
     model = _model()
     assert model != ApproximationModel(model.expansion, model.func, model.order,
                                        model.coefficients, "composition")
@@ -181,15 +168,6 @@ def test_positional_and_keyword_construction_with_defaults():
     assert PointReport(1.0, 2.0, 3.0, -1.0, "n").note == "n"
     with pytest.raises(TypeError):
         PointReport(1.0, 2.0, 3.0)
-
-    c = RunConfig("table")
-    assert (c.expansions, c.alpha, c.beta, c.w, c.function, c.terms, c.at, c.grid,
-            c.out, c.fmt, c.n_list) == ((), None, None, None, None, 8, None, None,
-                                        None, "csv", (3, 7, 10, 20))
-    assert RunConfig(command="table", terms=3, n_list=(1,)) == RunConfig(
-        "table", (), None, None, None, None, 3, None, None, None, "csv", (1,))
-    with pytest.raises(TypeError):
-        RunConfig()
 
     f = builtin_function("exp")
     spec = FunctionSpec("e", ExactScalar(0), f.domain, _deriv=f._deriv)
@@ -273,8 +251,7 @@ def test_interval_validation():
 
 
 @pytest.mark.parametrize("make", [lambda: Interval(-1.0, 2.0, True),
-                                  lambda: PointReport(0.5, 1.0, 1.25, -0.25, "x"),
-                                  lambda: RunConfig("eval", ("a1",), terms=4)])
+                                  lambda: PointReport(0.5, 1.0, 1.25, -0.25, "x")])
 def test_plain_value_records_copy_and_pickle(make):
     record = make()
     for twin in (copy.copy(record), copy.deepcopy(record),
