@@ -30,13 +30,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
-from .bell import _columns, _graded, _raw, _triangle
+from .bell import _columns, _raw, _triangle
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _float_param, eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, _tagged, falling_factorial, scalar
-from .pseries import MAX_ORDER, TruncatedSeries, _check_order
+from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
 __all__ = [
     "BUILTIN_FUNCTIONS",
@@ -73,14 +75,7 @@ class FunctionSpec(_Record):
     def __init__(self, name: str, x0: ExactScalar, domain: Interval, _deriv: Callable,
                  _value: Optional[Callable] = None, _table: Optional[tuple] = None,
                  _ode: Optional[tuple] = None):
-        set_field = object.__setattr__
-        set_field(self, "name", name)
-        set_field(self, "x0", x0)
-        set_field(self, "domain", domain)
-        set_field(self, "_deriv", _deriv)
-        set_field(self, "_value", _value)
-        set_field(self, "_table", _table)
-        set_field(self, "_ode", _ode)
+        self._set(name, x0, domain, _deriv, _value, _table, _ode)
 
     def _identity(self) -> tuple:
         table = None if self._table is None else tuple(map(_tagged, self._table))
@@ -243,12 +238,7 @@ class ApproximationModel(_Record):
 
     def __init__(self, expansion: Expansion, func: FunctionSpec, order: int,
                  coefficients: tuple, route: str):
-        set_field = object.__setattr__
-        set_field(self, "expansion", expansion)
-        set_field(self, "func", func)
-        set_field(self, "order", order)
-        set_field(self, "coefficients", coefficients)
-        set_field(self, "route", route)
+        self._set(expansion, func, order, coefficients, route)
 
     def is_exact(self) -> bool:
         return all(c.is_exact for c in self.coefficients)
@@ -308,44 +298,51 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     """(P_n, S_n) with F^(n)(0) = P_n / S_n for n = 1 .. order, F = f o h.
 
     values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, and
-    f satisfies (1 + rho x) f'(x) = a f(x) + b with ode = (rho, a, b) and
-    f(0) = f0.  Leibniz's rule on (1 + rho h) F' = (a F + b) h' gives
+    (1 + rho x) f' = a f + b with ode = (rho, a, b) and f(0) = f0.
+    Leibniz's rule on (1 + rho h) F' = (a F + b) h' gives J. C. P. Miller's
+    power-series recurrence (Knuth, *TAOCP* vol. 2, section 4.7),
 
-        F^(n) = sum_{j=1}^{n} [a C(n-1, j-1) - rho C(n-1, j)] d_j F^(n-j) + b d_n,
+        F^(n) = sum_{j=1}^{n} w(n, j) d_j F^(n-j) + b d_n,
+        w(n, j) = a C(n-1, j-1) - rho C(n-1, j),
 
-    J. C. P. Miller's power-series recurrence (Knuth, *TAOCP* vol. 2,
-    section 4.7), O(N**2) products against the Bell triangle's O(N**3).
-    In integers: rho, a, b are taken over their common denominator t and
-    the d_j over theirs, D; row n sums its terms over L, the lcm of
-    S_0 .. S_{n-1}, keeping each earlier numerator as P_m L / S_m, and
-    divides the gcd of the sum and t D L out once, so P_n / S_n is reduced.
+    O(N**2) products against the Bell triangle's O(N**3).  By Pascal's
+    rule w(n + 1, j) = w(n, j) + w(n, j - 1), w(n, 0) = -rho, w(1, 1) = a,
+    so a row of weights is one vector addition, and each row one dot
+    product (``map``/``sum``) that skips the j beyond the last nonzero d_j
+    and, for odd bases, the even j.  In integers, with
+    rho, a, b over their common denominator t, d_j = D_j / D and
+    f0 = p / q, G_n = t^n q F^(n) satisfies G_0 = p and
+
+        D G_n = sum_j w(n, j) D_j t^(j-1) G_(n-j) + b q D_n t^(n-1);
+
+    the G_m are integers over one denominator L (L = 1 while D = 1, as for
+    all but a11, a12 and c3 .. c6): row n divides its sum by its gcd g
+    with D and, if g != D, multiplies L and the earlier numerators by
+    D / g.  P_n / S_n is not reduced.
     """
     t = math.lcm(*(Fraction(c).denominator for c in ode))
     rho, a, b = (int(Fraction(c) * t) for c in ode)
-    scale = math.lcm(*(v.denominator for v in values))
-    d = [0] + [v.numerator * (scale // v.denominator) for v in values]
-    nonzero = [j for j in range(1, order + 1) if d[j]]
-    top = f0.denominator  # L
-    over_top = [f0.numerator]  # P_m L / S_m for m < n
+    b *= f0.denominator
+    scale = math.lcm(*(v.denominator for v in values))  # D
+    d = [v.numerator * (scale // v.denominator) * t**j for j, v in enumerate(values)]
+    # d_j = 0 unless j <= width and step divides j - 1
+    js = [j for j, v in enumerate(d) if v]
+    step, width = math.gcd(*js) or 1, js[-1] + 1
+    dj = d[:width:step]
+    top = 1  # L
+    over_top = [f0.numerator]  # L G_m for m < n
     rows = []
+    w = [a]  # w(n, j) for j = 1 .. min(n, width)
     for n in range(1, order + 1):
-        acc = b * d[n] * top
-        for j in nonzero:
-            if j > n:
-                break
-            w = a * math.comb(n - 1, j - 1) - rho * math.comb(n - 1, j)
-            if w and over_top[n - j]:
-                acc += w * d[j] * over_top[n - j]
-        den = t * scale * top
-        g = math.gcd(acc, den)
-        p, s = acc // g, den // g
-        rows.append((p, s))
-        grown = math.lcm(top, s)
-        if grown != top:
-            k = grown // top
-            over_top = [q * k for q in over_top]
-            top = grown
-        over_top.append(p * (top // s))
+        weights, past = (w, reversed(over_top)) if step == 1 else (w[::step], over_top[::-step])
+        acc = sum(map(mul, map(mul, weights, dj), past)) + b * d[n - 1] * top
+        w = list(map(add, w + [0], [-rho, *w]))[:width]
+        g = math.gcd(acc, scale)
+        if g != scale:
+            over_top = list(map(mul, over_top, repeat(scale // g)))
+            top *= scale // g
+        over_top.append(acc // g)
+        rows.append((acc // g, t**n * f0.denominator * top))
     return rows
 
 
@@ -354,58 +351,64 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
 
     h is the expansion's inverse basis, with derivatives d_j at 0, and
     F^(n) = sum over k of f^(k)(x0) B(n, k)(d_1, d_2, ...), the paper's
-    sum over the partial Bell polynomials.  When d_1 .. d_N and f's
-    derivatives are all exact, the sum is taken in integers by one of two
-    routes, after a geometric factor r**j leaves the d_j (``bell._graded``;
-    F^(n) then carries r**n):
+    sum over the partial Bell polynomials.  The family's registry formula
+    states d_j = r**j e_j (r = 1 but for a5 and a7, see
+    :mod:`funcseries.pseries`); B(n, k) has weight n in the d_j, so F^(n)
+    over the e_j carries r**n.  When the e_j and f's derivatives are all
+    exact, the sum is taken in integers over the e_j by one of two routes:
 
     * a target that declares its ODE (1 + rho x) f' = a f + b (exp, ln1p
-      and pow at x0 = 0; see :class:`FunctionSpec`) takes F^(n) = P_n / S_n
-      from the O(N**2) composition recurrence of :func:`_composed`;
-    * any other target (sin, sq, a derivative list, x0 != 0) reads the
-      column kernel of :mod:`funcseries.bell`: column k is P_k / S_k in
-      integers; with f^(k) = c_k / Q and L the lcm of the S_k, F^(n) is the
-      integer sum of c_k P_k[n] L / S_k over k, divided once by Q L.
+      and pow at x0 = 0; see :class:`FunctionSpec`) is asked for f(x0)
+      only, and F^(n) comes from the O(N**2) composition recurrence of
+      :func:`_composed`, whose weights follow Pascal's rule;
+    * any other target reads the column kernel of :mod:`funcseries.bell`:
+      with column k = P_k / S_k, f^(k) = c_k / Q and L the lcm of the S_k,
+      F^(n) is the integer sum of c_k P_k[n] L / S_k, divided by Q L.
 
-    An exact rational has one reduced form, so both routes give the same
-    coefficients, and ``route`` reads "bell" for either (it is part of the
-    model's identity and of ``coeffs --format json``).  Otherwise the
-    triangle holds the mixed values: a coefficient whose terms are all
-    exact is summed exactly, and one float term switches it to
-    compensated float summation.  Zero factors are skipped so that exact
-    zeros survive even in float-contaminated rows.  The closed forms and
-    their gate are not involved.
+    a_n = P_n r**n / (S_n n!) takes running products of n! and of r's
+    numerator and denominator, and one normalisation.  An exact rational
+    has one reduced form, so both routes give the same coefficients, and
+    ``route`` reads "bell" for either (it is part of the model's identity
+    and of ``coeffs --format json``).  Otherwise the triangle holds the
+    mixed values d_j: a coefficient whose terms are all exact is summed
+    exactly, and one float term switches it to compensated float
+    summation.  Zero factors are skipped so that exact zeros survive even
+    in float-contaminated rows.  The closed forms and their gate are not
+    involved.
     """
     _check_order(order)
-    d = [func.derivative(k) for k in range(order + 1)]
-    raw = _raw(d)
-    values = _raw(exp.derivative_sequence(order))
-    coeffs = [d[0]]
-    if not any(isinstance(v, float) for v in raw[1:] + values):
-        r, values = _graded(values)
-        if func._ode is not None:
-            rows = _composed(values, order, func._ode, raw[0])
-        else:
-            cols, scales = _columns(values, order)
-            q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
-            c = [v.numerator * (q // v.denominator) * (lcm // s)
-                 for v, s in zip(raw[1:], scales[1:])]
-            rows = [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
-                    for n in range(1, order + 1)]
-        rn, rd = r.numerator, r.denominator
-        for n, (num, den) in enumerate(rows, 1):
-            coeffs.append(ExactScalar(Fraction(num * rn**n, den * math.factorial(n) * rd**n)))
-        return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
-    triangle = _triangle(values, order)
-    for n in range(1, order + 1):
-        row = triangle[n]
-        terms = [raw[k] * row[k] for k in range(1, n + 1) if raw[k] and row[k]]
-        if not any(isinstance(t, float) for t in terms):
-            coeffs.append(ExactScalar(Fraction(sum(terms), math.factorial(n))))
-        else:
-            coeffs.append(
-                scalar(_neumaier(float(t) for t in terms) / math.factorial(n))
-            )
+    r, e = get_family(exp.key).graded(order, exp.param_dict())
+    exact = not any(isinstance(v, float) for v in e)
+    if exact and func._ode is not None:
+        coeffs = [func.derivative(0)]
+        rows = _composed(e, order, func._ode, coeffs[0]._v)
+    else:
+        d = [func.derivative(k) for k in range(order + 1)]
+        raw, coeffs = _raw(d), [d[0]]
+        if not exact or any(isinstance(v, float) for v in raw[1:]):
+            triangle = _triangle(get_family(exp.key).derivatives(order, exp.param_dict()), order)
+            for n in range(1, order + 1):
+                row = triangle[n]
+                terms = [raw[k] * row[k] for k in range(1, n + 1) if raw[k] and row[k]]
+                if not any(isinstance(t, float) for t in terms):
+                    coeffs.append(ExactScalar(Fraction(sum(terms), math.factorial(n))))
+                else:
+                    coeffs.append(
+                        scalar(_neumaier(float(t) for t in terms) / math.factorial(n))
+                    )
+            return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
+        cols, scales = _columns(e, order)
+        q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
+        c = [v.numerator * (q // v.denominator) * (lcm // s)
+             for v, s in zip(raw[1:], scales[1:])]
+        rows = [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
+                for n in range(1, order + 1)]
+    fact = pn = pd = 1
+    for n, (num, den) in enumerate(rows, 1):
+        fact *= n
+        pn *= r.numerator
+        pd *= r.denominator
+        coeffs.append(ExactScalar(Fraction(num * pn, den * fact * pd)))
     return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
 
 
@@ -485,12 +488,7 @@ class PointReport(_Record):
 
     def __init__(self, x: float, approx: float, exact: float, delta: float,
                  note: str = ""):
-        set_field = object.__setattr__
-        set_field(self, "x", x)
-        set_field(self, "approx", approx)
-        set_field(self, "exact", exact)
-        set_field(self, "delta", delta)
-        set_field(self, "note", note)
+        self._set(x, approx, exact, delta, note)
 
 
 def error_report(model: ApproximationModel, xs) -> list:

@@ -84,7 +84,7 @@ class _Record:
 
     A subclass lists its fields in ``_fields``, in constructor order, and
     the ones its repr shows in ``_shown``; its ``__init__`` sets each field
-    once through ``object.__setattr__``.  Records compare and hash by
+    once through :meth:`_set`.  Records compare and hash by
     ``_identity()``, the tuple of all their fields unless a subclass
     narrows it, only against an instance of the same class, and any later
     assignment or deletion raises AttributeError.
@@ -93,6 +93,10 @@ class _Record:
     __slots__ = ()
     _fields: tuple = ()
     _shown: tuple = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -121,6 +125,10 @@ class _Record:
         return self.__class__, self._values()
 
 
+class _InfiniteEnd(ValueError):
+    """A closed interval end that is infinite."""
+
+
 class Interval(_Record):
     """A real interval with independent open/closed endpoint flags."""
 
@@ -130,15 +138,9 @@ class Interval(_Record):
                  hi_closed: bool = False):
         if math.isnan(lo) or math.isnan(hi) or lo > hi:
             raise ValueError(f"bad interval bounds {lo}, {hi}")
-        if math.isinf(lo) and lo_closed:
-            raise ValueError("an infinite endpoint cannot be closed")
-        if math.isinf(hi) and hi_closed:
-            raise ValueError("an infinite endpoint cannot be closed")
-        set_field = object.__setattr__
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "lo_closed", lo_closed)
-        set_field(self, "hi_closed", hi_closed)
+        if (math.isinf(lo) and lo_closed) or (math.isinf(hi) and hi_closed):
+            raise _InfiniteEnd("an infinite endpoint cannot be closed")
+        self._set(lo, hi, lo_closed, hi_closed)
 
     def __str__(self):
         left = "[" if self.lo_closed else "("
@@ -166,19 +168,8 @@ class Expansion(_Record):
     def __init__(self, key: str, label: str, params: tuple, domain: Interval,
                  image: Interval, side: str, increasing: bool, implicit: bool,
                  _g: Callable, _ginv: Callable, _ginv_d: Callable, _d1: float):
-        set_field = object.__setattr__
-        set_field(self, "key", key)
-        set_field(self, "label", label)
-        set_field(self, "params", params)
-        set_field(self, "domain", domain)
-        set_field(self, "image", image)
-        set_field(self, "side", side)
-        set_field(self, "increasing", increasing)
-        set_field(self, "implicit", implicit)
-        set_field(self, "_g", _g)
-        set_field(self, "_ginv", _ginv)
-        set_field(self, "_ginv_d", _ginv_d)
-        set_field(self, "_d1", _d1)
+        self._set(key, label, params, domain, image, side, increasing, implicit, _g, _ginv,
+                  _ginv_d, _d1)
 
     def _identity(self) -> tuple:
         return self.key, tuple((name, _tagged(v)) for name, v in self.params)
@@ -274,7 +265,7 @@ def _horner_tables(key: str, order: int) -> tuple:
 @lru_cache(maxsize=None)
 def _g_init_floats(key: str, order: int) -> tuple:
     """Float coefficients of the basis series, the inverse of the inverse basis."""
-    d = bell._raw(bell.derivative_sequence(key, order))
+    d = get_family(key).derivatives(order, {})
     return tuple(float(c) for c in bell._inverse_coefficients(d, order))
 
 
@@ -909,7 +900,8 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     alpha -> constant shift, w -> first derivative, beta -> second
     derivative of the inverse basis.  Raises ValueError for a parameter,
     or a slope d_1, that has no finite float or must not be 0 and rounds
-    to 0.0, and for parameters that overflow a basis builder: the float
+    to 0.0, and for parameters that overflow a basis builder or put a
+    closed domain or image end beyond the float range: the float
     evaluators could not use them.
     """
     fam = get_family(key)
@@ -917,11 +909,14 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     for name, value in params.items():
         _float_param(value, f"family {key!r} parameter {name}",
                      name in fam.nonzero or name in fam.positive)
-    d1 = _float_param(fam.derivatives(1, **params)[0], f"family {key!r} slope d_1", True)
+    d1 = _float_param(fam.derivatives(1, params)[0], f"family {key!r} slope d_1", True)
     try:
         pieces = _BUILDERS[key](params)
     except OverflowError:  # a10's exp(w - 1) for w > 710
         raise ValueError(f"family {key!r} parameters overflow its float evaluators") from None
+    except _InfiniteEnd:  # a6's -w^2 / 2, a7's -alpha / beta
+        raise ValueError(f"family {key!r} parameters put a domain or image end beyond "
+                         "the float range") from None
     ginv, ginv_d = pieces["ginv"], pieces["ginv_d"]
     if "tail_neg" in pieces:
         domain, image = _scan_pieces(ginv, ginv_d, d1, pieces["tail_neg"])

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import ExactScalar, ONE, ZERO, _falling_factorials, double_factorial, scalar
+from .exact import ExactScalar, ZERO, _falling_factorials, scalar
 
 __all__ = [
     "MAX_ORDER",
@@ -186,84 +188,97 @@ class TruncatedSeries:
 # A basis family is fully described by d_1, d_2, .. , the derivatives at 0
 # of its inverse basis: they are the arguments of its Bell polynomials, and
 # its Maclaurin series is d_n / n!.  Each function below gives d_1 .. d_n
-# from one closed expression per entry; the comment names the inverse basis.
+# from one closed expression per entry, as raw values (int, Fraction, or
+# float) from raw parameters, with a geometric ratio r stated: it returns
+# (r, e), d_j = r**j * e[j-1].  r = 1 but for a5 with alpha = p / q (r = 1 / q,
+# integer e_j) and a7 with a rational root (e_j the root times integers).
+# The comment names the inverse basis.
 
 
 def _d_a1(n):  # e^y - 1
-    return (ONE,) * n
+    return 1, (1,) * n
 
 
 def _d_a2(n):  # -ln(1 - y)
-    return tuple(scalar(math.factorial(i - 1)) for i in range(1, n + 1))
+    return 1, tuple(math.factorial(i - 1) for i in range(1, n + 1))
 
 
 def _d_a3(n):  # sinh(y)
-    return tuple(ONE if i % 2 else ZERO for i in range(1, n + 1))
+    return 1, tuple(i % 2 for i in range(1, n + 1))
 
 
 def _d_a4(n):  # sin(y)
-    return tuple(scalar((-1) ** (i // 2)) if i % 2 else ZERO for i in range(1, n + 1))
+    return 1, tuple((-1) ** (i // 2) if i % 2 else 0 for i in range(1, n + 1))
 
 
 def _d_a5(n, alpha):  # (1 + y)^alpha - 1
-    return tuple(ExactScalar(v) for v in _falling_factorials(alpha, n)[1:])
+    if isinstance(alpha, float):
+        return 1, _falling_factorials(alpha, n)[1:]
+    # alpha = p / q: d_j = p (p - q) ... (p - (j-1) q) / q^j, so r = 1 / q
+    p, q = alpha.numerator, alpha.denominator
+    return Fraction(1, q), tuple(accumulate(range(p, p - n * q, -q), mul))
 
 
 def _d_a6(n, w):  # y^2 / 2 + w y
-    return (w, ONE, *[ZERO] * (n - 2))[:n]
+    return 1, (w, 1, *[0] * (n - 2))[:n]
 
 
 def _d_a7(n, alpha, beta):  # sqrt(alpha + beta y) - sqrt(alpha)
-    root = alpha.sqrt()
-    half = _falling_factorials(Fraction(1, 2), n)
-    return tuple(root ** (1 - 2 * i) * beta**i * half[i] for i in range(1, n + 1))
+    root = ExactScalar(alpha).sqrt()._v
+    if isinstance(root, float) or isinstance(beta, float):
+        half = _falling_factorials(Fraction(1, 2), n)
+        return 1, tuple(root ** (1 - 2 * i) * beta**i * half[i] for i in range(1, n + 1))
+    # d_j = root (beta / alpha)^j (1/2)_j = r^j e_j with r = -beta / (2 alpha)
+    # and e_j = -root (2j - 3)!!, a running product
+    lead = -root.numerator if root.denominator == 1 else -root
+    return Fraction(-beta, 2 * alpha), tuple(accumulate(range(1, 2 * n - 2, 2), mul, initial=lead))
 
 
 def _d_a8(n):  # 1 / (1 - y)^2 - 1
-    return tuple(scalar(math.factorial(i + 1)) for i in range(1, n + 1))
+    return 1, tuple(math.factorial(i + 1) for i in range(1, n + 1))
 
 
 def _d_a9(n):  # y / (1 - y^2)
-    return tuple(scalar(math.factorial(i)) if i % 2 else ZERO for i in range(1, n + 1))
+    return 1, tuple(math.factorial(i) if i % 2 else 0 for i in range(1, n + 1))
 
 
 def _d_a10(n, w):  # (w + y - 1) e^y + 1 - w
-    return tuple(w - 1 + i for i in range(1, n + 1))
+    return 1, tuple(w - 1 + i for i in range(1, n + 1))
 
 
 def _d_a11(n):  # -ln(1 - y) / y - 1
-    return tuple(scalar(Fraction(math.factorial(i), i + 1)) for i in range(1, n + 1))
+    return 1, tuple(Fraction(math.factorial(i), i + 1) for i in range(1, n + 1))
 
 
 def _d_a12(n):  # (e^y - 1) / y - 1
-    return tuple(scalar(Fraction(1, i + 1)) for i in range(1, n + 1))
+    return 1, tuple(Fraction(1, i + 1) for i in range(1, n + 1))
 
 
-def _d_a13(n):  # arcsin(y)
-    return tuple(double_factorial(i - 2) ** 2 if i % 2 else ZERO for i in range(1, n + 1))
+def _d_a13(n):  # arcsin(y): ((i - 2)!!)^2 for odd i
+    return 1, tuple(math.prod(range(i - 2, 0, -2)) ** 2 if i % 2 else 0 for i in range(1, n + 1))
 
 
 def _d_c1(n, w):  # y (e^y + w - 1)
-    return (w,) + tuple(scalar(i) for i in range(2, n + 1))
+    return 1, (w, *range(2, n + 1))
 
 
 def _d_c2(n):  # (y - 2) e^y - y + 2
-    return (scalar(-2),) + tuple(scalar(i - 2) for i in range(2, n + 1))
+    return 1, (-2, *range(n - 1))
 
 
 def _d_c3(n):  # (2 e^y - y^2 - 2y - 2) / (2 y^2) = sum_{m>=1} y^m / (m+2)!
-    return tuple(scalar(Fraction(1, (m + 1) * (m + 2))) for m in range(1, n + 1))
+    return 1, tuple(Fraction(1, (m + 1) * (m + 2)) for m in range(1, n + 1))
 
 
 def _d_c4(n):  # (6y e^y - 12 e^y - y^3 + 6y + 12) / (6 y^3) = sum_{m>=1} (m+1) y^m / (m+3)!
-    return tuple(scalar(Fraction(1, (m + 2) * (m + 3))) for m in range(1, n + 1))
+    return 1, tuple(Fraction(1, (m + 2) * (m + 3)) for m in range(1, n + 1))
 
 
 def _d_c5(n, alpha, w, beta):
     # alpha + (alpha + w - 1) y + (alpha + beta - 2) y^2 / 2 + (y - alpha) e^y:
     # alpha is the constant shift; w and beta are the prescribed first and
     # second derivative values of the inverse basis.
-    return (w, beta, *(i - alpha for i in range(3, n + 1)))[:n]
+    return 1, (w, beta, *(i - alpha for i in range(3, n + 1)))[:n]
 
 
 def _d_c6(n):
@@ -272,28 +287,33 @@ def _d_c6(n):
     # (arcsin x)^2 = 1/2 sum_{n>=1} (2x)^(2n) / (n^2 C(2n, n)),
     # [arccos(1+y)]^2 = 2 sum_{n>=1} (-2y)^n / (n^2 C(2n, n)); dividing by
     # -2y gives c_m = -(-2)^(m+1) / ((m+1)^2 C(2m+2, m+1)), whose c_0 = 1
-    # cancels the -1, and d_m = m! c_m.  O(N) exact operations; the tests
-    # check the result against reverting y(s) = sum_{j>=1} (-1)^j s^j / (2j)!,
-    # the series of cos(sqrt(s)) - 1, which is O(N^3).
-    return tuple(
-        scalar(Fraction(-((-2) ** (m + 1)) * math.factorial(m),
-                        (m + 1) ** 2 * math.comb(2 * m + 2, m + 1)))
-        for m in range(1, n + 1)
-    )
+    # cancels the -1, and d_m = m! c_m = 2 (-2)^m m!^3 / (2m+2)!: a running
+    # product from d_0 = 1 with d_m / d_(m-1) = -m^3 / ((2m+1)(m+1)).  O(N)
+    # exact operations; the tests check the result against reverting
+    # y(s) = sum_{j>=1} (-1)^j s^j / (2j)!, the series of cos(sqrt(s)) - 1,
+    # which is O(N^3).
+    out, p, q = [], 1, 1  # d_m = p / q, kept reduced
+    for m in range(1, n + 1):
+        p, q = p * -(m**3), q * (2 * m + 1) * (m + 1)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        out.append(Fraction(p, q))
+    return 1, out
 
 
 class Family(NamedTuple):
     """One basis family: its key, label, parameters and derivative formula.
 
-    ``derivatives(n, **params)`` gives d_1 .. d_n of the inverse basis, the
-    family's only exact fact.  ``defaults`` lists the (name, default) pairs
+    ``formula(n, **raw_params)`` gives d_1 .. d_n of the inverse basis, the
+    family's only exact fact, as (r, e) with d_j = r**j * e[j-1] (see the
+    registry comment above).  ``defaults`` lists the (name, default) pairs
     of its parameters in order; a parameter named in ``nonzero`` must not
     be 0 and one named in ``positive`` must be > 0.
     """
 
     key: str
     label: str
-    derivatives: Callable
+    formula: Callable
     defaults: tuple = ()
     nonzero: tuple = ()
     positive: tuple = ()
@@ -301,6 +321,17 @@ class Family(NamedTuple):
     @property
     def params(self) -> tuple:
         return tuple(name for name, _ in self.defaults)
+
+    def graded(self, n: int, params: dict) -> tuple:
+        """(r, e) for ``params`` as :meth:`validate` gives them, passed raw
+        (an integral one as an int)."""
+        return self.formula(n, **{name: v.numerator if v.is_exact and v.denominator == 1
+                                  else v._v for name, v in params.items()})
+
+    def derivatives(self, n: int, params: dict) -> list:
+        """d_1 .. d_n as raw values for ``params`` as :meth:`validate` gives them."""
+        r, e = self.graded(n, params)
+        return list(e) if r == 1 else [r**j * v for j, v in enumerate(e, 1)]
 
     def validate(self, alpha=None, beta=None, w=None, *, fill=False) -> dict:
         """The parameters as {name: ExactScalar}, in the family's order.
@@ -384,5 +415,5 @@ def family_series(key: str, order: int, *, alpha=None, beta=None, w=None) -> Tru
     """
     _check_order(order)
     fam = get_family(key)
-    d = fam.derivatives(order, **fam.validate(alpha, beta, w))
-    return TruncatedSeries([ZERO] + [v / math.factorial(n) for n, v in enumerate(d, 1)])
+    d = fam.derivatives(order, fam.validate(alpha, beta, w))
+    return TruncatedSeries([ZERO] + [scalar(v) / math.factorial(n) for n, v in enumerate(d, 1)])

@@ -17,7 +17,7 @@ from funcseries.bell import (
 )
 from funcseries.catalog import get_expansion
 from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
-from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series
+from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series, get_family
 from oracles import bell_by_partitions, stirling1_rec
 
 
@@ -309,34 +309,46 @@ class TestColumnKernel:
 
 
 class TestGrading:
+    # the registry formulas state a geometric ratio r with d_j = r^j e_j
+
     def test_a7_values_are_a_power_times_an_integer(self):
-        values = bell._raw(derivative_sequence("a7", MAX_ORDER, alpha=4, beta=3))
-        r, graded = bell._graded(values)
+        fam = get_family("a7")
+        r, graded = fam.graded(MAX_ORDER, fam.validate(alpha=4, beta=3))
         assert r == Fraction(-3, 8)
         assert all(e.denominator == 1 for e in graded)
+        values = bell._raw(derivative_sequence("a7", MAX_ORDER, alpha=4, beta=3))
         assert [r**j * e for j, e in enumerate(graded, 1)] == values
 
     def test_graded_triangle_is_the_row_scaled_triangle(self):
         # B(n, k) over r^j e_j is r^n B(n, k) over e_j
+        fam = get_family("a7")
         for params in A7_EXACT_SAMPLES:
             values = bell._raw(derivative_sequence("a7", 10, **params))
-            r, graded = bell._graded(values)
-            plain, scaled = bell._triangle(values, 10), bell._triangle(graded, 10)
+            r, graded = fam.graded(10, fam.validate(**params))
+            assert r != 1
+            plain, scaled = bell._triangle(values, 10), bell._triangle(list(graded), 10)
             for n in range(11):
                 assert plain[n] == [r**n * b for b in scaled[n]], (params, n)
 
     @pytest.mark.parametrize("key", [k for k in FAMILY_KEYS if k != "a7"])
     def test_other_families_are_left_alone(self, key):
-        # a candidate that would enlarge some numerator or denominator is refused
+        # no other formula states a ratio; its values are the derivatives
+        fam = get_family(key)
         params = get_expansion(key).param_dict()
-        values = bell._raw(derivative_sequence(key, MAX_ORDER, **params))
-        assert bell._graded(values) == (1, values)
+        r, values = fam.graded(MAX_ORDER, params)
+        assert r == 1
+        assert list(values) == bell._raw(derivative_sequence(key, MAX_ORDER, **params))
 
     def test_degenerate_inputs(self):
-        assert bell._graded([Fraction(1, 2)]) == (1, [Fraction(1, 2)])
-        assert bell._graded([Fraction(0), Fraction(1, 4)]) == (1, [Fraction(0), Fraction(1, 4)])
-        same = [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3)]
-        assert bell._graded(same) == (1, same)
+        fam = get_family("a7")
+        # one term, and a ratio of magnitude 1
+        assert fam.derivatives(1, fam.validate(alpha=4, beta=3)) == [Fraction(3, 4)]
+        r, e = fam.graded(3, fam.validate(alpha=1, beta=2))
+        assert r == -1 and list(e) == [-1, -1, -3]
+        # an irrational root or a float beta: float values, no ratio
+        for params in ({"alpha": 2, "beta": 3}, {"alpha": 4, "beta": 0.5}):
+            r, e = fam.graded(6, fam.validate(**params))
+            assert r == 1 and all(isinstance(v, float) for v in e)
 
 
 class TestInverseCoefficients:

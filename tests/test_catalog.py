@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from funcseries.bell import bell_values
+from funcseries.cli import main
 from funcseries.catalog import (
     ConvergenceError,
     DomainError,
@@ -192,6 +193,21 @@ class TestGetExpansion:
             get_expansion(key, **params)
         # the exact paths take them as they are
         assert len(bell_values(key, 3, **params)) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--expansion", "a7", "--alpha", "1e300", "--beta", "1/10000000000",
+         "--function", "exp"],
+        ["coeffs", "--expansion", "a6", "--w", "1e200", "--function", "exp"],
+    ])
+    def test_end_beyond_the_float_range_names_the_family(self, argv, capsys):
+        # finite parameters whose image end -alpha/beta or domain end -w^2/2
+        # overflows to -inf, which a closed end cannot be
+        key = argv[2]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: family '{key}' parameters put a domain or image "
+                                "end beyond the float range\n")
 
     def test_non_finite_float_parameters(self):
         for key, params in (("a6", {"w": math.inf}), ("c5", {"beta": math.nan}),

@@ -125,6 +125,72 @@ def test_recurrence_matches_kernel_property(case, func, order):
     assert fast.coefficients == slow.coefficients
 
 
+# every family's exact parameters: the ones above, and for a7 also an alpha
+# that need not be a square (its root, and so its model, is then float)
+_FAMILY_PARAMS = {
+    "a5": st.fixed_dictionaries({"alpha": _rational(nonzero=True)}),
+    "a6": st.fixed_dictionaries({"w": _rational(positive=True)}),
+    "a10": st.fixed_dictionaries({"w": _rational(positive=True)}),
+    "c1": st.fixed_dictionaries({"w": _rational(nonzero=True)}),
+    "a7": st.fixed_dictionaries({
+        "alpha": st.one_of(_rational(6, 6, positive=True).map(lambda r: r * r),
+                           _rational(positive=True)),
+        "beta": _rational(nonzero=True)}),
+    "c5": st.fixed_dictionaries({
+        "alpha": _rational(), "w": _rational(nonzero=True), "beta": _rational()}),
+}
+# pow with a small nonzero alpha has both a = alpha and rho = 1 in its ODE,
+# so its weights are the general C(n, j) (a j - rho (n - j)) / n
+_WEIGHTED_TARGETS = st.one_of(
+    st.sampled_from(["exp", "ln1p"]).map(builtin_function),
+    _rational(6, 6, nonzero=True).map(lambda a: builtin_function("pow", alpha=a)),
+)
+
+
+@pytest.mark.parametrize("key", FAMILY_KEYS)
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_recurrence_weights_match_kernel_in_every_family(key, data):
+    params = data.draw(_FAMILY_PARAMS.get(key, st.just({})), label="params")
+    func = data.draw(_WEIGHTED_TARGETS, label="func")
+    order = data.draw(st.integers(1, 24), label="order")
+    exp = get_expansion(key, **params)
+    fast = assemble(exp, func, order)
+    slow = assemble(exp, through_kernel(func, order), order)
+    assert fast.coefficients == slow.coefficients
+    if key != "a7" or exp.param_dict()["alpha"].sqrt().is_exact:
+        assert fast.is_exact()
+
+
+def counting(func):
+    """func with a derivative function that records each order asked for."""
+    calls = []
+
+    def deriv(n, _inner=func._deriv):
+        calls.append(n)
+        return _inner(n)
+
+    spec = approx.FunctionSpec(func.name, func.x0, func.domain, deriv, func._value,
+                               func._table, func._ode)
+    return spec, calls
+
+
+@pytest.mark.parametrize("spec", ODE_TARGETS)
+def test_an_ode_target_is_asked_for_its_value_only(spec):
+    func, calls = counting(target(spec))
+    exp = get_expansion("c6")
+    model = assemble(exp, func, MAX_ORDER)
+    assert model.coefficients == assemble(exp, target(spec), MAX_ORDER).coefficients
+    assert calls == [0]
+
+
+def test_a_target_without_an_ode_is_asked_for_every_order():
+    for spec in ("sin", "exp@1/2", "pow:0.5"):
+        func, calls = counting(target(spec))
+        assemble(get_expansion("a2"), func, MAX_ORDER)
+        assert calls == list(range(MAX_ORDER + 1)), spec
+
+
 # sha256 of the reprs of every coefficient of assemble(expansion, target, N),
 # one repr a line, over the targets and then N in (20, MAX_ORDER).  Recorded
 # before the composition recurrence existed; every one of these models has
