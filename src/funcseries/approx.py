@@ -377,7 +377,8 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     involved.
     """
     _check_order(order)
-    r, e = get_family(exp.key).graded(order, exp.param_dict())
+    fam, params = get_family(exp.key), exp.param_dict()
+    r, e = fam.graded(order, params)
     exact = not any(isinstance(v, float) for v in e)
     if exact and func._ode is not None:
         coeffs = [func.derivative(0)]
@@ -386,7 +387,7 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
         d = [func.derivative(k) for k in range(order + 1)]
         raw, coeffs = _raw(d), [d[0]]
         if not exact or any(isinstance(v, float) for v in raw[1:]):
-            triangle = _triangle(get_family(exp.key).derivatives(order, exp.param_dict()), order)
+            triangle = _triangle(fam.derivatives(order, params), order)
             for n in range(1, order + 1):
                 row = triangle[n]
                 terms = [raw[k] * row[k] for k in range(1, n + 1) if raw[k] and row[k]]

@@ -330,9 +330,19 @@ class TestGrading:
             for n in range(11):
                 assert plain[n] == [r**n * b for b in scaled[n]], (params, n)
 
+    def test_a5_ratio_is_one_over_the_denominator_of_alpha(self):
+        fam = get_family("a5")
+        for alpha in (Fraction(-3, 2), Fraction(1, 5), Fraction(7, 3)):
+            r, graded = fam.graded(12, fam.validate(alpha=alpha))
+            assert r == Fraction(1, alpha.denominator)
+            assert all(isinstance(e, int) for e in graded)
+            assert [r**j * e for j, e in enumerate(graded, 1)] == [
+                falling_factorial(alpha, j).as_fraction() for j in range(1, 13)]
+
     @pytest.mark.parametrize("key", [k for k in FAMILY_KEYS if k != "a7"])
     def test_other_families_are_left_alone(self, key):
-        # no other formula states a ratio; its values are the derivatives
+        # at the catalog defaults no other formula states a ratio; its
+        # values are the derivatives
         fam = get_family(key)
         params = get_expansion(key).param_dict()
         r, values = fam.graded(MAX_ORDER, params)
