@@ -282,8 +282,7 @@ class ApproximationModel(_Record):
 
 
 def _neumaier(values) -> float:
-    total = 0.0
-    comp = 0.0
+    total = comp = 0.0
     for v in values:
         t = total + v
         if abs(total) >= abs(v):
@@ -295,7 +294,7 @@ def _neumaier(values) -> float:
 
 
 def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
-    """(P_n, S_n) with F^(n)(0) = P_n / S_n for n = 1 .. order, F = f o h.
+    """(P_n, S_n), not reduced, with F^(n)(0) = P_n / S_n, n = 1 .. order, F = f o h.
 
     values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, and
     (1 + rho x) f' = a f + b with ode = (rho, a, b) and f(0) = f0.
@@ -307,18 +306,18 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
 
     O(N**2) products against the Bell triangle's O(N**3).  By Pascal's
     rule w(n + 1, j) = w(n, j) + w(n, j - 1), w(n, 0) = -rho, w(1, 1) = a,
-    so a row of weights is one vector addition, and each row one dot
-    product (``map``/``sum``) that skips the j beyond the last nonzero d_j
-    and, for odd bases, the even j.  In integers, with
-    rho, a, b over their common denominator t, d_j = D_j / D and
+    so a row of weights is one vector addition, grown in place up to the
+    last nonzero d_j, and each row one dot product (``map``/``sum``) that
+    skips the j beyond it and, for odd bases, the even j.  In integers,
+    with rho, a, b over their common denominator t, d_j = D_j / D and
     f0 = p / q, G_n = t^n q F^(n) satisfies G_0 = p and
 
         D G_n = sum_j w(n, j) D_j t^(j-1) G_(n-j) + b q D_n t^(n-1);
 
-    the G_m are integers over one denominator L (L = 1 while D = 1, as for
-    all but a11, a12 and c3 .. c6): row n divides its sum by its gcd g
-    with D and, if g != D, multiplies L and the earlier numerators by
-    D / g.  P_n / S_n is not reduced.
+    the G_m are integers over one denominator L, and S_n = t^n q L is a
+    running product.  While D = 1 (all but a11, a12, c3, c4 and c6) L = 1
+    and no row divides; otherwise row n divides its sum by g = gcd(sum, D)
+    and, if g != D, multiplies L, S_n and the earlier numerators by D / g.
     """
     t = math.lcm(*(Fraction(c).denominator for c in ode))
     rho, a, b = (int(Fraction(c) * t) for c in ode)
@@ -329,20 +328,25 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     js = [j for j, v in enumerate(d) if v]
     step, width = math.gcd(*js) or 1, js[-1] + 1
     dj = d[:width:step]
-    top = 1  # L
+    top, den = 1, f0.denominator  # L and t^n q L
     over_top = [f0.numerator]  # L G_m for m < n
     rows = []
     w = [a]  # w(n, j) for j = 1 .. min(n, width)
     for n in range(1, order + 1):
         weights, past = (w, reversed(over_top)) if step == 1 else (w[::step], over_top[::-step])
         acc = sum(map(mul, map(mul, weights, dj), past)) + b * d[n - 1] * top
-        w = list(map(add, w + [0], [-rho, *w]))[:width]
-        g = math.gcd(acc, scale)
-        if g != scale:
-            over_top = list(map(mul, over_top, repeat(scale // g)))
-            top *= scale // g
-        over_top.append(acc // g)
-        rows.append((acc // g, t**n * f0.denominator * top))
+        if len(w) < width:
+            w.append(0)
+        w = list(map(add, w, [-rho, *w]))
+        den *= t
+        if scale != 1:
+            g = math.gcd(acc, scale)
+            acc, s = acc // g, scale // g
+            if s != 1:
+                over_top = list(map(mul, over_top, repeat(s)))
+                top, den = top * s, den * s
+        over_top.append(acc)
+        rows.append((acc, den))
     return rows
 
 
@@ -365,8 +369,8 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
       with column k = P_k / S_k, f^(k) = c_k / Q and L the lcm of the S_k,
       F^(n) is the integer sum of c_k P_k[n] L / S_k, divided by Q L.
 
-    a_n = P_n r**n / (S_n n!) takes running products of n! and of r's
-    numerator and denominator, and one normalisation.  An exact rational
+    With r = rn / rd, each a_n = P_n rn^n / (S_n n! rd^n) is one ``Fraction``
+    over the running products rn^n and n! rd^n.  An exact rational
     has one reduced form, so both routes give the same coefficients, and
     ``route`` reads "bell" for either (it is part of the model's identity
     and of ``coeffs --format json``).  Otherwise the triangle holds the
@@ -394,9 +398,7 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
                 if not any(isinstance(t, float) for t in terms):
                     coeffs.append(ExactScalar(Fraction(sum(terms), math.factorial(n))))
                 else:
-                    coeffs.append(
-                        scalar(_neumaier(float(t) for t in terms) / math.factorial(n))
-                    )
+                    coeffs.append(scalar(_neumaier(map(float, terms)) / math.factorial(n)))
             return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
         cols, scales = _columns(e, order)
         q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
@@ -404,12 +406,11 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
              for v, s in zip(raw[1:], scales[1:])]
         rows = [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
                 for n in range(1, order + 1)]
-    fact = pn = pd = 1
+    pn = pd = 1  # rn^n and n! rd^n
     for n, (num, den) in enumerate(rows, 1):
-        fact *= n
         pn *= r.numerator
-        pd *= r.denominator
-        coeffs.append(ExactScalar(Fraction(num * pn, den * fact * pd)))
+        pd *= n * r.denominator
+        coeffs.append(ExactScalar(Fraction(num * pn, den * pd)))
     return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
 
 
@@ -423,9 +424,7 @@ def assemble_via_composition(
     derivative formula and scalar arithmetic, nothing else.
     """
     _check_order(order)
-    outer = TruncatedSeries(
-        func.derivative(k) / math.factorial(k) for k in range(order + 1)
-    )
+    outer = TruncatedSeries(func.derivative(k) / math.factorial(k) for k in range(order + 1))
     comp = outer.compose(exp.series(order))
     return ApproximationModel(exp, func, order, comp.coeffs, "composition")
 

@@ -33,9 +33,9 @@ reversed once when the family is built.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
-``approx.FunctionSpec.value_at``): NaN, and a point at or beyond an open
-end, lies outside; a closed end also admits 1e-12 * max(1, |x|) of float
-fuzz beyond it and clips such a point onto the end.
+``approx.FunctionSpec.value_at``): NaN, +-inf and a point at or beyond an
+open end lie outside; a closed end also admits 1e-12 * max(1, |x|) of
+float fuzz beyond it and clips such a point onto the end.
 
 Each builder gives the inverse basis twice: ``ginv`` alone, and the pair
 ``ginv_d(y) -> (ginv(y), ginv'(y))``, which computes their shared
@@ -953,14 +953,15 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
 def _admit(interval: Interval, x: float) -> float | None:
     """The float x moved into `interval`, or None if it lies outside.
 
-    NaN lies outside every interval.  An open end admits nothing at or
-    beyond it; a closed end also admits up to 1e-12 * max(1, |x|) of float
-    fuzz beyond it and clips such an x onto the end.
+    NaN and +-inf lie outside every interval (a closed end is finite).  An
+    open end admits nothing at or beyond it; a closed end also admits up to
+    1e-12 * max(1, |x|) of float fuzz beyond it and clips such an x onto
+    the end.
     """
     lo, hi = interval.lo, interval.hi
     if lo < x < hi:
         return x
-    if math.isnan(x):
+    if not math.isfinite(x):  # its slack would be infinite
         return None
     slack = 1e-12 * max(1.0, abs(x))
     if x < lo - slack if interval.lo_closed else x <= lo:

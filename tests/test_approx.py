@@ -224,6 +224,38 @@ COEFFICIENT_PINS = [
                  "850bd4d0e2c18c9f6043a92bfaffea9ba0e00d10a86cb9e3b9cc00d391aa0bd6",
                  id="c3-x0-half"),
 ]
+# The composition recurrence at MAX_ORDER, recorded before its running
+# denominators: the three ODE targets plus two whose ODE has a common
+# denominator t != 1, over a stated ratio r != 1 (a5 with alpha = p / q,
+# a7), d_j with a common denominator D != 1 (a11, a12, c3, c4, c6, and c1
+# and c5 at non-integer parameters), and odd (a9) and plain (a2) bases.
+ODE_PIN_TARGETS = ("ln1p", "exp", "pow:1/5", "pow:-1/3", "pow:3/2")
+ODE_PINS = [
+    ("a2", {}, "c5bc8315a5ca42e7c380f8b810a13e19606bb9acd7cfe7e152475baa9d5d9933"),
+    ("a9", {}, "ef753fcb286539e0afdfac163eb8fc537c48e349397ec65c0c219d7f4c062562"),
+    ("a5", {"alpha": Fraction(2, 3)},
+     "4ed697b91e1681c99471801bc201d2331a96152d274d0a2b6e4dc1a731aaf589"),
+    ("a5", {"alpha": Fraction(-5, 7)},
+     "67d1fac3521663ea766bd516fbafdfe818a4ce97d8165dee15864ee97517e7ee"),
+    ("a7", {}, "e7792658a4af545298edcf290e765c4b80e174547a831805950887bf20255467"),
+    ("a7", {"alpha": Fraction(9, 4), "beta": -1},
+     "07a10dcf9aaf284e10edc4c43a0fd25e8d2d4e01219845a5f1d9b1b790544144"),
+    ("a11", {}, "4f8dc15e0236eadfe6412a32d6720083cf2491b255fcb5585d47a2188e0778f3"),
+    ("a12", {}, "2a89c5997b6ffd8a96d4715be70a66324c47c0f04e84f62d473b9b32c6a660d7"),
+    ("c3", {}, "0cae059772e6317552811d486db3946892bb857c016fb37e94dbac77032789dc"),
+    ("c4", {}, "10be7f734e62f4a85c08cc5bdaac3b788014d3e7174b31100a6cb139f253c1ec"),
+    ("c5", {}, "f89368a6306762cab33c16f62c203f34d1cdb6b8799a7aba568efb3cb821bd1d"),
+    ("c6", {}, "884fe9e0c8e97f5d1db02986a6328a4a5c1b4c5eccf0e813c76c3e5aeba47598"),
+    ("c1", {"w": Fraction(3, 2)},
+     "60c76f0e026f9fe855df03d5b8cc301f60ba99a15fe37e02dc7ccc6d425caa1d"),
+    ("c5", {"alpha": Fraction(1, 2), "w": Fraction(-2, 3), "beta": Fraction(5, 4)},
+     "08ca53e2c0ba73ef61d939511591f1ab9eeed481c6f0727e5d461f10b4f9c438"),
+]
+COEFFICIENT_PINS += [
+    pytest.param(key, params, ODE_PIN_TARGETS, (MAX_ORDER,), digest,
+                 id="-".join(["ode", key, *(f"{name}={v}" for name, v in params.items())]))
+    for key, params, digest in ODE_PINS
+]
 
 
 def pin_target(spec):
@@ -563,7 +595,11 @@ _EXTREME_POINTS = (
 # fall back to bisection; 1e300 in _EXTREME_POINTS does so for c1, c3, c5.
 _BISECTION_POINTS = {"c4": (6.0, 9.0), "c6": (0.9, 1.1, 1.3)}
 
-EVALUATOR_PIN = "bdbbcbed26dd232b2b14b84b292e46bd39be6e765b78f21d9665e5d37531c48d"
+# Re-recorded when _admit stopped clipping +-inf onto a closed end: exactly
+# the 12 (key, +-inf) lines at closed ends moved, each to DomainError in
+# both columns (a4 and a13 at +-inf; a5, a6, a7, a10, a11 and c6 at -inf;
+# a12 and c6 at inf).
+EVALUATOR_PIN = "cf86556cb7e5cd3d3cbc58b163781517b1e4169fbce24b349da4ebaf9f006e46"
 
 
 def _pinned_points(key, exp):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from funcseries.approx import builtin_function
 from funcseries.bell import bell_values
 from funcseries.cli import main
 from funcseries.catalog import (
@@ -370,6 +371,27 @@ class TestEvaluators:
         for evaluator in (eval_g, eval_ginv, invert_numeric):
             with pytest.raises(DomainError):
                 evaluator(e, math.nan)
+
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_infinities_rejected(self, key):
+        # The closed-end slack 1e-12 * |x| is infinite at +-inf; an infinite
+        # x must not be clipped onto a closed end (a4, a13 and c6 have two).
+        e = get_expansion(key)
+        for evaluator in (eval_g, eval_ginv, invert_numeric):
+            for x in (math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    evaluator(e, x)
+        for interval in (e.domain, e.image):
+            assert _admit(interval, math.inf) is None
+            assert _admit(interval, -math.inf) is None
+
+    def test_infinite_target_points_have_no_reference(self):
+        for func in (builtin_function(name) for name in ("exp", "sin", "sq", "ln1p")):
+            assert func.value_at(math.inf) is None and func.value_at(-math.inf) is None
+        for alpha in (Fraction(1, 2), 0, -3):
+            func = builtin_function("pow", alpha=alpha)
+            assert func.value_at(math.inf) is None and func.value_at(-math.inf) is None
+        assert builtin_function("pow", alpha=Fraction(1, 2)).value_at(-1.0) == 0.0
 
     @pytest.mark.parametrize("key", FAMILY_KEYS)
     def test_slack_only_at_closed_ends(self, key):
