@@ -703,3 +703,68 @@ class TestMapDomain:
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 map_domain(get_expansion("a1"), bad)
+
+
+# -- outcomes pinned before the series sums, the a11/a12 start, map_domain and
+# -- pow's reference were each reduced to one copy ----------------------------
+
+_SERIES_SWITCH = {"a11": 1e-3, "a12": 1e-3, "c3": 0.25, "c4": 0.5, "c6": 0.0625}
+_RADII = (1e-3, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
+
+
+def _repr_or_error(call, *args):
+    try:
+        return repr(call(*args))
+    except Exception as err:
+        return type(err).__name__
+
+
+def _series_lines():
+    """ginv and ginv_d of each series-branch family around its switch t."""
+    lines = []
+    for key, t in _SERIES_SWITCH.items():
+        e = get_expansion(key)
+        below = math.nextafter(t, 0.0)
+        for y in (0.0, -0.0, 1e-300, -1e-300, t / 2, -t / 2, below, -below, t, -t):
+            lines.append(f"{key} {y!r} {_repr_or_error(e._ginv, y)} "
+                         f"{_repr_or_error(e._ginv_d, y)}")
+    return lines
+
+
+def _start_lines():
+    """eval_g of a11 and a12 on their near-zero start (series plus Newton)."""
+    return [f"{key} {x!r} {_repr_or_error(eval_g, get_expansion(key), x)}"
+            for key, sign in (("a11", 1.0), ("a12", -1.0))
+            for x in (sign * 1e-12, sign * 1e-3, sign * 0.03, sign * 0.0624)]
+
+
+def _map_domain_lines():
+    return [f"{key} {r!r} {_repr_or_error(map_domain, get_expansion(key), r)}"
+            for key in FAMILY_KEYS for r in _RADII]
+
+
+def _pow_reference_lines():
+    return [f"{alpha} {x!r} {_repr_or_error(builtin_function('pow', alpha=alpha).value_at, x)}"
+            for alpha in (Fraction(1, 5), Fraction(-1, 3)) for x in (-1.0, -0.5, 0.0, 3.0)]
+
+
+# sha256 over each list of lines, recorded from the code that wrote every
+# series sum inline in both ginv and ginv_d, the a11/a12 start twice, the
+# increasing and decreasing cases of map_domain apart, and pow's reference
+# as two closures
+_PARENT_PINS = {
+    _series_lines:
+        "2c490fde9bbf590567a06901962ff1c338d1bc9215ca6240474a5e519987baca",
+    _start_lines:
+        "215b104ffa4f108f376465aeb99e9581af409c750c4a8931c8b5af856783feef",
+    _map_domain_lines:
+        "089d56cfb519aff53a228a2986d17e326fd55cd60f4a344c325e4f51b295e7e7",
+    _pow_reference_lines:
+        "f82b46c0a8d861e0ec1bad61277cb6d8a8df4862d4e3283ad8313bcb3d4e3979",
+}
+
+
+@pytest.mark.parametrize("lines", list(_PARENT_PINS), ids=lambda f: f.__name__.strip("_"))
+def test_outcomes_pinned(lines):
+    text = "\n".join(lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == _PARENT_PINS[lines]
