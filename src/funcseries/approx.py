@@ -128,18 +128,12 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
         def deriv(n, _av=av, _table=table):
             return _table[n] if n <= MAX_ORDER else falling_factorial(_av, n)
 
-        if av > 0:  # the exact sign: an alpha that rounds to 0.0 keeps its domain
-            dom = Interval(-1.0, math.inf, lo_closed=True)
+        if av != 0:  # the exact sign: an alpha that rounds to 0.0 keeps its domain
+            dom = Interval(-1.0, math.inf, lo_closed=av > 0)
 
             def value(x, _af=af):
-                if x == -1.0:
+                if x == -1.0:  # admitted only where alpha > 0
                     return 0.0
-                return math.exp(_af * math.log1p(x))
-
-        elif av < 0:
-            dom = Interval(-1.0, math.inf)
-
-            def value(x, _af=af):
                 return math.exp(_af * math.log1p(x))
 
         else:

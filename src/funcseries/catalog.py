@@ -28,8 +28,9 @@ that the direct formula loses half the mantissa.
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.  A series branch sums by Horner over its table,
-reversed once when the family is built.
+documented threshold.  A series branch sums its table, reversed once when
+the family is built, by one of two shared Horner helpers: :func:`_horner`
+for the value and :func:`_horner_d` for value and slope.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
@@ -260,6 +261,24 @@ def _horner_tables(key: str, order: int) -> tuple:
     pairs (c_n, n c_n) for n = order .. 1 for it and its slope, and c_0."""
     c = _series_floats(key, order)
     return c[::-1], tuple((c[n], n * c[n]) for n in range(order, 0, -1)), c[0]
+
+
+def _horner(c: tuple, y: float) -> float:
+    """The polynomial with coefficients c, highest degree first, at y."""
+    acc = 0.0
+    for cn in c:
+        acc = acc * y + cn
+    return acc
+
+
+def _horner_d(cd: tuple, c0: float, y: float) -> tuple:
+    """A series and its slope at y from the pairs and c_0 of _horner_tables,
+    both sums in one loop."""
+    acc = dacc = 0.0
+    for cn, dn in cd:
+        acc = acc * y + cn
+        dacc = dacc * y + dn
+    return acc * y + c0, dacc
 
 
 @lru_cache(maxsize=None)
@@ -628,25 +647,28 @@ def _make_a10(p):
 _NEAR_ZERO = 1e-3
 
 
+def _near_zero_start(init: tuple, ginv_d: Callable, x: float) -> float:
+    """a11's and a12's g near zero: the basis series (init, highest
+    coefficient first), then two Newton steps on the inverse basis."""
+    y = _horner(init, x)
+    for _ in range(2):
+        v, d = ginv_d(y)
+        y -= (v - x) / d
+    return y
+
+
 def _make_a11(p):
     c, cd, c0 = _horner_tables("a11", 8)
     init = _g_init_floats("a11", 16)[::-1]
 
     def ginv(y):
         if abs(y) < _NEAR_ZERO:
-            acc = 0.0
-            for cn in c:
-                acc = acc * y + cn
-            return acc
+            return _horner(c, y)
         return -math.log1p(-y) / y - 1.0
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            acc = dacc = 0.0
-            for cn, dn in cd:
-                acc = acc * y + cn
-                dacc = dacc * y + dn
-            return acc * y + c0, dacc
+            return _horner_d(cd, c0, y)
         ly = math.log1p(-y)
         return -ly / y - 1.0, (y / (1.0 - y) + ly) / (y * y)
 
@@ -654,13 +676,7 @@ def _make_a11(p):
         if x >= 0.0625:
             t = 1.0 + x
             return lambert_w0(-t * math.exp(-t)) / t + 1.0
-        y = 0.0
-        for cn in init:
-            y = y * x + cn
-        for _ in range(2):
-            v, d = ginv_d(y)
-            y -= (v - x) / d
-        return y
+        return _near_zero_start(init, ginv_d, x)
 
     return dict(
         domain=Interval(0.0, math.inf, lo_closed=True),
@@ -675,19 +691,12 @@ def _make_a12(p):
 
     def ginv(y):
         if abs(y) < _NEAR_ZERO:
-            acc = 0.0
-            for cn in c:
-                acc = acc * y + cn
-            return acc
+            return _horner(c, y)
         return math.expm1(y) / y - 1.0
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            acc = dacc = 0.0
-            for cn, dn in cd:
-                acc = acc * y + cn
-                dacc = dacc * y + dn
-            return acc * y + c0, dacc
+            return _horner_d(cd, c0, y)
         return math.expm1(y) / y - 1.0, ((y - 1.0) * math.exp(y) + 1.0) / (y * y)
 
     def g(x):
@@ -695,13 +704,7 @@ def _make_a12(p):
             t = 1.0 + x
             u = lambert_w0(-math.exp(-1.0 / t) / t)
             return -(u + 1.0 / t)
-        y = 0.0
-        for cn in init:
-            y = y * x + cn
-        for _ in range(2):
-            v, d = ginv_d(y)
-            y -= (v - x) / d
-        return y
+        return _near_zero_start(init, ginv_d, x)
 
     return dict(
         domain=Interval(-1.0, 0.0, hi_closed=True),
@@ -755,19 +758,12 @@ def _make_c3(p):
 
     def ginv(y):
         if abs(y) < 0.25:
-            acc = 0.0
-            for cn in c:
-                acc = acc * y + cn
-            return acc
+            return _horner(c, y)
         return (2.0 * math.exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)
 
     def ginv_d(y):
         if abs(y) < 0.25:
-            acc = dacc = 0.0
-            for cn, dn in cd:
-                acc = acc * y + cn
-                dacc = dacc * y + dn
-            return acc * y + c0, dacc
+            return _horner_d(cd, c0, y)
         ey = math.exp(y)
         num = 2.0 * ey - 2.0 - 2.0 * y - y * y
         nump = 2.0 * ey - 2.0 - 2.0 * y
@@ -784,20 +780,13 @@ def _make_c4(p):
 
     def ginv(y):
         if abs(y) < 0.5:
-            acc = 0.0
-            for cn in c:
-                acc = acc * y + cn
-            return acc
+            return _horner(c, y)
         ey = math.exp(y)
         return (6.0 * y * ey - 12.0 * ey - y ** 3 + 6.0 * y + 12.0) / (6.0 * y ** 3)
 
     def ginv_d(y):
         if abs(y) < 0.5:
-            acc = dacc = 0.0
-            for cn, dn in cd:
-                acc = acc * y + cn
-                dacc = dacc * y + dn
-            return acc * y + c0, dacc
+            return _horner_d(cd, c0, y)
         ey = math.exp(y)
         y3 = y ** 3
         num = 6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0
@@ -840,20 +829,13 @@ def _make_c6(p):
 
     def ginv(y):
         if abs(y) < 0.0625:
-            acc = 0.0
-            for cn in c:
-                acc = acc * y + cn
-            return acc
+            return _horner(c, y)
         a = math.acos(1.0 + y)
         return -a * a / (2.0 * y) - 1.0
 
     def ginv_d(y):
         if abs(y) < 0.0625:
-            acc = dacc = 0.0
-            for cn, dn in cd:
-                acc = acc * y + cn
-                dacc = dacc * y + dn
-            return acc * y + c0, dacc
+            return _horner_d(cd, c0, y)
         a = math.acos(1.0 + y)
         ap = -1.0 / math.sqrt(max(-y * (2.0 + y), 5e-324))
         return -a * a / (2.0 * y) - 1.0, (a * a - 2.0 * a * ap * y) / (2.0 * y * y)
@@ -989,7 +971,8 @@ def eval_g(exp: Expansion, x: float) -> float:
 
 
 def eval_ginv(exp: Expansion, y: float) -> float:
-    """g^{-1}(y) for the expansion, with image enforcement."""
+    """g^{-1}(y) for the expansion, with image enforcement; DomainError
+    where it leaves the float range, raising or not."""
     y = float(y)
     yd = _admit(exp.image, y)
     if yd is None:
@@ -997,11 +980,14 @@ def eval_ginv(exp: Expansion, y: float) -> float:
             f"y={y!r} outside the image {exp.image} of family {exp.key!r}"
         )
     try:
-        return exp._ginv(yd)
+        x = exp._ginv(yd)
     except OverflowError:
+        x = math.nan
+    if not math.isfinite(x):  # a finite y in the image has a finite g^-1(y)
         raise DomainError(
             f"g^-1(y) overflows the float range at y={y!r} for family {exp.key!r}"
-        ) from None
+        )
+    return x
 
 
 def invert_numeric(exp: Expansion, x: float) -> float:
@@ -1031,27 +1017,29 @@ def invert_numeric(exp: Expansion, x: float) -> float:
 
 
 def map_domain(exp: Expansion, radius: float) -> Interval:
-    """The x-interval where |g(x)| < radius, within the validity domain."""
+    """The x-interval where |g(x)| < radius, within the validity domain.
+
+    Where the image reaches beyond +-radius, that end is g's crossing
+    ginv(+-radius), open; elsewhere it is the domain end, closed when the
+    domain end is closed and |g| < radius there.  A crossing at which ginv
+    overflows or is not finite reads as the open domain end it lies
+    toward: only an open end has an infinite image end to approach.
+    """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    dom, img = exp.domain, exp.image
-    r = float(radius)
-    if exp.increasing:
-        if img.lo < -r:
-            x_lo, lo_closed = exp._ginv(-r), False
-        else:
-            x_lo, lo_closed = dom.lo, dom.lo_closed and img.lo > -r
-        if img.hi > r:
-            x_hi, hi_closed = exp._ginv(r), False
-        else:
-            x_hi, hi_closed = dom.hi, dom.hi_closed and img.hi < r
-    else:
-        if img.hi > r:
-            x_lo, lo_closed = exp._ginv(r), False
-        else:
-            x_lo, lo_closed = dom.lo, dom.lo_closed and img.hi < r
-        if img.lo < -r:
-            x_hi, hi_closed = exp._ginv(-r), False
-        else:
-            x_hi, hi_closed = dom.hi, dom.hi_closed and img.lo > -r
+    r, img = float(radius), exp.image
+
+    def end(s, x_end, closed):  # the end where g tends to the image's s-side
+        y_end = img.hi if s > 0 else img.lo
+        if not s * y_end > r:
+            return x_end, closed and s * y_end < r
+        try:
+            x = exp._ginv(s * r)
+        except OverflowError:
+            return x_end, False
+        return (x if math.isfinite(x) else x_end), False
+
+    s = 1.0 if exp.increasing else -1.0
+    x_lo, lo_closed = end(-s, exp.domain.lo, exp.domain.lo_closed)
+    x_hi, hi_closed = end(s, exp.domain.hi, exp.domain.hi_closed)
     return Interval(x_lo, x_hi, lo_closed, hi_closed)

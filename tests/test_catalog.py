@@ -423,6 +423,18 @@ class TestEvaluators:
             with pytest.raises(DomainError, match="overflows"):
                 eval_ginv(e, y)
 
+    @pytest.mark.parametrize("key,y", [
+        ("a6", 1.8961503816218355e154),  # 0.5 y y overflows to inf
+        ("a8", -1.3407807929942597e154),  # -inf / inf
+        ("c3", -1.3407807929942597e154),  # -inf / inf
+    ])
+    def test_non_finite_ginv_becomes_domain_error(self, key, y):
+        # no OverflowError is raised, but the value is not finite
+        e = get_expansion(key)
+        assert not math.isfinite(e._ginv(y))
+        with pytest.raises(DomainError, match="overflows"):
+            eval_ginv(e, y)
+
     def test_overflow_becomes_domain_error(self):
         # -expm1(-x) leaves the float range below x = -709.78
         e = get_expansion("a2")
@@ -698,6 +710,23 @@ class TestMapDomain:
             m = map_domain(e, 0.5)
             for x in grid(m.lo + 1e-9, min(m.hi, m.lo + 20.0) - 1e-9, 9):
                 assert abs(eval_g(e, x)) < 0.5 + 1e-9, (key, x)
+
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_total_at_large_radii(self, key):
+        # a crossing where ginv overflows (a1 at 1e3) or is nan (a8 at
+        # 1e300) reads as the open domain end it lies toward
+        e = get_expansion(key)
+        for r in (1e3, 1e300):
+            m = map_domain(e, r)
+            assert isinstance(m, Interval) and m.lo <= m.hi, (key, r)
+            assert m.lo >= e.domain.lo and m.hi <= e.domain.hi, (key, r)
+
+    @pytest.mark.parametrize("key,r", [("a1", 1e3), ("a5", 1e300), ("a8", 1e300)])
+    def test_overflowing_crossing_is_the_open_domain_end(self, key, r):
+        e = get_expansion(key)
+        m = map_domain(e, r)
+        assert (m.lo, m.hi) == (e.domain.lo, e.domain.hi)
+        assert m.hi_closed is False
 
     def test_invalid_radius(self):
         for bad in (0.0, -1.0, math.nan):

@@ -49,11 +49,8 @@ HORNER = ("CHANGES.md FOUND: approx.evaluate overflows silently to inf in the Ho
 # property -> {key: (witnesses, reason)}
 KNOWN = {
     "contract": {
-        "a6": ((1.8961503816218355e154,), EXTREME),  # eval_ginv: inf
         "a7": ((1.3407807929942597e154,), EXTREME),  # eval_g: inf
-        "a8": ((-1.3407807929942597e154,), EXTREME),  # eval_ginv: nan
         "a9": ((8.98846567431158e307,), EXTREME),  # eval_g: nan
-        "c3": ((-1.3407807929942597e154,), EXTREME),  # eval_ginv: nan
     },
     "monotone": {
         "a6": (((0.0, 8.98846567431158e307),), EXTREME),  # g: nan
