@@ -734,8 +734,7 @@ class TestMapDomain:
                 map_domain(get_expansion("a1"), bad)
 
 
-# -- outcomes pinned before the series sums, the a11/a12 start, map_domain and
-# -- pow's reference were each reduced to one copy ----------------------------
+# -- outcomes pinned before each shared path was reduced to one copy -----------
 
 _SERIES_SWITCH = {"a11": 1e-3, "a12": 1e-3, "c3": 0.25, "c4": 0.5, "c6": 0.0625}
 _RADII = (1e-3, 0.5, 1.0, 2.0, 10.0, 100.0, math.inf)
