@@ -10,6 +10,7 @@ a digest recorded before it existed pins them bit for bit.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -248,3 +249,80 @@ def test_float_alpha_has_float_derivatives():
                                                       for k in range(5)]
     assert not func.derivative(1).is_exact
     assert not assemble(get_expansion("a1"), func, 4).is_exact()
+
+
+# Every target that takes the Bell kernel rather than the recurrence: the
+# exact builtins without an ODE, exact and float derivative lists (with
+# finite support, and with exact zeros among floats), x0 != 0, a float
+# alpha for pow, and a7 with an irrational root, where the kernel itself
+# runs on floats.
+def _list(values, order=40):
+    return function_from_derivatives([*values, *[0] * (order + 1 - len(values))])
+
+
+def _float_list_with_zeros():
+    return function_from_derivatives(
+        [0 if k % 3 == 0 else Fraction(1, k + 1) if k % 3 == 1 else (-1.0) ** k / (k + 2)
+         for k in range(41)])
+
+
+KERNEL_TARGETS = {
+    "sin-sq": lambda: [target("sin"), target("sq")],
+    "rational-lists": lambda: [
+        function_from_derivatives([(-1) ** n * math.factorial(n) for n in range(41)]),
+        function_from_derivatives([Fraction((-1) ** n * math.factorial(n), 2 ** (n + 1))
+                                   for n in range(41)])],
+    "polynomial-lists": lambda: [_list([1, 2, -3, Fraction(1, 2), 5, 7]),
+                                 _list([0.5, 1.5, 0, -2.5]), target("sq@1/2")],
+    "x0-half": lambda: [target("exp@1/2"), target("sin@1/2"), target("ln1p@1/2")],
+    "pow-float": lambda: [target("pow:0.2")],
+    "float-list-with-zeros": lambda: [_float_list_with_zeros()],
+}
+# sha256 of one line per coefficient of assemble(exp, func, N), "key N repr",
+# over the families, then the targets, then N in (8, 40); repr tags a float
+# coefficient with "~".  Recorded from the code in which assemble decoded
+# both of the kernel's number formats itself.
+KERNEL_ROUTE_DIGESTS = {
+    "sin-sq":
+        "2f46d7a18ab715cd89b44c6f8afac0b13c151ce7ddd0699b107515f7ac069474",
+    "rational-lists":
+        "50e81e0a2a765b5b195e114125396fb144cd253a76563e381e33be136fa127d5",
+    "polynomial-lists":
+        "74f2095f0481e426d883c35ea312dfb79753034323c9b05a90e8db4783854118",
+    "x0-half":
+        "070b84838bdcf2194010e9714cb0c108ec9ac9842ea180491ccf90983fd77cc9",
+    "pow-float":
+        "0fb11032f6dab5a1cce93d9c63b7f1ddb0e36a956b8adc55f17afd4f1a20274c",
+    "float-list-with-zeros":
+        "b458f1b4251782bf689eb25639ec5ea9d94a73b246a42c7d7aa679652c408c85",
+    "a7-irrational-root":
+        "3374078db979e7efd81ca2a256e21174e2a4cb9bc46c1304a3e7976e9545b925",
+    "ratio-not-one":
+        "cf01898f680fa3f03d1bae1e273d65be6dd099e96b57cd0d680ac66f4682f1c3",
+}
+
+
+def _kernel_cases(case):
+    if case == "a7-irrational-root":  # e_j are floats, so every target takes the kernel
+        exps = [get_expansion("a7", alpha=2)]
+        funcs = [target(s) for s in ("exp", "ln1p", "pow:1/5", "sin", "sq")]
+    elif case == "ratio-not-one":  # d_j = r^j e_j with r != 1, and float targets
+        exps = [get_expansion("a5", alpha=Fraction(2, 3)), get_expansion("a7")]
+        funcs = [*KERNEL_TARGETS["x0-half"](), _float_list_with_zeros(), target("sq")]
+    else:
+        exps = [get_expansion(key) for key in FAMILY_KEYS]
+        funcs = KERNEL_TARGETS[case]()
+    return exps, funcs
+
+
+@pytest.mark.parametrize("case", list(KERNEL_ROUTE_DIGESTS))
+def test_kernel_routes_pinned(case):
+    exps, funcs = _kernel_cases(case)
+    text = "\n".join(
+        f"{exp.key} {n} {c!r}"
+        for exp in exps
+        for func in funcs
+        for n in (8, 40)
+        for c in assemble(exp, func, n).coefficients
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_ROUTE_DIGESTS[case]
