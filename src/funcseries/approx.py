@@ -34,7 +34,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Callable, Optional, Sequence
 
-from .bell import _columns, _raw, _triangle
+from .bell import composite
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _float_param, eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, _tagged, falling_factorial, scalar
@@ -275,18 +275,6 @@ class ApproximationModel(_Record):
         }
 
 
-def _neumaier(values) -> float:
-    total = comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     """(P_n, S_n), not reduced, with F^(n)(0) = P_n / S_n, n = 1 .. order, F = f o h.
 
@@ -377,34 +365,19 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     _check_order(order)
     fam, params = get_family(exp.key), exp.param_dict()
     r, e = fam.graded(order, params)
-    exact = not any(isinstance(v, float) for v in e)
-    if exact and func._ode is not None:
+    if func._ode is not None and not any(isinstance(v, float) for v in e):
         coeffs = [func.derivative(0)]
         rows = _composed(e, order, func._ode, coeffs[0]._v)
     else:
         d = [func.derivative(k) for k in range(order + 1)]
-        raw, coeffs = _raw(d), [d[0]]
-        if not exact or any(isinstance(v, float) for v in raw[1:]):
-            triangle = _triangle(fam.derivatives(order, params), order)
-            for n in range(1, order + 1):
-                row = triangle[n]
-                terms = [raw[k] * row[k] for k in range(1, n + 1) if raw[k] and row[k]]
-                if not any(isinstance(t, float) for t in terms):
-                    coeffs.append(ExactScalar(Fraction(sum(terms), math.factorial(n))))
-                else:
-                    coeffs.append(scalar(_neumaier(map(float, terms)) / math.factorial(n)))
-            return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
-        cols, scales = _columns(e, order)
-        q, lcm = math.lcm(*(v.denominator for v in raw[1:])), math.lcm(*scales)
-        c = [v.numerator * (q // v.denominator) * (lcm // s)
-             for v, s in zip(raw[1:], scales[1:])]
-        rows = [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
-                for n in range(1, order + 1)]
+        coeffs = d[:1]
+        rows = composite([v._v for v in d], e, order, r)
     pn = pd = 1  # rn^n and n! rd^n
     for n, (num, den) in enumerate(rows, 1):
         pn *= r.numerator
         pd *= n * r.denominator
-        coeffs.append(ExactScalar(Fraction(num * pn, den * pd)))
+        coeffs.append(scalar(num / math.factorial(n)) if isinstance(num, float)
+                      else ExactScalar(Fraction(num * pn, den * pd)))
     return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
 
 

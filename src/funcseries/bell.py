@@ -145,6 +145,57 @@ def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
     return cols, scales
 
 
+def _neumaier(values) -> float:
+    total = comp = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            comp += (total - t) + v
+        else:
+            comp += (v - t) + total
+        total = t
+    return total + comp
+
+
+def composite(f: list, values: list, order: int, ratio=1) -> list:
+    """(P_n, S_n) with F^(n)(0) = ratio**n P_n / S_n, n = 1 .. order, F = f o h.
+
+    f[k] holds f^(k) at the base point for k <= order and values[j-1] holds
+    e_j, with h^(j)(0) = d_j = ratio**j e_j, each as an int, Fraction or
+    float; F^(n) = sum over k of f^(k) B(n, k)(d_1, d_2, ...), and B(n, k)
+    has weight n in the d_j.  The columns stop at the last nonzero f^(k),
+    so a target with finite support (sq, a polynomial derivative list)
+    builds only that many.  Over exact inputs, with column k = P_k / S_k
+    from :func:`_columns`, f^(k) = c_k / Q and L the lcm of the S_k, P_n is
+    the integer sum of c_k P_k[n] L / S_k and S_n = Q L.  Otherwise the
+    terms f^(k) B(n, k), zero factors skipped, are summed exactly while all
+    of them are exact; once a float enters a row, P_n is their compensated
+    (Neumaier) float sum, in ascending k, and S_n = 1, and ratio**n is
+    already in it (a float e_j comes with ratio 1).
+    """
+    kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
+    cols, scales = _columns(values, order, kmax)
+    f = f[1:kmax + 1]
+    if scales is not None and not any(isinstance(v, float) for v in f):
+        q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
+        c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
+        return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
+                for n in range(1, order + 1)]
+    if scales is not None:  # B(n, k) over the d_j, ratio**n P_k[n] / S_k
+        rn, rd = Fraction(ratio).as_integer_ratio()
+        cols = [[Fraction(p * rn**n, s * rd**n) if p else 0 for n, p in enumerate(col)]
+                for col, s in zip(cols, scales)]
+    rows = []
+    for n in range(1, order + 1):
+        terms = [fk * col[n] for fk, col in zip(f[:n], cols[1:]) if fk and col[n]]
+        if any(isinstance(t, float) for t in terms):
+            rows.append((_neumaier(map(float, terms)), 1))
+        else:
+            exact = Fraction(sum(terms)) / ratio**n
+            rows.append((exact.numerator, exact.denominator))
+    return rows
+
+
 def _inverse_coefficients(values: list, order: int) -> list:
     """t_0 .. t_order, the Maclaurin coefficients of the inverse function.
 

@@ -307,6 +307,22 @@ class TestColumnKernel:
         # with its content removed no column shares a factor with its scale
         assert all(math.gcd(scale, *col) == 1 for col, scale in zip(cols, scales))
 
+    @pytest.mark.parametrize("key", FAMILY_KEYS)
+    def test_capped_composite_matches_every_column(self, key):
+        # composite stops at the last nonzero f^(k): 2 columns for sq, 5 for
+        # a degree-5 list; the sum over all MAX_ORDER columns is the same
+        fam = get_family(key)
+        r, e = fam.graded(MAX_ORDER, get_expansion(key).param_dict())
+        cols, scales = bell._columns(list(e), MAX_ORDER)
+        pad = [0] * MAX_ORDER
+        for f in ([0, 0, 2, *pad], [1, 2, -3, Fraction(1, 2), 5, 7, *pad]):
+            f = f[:MAX_ORDER + 1]
+            rows = bell.composite(f, list(e), MAX_ORDER, r)
+            for n, (p, s) in enumerate(rows, 1):
+                full = sum(Fraction(fk * col[n], sk)
+                           for fk, col, sk in zip(f[1:], cols[1:], scales[1:]))
+                assert Fraction(p, s) == full, (key, f[:6], n)
+
 
 class TestGrading:
     # the registry formulas state a geometric ratio r with d_j = r^j e_j

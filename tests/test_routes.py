@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcseries import approx
+from funcseries import approx, bell
 from funcseries.approx import assemble, builtin_function, function_from_derivatives
 from funcseries.catalog import get_expansion
 from funcseries.exact import falling_factorial
@@ -42,26 +42,27 @@ def through_kernel(func, order):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count the column-kernel builds assemble makes."""
+    """Count the column-kernel builds assemble makes, as (rows, columns)."""
     calls = []
 
-    def counted(*args, _columns=approx._columns):
-        calls.append(args[1])
-        return _columns(*args)
+    def counted(values, nmax, kmax=None, _columns=bell._columns):
+        calls.append((nmax, kmax))
+        return _columns(values, nmax, kmax)
 
-    monkeypatch.setattr(approx, "_columns", counted)
+    monkeypatch.setattr(bell, "_columns", counted)
     return calls
 
 
 @pytest.mark.parametrize("key", FAMILY_KEYS)
 def test_recurrence_matches_kernel_at_max_order(key, kernel_calls):
     exp = get_expansion(key)
+    kernel_calls.clear()  # a11 and a12 build their Newton start tables on the kernel
     for spec in ODE_TARGETS:
         func = target(spec)
         fast = assemble(exp, func, MAX_ORDER)
         assert kernel_calls == []
         slow = assemble(exp, through_kernel(func, MAX_ORDER), MAX_ORDER)
-        assert kernel_calls == [MAX_ORDER]
+        assert kernel_calls == [(MAX_ORDER, MAX_ORDER)]
         kernel_calls.clear()
         assert fast.is_exact() and slow.is_exact()
         assert fast.coefficients == slow.coefficients, (key, spec)
@@ -72,7 +73,8 @@ def test_targets_without_an_ode_keep_the_kernel(kernel_calls):
     exp = get_expansion("a1")
     for func in (builtin_function("sin"), builtin_function("sq")):
         assemble(exp, func, 8)
-    assert kernel_calls == [8, 8]
+    # sin's last nonzero derivative up to order 8 is f^(7); sq has two
+    assert kernel_calls == [(8, 7), (8, 2)]
 
 
 def test_lowest_orders():
