@@ -7,22 +7,17 @@ at x0, which makes the n-th coefficient a weighted sum of f's derivatives
 against the expansion's Bell triangle, divided by n factorial: the n-th
 derivative of F = f o h over n!, with h the inverse basis.
 
-:func:`assemble` computes that sum in one of two ways.  A target that
-declares a first-order linear ODE (1 + rho x) f' = a f + b (exp, ln1p and
-pow at x0 = 0) takes F's derivatives from J. C. P. Miller's O(N**2)
-composition recurrence; every other target (sin, sq, a derivative list,
-x0 != 0) reads the Bell column kernel of :mod:`funcseries.bell`.  Exact
-rationals have one reduced form, so the two give the same coefficients,
-and the model's ``route`` reads "bell" for both.
+:func:`assemble` computes that sum by one of two routes: J. C. P. Miller's
+O(N**2) composition recurrence for a target that declares a first-order
+linear ODE (exp, ln1p and pow at x0 = 0), or the Bell kernel,
+:func:`funcseries.bell.composite`, which owns the exact and mixed number
+formats (sin, sq, a derivative list, x0 != 0).
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
 family's derivative formula from the registry of :mod:`funcseries.pseries`;
 the formulas themselves are checked against series built independently in
-``tests/oracles.py``.  Coefficient arithmetic stays in exact rationals
-whenever every contributing derivative is exact; as soon as one float
-enters, the sum for that coefficient switches to compensated float
-summation.
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -338,33 +333,20 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     h is the expansion's inverse basis, with derivatives d_j at 0, and
     F^(n) = sum over k of f^(k)(x0) B(n, k)(d_1, d_2, ...), the paper's
     sum over the partial Bell polynomials.  The family's registry formula
-    states d_j = r**j e_j (r = 1 but for a5 and a7, see
-    :mod:`funcseries.pseries`); B(n, k) has weight n in the d_j, so F^(n)
-    over the e_j carries r**n.  When the e_j and f's derivatives are all
-    exact, the sum is taken in integers over the e_j by one of two routes:
-
-    * a target that declares its ODE (1 + rho x) f' = a f + b (exp, ln1p
-      and pow at x0 = 0; see :class:`FunctionSpec`) is asked for f(x0)
-      only, and F^(n) comes from the O(N**2) composition recurrence of
-      :func:`_composed`, whose weights follow Pascal's rule;
-    * any other target reads the column kernel of :mod:`funcseries.bell`:
-      with column k = P_k / S_k, f^(k) = c_k / Q and L the lcm of the S_k,
-      F^(n) is the integer sum of c_k P_k[n] L / S_k, divided by Q L.
-
-    With r = rn / rd, each a_n = P_n rn^n / (S_n n! rd^n) is one ``Fraction``
-    over the running products rn^n and n! rd^n.  An exact rational
-    has one reduced form, so both routes give the same coefficients, and
-    ``route`` reads "bell" for either (it is part of the model's identity
-    and of ``coeffs --format json``).  Otherwise the triangle holds the
-    mixed values d_j: a coefficient whose terms are all exact is summed
-    exactly, and one float term switches it to compensated float
-    summation.  Zero factors are skipped so that exact zeros survive even
-    in float-contaminated rows.  The closed forms and their gate are not
-    involved.
+    states d_j = r**j e_j (r = rn / rd = 1 but for a5 and a7, see
+    :mod:`funcseries.pseries`).  A target that declares its ODE (exp, ln1p
+    and pow at x0 = 0; see :class:`FunctionSpec`) over exact e_j is asked
+    for f(x0) only and takes the O(N**2) recurrence of :func:`_composed`;
+    any other target gives every f^(k) to :func:`funcseries.bell.composite`.
+    Both give rows (P_n, S_n) with F^(n) = r**n P_n / S_n; an exact row
+    finishes as one ``Fraction`` P_n rn^n / (S_n n! rd^n) over running
+    products, a float row (r**n in it, S_n = 1) as P_n / n!.  Exact
+    rationals have one reduced form, so both routes give the same
+    coefficients, and ``route`` reads "bell" for either (it is part of the
+    model's identity and of ``coeffs --format json``).
     """
     _check_order(order)
-    fam, params = get_family(exp.key), exp.param_dict()
-    r, e = fam.graded(order, params)
+    r, e = get_family(exp.key).graded(order, exp.param_dict())
     if func._ode is not None and not any(isinstance(v, float) for v in e):
         coeffs = [func.derivative(0)]
         rows = _composed(e, order, func._ode, coeffs[0]._v)

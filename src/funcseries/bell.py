@@ -15,10 +15,11 @@ entries (its content) is divided out before the next column starts (the
 primitive-part reduction of Knuth, *TAOCP* vol. 2, section 4.6.1).  The
 integers then stay near the size of the Bell values rather than growing
 with D^k.  A float d_j (a7 with an irrational root) runs the same
-recurrence on the mixed values.  :func:`funcseries.approx.assemble`,
-:func:`bell_values` and :func:`bell_generic` all go through it, and so do
-the coefficients of an inverse function (the a11/a12 Newton start tables
-of :mod:`funcseries.catalog`).
+recurrence on the mixed values.  :func:`composite` sums a target's
+derivatives against it for :func:`funcseries.approx.assemble` and owns
+both number formats; :func:`bell_values`, :func:`bell_generic` and the
+coefficients of an inverse function (the a11/a12 Newton start tables of
+:mod:`funcseries.catalog`) read it too.
 
 The paper's special-value formulas for fifteen families ("a1" .. "a13",
 "c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
@@ -160,39 +161,32 @@ def _neumaier(values) -> float:
 def composite(f: list, values: list, order: int, ratio=1) -> list:
     """(P_n, S_n) with F^(n)(0) = ratio**n P_n / S_n, n = 1 .. order, F = f o h.
 
-    f[k] holds f^(k) at the base point for k <= order and values[j-1] holds
-    e_j, with h^(j)(0) = d_j = ratio**j e_j, each as an int, Fraction or
-    float; F^(n) = sum over k of f^(k) B(n, k)(d_1, d_2, ...), and B(n, k)
-    has weight n in the d_j.  The columns stop at the last nonzero f^(k),
-    so a target with finite support (sq, a polynomial derivative list)
-    builds only that many.  Over exact inputs, with column k = P_k / S_k
-    from :func:`_columns`, f^(k) = c_k / Q and L the lcm of the S_k, P_n is
-    the integer sum of c_k P_k[n] L / S_k and S_n = Q L.  Otherwise the
-    terms f^(k) B(n, k), zero factors skipped, are summed exactly while all
-    of them are exact; once a float enters a row, P_n is their compensated
-    (Neumaier) float sum, in ascending k, and S_n = 1, and ratio**n is
-    already in it (a float e_j comes with ratio 1).
+    f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
+    e_j, h^(j)(0) = d_j = ratio**j e_j, as ints, Fractions or floats;
+    F^(n) is the sum over k of f^(k) B(n, k)(d_1, d_2, ...), with the
+    columns cut at the last nonzero f^(k) (2 for sq).  Over exact inputs,
+    with column k = P_k / S_k from :func:`_columns`, f^(k) = c_k / Q and L
+    the lcm of the S_k, P_n = sum of c_k P_k[n] L / S_k and S_n = Q L.
+    Otherwise a row of exact terms f^(k) B(n, k) (zero factors skipped) is
+    summed exactly; one float term makes P_n their Neumaier sum in
+    ascending k, with ratio**n in it (a float e_j has ratio 1), and S_n = 1.
     """
     kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
-    cols, scales = _columns(values, order, kmax)
     f = f[1:kmax + 1]
-    if scales is not None and not any(isinstance(v, float) for v in f):
+    if not any(isinstance(v, float) for v in (*f, *values[:order])):
+        cols, scales = _columns(values, order, kmax)
         q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
         c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
         return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
                 for n in range(1, order + 1)]
-    if scales is not None:  # B(n, k) over the d_j, ratio**n P_k[n] / S_k
-        rn, rd = Fraction(ratio).as_integer_ratio()
-        cols = [[Fraction(p * rn**n, s * rd**n) if p else 0 for n, p in enumerate(col)]
-                for col, s in zip(cols, scales)]
+    d = [ratio**j * v for j, v in enumerate(values, 1)]
     rows = []
-    for n in range(1, order + 1):
-        terms = [fk * col[n] for fk, col in zip(f[:n], cols[1:]) if fk and col[n]]
+    for n, row in enumerate(_triangle(d, order, kmax)[1:], 1):
+        terms = [fk * b for fk, b in zip(f, row[1:]) if fk and b]
         if any(isinstance(t, float) for t in terms):
             rows.append((_neumaier(map(float, terms)), 1))
         else:
-            exact = Fraction(sum(terms)) / ratio**n
-            rows.append((exact.numerator, exact.denominator))
+            rows.append((Fraction(sum(terms)) / ratio**n).as_integer_ratio())
     return rows
 
 
