@@ -158,7 +158,7 @@ def _neumaier(values) -> float:
     return total + comp
 
 
-def composite(f: list, values: list, order: int, ratio=1) -> list:
+def composite(f: list, values: list, order: int, ratio) -> list:
     """(P_n, S_n) with F^(n)(0) = ratio**n P_n / S_n, n = 1 .. order, F = f o h.
 
     f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
