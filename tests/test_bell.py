@@ -316,7 +316,6 @@ class TestColumnKernel:
         cols, scales = bell._columns(list(e), MAX_ORDER)
         pad = [0] * MAX_ORDER
         for f in ([0, 0, 2, *pad], [1, 2, -3, Fraction(1, 2), 5, 7, *pad]):
-            f = f[:MAX_ORDER + 1]
             rows = bell.composite(f, list(e), MAX_ORDER, r)
             for n, (p, s) in enumerate(rows, 1):
                 full = sum(Fraction(fk * col[n], sk)

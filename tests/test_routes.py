@@ -258,8 +258,8 @@ def test_float_alpha_has_float_derivatives():
 # finite support, and with exact zeros among floats), x0 != 0, a float
 # alpha for pow, and a7 with an irrational root, where the kernel itself
 # runs on floats.
-def _list(values, order=40):
-    return function_from_derivatives([*values, *[0] * (order + 1 - len(values))])
+def _list(values):
+    return function_from_derivatives([*values, *[0] * (41 - len(values))])
 
 
 def _float_list_with_zeros():
