@@ -14,8 +14,14 @@ Layering: exact scalars and combinatorics (`exact`), truncated series
 arithmetic and the registry of the 19 basis families (`pseries`), Bell
 triangles and derivative sequences (`bell`),
 the basis catalog with float evaluators (`catalog`), model assembly and
-evaluation (`approx`), and the command-line front end (`cli`).
+evaluation (`approx`), and the command-line front end (`cli`).  `bell`
+loads on first use: by a build on the Bell kernel (sin, sq, a derivative
+list, x0 != 0), the a11/a12 Newton start tables, `derivative_sequence`,
+or a caller that names it; a build by the composition recurrence (exp,
+ln1p and pow at x0 = 0) and `import funcseries.cli` do not load it.
 """
+
+import importlib
 
 from .exact import (
     ONE,
@@ -34,14 +40,6 @@ from .pseries import (
     MAX_ORDER,
     TruncatedSeries,
     family_series,
-)
-from .bell import (
-    CLOSED_FORM_FAMILIES,
-    bell_closed_form,
-    bell_generic,
-    bell_values,
-    derivative_sequence,
-    gate_report,
 )
 from .catalog import (
     PARAM_DEFAULTS,
@@ -73,6 +71,18 @@ from .approx import (
 )
 
 __version__ = "0.1.0"
+
+# bell and the names it exports load on first use (PEP 562): a build by the
+# composition recurrence and the CLI's start-up never reach the kernel.
+_BELL_NAMES = frozenset({"CLOSED_FORM_FAMILIES", "bell_closed_form", "bell_generic",
+                         "bell_values", "derivative_sequence", "gate_report"})
+
+
+def __getattr__(name: str):
+    if name == "bell" or name in _BELL_NAMES:
+        bell = importlib.import_module(".bell", __name__)
+        return bell if name == "bell" else getattr(bell, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

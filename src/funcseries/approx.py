@@ -29,7 +29,6 @@ from itertools import repeat
 from operator import add, mul
 from typing import Callable, Optional, Sequence
 
-from .bell import composite
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _float_param, eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, _tagged, falling_factorial, scalar
@@ -351,6 +350,8 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
         coeffs = [func.derivative(0)]
         rows = _composed(e, order, func._ode, coeffs[0]._v)
     else:
+        from .bell import composite
+
         d = [func.derivative(k) for k in range(order + 1)]
         coeffs = d[:1]
         rows = composite([v._v for v in d], e, order, r)

@@ -97,7 +97,8 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
 
     values[j-1] holds d_j as an int, Fraction or float; at least nmax of
     them are needed.  Cell (i, j) is P_j[i] / S_j from :func:`_columns`
-    over exact inputs, its raw mixed value otherwise.
+    over exact inputs, its raw mixed value otherwise.  Serves
+    :func:`bell_generic`, :func:`bell_values` and the gate.
     """
     cols, scales = _columns(values, nmax, kmax)
     if scales is not None:
@@ -158,6 +159,17 @@ def _neumaier(values) -> float:
     return total + comp
 
 
+def _float_term(fk, b, s) -> float:
+    """f^(k) B(n, k) as a float, with B(n, k) = b / s.
+
+    A float factor multiplies b / s, which for ints is correctly rounded,
+    as float(Fraction(b, s)) is; an exact product is rounded once.
+    """
+    if isinstance(fk, float) or isinstance(b, float):
+        return fk * (b / s)
+    return float(fk * Fraction(b, s))
+
+
 def composite(f: list, values: list, order: int, ratio) -> list:
     """(P_n, S_n) with F^(n)(0) = ratio**n P_n / S_n, n = 1 .. order, F = f o h.
 
@@ -167,9 +179,11 @@ def composite(f: list, values: list, order: int, ratio) -> list:
     columns cut at the last nonzero f^(k) (2 for sq).  Over exact inputs,
     with column k = P_k / S_k from :func:`_columns`, f^(k) = c_k / Q and L
     the lcm of the S_k, P_n = sum of c_k P_k[n] L / S_k and S_n = Q L.
-    Otherwise a row of exact terms f^(k) B(n, k) (zero factors skipped) is
-    summed exactly; one float term makes P_n their Neumaier sum in
-    ascending k, with ratio**n in it (a float e_j has ratio 1), and S_n = 1.
+    Otherwise the columns run over d_j, with ratio**j in them (a float e_j
+    has ratio 1), and a row of exact terms f^(k) B(n, k) (zero factors
+    skipped) is summed exactly; one float term makes P_n their Neumaier sum
+    in ascending k, and S_n = 1.  A float f^(k) multiplies the int quotient
+    P_k[n] / S_k, which is correctly rounded, so no cell becomes a Fraction.
     """
     kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
     f = f[1:kmax + 1]
@@ -180,13 +194,17 @@ def composite(f: list, values: list, order: int, ratio) -> list:
         return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
                 for n in range(1, order + 1)]
     d = [ratio**j * v for j, v in enumerate(values, 1)]
+    cols, scales = _columns(d, order, kmax)
+    scales = scales or [1] * (kmax + 1)
     rows = []
-    for n, row in enumerate(_triangle(d, order, kmax)[1:], 1):
-        terms = [fk * b for fk, b in zip(f, row[1:]) if fk and b]
-        if any(isinstance(t, float) for t in terms):
-            rows.append((_neumaier(map(float, terms)), 1))
+    for n in range(1, order + 1):
+        # (f^(k), b, s) with B(n, k) = b / s, for the nonzero terms in ascending k
+        cells = [(fk, col[n], s) for fk, col, s in zip(f, cols[1:], scales[1:]) if fk and col[n]]
+        if any(isinstance(fk, float) or isinstance(b, float) for fk, b, _ in cells):
+            rows.append((_neumaier(_float_term(*cell) for cell in cells), 1))
         else:
-            rows.append((Fraction(sum(terms)) / ratio**n).as_integer_ratio())
+            exact = sum(fk * Fraction(b, s) for fk, b, s in cells)
+            rows.append((Fraction(exact) / ratio**n).as_integer_ratio())
     return rows
 
 

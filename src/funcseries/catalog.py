@@ -53,7 +53,6 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from . import bell
 from .exact import ExactScalar, _tagged
 from .pseries import FAMILIES, family_series, get_family
 
@@ -180,6 +179,8 @@ class Expansion(_Record):
 
     def derivative_sequence(self, order: int) -> tuple:
         """d_1 .. d_order of the inverse basis (see bell.derivative_sequence)."""
+        from . import bell
+
         return bell.derivative_sequence(self.key, order, **self.param_dict())
 
     def series(self, order: int):
@@ -284,6 +285,8 @@ def _horner_d(cd: tuple, c0: float, y: float) -> tuple:
 @lru_cache(maxsize=None)
 def _g_init_floats(key: str, order: int) -> tuple:
     """Float coefficients of the basis series, the inverse of the inverse basis."""
+    from . import bell
+
     d = get_family(key).derivatives(order, {})
     return tuple(float(c) for c in bell._inverse_coefficients(d, order))
 

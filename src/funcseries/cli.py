@@ -5,8 +5,9 @@ round-trip decimal padded to 17 significant digits, CSV uses LF line
 endings and a header row, and grids are the points numpy.linspace gives
 for the parsed start:stop:count triple, computed in plain Python so that
 only the radius command imports numpy (the optional "radius" extra).
-Likewise json and csv are imported by the commands that write them, so
-start-up loads only what every command needs.
+Likewise json and csv are imported by the commands that write them, and
+the Bell kernel (:mod:`funcseries.bell`) by the first build that reaches
+it, so start-up loads only what every command needs.
 Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
 3 I/O failure or a missing optional dependency (radius without numpy).
 """

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -505,6 +508,58 @@ class TestAssemble:
             for c in assemble(exp, pin_target(spec), n).coefficients
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+def _fresh(code: str) -> list:
+    """stdout lines of code run in a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catalog.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.splitlines()
+
+
+class TestBellOnFirstUse:
+    # funcseries.bell loads only when a build or a caller reaches it: a
+    # target on the composition recurrence never does; a11 and a12 load it
+    # in get_expansion for their Newton start tables.
+    def test_recurrence_builds_load_no_bell(self):
+        lines = _fresh(
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from funcseries import FAMILY_KEYS, MAX_ORDER, assemble, builtin_function, "
+            "get_expansion\n"
+            "targets = [builtin_function('exp'), builtin_function('ln1p'),\n"
+            "           builtin_function('pow', alpha=Fraction(1, 5))]\n"
+            "for key in FAMILY_KEYS:\n"
+            "    if key not in ('a11', 'a12'):\n"
+            "        for f in targets:\n"
+            "            assert len(assemble(get_expansion(key), f, MAX_ORDER).coefficients) == 65\n"
+            "print('funcseries.bell' in sys.modules)\n"
+            "get_expansion('a11')\n"
+            "print('funcseries.bell' in sys.modules)\n"
+        )
+        assert lines == ["False", "True"]
+
+    def test_sin_build_loads_bell_and_matches_its_pin(self):
+        # the a8 pin builds ln1p, exp and pow:1/5 first (the recurrence),
+        # then sin and sq (the kernel)
+        lines = _fresh(
+            "import hashlib, sys\n"
+            "from fractions import Fraction\n"
+            "from funcseries import assemble, builtin_function, get_expansion\n"
+            f"targets, orders = {PIN_TARGETS!r}, {PIN_ORDERS!r}\n"
+            "exp, text = get_expansion('a8'), []\n"
+            "for spec in targets:\n"
+            "    name, _, alpha = spec.partition(':')\n"
+            "    f = builtin_function(name, **({'alpha': Fraction(alpha)} if alpha else {}))\n"
+            "    text += [repr(c) for n in orders for c in assemble(exp, f, n).coefficients]\n"
+            "    print(spec, 'funcseries.bell' in sys.modules)\n"
+            "print(hashlib.sha256('\\n'.join(text).encode()).hexdigest())\n"
+        )
+        assert lines == ["ln1p False", "exp False", "pow:1/5 False", "sin True", "sq True",
+                         FAMILY_DIGESTS["a8"]]
+
 
 class TestCompositionRoute:
     @pytest.mark.parametrize("key", ["a2", "a5", "a7", "a10", "c3", "c6"])
