@@ -30,7 +30,7 @@ from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
-                      _float_param, eval_g, get_expansion)
+                      _as_float, _float_param, eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _falling_factorials, _tagged, falling_factorial, scalar
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
@@ -86,7 +86,7 @@ class FunctionSpec(_Record):
         when the value overflows."""
         if self._value is None:
             return None
-        x = _admit(self.domain, float(x))
+        x = _admit(self.domain, _as_float(x))
         if x is None:
             return None
         try:
@@ -387,10 +387,15 @@ def evaluate(model: ApproximationModel, x: float) -> float:
     evaluation and N multiply-adds.  The result equals converting each
     coefficient at every call, bit for bit.  x is a float, an int or a
     Fraction: x - x0 is a float, which eval_g admits into the domain in
-    one step (see :func:`funcseries.catalog.eval_g`).
+    one step (see :func:`funcseries.catalog.eval_g`); an x beyond the
+    float range reads as +-inf, outside every domain.
     """
     x0, horner = model._float_form
-    u = eval_g(model.expansion, x - x0)
+    try:
+        t = x - x0
+    except OverflowError:  # an int or Fraction beyond the float range
+        t = math.inf if x > 0 else -math.inf
+    u = eval_g(model.expansion, t)
     acc = 0.0
     for c in horner:
         acc = acc * u + c
@@ -449,7 +454,7 @@ def error_report(model: ApproximationModel, xs) -> list:
     """
     out = []
     for x in xs:
-        x = float(x)
+        x = _as_float(x)
         try:
             approx = evaluate(model, x)
             note = ""

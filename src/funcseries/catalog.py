@@ -246,9 +246,10 @@ def lambert_w0(x: float) -> float:
 
 # -- series tables -------------------------------------------------------------
 #
-# The cached tables are kept in ascending order; a builder takes the ones it
-# sums by Horner reversed, once, so that each evaluation loops over them
-# directly.
+# The tables are kept in ascending order; a builder takes the ones it sums
+# by Horner reversed, once, so that each evaluation loops over them
+# directly.  The inverse-series tables are cached from family_series; the
+# a11/a12 Newton start tables are constants, so no float basis loads bell.
 
 
 @lru_cache(maxsize=None)
@@ -282,13 +283,20 @@ def _horner_d(cd: tuple, c0: float, y: float) -> tuple:
     return acc * y + c0, dacc
 
 
-@lru_cache(maxsize=None)
-def _g_init_floats(key: str, order: int) -> tuple:
-    """Float coefficients of the basis series, the inverse of the inverse basis."""
-    from . import bell
-
-    d = get_family(key).derivatives(order, {})
-    return tuple(float(c) for c in bell._inverse_coefficients(d, order))
+# t_0 .. t_16 of a11's and a12's basis series, the compositional inverse of
+# the inverse basis (Comtet, *Advanced Combinatorics*, section 3.8): the
+# floats of family_series(key, 16).reversion(), which tests/test_approx.py
+# recomputes.
+_G_INIT = {
+    "a11": (0.0, 2.0, -2.6666666666666665, 3.111111111111111, -3.437037037037037,
+            3.6938271604938273, -3.905467372134039, 4.085314520870076, -4.241583382324123,
+            4.379680797787794, -4.503351862078885, 4.61529634414813, -4.717523850826701,
+            4.811570134040083, -4.898634914511976, 4.97967305428333, -5.055456810099063),
+    "a12": (0.0, 2.0, -1.3333333333333333, 1.1111111111111112, -1.0074074074074073,
+            0.9530864197530864, -0.9241622574955908, 0.9100058788947678, -0.9051303155006859,
+            0.906382737823067, -0.9117982674745363, 0.9200702099206247, -0.9302815440890212,
+            0.9417588123044464, -0.9539880375254968, 0.9665641271849269, -0.9791593232074152),
+}
 
 
 # -- numeric inversion of a monotone inverse basis ----------------------------
@@ -662,7 +670,7 @@ def _near_zero_start(init: tuple, ginv_d: Callable, x: float) -> float:
 
 def _make_a11(p):
     c, cd, c0 = _horner_tables("a11", 8)
-    init = _g_init_floats("a11", 16)[::-1]
+    init = _G_INIT["a11"][::-1]
 
     def ginv(y):
         if abs(y) < _NEAR_ZERO:
@@ -690,7 +698,7 @@ def _make_a11(p):
 
 def _make_a12(p):
     c, cd, c0 = _horner_tables("a12", 8)
-    init = _g_init_floats("a12", 16)[::-1]
+    init = _G_INIT["a12"][::-1]
 
     def ginv(y):
         if abs(y) < _NEAR_ZERO:
@@ -935,6 +943,14 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
 # -- public evaluation entry points -------------------------------------------
 
 
+def _as_float(x) -> float:
+    """float(x), with an int or Fraction beyond the float range read as +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _admit(interval: Interval, x: float) -> float | None:
     """The float x moved into `interval`, or None if it lies outside.
 
@@ -958,8 +974,12 @@ def _admit(interval: Interval, x: float) -> float | None:
 
 
 def eval_g(exp: Expansion, x: float) -> float:
-    """g(x) for the expansion, with domain enforcement."""
-    x = float(x)
+    """g(x) for the expansion, with domain enforcement; an int or Fraction
+    beyond the float range reads as +-inf."""
+    try:  # _as_float inline: evaluate calls this once per point
+        x = float(x)
+    except OverflowError:
+        x = math.inf if x > 0 else -math.inf
     xd = _admit(exp.domain, x)
     if xd is None:
         raise DomainError(
@@ -976,7 +996,7 @@ def eval_g(exp: Expansion, x: float) -> float:
 def eval_ginv(exp: Expansion, y: float) -> float:
     """g^{-1}(y) for the expansion, with image enforcement; DomainError
     where it leaves the float range, raising or not."""
-    y = float(y)
+    y = _as_float(y)
     yd = _admit(exp.image, y)
     if yd is None:
         raise DomainError(
@@ -1002,7 +1022,7 @@ def invert_numeric(exp: Expansion, x: float) -> float:
     at large x, a8 at 1e300, a9 at -1e300) the solver's math error is
     raised as :class:`DomainError`.
     """
-    x = float(x)
+    x = _as_float(x)
     xd = _admit(exp.domain, x)
     if xd is None:
         raise DomainError(
@@ -1026,11 +1046,12 @@ def map_domain(exp: Expansion, radius: float) -> Interval:
     ginv(+-radius), open; elsewhere it is the domain end, closed when the
     domain end is closed and |g| < radius there.  A crossing at which ginv
     overflows or is not finite reads as the open domain end it lies
-    toward: only an open end has an infinite image end to approach.
+    toward: only an open end has an infinite image end to approach.  A
+    radius beyond the float range reads as inf.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    r, img = float(radius), exp.image
+    r, img = _as_float(radius), exp.image
 
     def end(s, x_end, closed):  # the end where g tends to the image's s-side
         y_end = img.hi if s > 0 else img.lo

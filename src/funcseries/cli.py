@@ -84,7 +84,7 @@ def _parse_rational(text: str) -> Fraction:
 def _parse_point(text: str) -> float:
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):  # float("1e400") is inf
         pass
     try:
         return float(text)
@@ -396,9 +396,12 @@ def _add_model_flags(sub, run, *, points: bool):
                      help="family key (a1..a13, c1..c6) or tp; compare "
                           "accepts a comma-separated list")
     sub.add_argument("--alpha", type=_parse_rational,
-                     help="alpha parameter (rational, e.g. 1/2)")
-    sub.add_argument("--beta", type=_parse_rational, help="beta parameter (rational)")
-    sub.add_argument("--w", type=_parse_rational, help="w parameter (rational)")
+                     help="alpha parameter (rational, e.g. 1/2; use --alpha=-1/2 for a "
+                          "negative value)")
+    sub.add_argument("--beta", type=_parse_rational,
+                     help="beta parameter (rational; use --beta=-1/2 for a negative value)")
+    sub.add_argument("--w", type=_parse_rational,
+                     help="w parameter (rational; use --w=-1/2 for a negative value)")
     sub.add_argument("--function", required=True,
                      help="exp | sin | sq | ln1p | pow:RATIONAL | derivative file")
     _add_terms_flag(sub)

@@ -30,7 +30,7 @@ from funcseries.approx import (
 from funcseries.catalog import ConvergenceError, DomainError, Interval, eval_g, get_expansion
 from funcseries.exact import falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, TruncatedSeries, family_series, get_family
-from oracles import poly_eval_float
+from oracles import poly_eval_float, revert_by_lagrange
 
 
 def fracs(model):
@@ -480,12 +480,15 @@ class TestAssemble:
         def refuse(self):
             raise AssertionError("the Newton start tables must not revert a series")
 
-        expected = {key: tuple(float(c) for c in family_series(key, 16).reversion())
-                    for key in ("a11", "a12")}
-        catalog._g_init_floats.cache_clear()
+        # the constant tables are the floats of the exact reversion, by both
+        # the series reversion and Lagrange inversion
+        for key in ("a11", "a12"):
+            series = family_series(key, 16)
+            by_reversion = tuple(float(c) for c in series.reversion())
+            by_lagrange = tuple(float(c) for c in revert_by_lagrange(
+                [c.as_fraction() for c in series.coeffs], 16))
+            assert catalog._G_INIT[key] == by_reversion == by_lagrange, key
         monkeypatch.setattr(TruncatedSeries, "reversion", refuse)
-        for key, expected_table in expected.items():
-            assert catalog._g_init_floats(key, 16) == expected_table
         # points on the Newton branch that starts from the table; the values
         # were recorded while the tables came from the reversion
         recorded = {
@@ -521,25 +524,28 @@ def _fresh(code: str) -> list:
 
 class TestBellOnFirstUse:
     # funcseries.bell loads only when a build or a caller reaches it: a
-    # target on the composition recurrence never does; a11 and a12 load it
-    # in get_expansion for their Newton start tables.
+    # target on the composition recurrence never does, and neither does a
+    # float evaluator (a11's and a12's Newton start tables are constants).
     def test_recurrence_builds_load_no_bell(self):
         lines = _fresh(
             "import sys\n"
             "from fractions import Fraction\n"
             "from funcseries import FAMILY_KEYS, MAX_ORDER, assemble, builtin_function, "
-            "get_expansion\n"
+            "eval_g, get_expansion\n"
             "targets = [builtin_function('exp'), builtin_function('ln1p'),\n"
             "           builtin_function('pow', alpha=Fraction(1, 5))]\n"
             "for key in FAMILY_KEYS:\n"
-            "    if key not in ('a11', 'a12'):\n"
-            "        for f in targets:\n"
-            "            assert len(assemble(get_expansion(key), f, MAX_ORDER).coefficients) == 65\n"
+            "    for f in targets:\n"
+            "        assert len(assemble(get_expansion(key), f, MAX_ORDER).coefficients) == 65\n"
             "print('funcseries.bell' in sys.modules)\n"
-            "get_expansion('a11')\n"
+            "# both branches of each: the series-plus-Newton start near zero and\n"
+            "# lambert_w0 on the far side\n"
+            "for key, xs in (('a11', (0.01, 0.5)), ('a12', (-0.01, -0.5))):\n"
+            "    for x in xs:\n"
+            "        eval_g(get_expansion(key), x)\n"
             "print('funcseries.bell' in sys.modules)\n"
         )
-        assert lines == ["False", "True"]
+        assert lines == ["False", "False"]
 
     def test_sin_build_loads_bell_and_matches_its_pin(self):
         # the a8 pin builds ln1p, exp and pow:1/5 first (the recurrence),

@@ -18,7 +18,7 @@ from funcseries.bell import (
 from funcseries.catalog import get_expansion
 from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series, get_family
-from oracles import bell_by_partitions, stirling1_rec
+from oracles import bell_by_partitions, revert_by_lagrange, stirling1_rec
 
 
 # Schema-respecting parameter samples used for the equivalence sweeps.
@@ -377,25 +377,25 @@ class TestGrading:
 
 
 class TestInverseCoefficients:
+    # the coefficients of the basis series by Lagrange inversion, an
+    # independent oracle, match TruncatedSeries.reversion of every family's
+    # inverse-basis series
     @pytest.mark.parametrize("key", FAMILY_KEYS)
     def test_matches_series_reversion(self, key):
-        # the reversion loop of TruncatedSeries is the oracle, at catalog defaults
         params = get_expansion(key).param_dict()
         for order in (1, 2, 3, 9, 16):
-            values = bell._raw(derivative_sequence(key, order, **params))
-            expected = family_series(key, order, **params).reversion()
-            got = bell._inverse_coefficients(values, order)
-            assert got == [c.as_fraction() for c in expected], order
-            assert all(isinstance(t, Fraction) for t in got)
+            series = family_series(key, order, **params)
+            got = [c.as_fraction() for c in series.reversion()]
+            assert got == revert_by_lagrange([c.as_fraction() for c in series.coeffs],
+                                             order), order
 
     def test_second_parameter_sets(self):
         for key, params in [("a5", {"alpha": Fraction(-3, 2)}), ("a6", {"w": 3}),
                             ("a10", {"w": Fraction(1, 2)}), ("c1", {"w": -2}),
                             ("c5", {"alpha": 2, "w": -1, "beta": 3})]:
-            values = bell._raw(derivative_sequence(key, 12, **params))
-            expected = family_series(key, 12, **params).reversion()
-            assert bell._inverse_coefficients(values, 12) == [
-                c.as_fraction() for c in expected], key
+            series = family_series(key, 12, **params)
+            assert [c.as_fraction() for c in series.reversion()] == revert_by_lagrange(
+                [c.as_fraction() for c in series.coeffs], 12), key
 
 
 class TestGate:

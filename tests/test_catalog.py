@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcseries.approx import builtin_function
+from funcseries.approx import assemble, builtin_function, error_report, evaluate, taylor_baseline
 from funcseries.bell import bell_values
 from funcseries.cli import main
 from funcseries.catalog import (
@@ -384,6 +384,24 @@ class TestEvaluators:
         for interval in (e.domain, e.image):
             assert _admit(interval, math.inf) is None
             assert _admit(interval, -math.inf) is None
+
+    @pytest.mark.parametrize("key", FAMILY_KEYS + ("tp",))
+    def test_values_beyond_the_float_range_read_as_infinities(self, key):
+        # an int or Fraction whose float overflows is +-inf, outside every
+        # interval: DomainError, no reference, a nan row with its note
+        func = builtin_function("exp")
+        model = taylor_baseline(func, 4) if key == "tp" else assemble(get_expansion(key), func, 4)
+        e = model.expansion
+        for x in (10**400, -10**400, Fraction(10**401, 3), Fraction(-10**401, 3)):
+            inf = math.inf if x > 0 else -math.inf
+            for evaluator in (eval_g, eval_ginv, invert_numeric, evaluate):
+                with pytest.raises(DomainError, match=f"=({inf!r}) outside"):
+                    evaluator(model if evaluator is evaluate else e, x)
+            assert func.value_at(x) is None
+            [row] = error_report(model, [x])
+            assert row.x == inf and math.isnan(row.approx) and math.isnan(row.exact)
+            assert row.note == error_report(model, [inf])[0].note != ""
+        assert map_domain(e, 10**400) == map_domain(e, math.inf)
 
     def test_infinite_target_points_have_no_reference(self):
         for func in (builtin_function(name) for name in ("exp", "sin", "sq", "ln1p")):

@@ -18,7 +18,8 @@ from funcseries.cli import main
 from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS
 
 PARAMS = ("0", "1e400", "-1e400", "1e-400", "-1e-400", "1/2", "1000", "junk")
-POINTS = ("1e300", "-1e300", "inf", "-inf", "nan", "junk", "0.5", "-0.5", "0")
+POINTS = ("1e300", "-1e300", "1e400", "-1e400", "inf", "-inf", "nan", "junk", "0.5", "-0.5",
+          "0")
 TARGETS = ("exp", "sin", "sq", "ln1p", "pow:1/2", "pow:-3", "pow:1e400", "pow:1e-400",
            "junk")
 
@@ -105,3 +106,29 @@ def test_overflowing_reference_reads_inf():
         ["compare", "--expansion", "a13", "--function", "pow:2", "--at=1e300"])
     assert code == 2  # 1e300 lies outside a13's domain
     assert out.splitlines()[1] == "a13,1.0000000000000000e+300,nan,inf,nan"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expansion", "a1", "--function", "exp", "--at=1e400"],
+    ["eval", "--expansion", "a1", "--function", "exp", "--grid=0:1e400:3"],
+    ["compare", "--expansion", "a1", "--function", "exp", "--at=-1e400"],
+])
+def test_point_beyond_the_float_range_reads_as_an_infinity(argv):
+    # 1e400 overflows float(Fraction("1e400")); float("1e400") is inf
+    code, out, err = check_contract(argv)
+    assert code == 2
+    assert (code, out, err) == run([a.replace("1e400", "inf") for a in argv])
+    if argv[-1] == "--at=1e400":
+        assert out == "" and err == "error: x=inf outside the validity domain (-1.0, inf) " \
+                                    "of family 'a1'\n"
+
+
+def test_figures_grid_beyond_the_float_range_reads_as_an_infinity(tmp_path):
+    written = {}
+    for start in ("-1e400", "-inf"):
+        out = tmp_path / start
+        code, _, err = check_contract(["figures", "--out", str(out), f"--grid={start}:0:3",
+                                       "--terms", "4"])
+        assert code == 0
+        written[start] = {f.name: f.read_text() for f in out.iterdir()}
+    assert written["-1e400"] == written["-inf"] and len(written["-inf"]) > 1

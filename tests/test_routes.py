@@ -56,7 +56,7 @@ def kernel_calls(monkeypatch):
 @pytest.mark.parametrize("key", FAMILY_KEYS)
 def test_recurrence_matches_kernel_at_max_order(key, kernel_calls):
     exp = get_expansion(key)
-    kernel_calls.clear()  # a11 and a12 build their Newton start tables on the kernel
+    assert kernel_calls == []  # a11's and a12's Newton start tables are constants
     for spec in ODE_TARGETS:
         func = target(spec)
         fast = assemble(exp, func, MAX_ORDER)
