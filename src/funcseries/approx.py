@@ -7,11 +7,11 @@ at x0, which makes the n-th coefficient a weighted sum of f's derivatives
 against the expansion's Bell triangle, divided by n factorial: the n-th
 derivative of F = f o h over n!, with h the inverse basis.
 
-:func:`assemble` computes that sum by one of two routes: J. C. P. Miller's
-O(N**2) composition recurrence for a target that declares a first-order
-linear ODE (exp, ln1p and pow at x0 = 0), or the Bell kernel,
-:func:`funcseries.bell.composite`, which owns the exact and mixed number
-formats (sin, sq, a derivative list, x0 != 0).
+:func:`assemble` computes that sum exactly, each float input taken as its
+exact binary value, by one of two routes: J. C. P. Miller's O(N**2)
+composition recurrence for a target that declares a first-order linear
+ODE (exp, ln1p and pow at x0 = 0), or the Bell kernel,
+:func:`funcseries.bell.composite` (sin, sq, a derivative list, x0 != 0).
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
@@ -31,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _as_float, _float_param, eval_g, get_expansion)
-from .exact import ONE, ZERO, ExactScalar, _falling_factorials, _tagged, falling_factorial, scalar
+from .exact import (ONE, ZERO, ExactScalar, _binary, _falling_factorials, _round, _tagged,
+                    falling_factorial, scalar)
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
 __all__ = [
@@ -102,14 +103,14 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     """A ready-made target: exp, sin, sq (x^2), ln1p, or pow ((1+x)^alpha).
 
     Derivatives at x0 = 0 are exact rationals; a nonzero x0 makes the
-    transcendental entries approximate (float-tagged), which downstream
-    assembly handles by switching to compensated summation.  "pow" is
-    only provided at x0 = 0 and requires alpha; a float alpha gives
-    approximate derivatives, and an alpha without a finite float raises
-    ValueError.  At x0 = 0, exp, ln1p and pow declare their
-    first-order linear ODE (see :class:`FunctionSpec`).
+    transcendental entries approximate (float-tagged), and :func:`assemble`
+    takes each as its exact binary value.  "pow" is only provided at x0 = 0
+    and requires alpha; a float alpha gives approximate derivatives.  An
+    alpha, x0 or exp(x0) without a finite float raises ValueError.  At
+    x0 = 0, exp, ln1p and pow declare their ODE (see :class:`FunctionSpec`).
     """
     x0v = scalar(x0)
+    x0f = _float_param(x0v, "x0")
     if name == "pow":
         if alpha is None:
             raise ValueError("builtin 'pow' requires alpha")
@@ -136,27 +137,21 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             def value(x):
                 return 1.0
 
-        return FunctionSpec(f"pow:{av}", x0v, dom, deriv, value,
-                            _ode=(1, av._v, 0) if av.is_exact else None)
+        return FunctionSpec(f"pow:{av}", x0v, dom, deriv, value, _ode=(1, av._v, 0))
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
 
     if name == "exp":
-        d0 = ONE if x0v == 0 else scalar(math.exp(float(x0v)))
+        try:
+            d0 = ONE if x0v == 0 else scalar(math.exp(x0f))
+        except OverflowError:
+            raise ValueError("builtin 'exp' f(x0) has no finite float value") from None
         return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp,
                             _ode=(0, 1, 0) if x0v == 0 else None)
 
     if name == "sin":
-        if x0v == 0:
-            cycle = (ZERO, ONE, ZERO, -ONE)
-        else:
-            x0f = float(x0v)
-            cycle = tuple(
-                scalar(v)
-                for v in (
-                    math.sin(x0f), math.cos(x0f), -math.sin(x0f), -math.cos(x0f)
-                )
-            )
+        s, c = (0, 1) if x0v == 0 else (math.sin(x0f), math.cos(x0f))
+        cycle = tuple(map(scalar, (s, c, -s, -c)))
         return FunctionSpec("sin", x0v, _FULL_LINE, lambda n: cycle[n % 4], math.sin)
 
     if name == "sq":
@@ -171,7 +166,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
         base = ONE + x0v
         if not base > 0:
             raise ValueError("builtin 'ln1p' requires x0 > -1")
-        d0 = ZERO if x0v == 0 else scalar(math.log1p(float(x0v)))
+        d0 = ZERO if x0v == 0 else scalar(math.log1p(x0f))
 
         def deriv(n, _d0=d0, _base=None if base.is_exact and base == 1 else base):
             if n == 0:
@@ -191,11 +186,14 @@ def function_from_derivatives(values: Sequence, name: str = "custom", x0=0) -> F
     """Wrap an explicit derivative list d_0, d_1, ... as a target function.
 
     No float reference evaluator is attached, so error reports against
-    such a target carry nan in the exact column.
+    such a target carry nan in the exact column.  A non-finite value, or
+    an x0 without a finite float, raises ValueError.
     """
     vals = tuple(scalar(v) for v in values)
     if not vals:
         raise ValueError("need at least the order-zero derivative d_0")
+    _binary([v._v for v in vals], f"derivative d_{{}} of {name!r}")
+    _float_param(scalar(x0), "x0")
 
     def deriv(n, _vals=vals, _name=name):
         if n >= len(_vals):
@@ -273,7 +271,8 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     """(P_n, S_n), not reduced, with F^(n)(0) = P_n / S_n, n = 1 .. order, F = f o h.
 
     values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, and
-    (1 + rho x) f' = a f + b with ode = (rho, a, b) and f(0) = f0.
+    (1 + rho x) f' = a f + b with ode = (rho, a, b) (a float read exactly)
+    and f(0) = f0.
     Leibniz's rule on (1 + rho h) F' = (a F + b) h' gives J. C. P. Miller's
     power-series recurrence (Knuth, *TAOCP* vol. 2, section 4.7),
 
@@ -333,34 +332,45 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     F^(n) = sum over k of f^(k)(x0) B(n, k)(d_1, d_2, ...), the paper's
     sum over the partial Bell polynomials.  The family's registry formula
     states d_j = r**j e_j (r = rn / rd = 1 but for a5 and a7, see
-    :mod:`funcseries.pseries`).  A target that declares its ODE (exp, ln1p
-    and pow at x0 = 0; see :class:`FunctionSpec`) over exact e_j is asked
-    for f(x0) only and takes the O(N**2) recurrence of :func:`_composed`;
-    any other target gives every f^(k) to :func:`funcseries.bell.composite`.
-    Both give rows (P_n, S_n) with F^(n) = r**n P_n / S_n; an exact row
-    finishes as one ``Fraction`` P_n rn^n / (S_n n! rd^n) over running
-    products, a float row (r**n in it, S_n = 1) as P_n / n!.  Exact
-    rationals have one reduced form, so both routes give the same
-    coefficients, and ``route`` reads "bell" for either (it is part of the
-    model's identity and of ``coeffs --format json``).
+    :mod:`funcseries.pseries`).  A float input (e_j, f^(k), pow's alpha)
+    enters as its exact binary value.  A target that declares its ODE (exp,
+    ln1p and pow at x0 = 0; see :class:`FunctionSpec`) takes the O(N**2)
+    recurrence of :func:`_composed`, asked for f(x0) only if every input is
+    exact; any other target gives every f^(k) to
+    :func:`funcseries.bell.composite`.  Both give rows (P_n, S_n) with
+    F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
+    running products: a ``Fraction``, or its correctly rounded float (+-inf
+    beyond the float range) when a nonzero term f^(k) B(n, k) has a float
+    factor (:func:`funcseries.bell._supports` finds them).  Exact rationals
+    have one reduced form, so both routes give the same coefficients, and
+    ``route`` reads "bell" for either (part of the model's identity).
     """
     _check_order(order)
     r, e = get_family(exp.key).graded(order, exp.param_dict())
-    if func._ode is not None and not any(isinstance(v, float) for v in e):
-        coeffs = [func.derivative(0)]
-        rows = _composed(e, order, func._ode, coeffs[0]._v)
+    e, e_floats = _binary(e, f"{exp.key} basis derivative e_{{}}", 1)
+    coeffs, ode, tags = [func.derivative(0)], func._ode, 0
+    if ode is None or e_floats or any(isinstance(c, float) for c in ode):
+        # f^(0) enters only as a_0; the exactness tags read the other f^(k)
+        f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
+                              f"derivative f^({{}}) of {func.name!r}")
+        if f_floats or e_floats:
+            from .bell import _supports
+
+            for k, (reach, read) in enumerate(_supports(e, e_floats, order, order)):
+                if k and f[k]:  # bit n: a nonzero product in B(n, k), one with a float
+                    tags |= reach if f_floats >> k & 1 else read
+    if ode is not None:
+        rows = _composed(e, order, ode, coeffs[0]._v)
     else:
         from .bell import composite
 
-        d = [func.derivative(k) for k in range(order + 1)]
-        coeffs = d[:1]
-        rows = composite([v._v for v in d], e, order, r)
+        rows = composite(f, e, order)
     pn = pd = 1  # rn^n and n! rd^n
     for n, (num, den) in enumerate(rows, 1):
         pn *= r.numerator
         pd *= n * r.denominator
-        coeffs.append(scalar(num / math.factorial(n)) if isinstance(num, float)
-                      else ExactScalar(Fraction(num * pn, den * pd)))
+        num, den = num * pn, den * pd
+        coeffs.append(ExactScalar(_round(num, den) if tags >> n & 1 else Fraction(num, den)))
     return ApproximationModel(exp, func, order, tuple(coeffs), "bell")
 
 

@@ -7,18 +7,19 @@ Every Bell value the library uses comes from the standard recurrence
 
 with B(0, 0) = 1, over the argument vector x_j = d_j of the family's
 inverse-basis derivatives.  The kernel builds the triangle column by
-column, since column k needs only column k - 1.  When every d_j is exact
-it scales them by the lcm D of their denominators and keeps each column
-as integers P_k over one scale S_k, B(n, k) = P_k[n] / S_k: column k is
-computed over D * S_{k-1}, and the gcd of that scale and the column's
-entries (its content) is divided out before the next column starts (the
-primitive-part reduction of Knuth, *TAOCP* vol. 2, section 4.6.1).  The
-integers then stay near the size of the Bell values rather than growing
-with D^k.  A float d_j (a7 with an irrational root) runs the same
-recurrence on the mixed values.  :func:`composite` sums a target's
-derivatives against it for :func:`funcseries.approx.assemble` and owns
-both number formats; :func:`bell_values` and :func:`bell_generic` read it
-too.
+column, since column k needs only column k - 1.  It scales the d_j by
+the lcm D of their denominators and keeps each column as integers P_k
+over one scale S_k, B(n, k) = P_k[n] / S_k: column k is computed over
+D * S_{k-1}, and the gcd of that scale and the column's entries (its
+content) is divided out before the next column starts (the primitive-part
+reduction of Knuth, *TAOCP* vol. 2, section 4.6.1).  The integers then
+stay near the size of the Bell values rather than growing with D^k.  A
+float d_j (a5 with a float alpha, a7 with an irrational root) enters as
+its exact binary value, so the kernel has one number format; a nonzero
+cell with a float factor in one of its products rounds once.
+:func:`composite` sums a target's derivatives against the columns for
+:func:`funcseries.approx.assemble`; :func:`bell_values` and
+:func:`bell_generic` read them too.
 
 The paper's special-value formulas for fifteen families ("a1" .. "a13",
 "c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
@@ -45,6 +46,8 @@ from .exact import (
     ExactScalar,
     ONE,
     ZERO,
+    _binary,
+    _round,
     _tagged,
     double_factorial,
     falling_factorial,
@@ -71,9 +74,9 @@ _GATE_DEPTH = 10
 def bell_generic(n: int, k: int, args: Sequence) -> ExactScalar:
     """B(n, k) over the derivative values args, with args[j-1] holding d_j.
 
-    Exact whenever the arguments are exact; zero arguments are skipped so
-    sparse argument vectors (every second entry zero) stay cheap and exact
-    zeros never pick up a float tag from mixed input.
+    Computed over the exact binary values of float arguments, and rounded
+    once if a nonzero product has a float factor; zero arguments are
+    skipped.  A non-finite argument raises ValueError.
     """
     if n < 0 or k < 0:
         raise ValueError("bell_generic requires n >= 0 and k >= 0")
@@ -94,117 +97,87 @@ def bell_generic(n: int, k: int, args: Sequence) -> ExactScalar:
 def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     """Rows B(i, j) for 0 <= j <= min(i, kmax), i <= nmax, as raw numbers.
 
-    values[j-1] holds d_j as an int, Fraction or float; at least nmax of
-    them are needed.  Cell (i, j) is P_j[i] / S_j from :func:`_columns`
-    over exact inputs, its raw mixed value otherwise.  Serves
-    :func:`bell_generic`, :func:`bell_values` and the gate.
+    values[j-1] holds d_j as an int, Fraction or finite float; at least
+    nmax of them are needed.  Cell (i, j) is P_j[i] / S_j from
+    :func:`_columns` over the exact binary values, as a Fraction, or as
+    its correctly rounded float where :func:`_supports` finds a float
+    factor.  Serves :func:`bell_generic`, :func:`bell_values` and the gate.
     """
+    values, floats = _binary(values, "Bell argument d_{}", 1)
     cols, scales = _columns(values, nmax, kmax)
-    if scales is not None:
-        cols = [[Fraction(p, s) if p else 0 for p in col] for col, s in zip(cols, scales)]
+    reads = [read for _, read in _supports(values, floats, nmax, len(cols) - 1)]
+    cols = [[(_round(p, s) if read >> i & 1 else Fraction(p, s)) if p else 0
+             for i, p in enumerate(col)] for col, s, read in zip(cols, scales, reads)]
     return [[col[i] for col in cols[: i + 1]] for i in range(nmax + 1)]
 
 
 def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
     """(cols, scales): cols[k][n] for 0 <= k <= kmax and 0 <= n <= nmax.
 
-    Over exact values the recurrence runs in integers over D * d_j, with D
-    the lcm of the denominators, and B(n, k) = cols[k][n] / scales[k]:
-    column k is computed over the scale D * scales[k-1], and its content,
-    the gcd of that scale and its entries, is divided out before column
-    k + 1 starts.  Otherwise scales is None and the columns hold B(n, k)
-    over the raw mixed values, each cell summed in the same order.  Zero
-    factors are skipped either way, so cells fed only by zeros stay exact.
+    values[j-1] holds d_j as an int or Fraction.  The recurrence runs in
+    integers over D * d_j, with D the lcm of the denominators, and B(n, k)
+    = cols[k][n] / scales[k]: column k is computed over the scale D *
+    scales[k-1], and its content, the gcd of that scale and its entries,
+    is divided out before column k + 1 starts.  Zero factors are skipped.
     """
     kmax = nmax if kmax is None else kmax
     values = values[:nmax]
-    exact = not any(isinstance(v, float) for v in values)
-    if exact:
-        scale = math.lcm(*(v.denominator for v in values))
-        values = [v.numerator * (scale // v.denominator) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
     # (m, [C(i-1, m-1) * d_m for i <= nmax]) for the nonzero d_m, m ascending
     weighted = [(m, [0] * m + [math.comb(i - 1, m - 1) * x for i in range(m, nmax + 1)])
                 for m, x in enumerate(values, 1) if x]
-    cols = [[1] + [0] * nmax]
-    scales = [1] if exact else None
+    cols, scales = [[1] + [0] * nmax], [1]
     for k in range(1, kmax + 1):
         prev = cols[-1]
         col = [0] * (nmax + 1)
-        # each cell sums its terms in ascending m; the mixed-value floats depend on it
         for m, w in weighted:
             for i in range(m + k - 1, nmax + 1):
                 below = prev[i - m]
                 if below:
                     col[i] += w[i] * below
-        if exact:
-            top = scale * scales[-1]
-            content = math.gcd(top, *col) if top > 1 else 1
-            if content > 1:
-                col = [c // content for c in col]
-            scales.append(top // content)
+        top = scale * scales[-1]
+        content = math.gcd(top, *col) if top > 1 else 1
+        if content > 1:
+            col = [c // content for c in col]
+        scales.append(top // content)
         cols.append(col)
     return cols, scales
 
 
-def _neumaier(values) -> float:
-    total = comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+def _supports(values: list, floats: int, nmax: int, kmax: int) -> list:
+    """[(reach, read)] bit masks over n <= nmax, k = 0 .. kmax: bit n is set
+    when B(n, k) has a nonzero product of the d_j (reach), and when one of
+    them has a float factor (read; bit j - 1 of floats marks a float d_j)."""
+    full, cols = (2 << nmax) - 1, [(1, 0)]
+    nonzero = [(m, floats >> (m - 1) & 1) for m, v in enumerate(values[:nmax], 1) if v]
+    for _ in range(kmax):
+        reach, read = cols[-1]
+        r = t = 0
+        for m, fl in nonzero:
+            r, t = r | reach << m, t | (reach if fl else read) << m
+        cols.append((r & full, t & full))
+    return cols
 
 
-def _float_term(fk, b, s) -> float:
-    """f^(k) B(n, k) as a float, with B(n, k) = b / s.
-
-    A float factor multiplies b / s, which for ints is correctly rounded,
-    as float(Fraction(b, s)) is; an exact product is rounded once.
-    """
-    if isinstance(fk, float) or isinstance(b, float):
-        return fk * (b / s)
-    return float(fk * Fraction(b, s))
-
-
-def composite(f: list, values: list, order: int, ratio) -> list:
-    """(P_n, S_n) with F^(n)(0) = ratio**n P_n / S_n, n = 1 .. order, F = f o h.
+def composite(f: list, values: list, order: int) -> list:
+    """(P_n, S_n) with F^(n)(0) = r**n P_n / S_n, n = 1 .. order, F = f o h.
 
     f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
-    e_j, h^(j)(0) = d_j = ratio**j e_j, as ints, Fractions or floats;
-    F^(n) is the sum over k of f^(k) B(n, k)(d_1, d_2, ...), with the
-    columns cut at the last nonzero f^(k) (2 for sq).  Over exact inputs,
-    with column k = P_k / S_k from :func:`_columns`, f^(k) = c_k / Q and L
-    the lcm of the S_k, P_n = sum of c_k P_k[n] L / S_k and S_n = Q L.
-    Otherwise the columns run over d_j, with ratio**j in them (a float e_j
-    has ratio 1), and a row of exact terms f^(k) B(n, k) (zero factors
-    skipped) is summed exactly; one float term makes P_n their Neumaier sum
-    in ascending k, and S_n = 1.  A float f^(k) multiplies the int quotient
-    P_k[n] / S_k, which is correctly rounded, so no cell becomes a Fraction.
+    e_j, h^(j)(0) = d_j = r**j e_j, as ints or Fractions; F^(n) is the sum
+    over k of f^(k) B(n, k)(d_1, d_2, ...), with the columns cut at the
+    last nonzero f^(k) (2 for sq).  B(n, k) has weight n in the d_j, so
+    the columns run over the e_j.  With column k = P_k / S_k from
+    :func:`_columns`, f^(k) = c_k / Q and L the lcm of the S_k, P_n is the
+    sum of c_k P_k[n] L / S_k and S_n = Q L.
     """
     kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
     f = f[1:kmax + 1]
-    if not any(isinstance(v, float) for v in (*f, *values[:order])):
-        cols, scales = _columns(values, order, kmax)
-        q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
-        c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
-        return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
-                for n in range(1, order + 1)]
-    d = [ratio**j * v for j, v in enumerate(values, 1)]
-    cols, scales = _columns(d, order, kmax)
-    scales = scales or [1] * (kmax + 1)
-    rows = []
-    for n in range(1, order + 1):
-        # (f^(k), b, s) with B(n, k) = b / s, for the nonzero terms in ascending k
-        cells = [(fk, col[n], s) for fk, col, s in zip(f, cols[1:], scales[1:]) if fk and col[n]]
-        if any(isinstance(fk, float) or isinstance(b, float) for fk, b, _ in cells):
-            rows.append((_neumaier(_float_term(*cell) for cell in cells), 1))
-        else:
-            exact = sum(fk * Fraction(b, s) for fk, b, s in cells)
-            rows.append((Fraction(exact) / ratio**n).as_integer_ratio())
-    return rows
+    cols, scales = _columns(values, order, kmax)
+    q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
+    c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
+    return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
+            for n in range(1, order + 1)]
 
 
 # -- closed-form special values ---------------------------------------------

@@ -197,17 +197,19 @@ def _linspace(start: float, stop: float, count: int) -> list:
 
     Same arithmetic as numpy: i * step + start, or (i / div) * delta +
     start when the step underflows to zero, with the last point set to
-    stop exactly.
+    stop exactly; an infinite delta sets the first point to start (not nan).
     """
     div = count - 1
     delta = stop - start
     if div <= 0:
-        return [0.0 * delta + start] * count
+        return [start if math.isinf(delta) else 0.0 * delta + start] * count
     step = delta / div
     if step == 0.0:
         points = [i / div * delta + start for i in range(count)]
     else:
         points = [i * step + start for i in range(count)]
+    if math.isinf(delta):
+        points[0] = start
     points[-1] = stop
     return points
 

@@ -31,6 +31,7 @@ being a duplicated computation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -162,12 +163,10 @@ class ExactScalar:
     def sqrt(self) -> "ExactScalar":
         """Square root; exact when the operand is a perfect rational square."""
         v = self._v
-        if isinstance(v, float):
-            if v < 0:
-                raise ValueError("square root of a negative value")
-            return ExactScalar(math.sqrt(v))
         if v < 0:
             raise ValueError("square root of a negative value")
+        if isinstance(v, float):
+            return ExactScalar(math.sqrt(v))
         rn = math.isqrt(v.numerator)
         rd = math.isqrt(v.denominator)
         if rn * rn == v.numerator and rd * rd == v.denominator:
@@ -183,33 +182,23 @@ class ExactScalar:
             return NotImplemented
         return self._v == o
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def _order(self, other, op):
+        try:
+            return op(self._v, _coerce(other))
+        except TypeError:
+            return NotImplemented
 
     def __lt__(self, other):
-        try:
-            return self._v < _coerce(other)
-        except TypeError:
-            return NotImplemented
+        return self._order(other, operator.lt)
 
     def __le__(self, other):
-        try:
-            return self._v <= _coerce(other)
-        except TypeError:
-            return NotImplemented
+        return self._order(other, operator.le)
 
     def __gt__(self, other):
-        try:
-            return self._v > _coerce(other)
-        except TypeError:
-            return NotImplemented
+        return self._order(other, operator.gt)
 
     def __ge__(self, other):
-        try:
-            return self._v >= _coerce(other)
-        except TypeError:
-            return NotImplemented
+        return self._order(other, operator.ge)
 
     def __hash__(self):
         return hash(self._v)
@@ -232,6 +221,28 @@ def scalar(value: ScalarLike) -> ExactScalar:
     if isinstance(value, ExactScalar):
         return value
     return ExactScalar(value)
+
+
+def _binary(values, name: str, start: int = 0) -> tuple:
+    """(raw values, each float as its exact binary value; a mask with bit j
+    set for a float values[j]).  ValueError names a non-finite one as
+    name.format(j + start)."""
+    exact, floats = [], 0
+    for j, v in enumerate(values):
+        if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ValueError(f"{name.format(j + start)} is not finite ({v!r})")
+            v, floats = Fraction(v), floats | 1 << j
+        exact.append(v)
+    return exact, floats
+
+
+def _round(num: int, den: int) -> float:
+    """num / den correctly rounded, for den > 0; beyond the float range +-inf."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 ZERO = ExactScalar(0)

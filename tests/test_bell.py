@@ -316,7 +316,7 @@ class TestColumnKernel:
         cols, scales = bell._columns(list(e), MAX_ORDER)
         pad = [0] * MAX_ORDER
         for f in ([0, 0, 2, *pad], [1, 2, -3, Fraction(1, 2), 5, 7, *pad]):
-            rows = bell.composite(f, list(e), MAX_ORDER, r)
+            rows = bell.composite(f, list(e), MAX_ORDER)
             for n, (p, s) in enumerate(rows, 1):
                 full = sum(Fraction(fk * col[n], sk)
                            for fk, col, sk in zip(f[1:], cols[1:], scales[1:]))

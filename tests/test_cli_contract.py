@@ -132,3 +132,16 @@ def test_figures_grid_beyond_the_float_range_reads_as_an_infinity(tmp_path):
         assert code == 0
         written[start] = {f.name: f.read_text() for f in out.iterdir()}
     assert written["-1e400"] == written["-inf"] and len(written["-inf"]) > 1
+
+
+@pytest.mark.parametrize("grid,rows", [
+    ("0:inf:3", ["0.0000000000000000,1.0000000000000000", "inf,nan", "inf,nan"]),
+    ("-inf:0:3", ["-inf,nan", "nan,nan", "0.0000000000000000,1.0000000000000000"]),
+])
+def test_grid_with_an_infinite_end_keeps_its_start(grid, rows):
+    # numpy.linspace makes the first point 0 * inf + start = nan; the grid
+    # starts at start, as it ends at stop
+    code, out, err = check_contract(
+        ["eval", "--expansion", "a1", "--function", "exp", f"--grid={grid}"])
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ["x,approx", *rows]

@@ -236,8 +236,10 @@ def test_ode_stays_out_of_identity():
     assert builtin_function("exp")._ode == (0, 1, 0)
     assert builtin_function("ln1p")._ode == (1, 0, 1)
     assert builtin_function("pow", alpha=Fraction(3, 2))._ode == (1, Fraction(3, 2), 0)
+    # a float alpha declares its ODE too; assemble reads it as 1/2 exactly
+    assert builtin_function("pow", alpha=0.5)._ode == (1, 0.5, 0)
     for f in (builtin_function("exp", x0=Fraction(1, 2)), builtin_function("ln1p", x0=1),
-              builtin_function("pow", alpha=0.5), builtin_function("sin"),
+              builtin_function("sin"),
               builtin_function("sq"), function_from_derivatives([1, 1, 1])):
         assert f._ode is None
 

@@ -5,8 +5,9 @@ exp, ln1p and pow at x0 = 0 declare a first-order linear ODE, and
 recurrence; every other target reads the Bell column kernel.  The same
 derivatives wrapped by ``function_from_derivatives`` declare no ODE, so
 they take the kernel, and the two builds must agree coefficient for
-coefficient.  Models with float coefficients never take the recurrence;
-a digest recorded before it existed pins them bit for bit.
+coefficient.  Float inputs enter either route as their exact binary
+values, and each float coefficient is the correctly rounded value of its
+exact rational; digests pin the float models bit for bit.
 """
 
 import hashlib
@@ -188,44 +189,56 @@ def test_an_ode_target_is_asked_for_its_value_only(spec):
 
 
 def test_a_target_without_an_ode_is_asked_for_every_order():
-    for spec in ("sin", "exp@1/2", "pow:0.5"):
+    for spec in ("sin", "exp@1/2"):
         func, calls = counting(target(spec))
         assemble(get_expansion("a2"), func, MAX_ORDER)
         assert calls == list(range(MAX_ORDER + 1)), spec
 
 
+def test_a_float_alpha_takes_the_recurrence(kernel_calls):
+    # pow with a float alpha declares its ODE, and assemble runs it over
+    # the exact binary value of alpha; the exactness tags read every f^(k)
+    func, calls = counting(target("pow:0.5"))
+    model = assemble(get_expansion("a2"), func, MAX_ORDER)
+    assert kernel_calls == [] and calls == list(range(MAX_ORDER + 1))
+    exact = assemble(get_expansion("a2"), target("pow:1/2"), MAX_ORDER)
+    assert model.coefficients[0].is_exact
+    assert [float(c) for c in model.coefficients] == [float(c) for c in exact.coefficients]
+    assert not any(c.is_exact for c in model.coefficients[1:])
+
+
 # sha256 of the reprs of every coefficient of assemble(expansion, target, N),
-# one repr a line, over the targets and then N in (20, MAX_ORDER).  Recorded
-# before the composition recurrence existed; every one of these models has
-# float coefficients.  "pow:0.5" was recorded through
-# function_from_derivatives over the float falling factorials of 0.5,
-# which the builtin's derivatives equal.
+# one repr a line, over the targets and then N in (20, MAX_ORDER); every one
+# of these models has float coefficients.  Recorded when each float
+# coefficient became the correctly rounded value of its exact rational
+# (see tests/test_float_inputs.py); "pow:0.5" takes the recurrence over
+# alpha = 1/2 since then.
 _SHIFTED = ("exp@1/2", "ln1p@1/2", "pow:0.5")
 FLOAT_MODEL_DIGESTS = [
-    ("a1", {}, _SHIFTED, "13e5a1a7f013b1f0420be93fde9e9dd0a2ef933666b2cf8f192767cc5130402a"),
-    ("a2", {}, _SHIFTED, "704de94e67902e4e24af15f9ab0702aa359cf22507d03470acfc7a2acd66c8ae"),
-    ("a3", {}, _SHIFTED, "52bc6b7664555b8cea6add0b4643ba1f00d938501425a44e780ff9503f4fc0f0"),
-    ("a4", {}, _SHIFTED, "9b26579e32435dc42dc5f3711c04bfbded4821e0090d49ba90539a70bb17c4b6"),
-    ("a5", {}, _SHIFTED, "e7901bef14b4e5f6f637c838cb5eb953d498eaf25addd3f20f89e30a7de8104a"),
-    ("a6", {}, _SHIFTED, "edb8f42fb47405c947c991d6bf1483908194ccc87075b72c737b890f9607239f"),
-    ("a7", {}, _SHIFTED, "71e93fc9fe617ad8533326c11dc225ecbdfb3bcbc007b621a2262aa23179052a"),
-    ("a8", {}, _SHIFTED, "7a775873180a408c38d8ffd07acec51c1940217055567e2591df3b80a9b44f58"),
-    ("a9", {}, _SHIFTED, "ccde1b884e017c6d546f0646b6144839ffb970e773adb121f096f7a736b773d5"),
-    ("a10", {}, _SHIFTED, "d80438062f60e024ad2d879b1947e473a1f7fd14dfef0a99d31c4bd6b84bc91e"),
-    ("a11", {}, _SHIFTED, "9cc4cbdfad59328f85503b1ff3221c207fc4d4ed164a34048bc222f856bc41bb"),
-    ("a12", {}, _SHIFTED, "52d84a6273aa63670e3f2fca6665ea63f271464dcaeb8aaa6ee67d7586065fdd"),
-    ("a13", {}, _SHIFTED, "65a993e8555bbf1183b0fdf460b6e81b9184c34f6864eda8521682cdd486528f"),
-    ("c1", {}, _SHIFTED, "d80438062f60e024ad2d879b1947e473a1f7fd14dfef0a99d31c4bd6b84bc91e"),
-    ("c2", {}, _SHIFTED, "9782dbb5e3e88c45843680c80c86a09d1eeebcd8216d449a1c3128aa739a5f94"),
-    ("c3", {}, _SHIFTED, "94eaed7c029318fdac71be93dc77963cec087402b3a7d1d1488c473c1f1ed369"),
-    ("c4", {}, _SHIFTED, "ab64d668c334ddc4eba9dabef7a69ce5fc7006a08b11a9c6291ac349cabe63fd"),
-    ("c5", {}, _SHIFTED, "40689e3ff4f92254a072af07d8b6f36c623859753bf6074f94142019d1a3d825"),
-    ("c6", {}, _SHIFTED, "4fbdf98e2d4b1747d8547fa9bf434744b704cce4f324d56ffde1678a4276e5bc"),
+    ("a1", {}, _SHIFTED, "8d814c08541587a65745c7dac38a6e78246c3aae8155afd2b1d63dcb421b5b7b"),
+    ("a2", {}, _SHIFTED, "16ea6b7f6718524e6f6200081b5c7a03739a81361ddb6c5419a2fb9cc899027e"),
+    ("a3", {}, _SHIFTED, "a1115e3c268a5ef3a5f44cf5933fe4c912236976d59acd04fa6efb82a63429a9"),
+    ("a4", {}, _SHIFTED, "04194c4c8d841dc40c044fa209e5a723c8b277d2a7e43bd4a919ea42ccc9c067"),
+    ("a5", {}, _SHIFTED, "b6b346ca024daffca6af9a6a75374a152b557f63165eec35524660f36d9cca67"),
+    ("a6", {}, _SHIFTED, "a1c104ef467f50cff55bb771ea6aaabcd7fd3af1165ea180f0ef647a7ac03164"),
+    ("a7", {}, _SHIFTED, "d2ef9df6863ae759ce00db994ad24977b1b9bd1e0c0faea9dd733d73c27b8ebc"),
+    ("a8", {}, _SHIFTED, "0dc81acc7514897c3255a76b1009989d0050a0a8e69efbf4558d3b481d2cf6ae"),
+    ("a9", {}, _SHIFTED, "8650e954eed900dddaac26f12bbb56294f669d7b9ef4cf65b508be94674c64d4"),
+    ("a10", {}, _SHIFTED, "1083b287feae056e0074b0dcc28c181dd28bf3a2b41f293d4f0ce9de181de499"),
+    ("a11", {}, _SHIFTED, "03d52ce18108483fa5c21ae09c6bf052558b04950beb95f0c9f2c73d6bfa697f"),
+    ("a12", {}, _SHIFTED, "a29ecf353981c0747db881289ac36c0c29cb5cfb9c8195cc12c8c5ba8a635df7"),
+    ("a13", {}, _SHIFTED, "53a4f9a99e4e6662a9caf23dba02b3676eeceea3c2da042ff0ddbdb4221fed89"),
+    ("c1", {}, _SHIFTED, "1083b287feae056e0074b0dcc28c181dd28bf3a2b41f293d4f0ce9de181de499"),
+    ("c2", {}, _SHIFTED, "68e6e169d0407fa45dd0a3699b65aaaa7a6275ec8551180305a050a6b409edd8"),
+    ("c3", {}, _SHIFTED, "81fa553840bbea4b1e974ff267afd0ab9b21d79ad121c1b61704383fd7b29e47"),
+    ("c4", {}, _SHIFTED, "3fe48dd6aa8dd1b764eb4b1cb5e5e8399ec68da2a98015a74e143e5561145122"),
+    ("c5", {}, _SHIFTED, "9771a3ffa31f4e111ca3ce51aaa0240da99f83b1b42befa15a3397edffdad862"),
+    ("c6", {}, _SHIFTED, "7246f7219608b0d01fa8a8875dca21f5b76075dd377727a1546fd6715b58ca50"),
     # float basis values: an irrational root of alpha, a float alpha
     ("a7", {"alpha": Fraction(31, 21)}, ("exp", "ln1p", "pow:1/5", "pow:0.5"),
-     "b20f735729883c7d47ee61d98e3ebf2c83700145a52b9828a4127159414f80f0"),
+     "eaf83197c546cbd987d5da08bb3f5e897ef192caadee55a682bde3bbee1ed7b6"),
     ("a5", {"alpha": 0.5}, ("exp", "ln1p", "pow:1/5", "pow:0.5"),
-     "db485d206606a5716fe775ad21c8599e590b55a8325ea3de6e281db9790aa358"),
+     "4c68d8090b2e922ac3e16984b857c40f7ad3ad018d67b7748dc55f368b7068ed"),
 ]
 
 
@@ -253,11 +266,10 @@ def test_float_alpha_has_float_derivatives():
     assert not assemble(get_expansion("a1"), func, 4).is_exact()
 
 
-# Every target that takes the Bell kernel rather than the recurrence: the
-# exact builtins without an ODE, exact and float derivative lists (with
-# finite support, and with exact zeros among floats), x0 != 0, a float
-# alpha for pow, and a7 with an irrational root, where the kernel itself
-# runs on floats.
+# Targets of the Bell kernel and float inputs: the exact builtins without an
+# ODE, exact and float derivative lists (with finite support, and with
+# exact zeros among floats), x0 != 0, a float alpha for pow (which takes
+# the recurrence), and a7 with an irrational root, whose e_j are floats.
 def _list(values):
     return function_from_derivatives([*values, *[0] * (41 - len(values))])
 
@@ -282,30 +294,33 @@ KERNEL_TARGETS = {
 }
 # sha256 of one line per coefficient of assemble(exp, func, N), "key N repr",
 # over the families, then the targets, then N in (8, 40); repr tags a float
-# coefficient with "~".  Recorded from the code in which assemble decoded
-# both of the kernel's number formats itself.
+# coefficient with "~".  The exact rows (sin-sq, rational-lists) were
+# recorded from the code in which assemble decoded both of the kernel's
+# number formats itself; the rows with a float input (polynomial-lists has
+# a float list) when each float coefficient became the correctly rounded
+# value of its exact rational.
 KERNEL_ROUTE_DIGESTS = {
     "sin-sq":
         "2f46d7a18ab715cd89b44c6f8afac0b13c151ce7ddd0699b107515f7ac069474",
     "rational-lists":
         "50e81e0a2a765b5b195e114125396fb144cd253a76563e381e33be136fa127d5",
     "polynomial-lists":
-        "74f2095f0481e426d883c35ea312dfb79753034323c9b05a90e8db4783854118",
+        "eaa612f3bc183a896c8fdcc326f933258ec5bb4910e031fbd910a6022c48f777",
     "x0-half":
-        "070b84838bdcf2194010e9714cb0c108ec9ac9842ea180491ccf90983fd77cc9",
+        "e3d15836d8cd50f8855080144e479fef745fd17095e301e57247a419f05bc928",
     "pow-float":
-        "0fb11032f6dab5a1cce93d9c63b7f1ddb0e36a956b8adc55f17afd4f1a20274c",
+        "6e97ce3ffbc7f365394f7f4cf5ef94228dca7806c25fd5e8b9a07a271891b159",
     "float-list-with-zeros":
-        "b458f1b4251782bf689eb25639ec5ea9d94a73b246a42c7d7aa679652c408c85",
+        "df60985a05ddc80cf174e8dddbba0dc08512f4f253375586a2f5ffd3ee586761",
     "a7-irrational-root":
-        "3374078db979e7efd81ca2a256e21174e2a4cb9bc46c1304a3e7976e9545b925",
+        "5eac6d2b9814042c957d5a5a1d8f0a922e3dd2c547d33b1c76249edb1f215c58",
     "ratio-not-one":
-        "cf01898f680fa3f03d1bae1e273d65be6dd099e96b57cd0d680ac66f4682f1c3",
+        "4a219b7ad51acf91f8d2fbdf31c433b7400c55ef5f6e2ae7bf20f1ca5c5a2ac5",
 }
 
 
 def _kernel_cases(case):
-    if case == "a7-irrational-root":  # e_j are floats, so every target takes the kernel
+    if case == "a7-irrational-root":  # e_j are floats
         exps = [get_expansion("a7", alpha=2)]
         funcs = [target(s) for s in ("exp", "ln1p", "pow:1/5", "sin", "sq")]
     elif case == "ratio-not-one":  # d_j = r^j e_j with r != 1, and float targets
