@@ -163,18 +163,17 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
         return FunctionSpec("sq", x0v, _FULL_LINE, deriv, lambda x: x * x)
 
     if name == "ln1p":
-        base = ONE + x0v
+        base = Fraction(x0v._v) + 1  # a float x0 as its exact binary value
         if not base > 0:
             raise ValueError("builtin 'ln1p' requires x0 > -1")
         d0 = ZERO if x0v == 0 else scalar(math.log1p(x0f))
 
-        def deriv(n, _d0=d0, _base=None if base.is_exact and base == 1 else base):
+        def deriv(n, _d0=d0, _p=base.numerator, _q=base.denominator, _exact=x0v.is_exact):
             if n == 0:
                 return _d0
-            sign = 1 if n % 2 == 1 else -1
-            if _base is None:  # x0 = 0 exactly: no power of 1 + x0 to divide by
-                return ExactScalar(sign * math.factorial(n - 1))
-            return scalar(sign * math.factorial(n - 1)) / _base ** n
+            # (-1)^(n-1) (n-1)! / (1 + x0)^n, rounded once for a float x0
+            num, den = (-1) ** (n - 1) * math.factorial(n - 1) * _q ** n, _p ** n
+            return ExactScalar(Fraction(num, den) if _exact else _round(num, den))
 
         return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), deriv, math.log1p,
                             _ode=(1, 0, 1) if x0v == 0 else None)
@@ -207,11 +206,15 @@ def function_from_derivatives(values: Sequence, name: str = "custom", x0=0) -> F
 
 
 def _to_float(value: ExactScalar, name: str) -> float:
-    """float(value); a value beyond the float range is a DomainError."""
+    """float(value); a value beyond the float range, exact or a float that
+    assembly rounded to +-inf, is a DomainError."""
     try:
-        return float(value)
+        f = float(value)
     except OverflowError:
-        raise DomainError(f"{name} is beyond the float range") from None
+        f = math.inf
+    if not math.isfinite(f):
+        raise DomainError(f"{name} is beyond the float range")
+    return f
 
 
 class ApproximationModel(_Record):

@@ -38,13 +38,15 @@ sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
 open end lie outside; a closed end also admits 1e-12 * max(1, |x|) of
 float fuzz beyond it and clips such a point onto the end.
 
-Each builder gives the inverse basis twice: ``ginv`` alone, and the pair
-``ginv_d(y) -> (ginv(y), ginv'(y))``, which computes their shared
-subexpressions (exp(y), arccos(1+y), a numerator, one series-branch test)
-once.  The pair's value is bit-identical to ``ginv``'s, it raises where
-``ginv`` raises, and its slope never raises on its own.  A Newton step
-makes one pair call; bisection, :func:`eval_ginv` and :func:`map_domain`
-need no slope and call ``ginv``.  The solver loops' tests are comparisons.
+Each builder gives the inverse basis once, as the pair
+``ginv_d(y) -> (ginv(y), ginv'(y))``, which computes the subexpressions
+they share (exp(y), arccos(1+y), a numerator, one series-branch test)
+once; its slope never raises on its own.  :func:`eval_ginv`,
+:func:`map_domain` and :func:`invert_numeric` read the pair's value.  The
+builders of the implicit bases c1 .. c6 also give ``ginv`` alone, for the
+bisection walk of their g, which needs no slope: its value is
+bit-identical to the pair's, and it raises where the pair raises.  A
+Newton step makes one pair call.  The solver loops' tests are comparisons.
 """
 
 from __future__ import annotations
@@ -155,21 +157,20 @@ class Expansion(_Record):
     x-interval of validity with the side restriction applied, image is
     g(domain), side is "both", "right_of_zero" or "left_of_zero", and an
     implicit g is computed by numeric inversion of the inverse basis.  The
-    float evaluators _g, _ginv, the value-and-slope pair _ginv_d and d_1 as
-    a float are fields that repr leaves out.  Every field is a function of
-    key and params, so two entries compare and hash by those two alone,
-    each parameter with its exactness.
+    float evaluator _g, the inverse basis as the value-and-slope pair
+    _ginv_d and d_1 as a float are fields that repr leaves out.  Every
+    field is a function of key and params, so two entries compare and hash
+    by those two alone, each parameter with its exactness.
     """
 
     __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
-                           "increasing", "implicit", "_g", "_ginv", "_ginv_d", "_d1")
+                           "increasing", "implicit", "_g", "_ginv_d", "_d1")
     _shown = _fields[:8]
 
     def __init__(self, key: str, label: str, params: tuple, domain: Interval,
                  image: Interval, side: str, increasing: bool, implicit: bool,
-                 _g: Callable, _ginv: Callable, _ginv_d: Callable, _d1: float):
-        self._set(key, label, params, domain, image, side, increasing, implicit, _g, _ginv,
-                  _ginv_d, _d1)
+                 _g: Callable, _ginv_d: Callable, _d1: float):
+        self._set(key, label, params, domain, image, side, increasing, implicit, _g, _ginv_d, _d1)
 
     def _identity(self) -> tuple:
         return self.key, tuple((name, _tagged(v)) for name, v in self.params)
@@ -447,7 +448,7 @@ def _find_flip(ginv_d: Callable, s0: float, sgn: float) -> float:
     return sgn * math.inf
 
 
-def _scan_pieces(ginv, ginv_d, d1: float, tail_neg: float):
+def _scan_pieces(ginv_d, d1: float, tail_neg: float):
     """Domain and image for a family defined only through its inverse.
 
     tail_neg is the limit of ginv as y -> -inf, used when the slope keeps
@@ -457,8 +458,8 @@ def _scan_pieces(ginv, ginv_d, d1: float, tail_neg: float):
     s0 = 1.0 if d1 > 0 else -1.0
     ylo = _find_flip(ginv_d, s0, -1.0)
     yhi = _find_flip(ginv_d, s0, 1.0)
-    x_at_ylo = ginv(ylo) if math.isfinite(ylo) else tail_neg
-    x_at_yhi = ginv(yhi) if math.isfinite(yhi) else math.inf
+    x_at_ylo = ginv_d(ylo)[0] if math.isfinite(ylo) else tail_neg
+    x_at_yhi = ginv_d(yhi)[0] if math.isfinite(yhi) else math.inf
     if d1 > 0:
         domain = Interval(x_at_ylo, x_at_yhi)
     else:
@@ -468,22 +469,21 @@ def _scan_pieces(ginv, ginv_d, d1: float, tail_neg: float):
 
 # -- family builders -----------------------------------------------------------
 #
-# A builder returns what only it knows: the float evaluators ginv, the pair
-# ginv_d and (for an explicit basis) g, and either the domain and image or,
-# for c1 .. c5, tail_neg (see _scan_pieces); a11, a12 and c6 also name
-# their side.  get_expansion derives the other fields.  A pair evaluates
-# ginv's own expression, computing what it shares with the slope once; a
-# series branch runs both Horner sums in one loop.
+# A builder returns what only it knows: the float evaluators, that is the
+# pair ginv_d and either g (an explicit basis) or, for c1 .. c6, ginv alone
+# for the bisection walk, and either the domain and image or, for c1 ..
+# c5, tail_neg (see _scan_pieces); a11, a12 and c6 also name their side.
+# get_expansion derives the other fields.  A pair computes what its value
+# shares with the slope once; a series branch runs both Horner sums in one
+# loop.
 
 _FULL_LINE = Interval(-math.inf, math.inf)
 
 
 def _make_a1(p):
-    dom = Interval(-1.0, math.inf)
     return dict(
-        domain=dom, image=_FULL_LINE,
-        g=math.log1p, ginv=math.expm1,
-        ginv_d=lambda y: (math.expm1(y), math.exp(y)),
+        domain=Interval(-1.0, math.inf), image=_FULL_LINE,
+        g=math.log1p, ginv_d=lambda y: (math.expm1(y), math.exp(y)),
     )
 
 
@@ -491,7 +491,6 @@ def _make_a2(p):
     return dict(
         domain=_FULL_LINE, image=Interval(-math.inf, 1.0),
         g=lambda x: -math.expm1(-x),
-        ginv=lambda y: -math.log1p(-y),
         ginv_d=lambda y: (-math.log1p(-y), 1.0 / (1.0 - y)),
     )
 
@@ -499,8 +498,7 @@ def _make_a2(p):
 def _make_a3(p):
     return dict(
         domain=_FULL_LINE, image=_FULL_LINE,
-        g=math.asinh, ginv=math.sinh,
-        ginv_d=lambda y: (math.sinh(y), math.cosh(y)),
+        g=math.asinh, ginv_d=lambda y: (math.sinh(y), math.cosh(y)),
     )
 
 
@@ -509,8 +507,7 @@ def _make_a4(p):
     return dict(
         domain=Interval(-1.0, 1.0, True, True),
         image=Interval(-half_pi, half_pi, True, True),
-        g=math.asin, ginv=math.sin,
-        ginv_d=lambda y: (math.sin(y), math.cos(y)),
+        g=math.asin, ginv_d=lambda y: (math.sin(y), math.cos(y)),
     )
 
 
@@ -519,13 +516,8 @@ def _make_a5(p):
     if p["alpha"] == 1:
         return dict(
             domain=_FULL_LINE, image=_FULL_LINE,
-            g=lambda x: x, ginv=lambda y: y, ginv_d=lambda y: (y, 1.0),
+            g=lambda x: x, ginv_d=lambda y: (y, 1.0),
         )
-
-    def ginv(y):
-        if y == -1.0 and af > 0:
-            return -1.0
-        return math.expm1(af * math.log1p(y))
 
     def ginv_d(y):
         if y == -1.0 and af > 0:
@@ -544,7 +536,7 @@ def _make_a5(p):
 
     # -1 belongs to both intervals only when it maps to -1, i.e. alpha > 0.
     dom = img = Interval(-1.0, math.inf, lo_closed=af > 0)
-    return dict(domain=dom, image=img, g=g, ginv=ginv, ginv_d=ginv_d)
+    return dict(domain=dom, image=img, g=g, ginv_d=ginv_d)
 
 
 def _make_a6(p):
@@ -558,9 +550,7 @@ def _make_a6(p):
     return dict(
         domain=Interval(-0.5 * wf * wf, math.inf, lo_closed=True),
         image=Interval(-wf, math.inf, lo_closed=True),
-        g=g,
-        ginv=lambda y: 0.5 * y * y + wf * y,
-        ginv_d=lambda y: (0.5 * y * y + wf * y, y + wf),
+        g=g, ginv_d=lambda y: (0.5 * y * y + wf * y, y + wf),
     )
 
 
@@ -571,9 +561,6 @@ def _make_a7(p):
 
     def g(x):
         return (x * x + 2.0 * root * x) / bf
-
-    def ginv(y):
-        return bf * y / (math.sqrt(max(af + bf * y, 0.0)) + root)
 
     def ginv_d(y):
         s = math.sqrt(max(af + bf * y, 0.0))
@@ -587,15 +574,11 @@ def _make_a7(p):
         img = Interval(-math.inf, -af / bf, hi_closed=True)
     return dict(
         domain=Interval(-root, math.inf, lo_closed=True), image=img,
-        g=g, ginv=ginv, ginv_d=ginv_d,
+        g=g, ginv_d=ginv_d,
     )
 
 
 def _make_a8(p):
-    def ginv(y):
-        u = 1.0 - y
-        return y * (2.0 - y) / (u * u)
-
     def ginv_d(y):
         u = 1.0 - y
         uu = u * u
@@ -603,8 +586,7 @@ def _make_a8(p):
 
     return dict(
         domain=Interval(-1.0, math.inf), image=Interval(-math.inf, 1.0),
-        g=lambda x: -math.expm1(-0.5 * math.log1p(x)),
-        ginv=ginv, ginv_d=ginv_d,
+        g=lambda x: -math.expm1(-0.5 * math.log1p(x)), ginv_d=ginv_d,
     )
 
 
@@ -614,9 +596,6 @@ def _make_a9(p):
             return 0.0
         return 2.0 * x / (1.0 + math.sqrt(1.0 + 4.0 * x * x))
 
-    def ginv(y):
-        return y / ((1.0 - y) * (1.0 + y))
-
     def ginv_d(y):
         yy = y * y
         u = 1.0 - yy
@@ -624,7 +603,7 @@ def _make_a9(p):
 
     return dict(
         domain=_FULL_LINE, image=Interval(-1.0, 1.0),
-        g=g, ginv=ginv, ginv_d=ginv_d,
+        g=g, ginv_d=ginv_d,
     )
 
 
@@ -637,9 +616,6 @@ def _make_a10(p):
     def g(x):
         return lambert_w0(scale * (wf + x - 1.0)) + 1.0 - wf
 
-    def ginv(y):
-        return (wf + y - 1.0) * math.exp(y) + 1.0 - wf
-
     def ginv_d(y):
         ey = math.exp(y)
         return (wf + y - 1.0) * ey + 1.0 - wf, (wf + y) * ey
@@ -647,7 +623,7 @@ def _make_a10(p):
     return dict(
         domain=Interval(1.0 - wf - math.exp(-wf), math.inf, lo_closed=True),
         image=Interval(-wf, math.inf, lo_closed=True),
-        g=g, ginv=ginv, ginv_d=ginv_d,
+        g=g, ginv_d=ginv_d,
     )
 
 
@@ -669,13 +645,8 @@ def _near_zero_start(init: tuple, ginv_d: Callable, x: float) -> float:
 
 
 def _make_a11(p):
-    c, cd, c0 = _horner_tables("a11", 8)
+    _, cd, c0 = _horner_tables("a11", 8)
     init = _G_INIT["a11"][::-1]
-
-    def ginv(y):
-        if abs(y) < _NEAR_ZERO:
-            return _horner(c, y)
-        return -math.log1p(-y) / y - 1.0
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
@@ -692,18 +663,13 @@ def _make_a11(p):
     return dict(
         domain=Interval(0.0, math.inf, lo_closed=True),
         image=Interval(0.0, 1.0, lo_closed=True),
-        side="right_of_zero", g=g, ginv=ginv, ginv_d=ginv_d,
+        side="right_of_zero", g=g, ginv_d=ginv_d,
     )
 
 
 def _make_a12(p):
-    c, cd, c0 = _horner_tables("a12", 8)
+    _, cd, c0 = _horner_tables("a12", 8)
     init = _G_INIT["a12"][::-1]
-
-    def ginv(y):
-        if abs(y) < _NEAR_ZERO:
-            return _horner(c, y)
-        return math.expm1(y) / y - 1.0
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
@@ -720,7 +686,7 @@ def _make_a12(p):
     return dict(
         domain=Interval(-1.0, 0.0, hi_closed=True),
         image=Interval(-math.inf, 0.0, hi_closed=True),
-        side="left_of_zero", g=g, ginv=ginv, ginv_d=ginv_d,
+        side="left_of_zero", g=g, ginv_d=ginv_d,
     )
 
 
@@ -729,8 +695,7 @@ def _make_a13(p):
     return dict(
         domain=Interval(-half_pi, half_pi, True, True),
         image=Interval(-1.0, 1.0, True, True),
-        g=math.sin, ginv=math.asin,
-        ginv_d=lambda y: (math.asin(y), 1.0 / math.sqrt(max(1.0 - y * y, 5e-324))),
+        g=math.sin, ginv_d=lambda y: (math.asin(y), 1.0 / math.sqrt(max(1.0 - y * y, 5e-324))),
     )
 
 
@@ -910,9 +875,9 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     except _InfiniteEnd:  # a6's -w^2 / 2, a7's -alpha / beta
         raise ValueError(f"family {key!r} parameters put a domain or image end beyond "
                          "the float range") from None
-    ginv, ginv_d = pieces["ginv"], pieces["ginv_d"]
+    ginv_d = pieces["ginv_d"]
     if "tail_neg" in pieces:
-        domain, image = _scan_pieces(ginv, ginv_d, d1, pieces["tail_neg"])
+        domain, image = _scan_pieces(ginv_d, d1, pieces["tail_neg"])
     else:
         domain, image = pieces["domain"], pieces["image"]
     increasing = d1 > 0
@@ -921,8 +886,9 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     if implicit:
         ctx = f"family {key!r} numeric inversion"
 
-        def g(x, _ginv=ginv, _ginv_d=ginv_d, _img=image, _inc=increasing, _d1=d1, _ctx=ctx):
-            return _invert_monotone(x, _ginv, _ginv_d, _img, _inc, _d1, _ctx)
+        def g(x, _alone=pieces["ginv"], _ginv_d=ginv_d, _img=image, _inc=increasing, _d1=d1,
+              _ctx=ctx):
+            return _invert_monotone(x, _alone, _ginv_d, _img, _inc, _d1, _ctx)
 
     return Expansion(
         key=key,
@@ -934,7 +900,6 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
         increasing=increasing,
         implicit=implicit,
         _g=g,
-        _ginv=ginv,
         _ginv_d=ginv_d,
         _d1=d1,
     )
@@ -1003,7 +968,7 @@ def eval_ginv(exp: Expansion, y: float) -> float:
             f"y={y!r} outside the image {exp.image} of family {exp.key!r}"
         )
     try:
-        x = exp._ginv(yd)
+        x = exp._ginv_d(yd)[0]
     except OverflowError:
         x = math.nan
     if not math.isfinite(x):  # a finite y in the image has a finite g^-1(y)
@@ -1030,7 +995,7 @@ def invert_numeric(exp: Expansion, x: float) -> float:
         )
     try:
         return _invert_monotone(
-            xd, exp._ginv, exp._ginv_d, exp.image, exp.increasing, exp._d1,
+            xd, lambda y: exp._ginv_d(y)[0], exp._ginv_d, exp.image, exp.increasing, exp._d1,
             f"family {exp.key!r} numeric inversion",
         )
     except (ValueError, ZeroDivisionError) as err:
@@ -1058,7 +1023,7 @@ def map_domain(exp: Expansion, radius: float) -> Interval:
         if not s * y_end > r:
             return x_end, closed and s * y_end < r
         try:
-            x = exp._ginv(s * r)
+            x = exp._ginv_d(s * r)[0]
         except OverflowError:
             return x_end, False
         return (x if math.isfinite(x) else x_end), False

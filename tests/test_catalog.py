@@ -16,6 +16,7 @@ from funcseries.catalog import (
     Expansion,
     Interval,
     PARAM_DEFAULTS,
+    _BUILDERS,
     _admit,
     _bisect_monotone,
     eval_g,
@@ -32,6 +33,11 @@ from oracles import poly_eval_float
 def grid(lo, hi, count):
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
+
+
+def pair_value(e):
+    """The inverse basis alone: the value of the expansion's pair."""
+    return lambda y: e._ginv_d(y)[0]
 
 
 def inside(interval, x):
@@ -449,7 +455,7 @@ class TestEvaluators:
     def test_non_finite_ginv_becomes_domain_error(self, key, y):
         # no OverflowError is raised, but the value is not finite
         e = get_expansion(key)
-        assert not math.isfinite(e._ginv(y))
+        assert not math.isfinite(pair_value(e)(y))
         with pytest.raises(DomainError, match="overflows"):
             eval_ginv(e, y)
 
@@ -552,7 +558,7 @@ class TestInvertNumeric:
         y = invert_numeric(e, x)
         assert y == eval_g(e, x) == e.image.lo
         step = math.nextafter(y, 0.0)
-        assert abs(e._ginv(y) - x) < abs(e._ginv(step) - x)
+        assert abs(pair_value(e)(y) - x) < abs(pair_value(e)(step) - x)
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_walk_stall_without_a_root_at_the_end_still_raises(self, closed):
@@ -650,15 +656,23 @@ class TestValueSlopePair:
 
     @pytest.mark.parametrize("key", FAMILY_KEYS)
     def test_value_is_ginv_and_raises_only_where_ginv_raises(self, key):
+        # only an implicit basis (c1 .. c6) keeps a value-only ginv, for its
+        # bisection walk; an explicit one states its inverse once, as the pair
         e = get_expansion(key)
+        pieces = _BUILDERS[key](e.param_dict())
+        assert ("ginv" in pieces) == e.implicit
+        if not e.implicit:
+            return
+        ginv = pieces["ginv"]
         img = e.image
         ys = _pair_grid(e) + [math.inf, -math.inf, math.nan]
+        ys += [sign * t for t in _ulps(_EXP_LIMIT, 3) for sign in (1.0, -1.0)]
         ys += [sign * m for m in (1e77, 1.4e77, 1e90, 1e103, 1e155, 1e200, 1e300)
                for sign in (1.0, -1.0)]
         ys += [end + d for end in (img.lo, img.hi) if math.isfinite(end)
                for d in (-1.0, -1e-9, 1e-9, 1.0)]
         for y in ys:
-            want = _outcome(e._ginv, y)
+            want = _outcome(ginv, y)
             got = _outcome(e._ginv_d, y)
             if not isinstance(got, str):
                 got = got[0]
@@ -671,7 +685,7 @@ class TestValueSlopePair:
             beta = float(e.param_dict()["beta"])
             end = e.image.lo if beta > 0 else e.image.hi
             value, slope = e._ginv_d(end)
-            assert value == e._ginv(end) == e.domain.lo
+            assert value == e.domain.lo
             assert slope == math.copysign(math.inf, beta)
             beyond = end - math.copysign(1e-9, beta)
             assert e._ginv_d(beyond)[1] == math.copysign(math.inf, beta)
@@ -685,7 +699,8 @@ class TestValueSlopePair:
             return e._ginv_d(y)
 
         from funcseries.catalog import _invert_monotone
-        y = _invert_monotone(2.0, e._ginv, counted, e.image, e.increasing, e._d1, "c4")
+        ginv = _BUILDERS["c4"](e.param_dict())["ginv"]
+        y = _invert_monotone(2.0, ginv, counted, e.image, e.increasing, e._d1, "c4")
         assert y == eval_g(e, 2.0)
         assert len(calls) == len(set(calls)) > 1
 
@@ -772,7 +787,7 @@ def _series_lines():
         e = get_expansion(key)
         below = math.nextafter(t, 0.0)
         for y in (0.0, -0.0, 1e-300, -1e-300, t / 2, -t / 2, below, -below, t, -t):
-            lines.append(f"{key} {y!r} {_repr_or_error(e._ginv, y)} "
+            lines.append(f"{key} {y!r} {_repr_or_error(pair_value(e), y)} "
                          f"{_repr_or_error(e._ginv_d, y)}")
     return lines
 
@@ -814,3 +829,52 @@ _PARENT_PINS = {
 def test_outcomes_pinned(lines):
     text = "\n".join(lines())
     assert hashlib.sha256(text.encode()).hexdigest() == _PARENT_PINS[lines]
+
+
+def _ulps(v, count):
+    """v and the count floats on each side of it."""
+    return [v] + _nextafter(v, -math.inf, count) + _nextafter(v, math.inf, count)
+
+
+def _inverse_points(e):
+    """The pair grid, each finite image and domain end +-3 ulps, +-10^k, and
+    exp's overflow threshold +-3 ulps on both signs."""
+    ends = [v for i in (e.image, e.domain) for v in (i.lo, i.hi) if math.isfinite(v)]
+    mags = [10.0 ** k for k in range(-300, 309, 4)] + _ulps(_EXP_LIMIT, 3)
+    points = _pair_grid(e) + [v for end in ends for v in _ulps(end, 3)]
+    points += [sign * m for m in mags for sign in (1.0, -1.0)]
+    return sorted(set(points))
+
+
+def _outcome_text(call, *args):
+    try:
+        return repr(call(*args))
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+_INVERSE_PARAMS = [(key, {}) for key in FAMILY_KEYS] + [
+    ("a5", {"alpha": 1}), ("a5", {"alpha": -1}), ("a7", {"alpha": Fraction(9, 4), "beta": -2}),
+]
+
+
+def _inverse_lines():
+    """eval_ginv and invert_numeric, error messages included, on _inverse_points."""
+    lines = []
+    for key, params in _INVERSE_PARAMS:
+        e = get_expansion(key, **params)
+        for v in _inverse_points(e):
+            lines.append(f"{key} {params} {v!r} {_outcome_text(eval_ginv, e, v)} "
+                         f"{_outcome_text(invert_numeric, e, v)}")
+    return lines
+
+
+# sha256 over _inverse_lines(), recorded from the code in which every basis
+# builder also gave a value-only inverse evaluator next to its pair
+INVERSE_PIN = "b1e44566ac1bfd7d614e7c7ec8eda4726f906217d4f39ac58e5c7ad1954fd581"
+
+
+def test_inverse_outcomes_pinned():
+    lines = _inverse_lines()
+    assert len(lines) > 5000
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == INVERSE_PIN

@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from funcseries import bell
-from funcseries.approx import assemble, builtin_function, function_from_derivatives
-from funcseries.catalog import get_expansion
+from funcseries.approx import assemble, builtin_function, evaluate, function_from_derivatives
+from funcseries.catalog import DomainError, get_expansion
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, get_family
 from test_approx import COEFFICIENT_PINS, SHIFTED_CENTER_REPRS, pin_target
 from test_routes import FLOAT_MODEL_DIGESTS, KERNEL_ROUTE_DIGESTS, _kernel_cases, target
@@ -139,6 +139,44 @@ def test_values_beyond_the_float_range_round_to_infinities():
         m = assemble(get_expansion("a8"), f, MAX_ORDER)
         assert float(m.coefficients[-1]) == sign * math.inf
         assert not m.coefficients[-1].is_exact
+
+
+@pytest.mark.parametrize("values", [[1.0, 1e308, 1e308], [1, 10**308, 10**308]])
+def test_a_coefficient_beyond_the_float_range_is_a_domain_error(values):
+    # a float a_1 that assembly rounded to inf is beyond the float range, as
+    # its exact twin is: no evaluation or decimal can use it
+    m = assemble(get_expansion("a8"), function_from_derivatives(values), 2)
+    for call in (lambda: evaluate(m, 0.0), lambda: evaluate(m, 0.5), m.to_json_dict):
+        with pytest.raises(DomainError, match="coefficient a_1 is beyond the float range"):
+            call()
+
+
+def _rounded(q):
+    """q correctly rounded to a float, +-inf beyond the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+@pytest.mark.parametrize("x0", [0.5, 0.1, 3.7, -0.9999, -0.999999])
+def test_ln1p_at_a_float_center_rounds_each_derivative_once(x0):
+    func = builtin_function("ln1p", x0=x0)
+    base = Fraction(x0) + 1
+    for n in range(1, MAX_ORDER + 1):
+        d = func.derivative(n)
+        want = _rounded(Fraction((-1) ** (n - 1) * math.factorial(n - 1)) / base ** n)
+        assert not d.is_exact and float(d) == want, n
+    exact = builtin_function("ln1p", x0=Fraction(1, 2))
+    assert exact.derivative(3) == Fraction(16, 27) and exact.derivative(3).is_exact
+
+
+@pytest.mark.parametrize("x0,n", [(-0.999999, 43), (-0.9999, 58)])
+def test_ln1p_derivative_beyond_the_float_range_is_named(x0, n):
+    # (1 + x0)^n is taken exactly, so it cannot underflow to 0.0; the first
+    # derivative beyond the float range is named
+    with pytest.raises(ValueError, match=rf"derivative f\^\({n}\) of 'ln1p' is not finite"):
+        assemble(get_expansion("a1"), builtin_function("ln1p", x0=x0), MAX_ORDER)
 
 
 class TestNonFiniteInputs:

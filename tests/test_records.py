@@ -27,7 +27,7 @@ from funcseries import (
 from funcseries.exact import ExactScalar
 
 _EXPANSION_FIELDS = ("key", "label", "params", "domain", "image", "side", "increasing",
-                     "implicit", "_g", "_ginv", "_ginv_d", "_d1")
+                     "implicit", "_g", "_ginv_d", "_d1")
 
 
 def _a7():
