@@ -16,8 +16,8 @@ triangles and derivative sequences (`bell`),
 the basis catalog with float evaluators (`catalog`), model assembly and
 evaluation (`approx`), and the command-line front end (`cli`).  `bell`
 loads on first use: by a build on the Bell kernel (sin, sq, a derivative
-list, x0 != 0), `derivative_sequence`, or a caller that names it; a build
-by the composition recurrence (exp, ln1p and pow at x0 = 0), the float
+list), `derivative_sequence`, or a caller that names it; a build by the
+composition recurrence (exp and ln1p at every x0, pow), the float
 evaluators and `import funcseries.cli` do not load it.
 """
 

@@ -10,8 +10,8 @@ derivative of F = f o h over n!, with h the inverse basis.
 :func:`assemble` computes that sum exactly, each float input taken as its
 exact binary value, by one of two routes: J. C. P. Miller's O(N**2)
 composition recurrence for a target that declares a first-order linear
-ODE (exp, ln1p and pow at x0 = 0), or the Bell kernel,
-:func:`funcseries.bell.composite` (sin, sq, a derivative list, x0 != 0).
+ODE (exp and ln1p at every x0, pow), or the Bell kernel,
+:func:`funcseries.bell.composite` (sin, sq, a derivative list).
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _as_float, _float_param, eval_g, get_expansion)
-from .exact import (ONE, ZERO, ExactScalar, _binary, _falling_factorials, _round, _tagged,
-                    falling_factorial, scalar)
+from .exact import (ONE, ZERO, ExactScalar, _binary, _falling_factorials, _round, _supports,
+                    _tagged, scalar)
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
 __all__ = [
@@ -99,15 +99,21 @@ class FunctionSpec(_Record):
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
 
 
+def _once(q: Fraction, exact: bool) -> ExactScalar:
+    """q, or (from a float input) q correctly rounded to a float."""
+    return ExactScalar(q if exact else _round(q.numerator, q.denominator))
+
+
 def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     """A ready-made target: exp, sin, sq (x^2), ln1p, or pow ((1+x)^alpha).
 
     Derivatives at x0 = 0 are exact rationals; a nonzero x0 makes the
     transcendental entries approximate (float-tagged), and :func:`assemble`
     takes each as its exact binary value.  "pow" is only provided at x0 = 0
-    and requires alpha; a float alpha gives approximate derivatives.  An
-    alpha, x0 or exp(x0) without a finite float raises ValueError.  At
-    x0 = 0, exp, ln1p and pow declare their ODE (see :class:`FunctionSpec`).
+    and requires alpha; a float alpha gives approximate derivatives, each
+    rounded once.  An alpha, x0 or exp(x0) without a finite float raises
+    ValueError.  exp and ln1p (at every x0) and pow declare their ODE (see
+    :class:`FunctionSpec`).
     """
     x0v = scalar(x0)
     x0f = _float_param(x0v, "x0")
@@ -118,10 +124,11 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             raise ValueError("builtin 'pow' is only provided at x0 = 0")
         av = scalar(alpha)
         af = _float_param(av, "builtin 'pow' alpha")
-        table = tuple(ExactScalar(v) for v in _falling_factorials(av, MAX_ORDER))
+        aq = Fraction(av._v)  # a float alpha as its exact binary value
+        table = (ONE, *(_once(v, av.is_exact) for v in _falling_factorials(aq, MAX_ORDER)[1:]))
 
-        def deriv(n, _av=av, _table=table):
-            return _table[n] if n <= MAX_ORDER else falling_factorial(_av, n)
+        def deriv(n, _aq=aq, _exact=av.is_exact, _table=table):
+            return _table[n] if n <= MAX_ORDER else _once(_falling_factorials(_aq, n)[n], _exact)
 
         if av != 0:  # the exact sign: an alpha that rounds to 0.0 keeps its domain
             dom = Interval(-1.0, math.inf, lo_closed=av > 0)
@@ -146,8 +153,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             d0 = ONE if x0v == 0 else scalar(math.exp(x0f))
         except OverflowError:
             raise ValueError("builtin 'exp' f(x0) has no finite float value") from None
-        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp,
-                            _ode=(0, 1, 0) if x0v == 0 else None)
+        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp, _ode=(0, 1, 0))
 
     if name == "sin":
         s, c = (0, 1) if x0v == 0 else (math.sin(x0f), math.cos(x0f))
@@ -176,7 +182,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             return ExactScalar(Fraction(num, den) if _exact else _round(num, den))
 
         return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), deriv, math.log1p,
-                            _ode=(1, 0, 1) if x0v == 0 else None)
+                            _ode=(1 / base, 0, 1 / base))
 
     raise ValueError(f"unknown builtin function {name!r}")
 
@@ -337,38 +343,42 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     states d_j = r**j e_j (r = rn / rd = 1 but for a5 and a7, see
     :mod:`funcseries.pseries`).  A float input (e_j, f^(k), pow's alpha)
     enters as its exact binary value.  A target that declares its ODE (exp,
-    ln1p and pow at x0 = 0; see :class:`FunctionSpec`) takes the O(N**2)
-    recurrence of :func:`_composed`, asked for f(x0) only if every input is
-    exact; any other target gives every f^(k) to
+    ln1p and pow; see :class:`FunctionSpec`) takes the O(N**2) recurrence
+    of :func:`_composed` from f(x0), asked for the other f^(k) only when an
+    input is a float; any other target gives every f^(k) to
     :func:`funcseries.bell.composite`.  Both give rows (P_n, S_n) with
     F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
     running products: a ``Fraction``, or its correctly rounded float (+-inf
     beyond the float range) when a nonzero term f^(k) B(n, k) has a float
-    factor (:func:`funcseries.bell._supports` finds them).  Exact rationals
+    factor (:func:`funcseries.exact._supports` finds them; an ODE says
+    which f^(k) are nonzero, even where they round to 0.0).  Exact rationals
     have one reduced form, so both routes give the same coefficients, and
     ``route`` reads "bell" for either (part of the model's identity).
     """
     _check_order(order)
     r, e = get_family(exp.key).graded(order, exp.param_dict())
     e, e_floats = _binary(e, f"{exp.key} basis derivative e_{{}}", 1)
-    coeffs, ode, tags = [func.derivative(0)], func._ode, 0
-    if ode is None or e_floats or any(isinstance(c, float) for c in ode):
+    f0, ode, tags = func.derivative(0), func._ode, 0
+    if ode is None or e_floats or not (f0.is_exact and func.x0.is_exact) or any(
+            isinstance(c, float) for c in ode):
         # f^(0) enters only as a_0; the exactness tags read the other f^(k)
         f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
                               f"derivative f^({{}}) of {func.name!r}")
+        if ode is not None:  # f' = a f0 + b, f^(k+1) = (a - k rho) f^(k): the nonzero f^(k)
+            rho, a, b = map(Fraction, ode)
+            f[1:] = accumulate(range(1, order), lambda fk, k: fk and a != k * rho,
+                               initial=a * Fraction(f0._v) + b)
         if f_floats or e_floats:
-            from .bell import _supports
-
             for k, (reach, read) in enumerate(_supports(e, e_floats, order, order)):
                 if k and f[k]:  # bit n: a nonzero product in B(n, k), one with a float
                     tags |= reach if f_floats >> k & 1 else read
     if ode is not None:
-        rows = _composed(e, order, ode, coeffs[0]._v)
+        rows = _composed(e, order, ode, Fraction(f0._v))
     else:
         from .bell import composite
 
         rows = composite(f, e, order)
-    pn = pd = 1  # rn^n and n! rd^n
+    coeffs, pn, pd = [f0], 1, 1  # pn, pd: rn^n and n! rd^n
     for n, (num, den) in enumerate(rows, 1):
         pn *= r.numerator
         pd *= n * r.denominator

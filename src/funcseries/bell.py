@@ -42,19 +42,8 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (
-    ExactScalar,
-    ONE,
-    ZERO,
-    _binary,
-    _round,
-    _tagged,
-    double_factorial,
-    falling_factorial,
-    scalar,
-    stirling1,
-    stirling2,
-)
+from .exact import (ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged, double_factorial,
+                    falling_factorial, scalar, stirling1, stirling2)
 # family_series is not used here; it is bound in this namespace for callers
 # that wrap it per module (perfbench/tracer.py).
 from .pseries import FAMILY_KEYS, MAX_ORDER, _check_order, family_series, get_family
@@ -100,8 +89,9 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     values[j-1] holds d_j as an int, Fraction or finite float; at least
     nmax of them are needed.  Cell (i, j) is P_j[i] / S_j from
     :func:`_columns` over the exact binary values, as a Fraction, or as
-    its correctly rounded float where :func:`_supports` finds a float
-    factor.  Serves :func:`bell_generic`, :func:`bell_values` and the gate.
+    its correctly rounded float where :func:`funcseries.exact._supports`
+    finds a float factor.  Serves :func:`bell_generic`, :func:`bell_values`
+    and the gate.
     """
     values, floats = _binary(values, "Bell argument d_{}", 1)
     cols, scales = _columns(values, nmax, kmax)
@@ -143,21 +133,6 @@ def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
         scales.append(top // content)
         cols.append(col)
     return cols, scales
-
-
-def _supports(values: list, floats: int, nmax: int, kmax: int) -> list:
-    """[(reach, read)] bit masks over n <= nmax, k = 0 .. kmax: bit n is set
-    when B(n, k) has a nonzero product of the d_j (reach), and when one of
-    them has a float factor (read; bit j - 1 of floats marks a float d_j)."""
-    full, cols = (2 << nmax) - 1, [(1, 0)]
-    nonzero = [(m, floats >> (m - 1) & 1) for m, v in enumerate(values[:nmax], 1) if v]
-    for _ in range(kmax):
-        reach, read = cols[-1]
-        r = t = 0
-        for m, fl in nonzero:
-            r, t = r | reach << m, t | (reach if fl else read) << m
-        cols.append((r & full, t & full))
-    return cols
 
 
 def composite(f: list, values: list, order: int) -> list:

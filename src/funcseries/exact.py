@@ -245,6 +245,21 @@ def _round(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
+def _supports(values: list, floats: int, nmax: int, kmax: int) -> list:
+    """[(reach, read)] bit masks over n <= nmax, k = 0 .. kmax: bit n is set
+    when B(n, k) has a nonzero product of the d_j (reach), and when one of
+    them has a float factor (read; bit j - 1 of floats marks a float d_j)."""
+    full, cols = (2 << nmax) - 1, [(1, 0)]
+    nonzero = [(m, floats >> (m - 1) & 1) for m, v in enumerate(values[:nmax], 1) if v]
+    for _ in range(kmax):
+        reach, read = cols[-1]
+        r = t = 0
+        for m, fl in nonzero:
+            r, t = r | reach << m, t | (reach if fl else read) << m
+        cols.append((r & full, t & full))
+    return cols
+
+
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
 

@@ -527,7 +527,8 @@ def _fresh(code: str) -> list:
 
 class TestBellOnFirstUse:
     # funcseries.bell loads only when a build or a caller reaches it: a
-    # target on the composition recurrence never does, and neither does a
+    # target on the composition recurrence never does (exp and ln1p at any
+    # x0, pow, a float alpha or a float e_j included), and neither does a
     # float evaluator (a11's and a12's Newton start tables are constants).
     def test_recurrence_builds_load_no_bell(self):
         lines = _fresh(
@@ -536,10 +537,14 @@ class TestBellOnFirstUse:
             "from funcseries import FAMILY_KEYS, MAX_ORDER, assemble, builtin_function, "
             "eval_g, get_expansion\n"
             "targets = [builtin_function('exp'), builtin_function('ln1p'),\n"
-            "           builtin_function('pow', alpha=Fraction(1, 5))]\n"
+            "           builtin_function('pow', alpha=Fraction(1, 5)),\n"
+            "           builtin_function('pow', alpha=0.5)]\n"
+            "targets += [builtin_function(name, x0=x0) for name in ('exp', 'ln1p')\n"
+            "            for x0 in (Fraction(1, 2), 0.5)]\n"
             "for key in FAMILY_KEYS:\n"
             "    for f in targets:\n"
             "        assert len(assemble(get_expansion(key), f, MAX_ORDER).coefficients) == 65\n"
+            "assemble(get_expansion('a5', alpha=0.5), builtin_function('exp'), MAX_ORDER)\n"
             "print('funcseries.bell' in sys.modules)\n"
             "# both branches of each: the series-plus-Newton start near zero and\n"
             "# lambert_w0 on the far side\n"

@@ -17,6 +17,7 @@ import pytest
 from funcseries import bell
 from funcseries.approx import assemble, builtin_function, evaluate, function_from_derivatives
 from funcseries.catalog import DomainError, get_expansion
+from funcseries.exact import falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, get_family
 from test_approx import COEFFICIENT_PINS, SHIFTED_CENTER_REPRS, pin_target
 from test_routes import FLOAT_MODEL_DIGESTS, KERNEL_ROUTE_DIGESTS, _kernel_cases, target
@@ -28,8 +29,10 @@ def _binary(value):
 
 
 def _exact_target(func, order):
-    """The target over the exact binary values of its float inputs."""
-    if func._ode is None:
+    """The target over the exact binary values of its float inputs: an ODE
+    target with a float f(x0) (exp at x0 != 0, ln1p at an exact x0 != 0) as
+    its derivative list."""
+    if func._ode is None or not func.derivative(0).is_exact:
         return function_from_derivatives([_binary(func.derivative(k)) for k in range(order + 1)])
     if func.name.startswith("pow:"):  # a float alpha is the ODE's only float
         return builtin_function("pow", alpha=Fraction(func._ode[1]))
@@ -169,6 +172,33 @@ def test_ln1p_at_a_float_center_rounds_each_derivative_once(x0):
         assert not d.is_exact and float(d) == want, n
     exact = builtin_function("ln1p", x0=Fraction(1, 2))
     assert exact.derivative(3) == Fraction(16, 27) and exact.derivative(3).is_exact
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.3, 0.5])
+def test_pow_with_a_float_alpha_rounds_each_derivative_once(alpha):
+    # f^(n) is the falling factorial of the binary value of alpha, rounded
+    # once, beyond MAX_ORDER too; f^(0) = 1 stays exact
+    func = builtin_function("pow", alpha=alpha)
+    assert func.derivative(0).is_exact
+    for n in range(1, MAX_ORDER + 4):
+        d = func.derivative(n)
+        want = _rounded(falling_factorial(Fraction(alpha), n).as_fraction())
+        assert not d.is_exact and float(d) == want, n
+
+
+@pytest.mark.parametrize("x0", [0.5, -0.3, 2.0])
+def test_ln1p_at_a_float_center_is_within_half_an_ulp(x0):
+    # the recurrence runs over rho = 1 / (1 + x0) of the binary value of x0,
+    # so each coefficient is the exact model's at Fraction(x0), rounded once
+    func, exact = builtin_function("ln1p", x0=x0), builtin_function("ln1p", x0=Fraction(x0))
+    for key in FAMILY_KEYS:
+        model = assemble(get_expansion(key), func, MAX_ORDER)
+        want = assemble(get_expansion(key), exact, MAX_ORDER).coefficients
+        assert repr(model.coefficients[0]) == repr(want[0])
+        for n, (c, q) in enumerate(zip(model.coefficients[1:], want[1:]), 1):
+            ulps = abs(Fraction(float(c)) - q.as_fraction()) / Fraction(math.ulp(float(q)))
+            assert not c.is_exact and ulps <= Fraction(1, 2), (key, n, float(ulps))
+            assert float(c) == float(q), (key, n)
 
 
 @pytest.mark.parametrize("x0,n", [(-0.999999, 43), (-0.9999, 58)])
