@@ -395,3 +395,38 @@ def test_kernel_routes_pinned(case):
         for c in assemble(exp, func, n).coefficients
     )
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_ROUTE_DIGESTS[case]
+
+
+# The derivatives and models of the ODE builtins (exp, ln1p, pow) at exact
+# and float centres and parameters, near ln1p's pole (x0 = -0.9999 and
+# -0.999999, floats and an exact twin) and at extreme centres (exp at
+# 700.0, ln1p at 1e200), with a float alpha of -0.0 and a subnormal one.
+# sha256 of the reprs of derivative(k), k = 0 .. MAX_ORDER + 3, of every
+# target, then of the coefficients at N = MAX_ORDER on a1, a7 and c6 of
+# every target but ln1p at the two float centres by the pole (their f^(43)
+# and f^(58) are beyond the float range; see tests/test_float_inputs.py).
+_PIN_CENTERS = (0, 0.0, Fraction(1, 2), 0.5, -0.3, 2.0, -0.9999, -0.999999,
+                Fraction(-999999, 10**6))
+_PIN_ALPHAS = (Fraction(1, 5), Fraction(-1, 3), Fraction(3, 2), 2, 0, 0.2, 0.5, 2.0, -0.0,
+               1e-320)
+DERIVATIVE_PIN = "05865ac88d14d9e8b19dc33cfd1df45e2e3058d629f2f446fa6277b331f5fe2d"
+
+
+def _derivative_pin_targets():
+    for name in ("exp", "ln1p"):
+        for x0 in _PIN_CENTERS:
+            yield builtin_function(name, x0=x0)
+    yield builtin_function("exp", x0=700.0)
+    yield builtin_function("ln1p", x0=1e200)
+    for alpha in _PIN_ALPHAS:
+        yield builtin_function("pow", alpha=alpha)
+
+
+def test_ode_builtin_derivatives_pinned():
+    funcs = list(_derivative_pin_targets())
+    lines = [repr(func.derivative(k)) for func in funcs for k in range(MAX_ORDER + 4)]
+    built = [func for func in funcs
+             if not (func.name == "ln1p" and func.x0 in (-0.9999, -0.999999))]
+    lines += [repr(c) for key in ("a1", "a7", "c6") for func in built
+              for c in assemble(get_expansion(key), func, MAX_ORDER).coefficients]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DERIVATIVE_PIN
