@@ -25,15 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _as_float, _float_param, eval_g, get_expansion)
-from .exact import (ONE, ZERO, ExactScalar, _binary, _falling_factorials, _round, _supports,
-                    _tagged, scalar)
-from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
+from .exact import ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged, scalar
+from .pseries import TruncatedSeries, _check_order, get_family
 
 __all__ = [
     "BUILTIN_FUNCTIONS",
@@ -56,21 +55,22 @@ class FunctionSpec(_Record):
 
     domain is where the float reference evaluator _value is defined; the
     derivative function _deriv, _value, _table, the derivative list of a
-    :func:`function_from_derivatives` target (None for a builtin), and
-    _ode are fields that repr leaves out.  _ode is (rho, a, b) when f
-    satisfies (1 + rho x) f'(x) = a f(x) + b, which lets :func:`assemble`
-    take the composition recurrence; it follows from name and x0.  A
-    builtin's name carries its parameters (pow's alpha), so specs compare
+    :func:`function_from_derivatives` target (None for a builtin), _ode and
+    _source are fields that repr leaves out.  _ode, which follows from name
+    and x0, is (rho, a, b) when (1 + rho x) f'(x) = a f(x) + b: :func:`assemble`
+    then takes the composition recurrence, _deriv gives f(x0) alone and the
+    ODE every other f^(k), float-tagged where the input _source is a float.
+    A builtin's name carries its parameters (pow's alpha), so specs compare
     and hash by (name, x0, _table), each scalar tagged with its exactness.
     """
 
-    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value", "_table", "_ode")
+    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value", "_table", "_ode", "_source")
     _shown = _fields[:3]
 
     def __init__(self, name: str, x0: ExactScalar, domain: Interval, _deriv: Callable,
                  _value: Optional[Callable] = None, _table: Optional[tuple] = None,
-                 _ode: Optional[tuple] = None):
-        self._set(name, x0, domain, _deriv, _value, _table, _ode)
+                 _ode: Optional[tuple] = None, _source: Optional[ExactScalar] = None):
+        self._set(name, x0, domain, _deriv, _value, _table, _ode, _source)
 
     def _identity(self) -> tuple:
         table = None if self._table is None else tuple(map(_tagged, self._table))
@@ -80,7 +80,11 @@ class FunctionSpec(_Record):
         """n-th derivative at x0; n = 0 is the function value."""
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("derivative order must be a non-negative integer")
-        return self._deriv(n)
+        if n == 0 or self._ode is None:
+            return self._deriv(n)
+        fs, floated = _ode_derivatives(self._deriv(0), self._ode, self._source)
+        num, den = next(islice(fs, n - 1, None))
+        return ExactScalar(_round(num, den) if floated else Fraction(num, den))
 
     def value_at(self, x: float) -> Optional[float]:
         """Reference value f(x), or None when unavailable at this x; inf
@@ -99,21 +103,28 @@ class FunctionSpec(_Record):
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
 
 
-def _once(q: Fraction, exact: bool) -> ExactScalar:
-    """q, or (from a float input) q correctly rounded to a float."""
-    return ExactScalar(q if exact else _round(q.numerator, q.denominator))
+def _ode_derivatives(f0: ExactScalar, ode: tuple, source: ExactScalar) -> tuple:
+    """((P, Q), f^(k) = P / Q, for k = 1, 2, ... lazily; whether a float input
+    reaches them): (1 + rho x) f' = a f + b and its k-th derivative at 0 give
+    f' = a f0 + b and f^(k+1) = (a - k rho) f^(k), in integers over the binary
+    values of f0 and ode = (rho, a, b); float-tagged where source is."""
+    t = math.lcm(*(Fraction(c).denominator for c in ode))  # rho, a, b over t
+    rho, a, b = (int(Fraction(c) * t) for c in ode)
+    p, q = f0._v.as_integer_ratio()
+    fs = accumulate(count(1), lambda f, k: (f[0] * (a - k * rho), f[1] * t),
+                    initial=(a * p + b * q, t * q))
+    return fs, not source.is_exact
 
 
 def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     """A ready-made target: exp, sin, sq (x^2), ln1p, or pow ((1+x)^alpha).
 
-    Derivatives at x0 = 0 are exact rationals; a nonzero x0 makes the
-    transcendental entries approximate (float-tagged), and :func:`assemble`
-    takes each as its exact binary value.  "pow" is only provided at x0 = 0
-    and requires alpha; a float alpha gives approximate derivatives, each
-    rounded once.  An alpha, x0 or exp(x0) without a finite float raises
-    ValueError.  exp and ln1p (at every x0) and pow declare their ODE (see
-    :class:`FunctionSpec`).
+    exp, ln1p and pow declare their ODE (see :class:`FunctionSpec`), which
+    gives each f^(k), k >= 1, exact or, where the input they name is a float
+    (exp's f(x0), ln1p's x0, pow's alpha), rounded once.  f(x0) of exp and
+    ln1p and sin's derivatives at x0 != 0 are floats, which :func:`assemble`
+    takes as exact binary values.  "pow" requires alpha and x0 = 0.  An
+    alpha, x0 or exp(x0) without a finite float raises ValueError.
     """
     x0v = scalar(x0)
     x0f = _float_param(x0v, "x0")
@@ -124,12 +135,6 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             raise ValueError("builtin 'pow' is only provided at x0 = 0")
         av = scalar(alpha)
         af = _float_param(av, "builtin 'pow' alpha")
-        aq = Fraction(av._v)  # a float alpha as its exact binary value
-        table = (ONE, *(_once(v, av.is_exact) for v in _falling_factorials(aq, MAX_ORDER)[1:]))
-
-        def deriv(n, _aq=aq, _exact=av.is_exact, _table=table):
-            return _table[n] if n <= MAX_ORDER else _once(_falling_factorials(_aq, n)[n], _exact)
-
         if av != 0:  # the exact sign: an alpha that rounds to 0.0 keeps its domain
             dom = Interval(-1.0, math.inf, lo_closed=av > 0)
 
@@ -144,7 +149,8 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             def value(x):
                 return 1.0
 
-        return FunctionSpec(f"pow:{av}", x0v, dom, deriv, value, _ode=(1, av._v, 0))
+        return FunctionSpec(f"pow:{av}", x0v, dom, lambda n: ONE, value, _ode=(1, av._v, 0),
+                            _source=av)
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
 
@@ -153,7 +159,8 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             d0 = ONE if x0v == 0 else scalar(math.exp(x0f))
         except OverflowError:
             raise ValueError("builtin 'exp' f(x0) has no finite float value") from None
-        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp, _ode=(0, 1, 0))
+        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp, _ode=(0, 1, 0),
+                            _source=d0)
 
     if name == "sin":
         s, c = (0, 1) if x0v == 0 else (math.sin(x0f), math.cos(x0f))
@@ -173,16 +180,8 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
         if not base > 0:
             raise ValueError("builtin 'ln1p' requires x0 > -1")
         d0 = ZERO if x0v == 0 else scalar(math.log1p(x0f))
-
-        def deriv(n, _d0=d0, _p=base.numerator, _q=base.denominator, _exact=x0v.is_exact):
-            if n == 0:
-                return _d0
-            # (-1)^(n-1) (n-1)! / (1 + x0)^n, rounded once for a float x0
-            num, den = (-1) ** (n - 1) * math.factorial(n - 1) * _q ** n, _p ** n
-            return ExactScalar(Fraction(num, den) if _exact else _round(num, den))
-
-        return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), deriv, math.log1p,
-                            _ode=(1 / base, 0, 1 / base))
+        return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), lambda n: d0, math.log1p,
+                            _ode=(1 / base, 0, 1 / base), _source=x0v)
 
     raise ValueError(f"unknown builtin function {name!r}")
 
@@ -341,43 +340,37 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     F^(n) = sum over k of f^(k)(x0) B(n, k)(d_1, d_2, ...), the paper's
     sum over the partial Bell polynomials.  The family's registry formula
     states d_j = r**j e_j (r = rn / rd = 1 but for a5 and a7, see
-    :mod:`funcseries.pseries`).  A float input (e_j, f^(k), pow's alpha)
-    enters as its exact binary value.  A target that declares its ODE (exp,
-    ln1p and pow; see :class:`FunctionSpec`) takes the O(N**2) recurrence
-    of :func:`_composed` from f(x0), asked for the other f^(k) only when an
-    input is a float; any other target gives every f^(k) to
+    :mod:`funcseries.pseries`).  A float input enters as its exact binary
+    value.  A target with an ODE (exp, ln1p, pow; see :class:`FunctionSpec`)
+    is asked for f(x0) alone and takes the O(N**2) recurrence of
+    :func:`_composed`; any other target gives every f^(k) to
     :func:`funcseries.bell.composite`.  Both give rows (P_n, S_n) with
     F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
     running products: a ``Fraction``, or its correctly rounded float (+-inf
     beyond the float range) when a nonzero term f^(k) B(n, k) has a float
-    factor (:func:`funcseries.exact._supports` finds them; an ODE says
-    which f^(k) are nonzero, even where they round to 0.0).  Exact rationals
-    have one reduced form, so both routes give the same coefficients, and
-    ``route`` reads "bell" for either (part of the model's identity).
+    factor (:func:`funcseries.exact._supports` finds them, over the ODE's
+    exact f^(k) for an ODE target).  Exact rationals have one reduced form,
+    so both routes give the same coefficients, and ``route`` reads "bell"
+    for either (part of the model's identity).
     """
     _check_order(order)
     r, e = get_family(exp.key).graded(order, exp.param_dict())
     e, e_floats = _binary(e, f"{exp.key} basis derivative e_{{}}", 1)
     f0, ode, tags = func.derivative(0), func._ode, 0
-    if ode is None or e_floats or not (f0.is_exact and func.x0.is_exact) or any(
-            isinstance(c, float) for c in ode):
-        # f^(0) enters only as a_0; the exactness tags read the other f^(k)
-        f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
-                              f"derivative f^({{}}) of {func.name!r}")
-        if ode is not None:  # f' = a f0 + b, f^(k+1) = (a - k rho) f^(k): the nonzero f^(k)
-            rho, a, b = map(Fraction, ode)
-            f[1:] = accumulate(range(1, order), lambda fk, k: fk and a != k * rho,
-                               initial=a * Fraction(f0._v) + b)
-        if f_floats or e_floats:
-            for k, (reach, read) in enumerate(_supports(e, e_floats, order, order)):
-                if k and f[k]:  # bit n: a nonzero product in B(n, k), one with a float
-                    tags |= reach if f_floats >> k & 1 else read
-    if ode is not None:
-        rows = _composed(e, order, ode, Fraction(f0._v))
-    else:
+    if ode is None:  # f^(0) enters only as a_0
         from .bell import composite
 
+        f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
+                              f"derivative f^({{}}) of {func.name!r}")
         rows = composite(f, e, order)
+    else:  # the ODE's f^(k); a float source sets bit k of f_floats for every k >= 1
+        fs, floated = _ode_derivatives(f0, ode, func._source)
+        f, f_floats = chain([0], (num for num, _ in fs)), ~1 if floated else 0
+        rows = _composed(e, order, ode, Fraction(f0._v))
+    if f_floats or e_floats:  # exact inputs never walk an ODE's f^(k)
+        for k, ((reach, read), fk) in enumerate(zip(_supports(e, e_floats, order, order), f)):
+            if fk:  # bit n: a nonzero product in B(n, k), one with a float
+                tags |= reach if f_floats >> k & 1 else read
     coeffs, pn, pd = [f0], 1, 1  # pn, pd: rn^n and n! rd^n
     for n, (num, den) in enumerate(rows, 1):
         pn *= r.numerator

@@ -227,7 +227,13 @@ def _d_a7(n, alpha, beta):  # sqrt(alpha + beta y) - sqrt(alpha)
     root = ExactScalar(alpha).sqrt()._v
     if isinstance(root, float) or isinstance(beta, float):
         half = _falling_factorials(Fraction(1, 2), n)
-        return 1, tuple(root ** (1 - 2 * i) * beta**i * half[i] for i in range(1, n + 1))
+        try:
+            d = tuple(root ** (1 - 2 * i) * beta**i * half[i] for i in range(1, n + 1))
+        except OverflowError:  # root ** (1 - 2 i) or beta ** i
+            d = (math.inf,)
+        if not all(map(math.isfinite, d)):
+            raise ValueError("family 'a7' basis derivatives leave the float range")
+        return 1, d
     # d_j = root (beta / alpha)^j (1/2)_j = r^j e_j with r = -beta / (2 alpha)
     # and e_j = -root (2j - 3)!!, a running product
     lead = -root.numerator if root.denominator == 1 else -root

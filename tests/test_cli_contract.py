@@ -97,6 +97,20 @@ def test_parameter_without_a_usable_float_is_a_usage_error(argv):
                                   "overflow its float evaluators"))
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--expansion", "a7", "--alpha=2e-60", "--function", "exp", "--terms", "10"],
+    ["coeffs", "--expansion", "a7", "--alpha=3", "--beta=1e40", "--function", "sin",
+     "--terms", "12"],
+    ["eval", "--expansion", "a7", "--alpha=2e-60", "--function", "ln1p", "--at=0.1"],
+])
+def test_a7_derivative_beyond_the_float_range_is_an_error(argv):
+    # an irrational root makes a7's d_j floats; one beyond the float range
+    # ends the run with one error line, not a traceback
+    code, out, err = check_contract(argv)
+    assert code == 1 and out == ""
+    assert err == "error: family 'a7' basis derivatives leave the float range\n"
+
+
 def test_overflowing_reference_reads_inf():
     code, out, _ = check_contract(
         ["compare", "--expansion", "tp", "--function", "exp", "--grid=0:1000:3"])

@@ -201,12 +201,33 @@ def test_ln1p_at_a_float_center_is_within_half_an_ulp(x0):
             assert float(c) == float(q), (key, n)
 
 
+def _outcome(model, x):
+    """evaluate(model, x), or the message of its DomainError."""
+    try:
+        return evaluate(model, x)
+    except DomainError as err:
+        return str(err)
+
+
 @pytest.mark.parametrize("x0,n", [(-0.999999, 43), (-0.9999, 58)])
 def test_ln1p_derivative_beyond_the_float_range_is_named(x0, n):
-    # (1 + x0)^n is taken exactly, so it cannot underflow to 0.0; the first
-    # derivative beyond the float range is named
-    with pytest.raises(ValueError, match=rf"derivative f\^\({n}\) of 'ln1p' is not finite"):
-        assemble(get_expansion("a1"), builtin_function("ln1p", x0=x0), MAX_ORDER)
+    # (1 + x0)^n is taken exactly, so f^(n) cannot underflow to 0.0: it is
+    # the first derivative beyond the float range.  No arithmetic reads it,
+    # as the recurrence runs over rho = 1 / (1 + x0): the model builds as
+    # its exact twin at the binary value of x0 does, each coefficient that
+    # twin's rounded once, and evaluates as the twin does (at -0.999999
+    # a_52 is beyond the float range for both)
+    func, twin = builtin_function("ln1p", x0=x0), builtin_function("ln1p", x0=Fraction(x0))
+    assert math.isfinite(float(func.derivative(n - 1)))
+    assert float(func.derivative(n)) == (-1) ** (n - 1) * math.inf
+    exp = get_expansion("a1")
+    model, exact = assemble(exp, func, MAX_ORDER), assemble(exp, twin, MAX_ORDER)
+    assert repr(model.coefficients[0]) == repr(exact.coefficients[0])
+    for k, (c, q) in enumerate(zip(model.coefficients[1:], exact.coefficients[1:]), 1):
+        assert not c.is_exact and repr(float(c)) == repr(_rounded(q.as_fraction())), k
+    assert repr(_outcome(model, x0)) == repr(_outcome(exact, x0))
+    if x0 == -0.999999:
+        assert _outcome(model, x0) == "coefficient a_52 is beyond the float range"
 
 
 class TestNonFiniteInputs:

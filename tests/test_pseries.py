@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from funcseries import bell
+from funcseries.approx import assemble, assemble_via_composition, builtin_function
+from funcseries.catalog import get_expansion
 from funcseries.exact import ONE, ZERO, ExactScalar, binomial
 from funcseries.pseries import (
     FAMILY_KEYS,
@@ -208,6 +211,24 @@ class TestElementary:
             family_series("a5", 4)
         with pytest.raises(ValueError):
             family_series("a7", 4, alpha=4)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (2e-60, 3),  # root ** (1 - 2 j) overflows
+        (3, Fraction(10**40)),  # beta ** j has no float
+        (2e-100, 1e100),  # finite factors, an infinite product
+    ])
+    def test_a7_float_derivative_beyond_the_float_range(self, alpha, beta):
+        # an irrational root or a float beta makes a7's d_j floats; every
+        # entry point that reads them raises the family's ValueError
+        params = {"alpha": alpha, "beta": beta}
+        exp, func = get_expansion("a7", **params), builtin_function("exp")
+        for call in (lambda: family_series("a7", 12, **params),
+                     lambda: bell.derivative_sequence("a7", 12, **params),
+                     lambda: bell.bell_values("a7", 12, **params),
+                     lambda: assemble(exp, func, 12),
+                     lambda: assemble_via_composition(exp, func, 12)):
+            with pytest.raises(ValueError, match="^family 'a7' basis derivatives leave the float"):
+                call()
 
 
 # Frozen leading coefficients of the inverse basis series for the implicit

@@ -29,13 +29,17 @@ from funcseries.pseries import FAMILY_KEYS, MAX_ORDER
 ODE_TARGETS = ("exp", "ln1p", "pow:1/5", "pow:-1/3", "pow:3/2")
 
 
+def _number(text):
+    """A float for "0.5", a Fraction for "1/2" or "2"."""
+    return float(text) if "." in text else Fraction(text)
+
+
 def target(spec):
-    """A builtin by name: "pow:ALPHA" (ALPHA a rational or a float) or "name@x0"."""
+    """A builtin by name: "pow:ALPHA" or "name@x0", ALPHA and x0 rationals or floats."""
     name, _, x0 = spec.partition("@")
     if name.startswith("pow:"):
-        text = name[4:]
-        return builtin_function("pow", alpha=float(text) if "." in text else Fraction(text))
-    return builtin_function(name, x0=Fraction(x0 or 0))
+        return builtin_function("pow", alpha=_number(name[4:]))
+    return builtin_function(name, x0=_number(x0 or "0"))
 
 
 def through_kernel(func, order):
@@ -182,12 +186,13 @@ def counting(func):
         return _inner(n)
 
     spec = approx.FunctionSpec(func.name, func.x0, func.domain, deriv, func._value,
-                               func._table, func._ode)
+                               func._table, func._ode, func._source)
     return spec, calls
 
 
-@pytest.mark.parametrize("spec", ODE_TARGETS)
+@pytest.mark.parametrize("spec", [*ODE_TARGETS, "exp@0.5", "ln1p@-0.3", "ln1p@1/2", "pow:0.5"])
 def test_an_ode_target_is_asked_for_its_value_only(spec):
+    # float inputs too: the ODE gives every other f^(k) and its exactness
     func, calls = counting(target(spec))
     exp = get_expansion("c6")
     model = assemble(exp, func, MAX_ORDER)
@@ -204,10 +209,10 @@ def test_a_target_without_an_ode_is_asked_for_every_order():
 
 def test_a_float_alpha_takes_the_recurrence(kernel_calls):
     # pow with a float alpha declares its ODE, and assemble runs it over
-    # the exact binary value of alpha; the exactness tags read every f^(k)
+    # the exact binary value of alpha; the exactness tags read the ODE too
     func, calls = counting(target("pow:0.5"))
     model = assemble(get_expansion("a2"), func, MAX_ORDER)
-    assert kernel_calls == [] and calls == list(range(MAX_ORDER + 1))
+    assert kernel_calls == [] and calls == [0]
     exact = assemble(get_expansion("a2"), target("pow:1/2"), MAX_ORDER)
     assert model.coefficients[0].is_exact
     assert [float(c) for c in model.coefficients] == [float(c) for c in exact.coefficients]
