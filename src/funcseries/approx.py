@@ -8,10 +8,12 @@ against the expansion's Bell triangle, divided by n factorial: the n-th
 derivative of F = f o h over n!, with h the inverse basis.
 
 :func:`assemble` computes that sum exactly, each float input taken as its
-exact binary value, by one of two routes: J. C. P. Miller's O(N**2)
-composition recurrence for a target that declares a first-order linear
-ODE (exp and ln1p at every x0, pow), or the Bell kernel,
-:func:`funcseries.bell.composite` (sin, sq, a derivative list).
+exact binary value, by one of two routes.  A target is data: a table of
+its known derivatives, and for exp and ln1p (at every x0) and pow a
+first-order linear ODE that states every f^(k) in closed form.  An ODE
+target takes J. C. P. Miller's O(N**2) composition recurrence; every other
+(sin and sq, their tables ending at ``MAX_ORDER``, a derivative list) the
+Bell kernel, :func:`funcseries.bell.composite`.
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
@@ -25,14 +27,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, count, islice, repeat
-from operator import add, mul
+from itertools import accumulate, chain, repeat
+from operator import add, and_, mul
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _as_float, _float_param, eval_g, get_expansion)
 from .exact import ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged, scalar
-from .pseries import TruncatedSeries, _check_order, get_family
+from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
 __all__ = [
     "BUILTIN_FUNCTIONS",
@@ -53,38 +55,49 @@ __all__ = [
 class FunctionSpec(_Record):
     """A target function known through its derivatives at a base point.
 
-    domain is where the float reference evaluator _value is defined; the
-    derivative function _deriv, _value, _table, the derivative list of a
-    :func:`function_from_derivatives` target (None for a builtin), _ode and
-    _source are fields that repr leaves out.  _ode, which follows from name
-    and x0, is (rho, a, b) when (1 + rho x) f'(x) = a f(x) + b: :func:`assemble`
-    then takes the composition recurrence, _deriv gives f(x0) alone and the
-    ODE every other f^(k), float-tagged where the input _source is a float.
-    A builtin's name carries its parameters (pow's alpha), so specs compare
+    _table holds the known f^(0), f^(1), ...: a derivative list's values,
+    sin's and sq's up to ``MAX_ORDER``, f(x0) alone for a target with an ODE.
+    _ode, which follows from name and x0, is (rho, a, b) when
+    (1 + rho x) f'(x) = a f(x) + b; it states every other f^(k) in closed
+    form (see :meth:`derivative`), float-tagged where the input _source is
+    a float, and :func:`assemble` then takes the composition recurrence.
+    domain is where the float reference evaluator _value is defined;
+    _table, _value, _ode and _source are fields that repr leaves out.  A
+    builtin's name carries its parameters (pow's alpha), so specs compare
     and hash by (name, x0, _table), each scalar tagged with its exactness.
     """
 
-    __slots__ = _fields = ("name", "x0", "domain", "_deriv", "_value", "_table", "_ode", "_source")
+    __slots__ = _fields = ("name", "x0", "domain", "_table", "_value", "_ode", "_source")
     _shown = _fields[:3]
 
-    def __init__(self, name: str, x0: ExactScalar, domain: Interval, _deriv: Callable,
-                 _value: Optional[Callable] = None, _table: Optional[tuple] = None,
-                 _ode: Optional[tuple] = None, _source: Optional[ExactScalar] = None):
-        self._set(name, x0, domain, _deriv, _value, _table, _ode, _source)
+    def __init__(self, name: str, x0: ExactScalar, domain: Interval, _table: tuple,
+                 _value: Optional[Callable] = None, _ode: Optional[tuple] = None,
+                 _source: Optional[ExactScalar] = None):
+        self._set(name, x0, domain, _table, _value, _ode, _source)
 
     def _identity(self) -> tuple:
-        table = None if self._table is None else tuple(map(_tagged, self._table))
-        return self.name, _tagged(self.x0), table
+        return self.name, _tagged(self.x0), tuple(map(_tagged, self._table))
 
     def derivative(self, n: int) -> ExactScalar:
-        """n-th derivative at x0; n = 0 is the function value."""
+        """n-th derivative at x0; n = 0 is the function value.
+
+        Read from _table, else from the ODE over integers (see
+        :func:`_ode_ints`): f' = a f(x0) + b and, differentiating the ODE
+        k - 1 times at 0, f^(k) = f' (a - rho) (a - 2 rho) ... (a - (k-1) rho),
+        exact or, where _source is a float, rounded once.
+        """
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("derivative order must be a non-negative integer")
-        if n == 0 or self._ode is None:
-            return self._deriv(n)
-        fs, floated = _ode_derivatives(self._deriv(0), self._ode, self._source)
-        num, den = next(islice(fs, n - 1, None))
-        return ExactScalar(_round(num, den) if floated else Fraction(num, den))
+        if n < len(self._table):
+            return self._table[n]
+        if self._ode is None:
+            raise ValueError(f"function {self.name!r} provides derivatives only up to order "
+                             f"{len(self._table) - 1}, order {n} requested")
+        t, rho, a, b = _ode_ints(self._ode)
+        p, q = self._table[0]._v.as_integer_ratio()
+        num = (a * p + b * q) * math.prod(a - i * rho for i in range(1, n))
+        den = t**n * q
+        return ExactScalar(Fraction(num, den) if self._source.is_exact else _round(num, den))
 
     def value_at(self, x: float) -> Optional[float]:
         """Reference value f(x), or None when unavailable at this x; inf
@@ -103,28 +116,25 @@ class FunctionSpec(_Record):
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
 
 
-def _ode_derivatives(f0: ExactScalar, ode: tuple, source: ExactScalar) -> tuple:
-    """((P, Q), f^(k) = P / Q, for k = 1, 2, ... lazily; whether a float input
-    reaches them): (1 + rho x) f' = a f + b and its k-th derivative at 0 give
-    f' = a f0 + b and f^(k+1) = (a - k rho) f^(k), in integers over the binary
-    values of f0 and ode = (rho, a, b); float-tagged where source is."""
-    t = math.lcm(*(Fraction(c).denominator for c in ode))  # rho, a, b over t
-    rho, a, b = (int(Fraction(c) * t) for c in ode)
-    p, q = f0._v.as_integer_ratio()
-    fs = accumulate(count(1), lambda f, k: (f[0] * (a - k * rho), f[1] * t),
-                    initial=(a * p + b * q, t * q))
-    return fs, not source.is_exact
+def _ode_ints(ode: tuple) -> tuple:
+    """(t, rho, a, b): ode = (rho, a, b), a float read as its binary value,
+    as integers over their common denominator t."""
+    t = math.lcm(*(Fraction(c).denominator for c in ode))
+    return (t, *(int(Fraction(c) * t) for c in ode))
 
 
 def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     """A ready-made target: exp, sin, sq (x^2), ln1p, or pow ((1+x)^alpha).
 
-    exp, ln1p and pow declare their ODE (see :class:`FunctionSpec`), which
-    gives each f^(k), k >= 1, exact or, where the input they name is a float
-    (exp's f(x0), ln1p's x0, pow's alpha), rounded once.  f(x0) of exp and
-    ln1p and sin's derivatives at x0 != 0 are floats, which :func:`assemble`
-    takes as exact binary values.  "pow" requires alpha and x0 = 0.  An
-    alpha, x0 or exp(x0) without a finite float raises ValueError.
+    exp, ln1p and pow keep f(x0) and declare their ODE (see
+    :class:`FunctionSpec`), which states each f^(k), k >= 1, exact or, where
+    the input it names is a float (exp's f(x0), ln1p's x0, pow's alpha),
+    rounded once.  sin and sq keep a table of f^(0) .. f^(MAX_ORDER), the
+    cap of :func:`assemble`; a higher order raises ValueError.  f(x0) of exp
+    and ln1p and sin's derivatives at x0 != 0 are floats, which
+    :func:`assemble` takes as exact binary values.  "pow" requires alpha
+    and x0 = 0.  An alpha, x0 or exp(x0) without a finite float raises
+    ValueError.
     """
     x0v = scalar(x0)
     x0f = _float_param(x0v, "x0")
@@ -149,8 +159,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             def value(x):
                 return 1.0
 
-        return FunctionSpec(f"pow:{av}", x0v, dom, lambda n: ONE, value, _ode=(1, av._v, 0),
-                            _source=av)
+        return FunctionSpec(f"pow:{av}", x0v, dom, (ONE,), value, (1, av._v, 0), av)
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
 
@@ -159,29 +168,25 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             d0 = ONE if x0v == 0 else scalar(math.exp(x0f))
         except OverflowError:
             raise ValueError("builtin 'exp' f(x0) has no finite float value") from None
-        return FunctionSpec("exp", x0v, _FULL_LINE, lambda n: d0, math.exp, _ode=(0, 1, 0),
-                            _source=d0)
+        return FunctionSpec("exp", x0v, _FULL_LINE, (d0,), math.exp, (0, 1, 0), d0)
 
     if name == "sin":
         s, c = (0, 1) if x0v == 0 else (math.sin(x0f), math.cos(x0f))
         cycle = tuple(map(scalar, (s, c, -s, -c)))
-        return FunctionSpec("sin", x0v, _FULL_LINE, lambda n: cycle[n % 4], math.sin)
+        table = (cycle * (MAX_ORDER // 4 + 1))[:MAX_ORDER + 1]
+        return FunctionSpec("sin", x0v, _FULL_LINE, table, math.sin)
 
     if name == "sq":
-        table = (x0v * x0v, 2 * x0v, scalar(2))
-
-        def deriv(n, _t=table):
-            return _t[n] if n < 3 else ZERO
-
-        return FunctionSpec("sq", x0v, _FULL_LINE, deriv, lambda x: x * x)
+        table = (x0v * x0v, 2 * x0v, scalar(2), *repeat(ZERO, MAX_ORDER - 2))
+        return FunctionSpec("sq", x0v, _FULL_LINE, table, lambda x: x * x)
 
     if name == "ln1p":
         base = Fraction(x0v._v) + 1  # a float x0 as its exact binary value
         if not base > 0:
             raise ValueError("builtin 'ln1p' requires x0 > -1")
         d0 = ZERO if x0v == 0 else scalar(math.log1p(x0f))
-        return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), lambda n: d0, math.log1p,
-                            _ode=(1 / base, 0, 1 / base), _source=x0v)
+        return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), (d0,), math.log1p,
+                            (1 / base, 0, 1 / base), x0v)
 
     raise ValueError(f"unknown builtin function {name!r}")
 
@@ -198,16 +203,7 @@ def function_from_derivatives(values: Sequence, name: str = "custom", x0=0) -> F
         raise ValueError("need at least the order-zero derivative d_0")
     _binary([v._v for v in vals], f"derivative d_{{}} of {name!r}")
     _float_param(scalar(x0), "x0")
-
-    def deriv(n, _vals=vals, _name=name):
-        if n >= len(_vals):
-            raise ValueError(
-                f"function {_name!r} provides derivatives only up to order "
-                f"{len(_vals) - 1}, order {n} requested"
-            )
-        return _vals[n]
-
-    return FunctionSpec(name, scalar(x0), _FULL_LINE, deriv, None, vals)
+    return FunctionSpec(name, scalar(x0), _FULL_LINE, vals)
 
 
 def _to_float(value: ExactScalar, name: str) -> float:
@@ -279,8 +275,8 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     """(P_n, S_n), not reduced, with F^(n)(0) = P_n / S_n, n = 1 .. order, F = f o h.
 
     values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, and
-    (1 + rho x) f' = a f + b with ode = (rho, a, b) (a float read exactly)
-    and f(0) = f0.
+    (1 + rho x) f' = a f + b with ode = (t, rho, a, b) in the integer form
+    of :func:`_ode_ints` and f(0) = f0.
     Leibniz's rule on (1 + rho h) F' = (a F + b) h' gives J. C. P. Miller's
     power-series recurrence (Knuth, *TAOCP* vol. 2, section 4.7),
 
@@ -292,8 +288,7 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     so a row of weights is one vector addition, grown in place up to the
     last nonzero d_j, and each row one dot product (``map``/``sum``) that
     skips the j beyond it and, for odd bases, the even j.  In integers,
-    with rho, a, b over their common denominator t, d_j = D_j / D and
-    f0 = p / q, G_n = t^n q F^(n) satisfies G_0 = p and
+    with d_j = D_j / D and f0 = p / q, G_n = t^n q F^(n) satisfies G_0 = p and
 
         D G_n = sum_j w(n, j) D_j t^(j-1) G_(n-j) + b q D_n t^(n-1);
 
@@ -302,8 +297,7 @@ def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     and no row divides; otherwise row n divides its sum by g = gcd(sum, D)
     and, if g != D, multiplies L, S_n and the earlier numerators by D / g.
     """
-    t = math.lcm(*(Fraction(c).denominator for c in ode))
-    rho, a, b = (int(Fraction(c) * t) for c in ode)
+    t, rho, a, b = ode
     b *= f0.denominator
     scale = math.lcm(*(v.denominator for v in values))  # D
     d = [v.numerator * (scale // v.denominator) * t**j for j, v in enumerate(values)]
@@ -348,10 +342,11 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
     running products: a ``Fraction``, or its correctly rounded float (+-inf
     beyond the float range) when a nonzero term f^(k) B(n, k) has a float
-    factor (:func:`funcseries.exact._supports` finds them, over the ODE's
-    exact f^(k) for an ODE target).  Exact rationals have one reduced form,
-    so both routes give the same coefficients, and ``route`` reads "bell"
-    for either (part of the model's identity).
+    factor (:func:`funcseries.exact._supports` finds them; an ODE target's
+    f^(k) is nonzero up to the first zero factor of its closed form, so no
+    f^(k) is evaluated).  Exact rationals have one reduced form, so both
+    routes give the same coefficients, and ``route`` reads "bell" for
+    either (part of the model's identity).
     """
     _check_order(order)
     r, e = get_family(exp.key).graded(order, exp.param_dict())
@@ -363,11 +358,14 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
         f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
                               f"derivative f^({{}}) of {func.name!r}")
         rows = composite(f, e, order)
-    else:  # the ODE's f^(k); a float source sets bit k of f_floats for every k >= 1
-        fs, floated = _ode_derivatives(f0, ode, func._source)
-        f, f_floats = chain([0], (num for num, _ in fs)), ~1 if floated else 0
-        rows = _composed(e, order, ode, Fraction(f0._v))
-    if f_floats or e_floats:  # exact inputs never walk an ODE's f^(k)
+    else:  # f^(k) = f' (a - rho) ... (a - (k-1) rho) is nonzero up to a zero factor;
+        _, rho, a, b = ode = _ode_ints(ode)  # a float source sets bit k >= 1 of f_floats
+        p, q = f0._v.as_integer_ratio()
+        nonzero = accumulate((a != i * rho for i in range(1, order)), and_,
+                             initial=a * p + b * q != 0)
+        f, f_floats = chain([0], nonzero), 0 if func._source.is_exact else ~1
+        rows = _composed(e, order, ode, Fraction(p, q))
+    if f_floats or e_floats:
         for k, ((reach, read), fk) in enumerate(zip(_supports(e, e_floats, order, order), f)):
             if fk:  # bit n: a nonzero product in B(n, k), one with a float
                 tags |= reach if f_floats >> k & 1 else read

@@ -123,9 +123,12 @@ def _parse_n_list(text: str) -> tuple:
     return tuple(out)
 
 
+_PLAIN_BUILTINS = tuple(name for name in BUILTIN_FUNCTIONS if name != "pow")  # no alpha
+
+
 def _load_function(spec_text: str) -> FunctionSpec:
     """Resolve --function: a builtin name, pow:RATIONAL, or a derivative file."""
-    if spec_text in ("exp", "sin", "sq", "ln1p"):
+    if spec_text in _PLAIN_BUILTINS:
         return builtin_function(spec_text)
     if spec_text == "pow":
         raise UsageError("builtin 'pow' needs an exponent, e.g. pow:1/5")
@@ -231,7 +234,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURE_FUNCTIONS = ("exp", "sin", "sq", "ln1p")
 _FIGURE_FAMILIES = tuple(f"a{i}" for i in range(1, 14)) + ("tp",)
 
 
@@ -249,7 +251,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             format_decimal(max(kept)) if kept else "nan",
         ])
 
-    for func_name in _FIGURE_FUNCTIONS:
+    for func_name in _PLAIN_BUILTINS:
         func = builtin_function(func_name)
         for family in _FIGURE_FAMILIES:
             # figures takes no --alpha/--beta/--w: each family at its catalog defaults

@@ -211,9 +211,16 @@ def _d_a4(n):  # sin(y)
     return 1, tuple((-1) ** (i // 2) if i % 2 else 0 for i in range(1, n + 1))
 
 
+def _float_range(key, d):
+    """(1, d) for float derivatives d that are all finite; else ValueError."""
+    if not all(map(math.isfinite, d)):
+        raise ValueError(f"family {key!r} basis derivatives leave the float range")
+    return 1, d
+
+
 def _d_a5(n, alpha):  # (1 + y)^alpha - 1
     if isinstance(alpha, float):
-        return 1, _falling_factorials(alpha, n)[1:]
+        return _float_range("a5", _falling_factorials(alpha, n)[1:])
     # alpha = p / q: d_j = p (p - q) ... (p - (j-1) q) / q^j, so r = 1 / q
     p, q = alpha.numerator, alpha.denominator
     return Fraction(1, q), tuple(accumulate(range(p, p - n * q, -q), mul))
@@ -231,9 +238,7 @@ def _d_a7(n, alpha, beta):  # sqrt(alpha + beta y) - sqrt(alpha)
             d = tuple(root ** (1 - 2 * i) * beta**i * half[i] for i in range(1, n + 1))
         except OverflowError:  # root ** (1 - 2 i) or beta ** i
             d = (math.inf,)
-        if not all(map(math.isfinite, d)):
-            raise ValueError("family 'a7' basis derivatives leave the float range")
-        return 1, d
+        return _float_range("a7", d)
     # d_j = root (beta / alpha)^j (1/2)_j = r^j e_j with r = -beta / (2 alpha)
     # and e_j = -root (2j - 3)!!, a running product
     lead = -root.numerator if root.denominator == 1 else -root

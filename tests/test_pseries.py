@@ -220,15 +220,25 @@ class TestElementary:
     def test_a7_float_derivative_beyond_the_float_range(self, alpha, beta):
         # an irrational root or a float beta makes a7's d_j floats; every
         # entry point that reads them raises the family's ValueError
-        params = {"alpha": alpha, "beta": beta}
-        exp, func = get_expansion("a7", **params), builtin_function("exp")
-        for call in (lambda: family_series("a7", 12, **params),
-                     lambda: bell.derivative_sequence("a7", 12, **params),
-                     lambda: bell.bell_values("a7", 12, **params),
-                     lambda: assemble(exp, func, 12),
-                     lambda: assemble_via_composition(exp, func, 12)):
-            with pytest.raises(ValueError, match="^family 'a7' basis derivatives leave the float"):
-                call()
+        _raises_beyond_the_float_range("a7", {"alpha": alpha, "beta": beta})
+
+    @pytest.mark.parametrize("alpha", [1e300, -1e300, 1e200, 1e40])
+    def test_a5_float_derivative_beyond_the_float_range(self, alpha):
+        # a float alpha makes a5's d_j float falling factorials, which
+        # overflow from j = 2 (1e200) or j = 8 (1e40)
+        _raises_beyond_the_float_range("a5", {"alpha": alpha})
+
+
+def _raises_beyond_the_float_range(key, params):
+    """Every entry point that reads the family's d_j at order 12 raises its ValueError."""
+    exp, func = get_expansion(key, **params), builtin_function("exp")
+    for call in (lambda: family_series(key, 12, **params),
+                 lambda: bell.derivative_sequence(key, 12, **params),
+                 lambda: bell.bell_values(key, 12, **params),
+                 lambda: assemble(exp, func, 12),
+                 lambda: assemble_via_composition(exp, func, 12)):
+        with pytest.raises(ValueError, match=f"^family '{key}' basis derivatives leave the float"):
+            call()
 
 
 # Frozen leading coefficients of the inverse basis series for the implicit

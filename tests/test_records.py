@@ -45,7 +45,7 @@ def _copy_of(record):
     if isinstance(record, Expansion):
         return Expansion(**{name: getattr(record, name) for name in _EXPANSION_FIELDS})
     if isinstance(record, FunctionSpec):
-        return FunctionSpec(record.name, record.x0, record.domain, record._deriv,
+        return FunctionSpec(record.name, record.x0, record.domain, record._table,
                             record._value)
     if isinstance(record, ApproximationModel):
         return ApproximationModel(record.expansion, record.func, record.order,
@@ -170,11 +170,16 @@ def test_positional_and_keyword_construction_with_defaults():
         PointReport(1.0, 2.0, 3.0)
 
     f = builtin_function("exp")
-    spec = FunctionSpec("e", ExactScalar(0), f.domain, _deriv=f._deriv)
-    assert spec._value is None and spec.value_at(0.5) is None
+    spec = FunctionSpec("e", ExactScalar(0), f.domain, _table=f._table)
+    assert spec._value is None and spec._ode is None and spec._source is None
+    assert spec.value_at(0.5) is None
     assert spec == FunctionSpec(name="e", x0=ExactScalar(0), domain=f.domain,
-                                _deriv=f._deriv, _value=None)
-    assert spec.derivative(3) == 1
+                                _table=f._table, _value=None, _ode=None, _source=None)
+    assert spec.derivative(0) == 1
+    with pytest.raises(ValueError, match="only up to order 0, order 3 requested"):
+        spec.derivative(3)
+    ode = FunctionSpec("e", ExactScalar(0), f.domain, f._table, _ode=f._ode, _source=f._source)
+    assert ode == spec and ode.derivative(3) == 1
 
     e = _a7()
     kw = Expansion(**{name: getattr(e, name) for name in _EXPANSION_FIELDS})
@@ -233,7 +238,7 @@ def test_ode_stays_out_of_identity():
               builtin_function("exp", x0=Fraction(1, 2)), builtin_function("ln1p", x0=1),
               builtin_function("ln1p", x0=0.5)):
         assert f._ode is not None
-        twin = FunctionSpec(f.name, f.x0, f.domain, f._deriv, f._value)
+        twin = FunctionSpec(f.name, f.x0, f.domain, f._table, f._value)
         assert twin._ode is None and twin == f and hash(twin) == hash(f)
     assert builtin_function("exp")._ode == (0, 1, 0)
     assert builtin_function("exp", x0=0.5)._ode == (0, 1, 0)
@@ -248,6 +253,25 @@ def test_ode_stays_out_of_identity():
     for f in (builtin_function("sin"), builtin_function("sin", x0=Fraction(1, 2)),
               builtin_function("sq"), function_from_derivatives([1, 1, 1])):
         assert f._ode is None
+
+
+def test_a_target_is_data():
+    # seven fields; no builtin or list carries a callable but its float
+    # reference _value: derivatives come from _table or the ODE
+    assert FunctionSpec._fields == ("name", "x0", "domain", "_table", "_value", "_ode",
+                                    "_source")
+    specs = [builtin_function(name, x0=x0) for name in ("exp", "sin", "sq", "ln1p")
+             for x0 in (0, Fraction(1, 2), 0.5)]
+    specs += [builtin_function("pow", alpha=alpha) for alpha in (Fraction(1, 5), 0.5, 0)]
+    specs += [function_from_derivatives([0, 1, Fraction(1, 2)]),
+              function_from_derivatives([0.5], x0=0.25)]
+    for spec in specs:
+        for name in spec._fields:
+            value = getattr(spec, name)
+            assert not callable(value) or name == "_value", (spec, name)
+            if isinstance(value, tuple):
+                assert not any(map(callable, value)), (spec, name)
+        assert isinstance(spec._table, tuple) and spec._table
 
 
 def test_interval_validation():

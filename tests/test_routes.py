@@ -177,42 +177,39 @@ def test_recurrence_weights_match_kernel_in_every_family(key, data):
         assert fast.is_exact()
 
 
-def counting(func):
-    """func with a derivative function that records each order asked for."""
+@pytest.fixture
+def derivative_calls(monkeypatch):
+    """Record each order a target is asked for through FunctionSpec.derivative."""
     calls = []
 
-    def deriv(n, _inner=func._deriv):
+    def counted(self, n, _derivative=approx.FunctionSpec.derivative):
         calls.append(n)
-        return _inner(n)
+        return _derivative(self, n)
 
-    spec = approx.FunctionSpec(func.name, func.x0, func.domain, deriv, func._value,
-                               func._table, func._ode, func._source)
-    return spec, calls
-
-
-@pytest.mark.parametrize("spec", [*ODE_TARGETS, "exp@0.5", "ln1p@-0.3", "ln1p@1/2", "pow:0.5"])
-def test_an_ode_target_is_asked_for_its_value_only(spec):
-    # float inputs too: the ODE gives every other f^(k) and its exactness
-    func, calls = counting(target(spec))
-    exp = get_expansion("c6")
-    model = assemble(exp, func, MAX_ORDER)
-    assert tagged(model) == tagged(assemble(exp, target(spec), MAX_ORDER))
-    assert calls == [0]
+    monkeypatch.setattr(approx.FunctionSpec, "derivative", counted)
+    return calls
 
 
-def test_a_target_without_an_ode_is_asked_for_every_order():
-    for spec in ("sin", "sin@1/2"):
-        func, calls = counting(target(spec))
-        assemble(get_expansion("a2"), func, MAX_ORDER)
-        assert calls == list(range(MAX_ORDER + 1)), spec
+@pytest.mark.parametrize("spec", [*ODE_TARGETS, "exp@0.5", "ln1p@-0.3", "ln1p@1/2", "pow:0.5",
+                                  "pow:2", "pow:2.0", "pow:0"])
+def test_an_ode_target_is_asked_for_its_value_only(spec, derivative_calls):
+    # float inputs too: the ODE states every other f^(k) and where it vanishes
+    assemble(get_expansion("c6"), target(spec), MAX_ORDER)
+    assert derivative_calls == [0]
 
 
-def test_a_float_alpha_takes_the_recurrence(kernel_calls):
+def test_a_target_without_an_ode_is_asked_for_every_order(derivative_calls):
+    for spec in ("sin", "sin@1/2", "sq@0.5"):
+        assemble(get_expansion("a2"), target(spec), MAX_ORDER)
+        assert derivative_calls == list(range(MAX_ORDER + 1)), spec
+        derivative_calls.clear()
+
+
+def test_a_float_alpha_takes_the_recurrence(kernel_calls, derivative_calls):
     # pow with a float alpha declares its ODE, and assemble runs it over
     # the exact binary value of alpha; the exactness tags read the ODE too
-    func, calls = counting(target("pow:0.5"))
-    model = assemble(get_expansion("a2"), func, MAX_ORDER)
-    assert kernel_calls == [] and calls == [0]
+    model = assemble(get_expansion("a2"), target("pow:0.5"), MAX_ORDER)
+    assert kernel_calls == [] and derivative_calls == [0]
     exact = assemble(get_expansion("a2"), target("pow:1/2"), MAX_ORDER)
     assert model.coefficients[0].is_exact
     assert [float(c) for c in model.coefficients] == [float(c) for c in exact.coefficients]
@@ -230,11 +227,13 @@ def test_ode_targets_tag_as_the_kernel_does_at_every_center(key, kernel_calls):
     # derivatives.  Where those derivatives are the ODE's exact data (exp's
     # f(x0), ln1p at an exact x0, an exact alpha) the values agree too;
     # ln1p at a float x0 and a float alpha round their f^(k), which the
-    # recurrence does not read.
+    # recurrence does not read.  pow at alpha = 2 (f^(k) = 0 from k = 3)
+    # and 0 (from k = 1) tag by where the ODE's f^(k) vanish.
     exp = get_expansion(key)
     funcs = [builtin_function(name, x0=x0) for name in ("exp", "ln1p")
              for x0 in (0, 0.0, Fraction(1, 2), 0.5, -0.3)]
-    for func in [*funcs, *map(target, ("pow:1/5", "pow:-1/3", "pow:0.5", "pow:0.2"))]:
+    pows = ("pow:1/5", "pow:-1/3", "pow:0.5", "pow:0.2", "pow:2", "pow:2.0", "pow:0")
+    for func in [*funcs, *map(target, pows)]:
         fast = assemble(exp, func, MAX_ORDER)
         assert kernel_calls == []
         slow = assemble(exp, through_kernel(func, MAX_ORDER), MAX_ORDER)
@@ -243,7 +242,7 @@ def test_ode_targets_tag_as_the_kernel_does_at_every_center(key, kernel_calls):
             assert tagged(fast) == tagged(slow), (func, func.x0)
         else:
             assert _tags(fast) == _tags(slow), (func, func.x0)
-            assert not any(_tags(fast)[1:]), (func, func.x0)
+            assert func.name == "pow:2.0" or not any(_tags(fast)[1:]), (func, func.x0)
 
 
 def test_a_float_input_tags_every_coefficient_it_reaches():
@@ -435,3 +434,21 @@ def test_ode_builtin_derivatives_pinned():
     lines += [repr(c) for key in ("a1", "a7", "c6") for func in built
               for c in assemble(get_expansion(key), func, MAX_ORDER).coefficients]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DERIVATIVE_PIN
+
+
+# sha256 of the reprs of derivative(k), k = 0 .. MAX_ORDER, of sin and then
+# sq at x0 = 0, 1/2 and 0.5, recorded from the derivative closures these
+# tables replaced; both tables end at MAX_ORDER, the cap of assemble.
+TABLE_PIN = "aa2c5fef1fef8e4fb8f5ba5e8aa402c5c6a2a484833a0aa9adedb328f9453ce5"
+
+
+def test_sin_and_sq_tables_pinned():
+    funcs = [builtin_function(name, x0=x0) for name in ("sin", "sq")
+             for x0 in (0, Fraction(1, 2), 0.5)]
+    lines = [repr(func.derivative(k)) for func in funcs for k in range(MAX_ORDER + 1)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TABLE_PIN
+    for func in funcs:
+        assert len(func._table) == MAX_ORDER + 1
+        with pytest.raises(ValueError, match=f"only up to order {MAX_ORDER}, order "
+                                             f"{MAX_ORDER + 1} requested"):
+            func.derivative(MAX_ORDER + 1)
