@@ -10,15 +10,14 @@ N at the expansion point.  Coefficient arithmetic is exact rational
 wherever the inputs are; floats only enter through explicitly approximate
 derivative values or at final evaluation time.
 
-Layering: exact scalars and combinatorics (`exact`), truncated series
-arithmetic and the registry of the 19 basis families (`pseries`), Bell
-triangles and derivative sequences (`bell`),
-the basis catalog with float evaluators (`catalog`), model assembly and
-evaluation (`approx`), and the command-line front end (`cli`).  `bell`
-loads on first use: by a build on the Bell kernel (sin, sq, a derivative
-list), `derivative_sequence`, or a caller that names it; a build by the
-composition recurrence (exp and ln1p at every x0, pow), the float
-evaluators and `import funcseries.cli` do not load it.
+Layering: exact scalars, combinatorics and the Bell column kernel
+(`exact`), truncated series arithmetic and the registry of the 19 basis
+families (`pseries`), the paper's closed-form Bell values and their
+verification gate (`bell`), the basis catalog with float evaluators
+(`catalog`), model assembly and evaluation (`approx`), and the
+command-line front end (`cli`).  `bell` loads on first use, by a caller
+that names it; no model build, float evaluator or `import funcseries.cli`
+loads it.
 """
 
 import importlib
@@ -72,8 +71,8 @@ from .approx import (
 
 __version__ = "0.1.0"
 
-# bell and the names it exports load on first use (PEP 562): a build by the
-# composition recurrence and the CLI's start-up never reach the kernel.
+# bell and the names it exports load on first use (PEP 562): no model build
+# and not the CLI's start-up reach its verifiers.
 _BELL_NAMES = frozenset({"CLOSED_FORM_FAMILIES", "bell_closed_form", "bell_generic",
                          "bell_values", "derivative_sequence", "gate_report"})
 

@@ -11,9 +11,9 @@ derivative of F = f o h over n!, with h the inverse basis.
 exact binary value, by one of two routes.  A target is data: a table of
 its known derivatives, and for exp and ln1p (at every x0) and pow a
 first-order linear ODE that states every f^(k) in closed form.  An ODE
-target takes J. C. P. Miller's O(N**2) composition recurrence; every other
-(sin and sq, their tables ending at ``MAX_ORDER``, a derivative list) the
-Bell kernel, :func:`funcseries.bell.composite`.
+target takes J. C. P. Miller's O(N**2) composition recurrence, :func:`_composed`;
+every other (sin and sq, their tables ending at ``MAX_ORDER``, a derivative
+list) the Bell column kernel of :mod:`funcseries.exact`, :func:`_kernel_rows`.
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
                       _as_float, _float_param, eval_g, get_expansion)
-from .exact import ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged, scalar
+from .exact import ONE, ZERO, ExactScalar, _binary, _columns, _round, _supports, _tagged, scalar
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
 __all__ = [
@@ -271,6 +271,26 @@ class ApproximationModel(_Record):
         }
 
 
+def _kernel_rows(f: list, values: list, order: int) -> list:
+    """(P_n, S_n) with F^(n)(0) = r**n P_n / S_n, n = 1 .. order, F = f o h.
+
+    f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
+    e_j, h^(j)(0) = d_j = r**j e_j, as ints or Fractions; F^(n) is the sum
+    over k of f^(k) B(n, k)(d_1, d_2, ...), with the columns cut at the
+    last nonzero f^(k) (2 for sq).  B(n, k) has weight n in the d_j, so
+    the columns run over the e_j.  With column k = P_k / S_k from the Bell
+    column kernel :func:`funcseries.exact._columns`, f^(k) = c_k / Q and L
+    the lcm of the S_k, P_n is the sum of c_k P_k[n] L / S_k and S_n = Q L.
+    """
+    kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
+    f = f[1:kmax + 1]
+    cols, scales = _columns(values, order, kmax)
+    q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
+    c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
+    return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
+            for n in range(1, order + 1)]
+
+
 def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
     """(P_n, S_n), not reduced, with F^(n)(0) = P_n / S_n, n = 1 .. order, F = f o h.
 
@@ -337,8 +357,8 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     :mod:`funcseries.pseries`).  A float input enters as its exact binary
     value.  A target with an ODE (exp, ln1p, pow; see :class:`FunctionSpec`)
     is asked for f(x0) alone and takes the O(N**2) recurrence of
-    :func:`_composed`; any other target gives every f^(k) to
-    :func:`funcseries.bell.composite`.  Both give rows (P_n, S_n) with
+    :func:`_composed`; any other target gives every f^(k) to the column
+    kernel's :func:`_kernel_rows`.  Both give rows (P_n, S_n) with
     F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
     running products: a ``Fraction``, or its correctly rounded float (+-inf
     beyond the float range) when a nonzero term f^(k) B(n, k) has a float
@@ -353,11 +373,9 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     e, e_floats = _binary(e, f"{exp.key} basis derivative e_{{}}", 1)
     f0, ode, tags = func.derivative(0), func._ode, 0
     if ode is None:  # f^(0) enters only as a_0
-        from .bell import composite
-
         f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
                               f"derivative f^({{}}) of {func.name!r}")
-        rows = composite(f, e, order)
+        rows = _kernel_rows(f, e, order)
     else:  # f^(k) = f' (a - rho) ... (a - (k-1) rho) is nonzero up to a zero factor;
         _, rho, a, b = ode = _ode_ints(ode)  # a float source sets bit k >= 1 of f_floats
         p, q = f0._v.as_integer_ratio()

@@ -1,33 +1,26 @@
-"""Partial Bell polynomials: one recurrence kernel, closed forms as checks.
+"""Partial Bell polynomials: the triangle, and the paper's closed forms as checks.
 
-Every Bell value the library uses comes from the standard recurrence
-(Comtet, *Advanced Combinatorics*, section 3.3)
+Every Bell value here comes from the standard recurrence (Comtet,
+*Advanced Combinatorics*, section 3.3)
 
     B(n, k) = sum_{j=1}^{n-k+1} C(n-1, j-1) * x_j * B(n-j, k-1),
 
 with B(0, 0) = 1, over the argument vector x_j = d_j of the family's
-inverse-basis derivatives.  The kernel builds the triangle column by
-column, since column k needs only column k - 1.  It scales the d_j by
-the lcm D of their denominators and keeps each column as integers P_k
-over one scale S_k, B(n, k) = P_k[n] / S_k: column k is computed over
-D * S_{k-1}, and the gcd of that scale and the column's entries (its
-content) is divided out before the next column starts (the primitive-part
-reduction of Knuth, *TAOCP* vol. 2, section 4.6.1).  The integers then
-stay near the size of the Bell values rather than growing with D^k.  A
-float d_j (a5 with a float alpha, a7 with an irrational root) enters as
-its exact binary value, so the kernel has one number format; a nonzero
+inverse-basis derivatives, by the column kernel
+:func:`funcseries.exact._columns`.  A float d_j (a5 with a float alpha, a7
+with an irrational root) enters as its exact binary value, and a nonzero
 cell with a float factor in one of its products rounds once.
-:func:`composite` sums a target's derivatives against the columns for
-:func:`funcseries.approx.assemble`; :func:`bell_values` and
-:func:`bell_generic` read them too.
+:func:`bell_values` and :func:`bell_generic` read the triangle.  Coefficient
+assembly sums the kernel's columns itself (:mod:`funcseries.approx`), so no
+model build loads this module.
 
 The paper's special-value formulas for fifteen families ("a1" .. "a13",
 "c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
 a route: on the first :func:`bell_values` call per parameter set, a
 verification gate compares each formula with the kernel up to n = 10,
 records the outcome (see :func:`gate_report`) and warns with a
-RuntimeWarning on a mismatch.  Returned values never depend on the
-outcome, and coefficient assembly never runs the gate.
+RuntimeWarning on a mismatch.  A closed-form cell without a finite float
+is left unchecked.  Returned values never depend on the outcome.
 
 Every family's argument vector, closed form or not, is the derivative
 formula of its record in the registry :data:`funcseries.pseries.FAMILIES`,
@@ -42,8 +35,8 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged, double_factorial,
-                    falling_factorial, scalar, stirling1, stirling2)
+from .exact import (ONE, ZERO, ExactScalar, _binary, _columns, _round, _supports, _tagged,
+                    double_factorial, falling_factorial, scalar, stirling1, stirling2)
 # family_series is not used here; it is bound in this namespace for callers
 # that wrap it per module (perfbench/tracer.py).
 from .pseries import FAMILY_KEYS, MAX_ORDER, _check_order, family_series, get_family
@@ -87,11 +80,11 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     """Rows B(i, j) for 0 <= j <= min(i, kmax), i <= nmax, as raw numbers.
 
     values[j-1] holds d_j as an int, Fraction or finite float; at least
-    nmax of them are needed.  Cell (i, j) is P_j[i] / S_j from
-    :func:`_columns` over the exact binary values, as a Fraction, or as
-    its correctly rounded float where :func:`funcseries.exact._supports`
-    finds a float factor.  Serves :func:`bell_generic`, :func:`bell_values`
-    and the gate.
+    nmax of them are needed.  Cell (i, j) is P_j[i] / S_j from the kernel
+    :func:`funcseries.exact._columns` over the exact binary values, as a
+    Fraction, or as its correctly rounded float where
+    :func:`funcseries.exact._supports` finds a float factor.  Serves
+    :func:`bell_generic`, :func:`bell_values` and the gate.
     """
     values, floats = _binary(values, "Bell argument d_{}", 1)
     cols, scales = _columns(values, nmax, kmax)
@@ -99,60 +92,6 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     cols = [[(_round(p, s) if read >> i & 1 else Fraction(p, s)) if p else 0
              for i, p in enumerate(col)] for col, s, read in zip(cols, scales, reads)]
     return [[col[i] for col in cols[: i + 1]] for i in range(nmax + 1)]
-
-
-def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
-    """(cols, scales): cols[k][n] for 0 <= k <= kmax and 0 <= n <= nmax.
-
-    values[j-1] holds d_j as an int or Fraction.  The recurrence runs in
-    integers over D * d_j, with D the lcm of the denominators, and B(n, k)
-    = cols[k][n] / scales[k]: column k is computed over the scale D *
-    scales[k-1], and its content, the gcd of that scale and its entries,
-    is divided out before column k + 1 starts.  Zero factors are skipped.
-    """
-    kmax = nmax if kmax is None else kmax
-    values = values[:nmax]
-    scale = math.lcm(*(v.denominator for v in values))
-    values = [v.numerator * (scale // v.denominator) for v in values]
-    # (m, [C(i-1, m-1) * d_m for i <= nmax]) for the nonzero d_m, m ascending
-    weighted = [(m, [0] * m + [math.comb(i - 1, m - 1) * x for i in range(m, nmax + 1)])
-                for m, x in enumerate(values, 1) if x]
-    cols, scales = [[1] + [0] * nmax], [1]
-    for k in range(1, kmax + 1):
-        prev = cols[-1]
-        col = [0] * (nmax + 1)
-        for m, w in weighted:
-            for i in range(m + k - 1, nmax + 1):
-                below = prev[i - m]
-                if below:
-                    col[i] += w[i] * below
-        top = scale * scales[-1]
-        content = math.gcd(top, *col) if top > 1 else 1
-        if content > 1:
-            col = [c // content for c in col]
-        scales.append(top // content)
-        cols.append(col)
-    return cols, scales
-
-
-def composite(f: list, values: list, order: int) -> list:
-    """(P_n, S_n) with F^(n)(0) = r**n P_n / S_n, n = 1 .. order, F = f o h.
-
-    f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
-    e_j, h^(j)(0) = d_j = r**j e_j, as ints or Fractions; F^(n) is the sum
-    over k of f^(k) B(n, k)(d_1, d_2, ...), with the columns cut at the
-    last nonzero f^(k) (2 for sq).  B(n, k) has weight n in the d_j, so
-    the columns run over the e_j.  With column k = P_k / S_k from
-    :func:`_columns`, f^(k) = c_k / Q and L the lcm of the S_k, P_n is the
-    sum of c_k P_k[n] L / S_k and S_n = Q L.
-    """
-    kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
-    f = f[1:kmax + 1]
-    cols, scales = _columns(values, order, kmax)
-    q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
-    c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
-    return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
-            for n in range(1, order + 1)]
 
 
 # -- closed-form special values ---------------------------------------------
@@ -334,7 +273,8 @@ def bell_closed_form(key: str, n: int, k: int, *, alpha=None, beta=None, w=None)
     Exact for rational parameters (for "a7" this additionally needs the
     square root of alpha to be rational).  It serves as an independent
     check of the recurrence; :func:`bell_values` gives the values the
-    library uses.
+    library uses.  A float evaluation that leaves the float range (an
+    ArithmeticError, or a nan or +-inf value) raises ValueError.
     """
     if key not in _CLOSED_FORMS:
         raise ValueError(f"no closed form for family {key!r}")
@@ -342,7 +282,14 @@ def bell_closed_form(key: str, n: int, k: int, *, alpha=None, beta=None, w=None)
         raise ValueError("closed forms are defined for 1 <= k <= n")
     if n > MAX_ORDER:
         raise ValueError(f"n exceeds the supported cap {MAX_ORDER}")
-    return _CLOSED_FORMS[key](n, k, **get_family(key).validate(alpha, beta, w))
+    kwargs = get_family(key).validate(alpha, beta, w)
+    try:
+        value = _CLOSED_FORMS[key](n, k, **kwargs)
+        if value.is_exact or math.isfinite(value._v):
+            return value
+    except ArithmeticError:  # a float power that overflows, or underflows to 0.0
+        pass
+    raise ValueError(f"closed form of family {key!r} leaves the float range at B({n},{k})")
 
 
 def derivative_sequence(key: str, order: int, *, alpha=None, beta=None, w=None) -> tuple:
@@ -368,10 +315,15 @@ _gate_lock = threading.Lock()
 _gate_results: dict = {}
 
 
-def _values_close(a: ExactScalar, b: ExactScalar) -> bool:
-    if a.is_exact and b.is_exact:
-        return a == b
-    return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-12)
+def _values_close(a: ExactScalar, cell) -> bool:
+    """Whether the closed form's a agrees with the recurrence's raw cell.  An
+    a that is nan or +-inf is unchecked (True); a cell beyond the float range
+    reads as +-inf."""
+    if a.is_exact and not isinstance(cell, float):
+        return a == cell
+    a = float(a)
+    b = cell if isinstance(cell, float) else _round(cell.numerator, cell.denominator)
+    return not math.isfinite(a) or math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def _run_gate(key: str, kwargs: dict) -> bool:
@@ -380,8 +332,11 @@ def _run_gate(key: str, kwargs: dict) -> bool:
     formula = _CLOSED_FORMS[key]
     for n in range(1, depth + 1):
         for k in range(1, n + 1):
-            if not _values_close(formula(n, k, **kwargs), ExactScalar(rows[n][k])):
-                return False
+            try:
+                if not _values_close(formula(n, k, **kwargs), rows[n][k]):
+                    return False
+            except ArithmeticError:  # a float power that leaves the range: unchecked
+                pass
     return True
 
 

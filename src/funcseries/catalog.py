@@ -56,7 +56,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .exact import ExactScalar, _tagged
-from .pseries import FAMILIES, family_series, get_family
+from .pseries import FAMILIES, _check_order, family_series, get_family
 
 __all__ = [
     "DomainError",
@@ -179,10 +179,9 @@ class Expansion(_Record):
         return dict(self.params)
 
     def derivative_sequence(self, order: int) -> tuple:
-        """d_1 .. d_order of the inverse basis (see bell.derivative_sequence)."""
-        from . import bell
-
-        return bell.derivative_sequence(self.key, order, **self.param_dict())
+        """d_1 .. d_order of the inverse basis, by the family's registry formula."""
+        _check_order(order)
+        return tuple(map(ExactScalar, get_family(self.key).derivatives(order, self.param_dict())))
 
     def series(self, order: int):
         return family_series(self.key, order, **self.param_dict())
@@ -250,7 +249,7 @@ def lambert_w0(x: float) -> float:
 # The tables are kept in ascending order; a builder takes the ones it sums
 # by Horner reversed, once, so that each evaluation loops over them
 # directly.  The inverse-series tables are cached from family_series; the
-# a11/a12 Newton start tables are constants, so no float basis loads bell.
+# a11/a12 Newton start tables are constants, so no float basis reverts a series.
 
 
 @lru_cache(maxsize=None)

@@ -26,6 +26,11 @@ the recurrences serve as independent oracles in the test suite.  Both
 Stirling tables are memoized (a triangular cache keyed by ``(n, m)``);
 under CPython the caches are safe to share across threads, the worst case
 being a duplicated computation.
+
+The partial Bell triangle's column kernel :func:`_columns` and its bit
+masks :func:`_supports` live here too: model assembly
+(:mod:`funcseries.approx`) and the verifiers of :mod:`funcseries.bell`
+both read them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 __all__ = [
     "ExactScalar",
@@ -258,6 +263,42 @@ def _supports(values: list, floats: int, nmax: int, kmax: int) -> list:
             r, t = r | reach << m, t | (reach if fl else read) << m
         cols.append((r & full, t & full))
     return cols
+
+
+def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
+    """(cols, scales): cols[k][n] for 0 <= k <= kmax and 0 <= n <= nmax.
+
+    values[j-1] holds d_j as an int or Fraction.  Bell's recurrence runs in
+    integers over D * d_j, with D the lcm of the denominators, and B(n, k)
+    = cols[k][n] / scales[k]: column k is computed over the scale D *
+    scales[k-1], and its content, the gcd of that scale and its entries,
+    is divided out before column k + 1 starts (Knuth's primitive part,
+    *TAOCP* vol. 2, section 4.6.1), which keeps the integers near the size
+    of the Bell values instead of D^k.  Zero factors are skipped.
+    """
+    kmax = nmax if kmax is None else kmax
+    values = values[:nmax]
+    scale = math.lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
+    # (m, [C(i-1, m-1) * d_m for i <= nmax]) for the nonzero d_m, m ascending
+    weighted = [(m, [0] * m + [math.comb(i - 1, m - 1) * x for i in range(m, nmax + 1)])
+                for m, x in enumerate(values, 1) if x]
+    cols, scales = [[1] + [0] * nmax], [1]
+    for k in range(1, kmax + 1):
+        prev = cols[-1]
+        col = [0] * (nmax + 1)
+        for m, w in weighted:
+            for i in range(m + k - 1, nmax + 1):
+                below = prev[i - m]
+                if below:
+                    col[i] += w[i] * below
+        top = scale * scales[-1]
+        content = math.gcd(top, *col) if top > 1 else 1
+        if content > 1:
+            col = [c // content for c in col]
+        scales.append(top // content)
+        cols.append(col)
+    return cols, scales
 
 
 ZERO = ExactScalar(0)

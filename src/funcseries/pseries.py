@@ -15,9 +15,9 @@ equal orders and return the same order; truncation never happens silently.
 parameters with their defaults and constraints, and one exact formula for
 the derivatives d_1 .. d_N of its inverse basis at 0, in O(N) exact
 operations.  Everything else exact about a family is read from that
-formula: :func:`family_series` is c_n = d_n / n!, and the Bell layer
-(:mod:`funcseries.bell`) and the catalog (:mod:`funcseries.catalog`) look
-up the record.  The squared-arccosine case (c6) has closed-form
+formula: :func:`family_series` is c_n = d_n / n!, and assembly
+(:mod:`funcseries.approx`), the catalog and the Bell verifiers look up
+the record.  The squared-arccosine case (c6) has closed-form
 coefficients from the series of (arcsin x)^2;
 :meth:`TruncatedSeries.reversion` reproduces them from the series of
 cos(sqrt(s)) - 1 and serves as their check.

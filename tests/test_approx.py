@@ -526,21 +526,25 @@ def _fresh(code: str) -> list:
 
 
 class TestBellOnFirstUse:
-    # funcseries.bell loads only when a build or a caller reaches it: a
-    # target on the composition recurrence never does (exp and ln1p at any
-    # x0, pow, a float alpha or a float e_j included), and neither does a
-    # float evaluator (a11's and a12's Newton start tables are constants).
+    # funcseries.bell loads only when a caller names it: no build does, on
+    # the composition recurrence (exp and ln1p at any x0, pow, a float alpha
+    # or a float e_j included) or on the column kernel of funcseries.exact
+    # (sin, sq, a derivative list), and neither does a float evaluator
+    # (a11's and a12's Newton start tables are constants).
     def test_recurrence_builds_load_no_bell(self):
         lines = _fresh(
             "import sys\n"
             "from fractions import Fraction\n"
             "from funcseries import FAMILY_KEYS, MAX_ORDER, assemble, builtin_function, "
-            "eval_g, get_expansion\n"
+            "eval_g, function_from_derivatives, get_expansion\n"
             "targets = [builtin_function('exp'), builtin_function('ln1p'),\n"
             "           builtin_function('pow', alpha=Fraction(1, 5)),\n"
             "           builtin_function('pow', alpha=0.5)]\n"
             "targets += [builtin_function(name, x0=x0) for name in ('exp', 'ln1p')\n"
             "            for x0 in (Fraction(1, 2), 0.5)]\n"
+            "targets += [builtin_function(name, x0=x0) for name in ('sin', 'sq')\n"
+            "            for x0 in (0, Fraction(1, 2), 0.5)]\n"
+            "targets.append(function_from_derivatives([Fraction(1, k + 1) for k in range(65)]))\n"
             "for key in FAMILY_KEYS:\n"
             "    for f in targets:\n"
             "        assert len(assemble(get_expansion(key), f, MAX_ORDER).coefficients) == 65\n"
@@ -555,9 +559,9 @@ class TestBellOnFirstUse:
         )
         assert lines == ["False", "False"]
 
-    def test_sin_build_loads_bell_and_matches_its_pin(self):
-        # the a8 pin builds ln1p, exp and pow:1/5 first (the recurrence),
-        # then sin and sq (the kernel)
+    def test_a8_pin_builds_load_no_bell(self):
+        # the a8 pin builds ln1p, exp and pow:1/5 (the recurrence), then sin
+        # and sq (the column kernel)
         lines = _fresh(
             "import hashlib, sys\n"
             "from fractions import Fraction\n"
@@ -571,7 +575,7 @@ class TestBellOnFirstUse:
             "    print(spec, 'funcseries.bell' in sys.modules)\n"
             "print(hashlib.sha256('\\n'.join(text).encode()).hexdigest())\n"
         )
-        assert lines == ["ln1p False", "exp False", "pow:1/5 False", "sin True", "sq True",
+        assert lines == ["ln1p False", "exp False", "pow:1/5 False", "sin False", "sq False",
                          FAMILY_DIGESTS["a8"]]
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import funcseries.bell as bell
+from funcseries import approx
 from funcseries.bell import (
     CLOSED_FORM_FAMILIES,
     bell_closed_form,
@@ -16,7 +17,7 @@ from funcseries.bell import (
     gate_report,
 )
 from funcseries.catalog import get_expansion
-from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
+from funcseries.exact import ONE, ZERO, _columns, falling_factorial, scalar, stirling2
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series, get_family
 from oracles import bell_by_partitions, revert_by_lagrange, stirling1_rec
 
@@ -246,6 +247,17 @@ class TestClosedFormEquivalence:
         with pytest.raises(ValueError):
             bell_closed_form("zz", 3, 2)
 
+    @pytest.mark.parametrize("key,n,k,params", [
+        ("a7", 12, 1, {"alpha": 1e-30, "beta": 1}),  # alpha ** 6 underflows to 0.0
+        ("a6", 8, 7, {"w": 1e300}),  # w ** 6 overflows
+        ("a10", 8, 7, {"w": 1e300}),
+        ("c1", 8, 7, {"w": 1e300}),
+        ("a5", 10, 3, {"alpha": 3e30}),  # inf - inf: nan
+    ])
+    def test_a_float_beyond_the_range_is_a_value_error(self, key, n, k, params):
+        with pytest.raises(ValueError, match=f"family {key!r}"):
+            bell_closed_form(key, n, k, **params)
+
 
 class TestBellValues:
     def test_triangle_shape(self):
@@ -293,13 +305,13 @@ class TestColumnKernel:
         # keeps them near the size of the values.
         params = get_expansion(key).param_dict()
         values = bell._raw(derivative_sequence(key, MAX_ORDER, **params))
-        cols, scales = bell._columns(values, MAX_ORDER)
+        cols, scales = _columns(values, MAX_ORDER)
         stored = [*scales, *(c for col in cols for c in col)]
         assert max(abs(v).bit_length() for v in stored) < 1000
 
     def test_columns_over_their_scales_match_the_partition_oracle(self):
         values = bell._raw(derivative_sequence("c4", 8))
-        cols, scales = bell._columns(values, 8)
+        cols, scales = _columns(values, 8)
         for n in range(1, 9):
             for k in range(1, n + 1):
                 expected = bell_by_partitions(n, k, values[: n - k + 1])
@@ -309,14 +321,14 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("key", FAMILY_KEYS)
     def test_capped_composite_matches_every_column(self, key):
-        # composite stops at the last nonzero f^(k): 2 columns for sq, 5 for
-        # a degree-5 list; the sum over all MAX_ORDER columns is the same
+        # the kernel rows stop at the last nonzero f^(k): 2 columns for sq, 5
+        # for a degree-5 list; the sum over all MAX_ORDER columns is the same
         fam = get_family(key)
         r, e = fam.graded(MAX_ORDER, get_expansion(key).param_dict())
-        cols, scales = bell._columns(list(e), MAX_ORDER)
+        cols, scales = _columns(list(e), MAX_ORDER)
         pad = [0] * MAX_ORDER
         for f in ([0, 0, 2, *pad], [1, 2, -3, Fraction(1, 2), 5, 7, *pad]):
-            rows = bell.composite(f, list(e), MAX_ORDER)
+            rows = approx._kernel_rows(f, list(e), MAX_ORDER)
             for n, (p, s) in enumerate(rows, 1):
                 full = sum(Fraction(fk * col[n], sk)
                            for fk, col, sk in zip(f[1:], cols[1:], scales[1:]))
@@ -442,3 +454,41 @@ class TestGate:
         bell_values("a4", 5)
         bell_values("a4", 7)
         assert calls["n"] == 1
+
+    # a closed-form cell with no finite float is unchecked: here a float
+    # power in the closed form overflows, or (a5) the closed form gives nan
+    # where the recurrence's value is beyond the float range
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key,params", [
+        *((key, {"w": w}) for key in ("a6", "a10", "c1") for w in (1e300, -1e300, 1e154)),
+        ("a7", {"alpha": 1e154, "beta": 1e-30}),
+        ("a5", {"alpha": 3e30}),
+    ])
+    def test_closed_form_without_a_finite_float_is_unchecked(self, monkeypatch, key, params):
+        monkeypatch.setattr(bell, "_gate_results", {})
+        rows = bell_values(key, 8, **params)
+        assert [len(row) for row in rows] == list(range(1, 10))
+        assert list(gate_report().values()) == [True]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, OverflowError, ZeroDivisionError])
+    def test_unchecked_cells_are_no_disagreement(self, monkeypatch, cell):
+        def no_float(n, k):
+            if isinstance(cell, float):
+                return scalar(cell)
+            raise cell
+
+        monkeypatch.setattr(bell, "_gate_results", {})
+        monkeypatch.setitem(bell._CLOSED_FORMS, "a1", no_float)
+        bell_values("a1", 6)
+        assert gate_report() == {("a1", ()): True}
+
+    def test_a_finite_mismatch_beside_unchecked_cells_still_disagrees(self, monkeypatch):
+        def partly(n, k):
+            return scalar(math.nan) if k == 1 else scalar(float(bell._cf_a1(n, k)) * 2)
+
+        monkeypatch.setattr(bell, "_gate_results", {})
+        monkeypatch.setitem(bell._CLOSED_FORMS, "a1", partly)
+        with pytest.warns(RuntimeWarning, match="disagree"):
+            bell_values("a1", 6)
+        assert gate_report() == {("a1", ()): False}

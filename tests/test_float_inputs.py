@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcseries import bell
+from funcseries import approx, bell
 from funcseries.approx import assemble, builtin_function, evaluate, function_from_derivatives
 from funcseries.catalog import DomainError, get_expansion
 from funcseries.exact import falling_factorial
@@ -54,7 +54,7 @@ def exact_coefficients(exp, func, order):
         assert model.is_exact()
         return [c.as_fraction() for c in model.coefficients]
     f = [_binary(twin.derivative(k)) for k in range(order + 1)]
-    rows = bell.composite(f, [Fraction(v) for v in e], order)
+    rows = approx._kernel_rows(f, [Fraction(v) for v in e], order)
     return [f[0]] + [Fraction(p * r**n, s * math.factorial(n))
                      for n, (p, s) in enumerate(rows, 1)]
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcseries import approx, bell
+from funcseries import approx
 from funcseries.approx import assemble, builtin_function, function_from_derivatives
 from funcseries.catalog import get_expansion
 from funcseries.exact import falling_factorial
@@ -57,11 +57,11 @@ def kernel_calls(monkeypatch):
     """Count the column-kernel builds assemble makes, as (rows, columns)."""
     calls = []
 
-    def counted(values, nmax, kmax=None, _columns=bell._columns):
+    def counted(values, nmax, kmax=None, _columns=approx._columns):
         calls.append((nmax, kmax))
         return _columns(values, nmax, kmax)
 
-    monkeypatch.setattr(bell, "_columns", counted)
+    monkeypatch.setattr(approx, "_columns", counted)
     return calls
 
 
