@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from operator import add, and_, mul
 from typing import Callable, Optional, Sequence
 
-from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _Record, _admit,
-                      _as_float, _float_param, eval_g, get_expansion)
-from .exact import ONE, ZERO, ExactScalar, _binary, _columns, _round, _supports, _tagged, scalar
+from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_float,
+                      _float_param, eval_g, get_expansion)
+from .exact import (ONE, ZERO, ExactScalar, _binary, _columns, _Record, _round, _supports,
+                    _tagged, scalar)
 from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
 
 __all__ = [
@@ -123,6 +124,21 @@ def _ode_ints(ode: tuple) -> tuple:
     return (t, *(int(Fraction(c) * t) for c in ode))
 
 
+# The builtins' float references are module-level functions, so a spec pickles.
+def _square(x: float) -> float:
+    return x * x
+
+
+def _pow(alpha: float, x: float) -> float:
+    if x == -1.0:  # admitted only where alpha > 0
+        return 0.0
+    return math.exp(alpha * math.log1p(x))
+
+
+def _one(x: float) -> float:
+    return 1.0
+
+
 def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     """A ready-made target: exp, sin, sq (x^2), ln1p, or pow ((1+x)^alpha).
 
@@ -146,19 +162,9 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
         av = scalar(alpha)
         af = _float_param(av, "builtin 'pow' alpha")
         if av != 0:  # the exact sign: an alpha that rounds to 0.0 keeps its domain
-            dom = Interval(-1.0, math.inf, lo_closed=av > 0)
-
-            def value(x, _af=af):
-                if x == -1.0:  # admitted only where alpha > 0
-                    return 0.0
-                return math.exp(_af * math.log1p(x))
-
+            dom, value = Interval(-1.0, math.inf, lo_closed=av > 0), partial(_pow, af)
         else:
-            dom = _FULL_LINE
-
-            def value(x):
-                return 1.0
-
+            dom, value = _FULL_LINE, _one
         return FunctionSpec(f"pow:{av}", x0v, dom, (ONE,), value, (1, av._v, 0), av)
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
@@ -178,7 +184,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
 
     if name == "sq":
         table = (x0v * x0v, 2 * x0v, scalar(2), *repeat(ZERO, MAX_ORDER - 2))
-        return FunctionSpec("sq", x0v, _FULL_LINE, table, lambda x: x * x)
+        return FunctionSpec("sq", x0v, _FULL_LINE, table, _square)
 
     if name == "ln1p":
         base = Fraction(x0v._v) + 1  # a float x0 as its exact binary value

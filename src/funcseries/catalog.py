@@ -47,6 +47,10 @@ builders of the implicit bases c1 .. c6 also give ``ginv`` alone, for the
 bisection walk of their g, which needs no slope: its value is
 bit-identical to the pair's, and it raises where the pair raises.  A
 Newton step makes one pair call.  The solver loops' tests are comparisons.
+
+:class:`Interval` and :class:`Expansion` are records on the one immutable
+base of :mod:`funcseries.exact`.  An entry's evaluators are closures, so
+it copies and pickles as its key and parameters alone.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
-from .exact import ExactScalar, _tagged
+from .exact import ExactScalar, _Record, _tagged
 from .pseries import FAMILIES, _check_order, family_series, get_family
 
 __all__ = [
@@ -79,52 +83,6 @@ class DomainError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its residual target."""
-
-
-class _Record:
-    """Base of the package's immutable value records.
-
-    A subclass lists its fields in ``_fields``, in constructor order, and
-    the ones its repr shows in ``_shown``; its ``__init__`` sets each field
-    once through :meth:`_set`.  Records compare and hash by
-    ``_identity()``, the tuple of all their fields unless a subclass
-    narrows it, only against an instance of the same class, and any later
-    assignment or deletion raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields: tuple = ()
-    _shown: tuple = ()
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    _identity = _values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._identity() == other._identity()
-
-    def __hash__(self):
-        return hash(self._identity())
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
 
 
 class _InfiniteEnd(ValueError):
@@ -160,7 +118,8 @@ class Expansion(_Record):
     float evaluator _g, the inverse basis as the value-and-slope pair
     _ginv_d and d_1 as a float are fields that repr leaves out.  Every
     field is a function of key and params, so two entries compare and hash
-    by those two alone, each parameter with its exactness.
+    by those two alone, each parameter with its exactness, and an entry
+    copies and pickles as those two, which :func:`get_expansion` rebuilds.
     """
 
     __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
@@ -174,6 +133,9 @@ class Expansion(_Record):
 
     def _identity(self) -> tuple:
         return self.key, tuple((name, _tagged(v)) for name, v in self.params)
+
+    def __reduce__(self):
+        return _expansion, (self.key, self.params)
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -902,6 +864,11 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
         _ginv_d=ginv_d,
         _d1=d1,
     )
+
+
+def _expansion(key: str, params: tuple) -> Expansion:
+    """get_expansion for a key and its (name, value) pairs: unpickling."""
+    return get_expansion(key, **dict(params))
 
 
 # -- public evaluation entry points -------------------------------------------

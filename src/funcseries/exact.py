@@ -31,6 +31,9 @@ The partial Bell triangle's column kernel :func:`_columns` and its bit
 masks :func:`_supports` live here too: model assembly
 (:mod:`funcseries.approx`) and the verifiers of :mod:`funcseries.bell`
 both read them.
+
+:class:`_Record` is the one base of the package's immutable value types,
+``ExactScalar`` and ``TruncatedSeries`` among them.
 """
 
 from __future__ import annotations
@@ -73,7 +76,54 @@ def _coerce(value: ScalarLike):
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
 
 
-class ExactScalar:
+class _Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in ``_fields``, in constructor order, and
+    the ones its repr shows in ``_shown``; its ``__init__`` sets each field
+    once, through :meth:`_set` or ``object.__setattr__``.  Records compare
+    and hash by ``_identity()``, the tuple of all their fields unless a
+    subclass narrows it, only against an instance of the same class; any
+    later assignment or deletion raises AttributeError; and copying and
+    pickling call the class on the fields again.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _shown: tuple = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _identity = _values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._identity() == other._identity()
+
+    def __hash__(self):
+        return hash(self._identity())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class ExactScalar(_Record):
     """A rational number of unbounded size, or a float tagged approximate.
 
     Instances are immutable.  Construct from int, ``Fraction``, a string
@@ -82,13 +132,10 @@ class ExactScalar:
     only if every operand was exact.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = _fields = ("_v",)
 
     def __init__(self, value: ScalarLike):
         object.__setattr__(self, "_v", _coerce(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactScalar is immutable")
 
     @property
     def is_exact(self) -> bool:

@@ -9,12 +9,14 @@ cross-validation suites demand bit-for-bit equality instead of tolerances.
 A :class:`TruncatedSeries` of order N stores c_0 .. c_N, with c_n the
 plain Maclaurin coefficient, so d_n = n! * c_n.  Binary operations require
 equal orders and return the same order; truncation never happens silently.
+A series is a record of :mod:`funcseries.exact`: immutable, compared and
+hashed by its coefficients, copied and pickled like every value type.
 
 :data:`FAMILIES` is the registry of the 19 basis families ("a1" .. "a13",
-"c1" .. "c6"), one immutable :class:`Family` record per key: its label, its
-parameters with their defaults and constraints, and one exact formula for
-the derivatives d_1 .. d_N of its inverse basis at 0, in O(N) exact
-operations.  Everything else exact about a family is read from that
+"c1" .. "c6"), one :class:`Family` per key, an immutable ``NamedTuple``:
+its label, its parameters with their defaults and constraints, and one
+exact formula for the derivatives d_1 .. d_N of its inverse basis at 0, in
+O(N) exact operations.  Everything else exact about a family is read from that
 formula: :func:`family_series` is c_n = d_n / n!, and assembly
 (:mod:`funcseries.approx`), the catalog and the Bell verifiers look up
 the record.  The squared-arccosine case (c6) has closed-form
@@ -31,7 +33,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import ExactScalar, ZERO, _falling_factorials, scalar
+from .exact import ExactScalar, ZERO, _falling_factorials, _Record, scalar
 
 __all__ = [
     "MAX_ORDER",
@@ -57,19 +59,16 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order {order} exceeds the supported cap {MAX_ORDER}")
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Immutable truncated Maclaurin series with ExactScalar coefficients."""
 
-    __slots__ = ("_c",)
+    __slots__ = _fields = ("_c",)
 
     def __init__(self, coeffs: Iterable):
         c = tuple(scalar(v) for v in coeffs)
         if not c:
             raise ValueError("a series needs at least the constant coefficient")
-        object.__setattr__(self, "_c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
+        self._set(c)
 
     @property
     def coeffs(self) -> tuple:
@@ -84,14 +83,6 @@ class TruncatedSeries:
 
     def __iter__(self):
         return iter(self._c)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(self._c)
 
     def __repr__(self):
         return f"TruncatedSeries([{', '.join(str(c) for c in self._c)}])"

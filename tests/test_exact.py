@@ -69,6 +69,9 @@ class TestConstruction:
         s = ExactScalar(1)
         with pytest.raises(AttributeError):
             s._v = 2
+        with pytest.raises(AttributeError):
+            del s._v
+        assert s == 1
 
 
 class TestArithmetic:

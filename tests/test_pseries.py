@@ -51,6 +51,8 @@ class TestConstruction:
         s = TruncatedSeries([0, 1, 0, 0])
         with pytest.raises(AttributeError):
             s._c = ()
+        with pytest.raises(AttributeError):
+            del TruncatedSeries([0, 1])._c
         assert hash(s) == hash(TruncatedSeries([0, 1, 0, 0]))
         assert s == TruncatedSeries([0, 1, 0, 0])
         assert s != TruncatedSeries([0, 0, 0, 0])

@@ -1,9 +1,11 @@
-"""The five immutable records: repr, equality, hashing, immutability, construction.
+"""The immutable value types: repr, equality, hashing, immutability, construction.
 
 Interval, Expansion, FunctionSpec, ApproximationModel and PointReport are
 compared by value, shown by repr, and cannot be changed after
 construction.  The reprs below were recorded from the frozen-dataclass
-versions of these classes and must not move.
+versions of these classes and must not move.  These five, ExactScalar and
+TruncatedSeries share one record base, and each of them copies and
+pickles to an equal twin.
 """
 
 import copy
@@ -14,17 +16,21 @@ from fractions import Fraction
 import pytest
 
 from funcseries import (
+    FAMILY_KEYS,
     ApproximationModel,
+    DomainError,
     Expansion,
     FunctionSpec,
     Interval,
     PointReport,
     assemble,
     builtin_function,
+    evaluate,
     function_from_derivatives,
     get_expansion,
 )
 from funcseries.exact import ExactScalar
+from funcseries.pseries import TruncatedSeries
 
 _EXPANSION_FIELDS = ("key", "label", "params", "domain", "image", "side", "increasing",
                      "implicit", "_g", "_ginv_d", "_d1")
@@ -282,10 +288,65 @@ def test_interval_validation():
     assert str(Interval(1.0, 1.0, True, True)) == "[1.0, 1.0]"
 
 
-@pytest.mark.parametrize("make", [lambda: Interval(-1.0, 2.0, True),
-                                  lambda: PointReport(0.5, 1.0, 1.25, -0.25, "x")])
+_EXPANSIONS = [(key, {}) for key in FAMILY_KEYS] + [("a5", {"alpha": 0.5}),
+                                                     ("a7", {"alpha": 2})]
+_TARGETS = [(name, {"x0": x0}) for name in ("exp", "sin", "sq", "ln1p")
+            for x0 in (0, Fraction(1, 2), 0.5)]
+_TARGETS += [("pow", {"alpha": alpha}) for alpha in (Fraction(1, 5), 0.5, 0)]
+_LISTS = ([Fraction(1, k + 1) for k in range(5)], [0.5, -1, 0, 2.25, Fraction(1, 3)])
+_TARGETS += [(values, {"x0": x0}) for values, x0 in zip(_LISTS, (0, 0.25))]
+
+
+def _label(name, kw):
+    head = name if isinstance(name, str) else f"list{_LISTS.index(name)}"
+    return head + "".join(f"-{k}={v}" for k, v in kw.items())
+
+
+def _target(name, kw):
+    if isinstance(name, str):
+        return builtin_function(name, **kw)
+    return function_from_derivatives(name, **kw)
+
+
+def _outcome(model, x):
+    try:
+        return repr(evaluate(model, x))
+    except DomainError as err:
+        return str(err)
+
+
+_VALUES = [
+    lambda: Interval(-1.0, 2.0, True),
+    lambda: PointReport(0.5, 1.0, 1.25, -0.25, "x"),
+    pytest.param(lambda: ExactScalar(Fraction(1, 3)), id="ExactScalar-1/3"),
+    pytest.param(lambda: ExactScalar(0.5), id="ExactScalar-0.5"),
+    pytest.param(lambda: TruncatedSeries([0, 1, Fraction(1, 2), 0.25]), id="TruncatedSeries"),
+]
+_VALUES += [pytest.param(lambda key=key, kw=kw: get_expansion(key, **kw),
+                         id=f"Expansion-{_label(key, kw)}") for key, kw in _EXPANSIONS]
+_VALUES += [pytest.param(lambda name=name, kw=kw: _target(name, kw),
+                         id=f"FunctionSpec-{_label(name, kw)}") for name, kw in _TARGETS]
+_VALUES += [pytest.param(lambda e=e, f=f: assemble(get_expansion(e[0], **e[1]), _target(*f), 4),
+                         id=f"ApproximationModel-{_label(*e)}-{_label(*f)}")
+            for e in _EXPANSIONS for f in _TARGETS]
+
+
+@pytest.mark.parametrize("make", _VALUES)
 def test_plain_value_records_copy_and_pickle(make):
+    # every value type, models included: an equal twin with the same repr
+    # and hash, whose fields cannot be assigned or deleted either, and a
+    # model twin evaluates to the same bits
     record = make()
     for twin in (copy.copy(record), copy.deepcopy(record),
                  pickle.loads(pickle.dumps(record))):
-        assert twin == record and repr(twin) == repr(record)
+        assert twin is not record and twin.__class__ is record.__class__
+        assert twin == record and repr(twin) == repr(record) and hash(twin) == hash(record)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(twin, name, None)
+            with pytest.raises(AttributeError):
+                delattr(twin, name)
+        if isinstance(record, ApproximationModel):
+            x0 = float(record.func.x0)
+            for x in (x0 - 0.1, x0 + 0.05, x0 + 0.3):
+                assert _outcome(twin, x) == _outcome(record, x), x
