@@ -18,56 +18,20 @@ verification gate (`bell`), the basis catalog with float evaluators
 command-line front end (`cli`).  `bell` loads on first use, by a caller
 that names it; no model build, float evaluator or `import funcseries.cli`
 loads it.
+
+The package exports every name in the `__all__` lists of its modules:
+those of `exact`, `pseries`, `catalog` and `approx` on import, and
+`bell`'s on first use.  `cli`'s names stay in `funcseries.cli`, whose
+`argparse` a bare `import funcseries` does not load.
 """
 
 import importlib
 
-from .exact import (
-    ONE,
-    ZERO,
-    ExactScalar,
-    binomial,
-    double_factorial,
-    falling_factorial,
-    scalar,
-    stirling1,
-    stirling2,
-)
-from .pseries import (
-    FAMILY_KEYS,
-    FAMILY_PARAMS,
-    MAX_ORDER,
-    TruncatedSeries,
-    family_series,
-)
-from .catalog import (
-    PARAM_DEFAULTS,
-    ConvergenceError,
-    DomainError,
-    Expansion,
-    Interval,
-    eval_g,
-    eval_ginv,
-    get_expansion,
-    invert_numeric,
-    lambert_w0,
-    map_domain,
-)
-from .approx import (
-    BUILTIN_FUNCTIONS,
-    ApproximationModel,
-    FunctionSpec,
-    PointReport,
-    assemble,
-    assemble_via_composition,
-    builtin_function,
-    error_report,
-    estimate_radius,
-    evaluate,
-    format_decimal,
-    function_from_derivatives,
-    taylor_baseline,
-)
+from . import exact, pseries, catalog, approx
+from .exact import *
+from .pseries import *
+from .catalog import *
+from .approx import *
 
 __version__ = "0.1.0"
 
@@ -83,23 +47,6 @@ def __getattr__(name: str):
         return bell if name == "bell" else getattr(bell, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-__all__ = [
-    "__version__",
-    # exact
-    "ExactScalar", "scalar", "ZERO", "ONE",
-    "stirling2", "stirling1", "falling_factorial", "double_factorial", "binomial",
-    # pseries
-    "MAX_ORDER", "TruncatedSeries", "family_series", "FAMILY_KEYS", "FAMILY_PARAMS",
-    # bell
-    "CLOSED_FORM_FAMILIES", "bell_generic", "bell_closed_form",
-    "derivative_sequence", "bell_values", "gate_report",
-    # catalog
-    "DomainError", "ConvergenceError", "Interval", "Expansion",
-    "PARAM_DEFAULTS", "lambert_w0", "get_expansion", "eval_g", "eval_ginv",
-    "invert_numeric", "map_domain",
-    # approx
-    "BUILTIN_FUNCTIONS", "FunctionSpec", "builtin_function",
-    "function_from_derivatives", "ApproximationModel", "assemble",
-    "assemble_via_composition", "evaluate", "taylor_baseline",
-    "estimate_radius", "PointReport", "error_report", "format_decimal",
-]
+
+__all__ = ["__version__", *exact.__all__, *pseries.__all__, *catalog.__all__, *approx.__all__,
+           *sorted(_BELL_NAMES)]

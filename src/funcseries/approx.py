@@ -35,7 +35,7 @@ from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_
                       _float_param, eval_g, get_expansion)
 from .exact import (ONE, ZERO, ExactScalar, _binary, _columns, _Record, _round, _supports,
                     _tagged, scalar)
-from .pseries import MAX_ORDER, TruncatedSeries, _check_order, get_family
+from .pseries import MAX_ORDER, TruncatedSeries, _check_order, family_series, get_family
 
 __all__ = [
     "BUILTIN_FUNCTIONS",
@@ -413,7 +413,7 @@ def assemble_via_composition(
     """
     _check_order(order)
     outer = TruncatedSeries(func.derivative(k) / math.factorial(k) for k in range(order + 1))
-    comp = outer.compose(exp.series(order))
+    comp = outer.compose(family_series(exp.key, order, **exp.param_dict()))
     return ApproximationModel(exp, func, order, comp.coeffs, "composition")
 
 

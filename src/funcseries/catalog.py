@@ -60,7 +60,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .exact import ExactScalar, _Record, _tagged
-from .pseries import FAMILIES, _check_order, family_series, get_family
+from .pseries import FAMILIES, family_series, get_family
 
 __all__ = [
     "DomainError",
@@ -140,14 +140,6 @@ class Expansion(_Record):
     def param_dict(self) -> dict:
         return dict(self.params)
 
-    def derivative_sequence(self, order: int) -> tuple:
-        """d_1 .. d_order of the inverse basis, by the family's registry formula."""
-        _check_order(order)
-        return tuple(map(ExactScalar, get_family(self.key).derivatives(order, self.param_dict())))
-
-    def series(self, order: int):
-        return family_series(self.key, order, **self.param_dict())
-
 
 # -- Lambert W ---------------------------------------------------------------
 
@@ -160,8 +152,13 @@ def lambert_w0(x: float) -> float:
     Halley iteration from a piecewise initial guess (branch-point square
     root series, log asymptote, or log1p); the returned w satisfies
     |w*exp(w) - x| <= 1e-14 * max(1, |x|).  Arguments within a few ulp
-    below -1/e are clamped to the branch point.
+    below -1/e are clamped to the branch point.  An int or Fraction beyond
+    the float range reads as +-inf.
     """
+    try:  # _as_float inline: a10 .. a12 call this once per point
+        x = float(x)
+    except OverflowError:
+        x = math.inf if x > 0 else -math.inf
     if math.isnan(x):
         raise DomainError("lambert_w0 is undefined for nan")
     if x < _W_BRANCH:

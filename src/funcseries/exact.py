@@ -72,7 +72,10 @@ def _coerce(value: ScalarLike):
     if isinstance(value, float):
         return value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
 
 

@@ -352,6 +352,11 @@ class TestBuiltinFunctions:
         with pytest.raises(ValueError):
             builtin_function("cosh")
 
+    @pytest.mark.parametrize("name, params", [("exp", {"x0": "1/0"}), ("pow", {"alpha": "1/0"})])
+    def test_zero_denominator_string(self, name, params):
+        with pytest.raises(ValueError, match="'1/0'"):
+            builtin_function(name, **params)
+
     def test_shifted_centers(self):
         f = builtin_function("ln1p", x0=1)
         for n in range(1, 5):
@@ -386,6 +391,12 @@ class TestFunctionFromDerivatives:
         f = function_from_derivatives([0, 1.5, "2/3"])
         assert not f.derivative(1).is_exact
         assert f.derivative(2).as_fraction() == Fraction(2, 3)
+
+    def test_zero_denominator_string(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            function_from_derivatives(["1/0"])
+        with pytest.raises(ValueError, match="'1/0'"):
+            function_from_derivatives([0, 1], x0="1/0")
 
     def test_beyond_declared_order(self):
         f = function_from_derivatives([0, 1])

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from funcseries.approx import assemble, builtin_function, error_report, evaluate, taylor_baseline
-from funcseries.bell import bell_values
+from funcseries.bell import bell_values, derivative_sequence
 from funcseries.cli import main
 from funcseries.catalog import (
     ConvergenceError,
@@ -153,6 +153,14 @@ class TestLambertW:
         w = lambert_w0(1e6)
         assert abs(w * math.exp(w) - 1e6) <= 1e-14 * 1e6
 
+    @pytest.mark.parametrize("x", [10**309, Fraction(10**400)])
+    def test_beyond_the_float_range(self, x):
+        # an int or Fraction too large for a float reads as +-inf, as at eval_g
+        with pytest.raises(ConvergenceError):
+            lambert_w0(x)
+        with pytest.raises(DomainError):
+            lambert_w0(-x)
+
 
 class TestGetExpansion:
     def test_defaults_applied(self):
@@ -180,6 +188,8 @@ class TestGetExpansion:
             get_expansion("a1", alpha=1)
         with pytest.raises(ValueError):
             get_expansion("c5", w=0)
+        with pytest.raises(ValueError, match="'1/0'"):
+            get_expansion("a5", alpha="1/0")
 
     @pytest.mark.parametrize("key, params", [
         ("a7", {"alpha": 4, "beta": Fraction(10**400)}),
@@ -246,10 +256,9 @@ class TestGetExpansion:
             assert e.side in ("both", "left_of_zero", "right_of_zero")
 
     def test_delegated_tables(self):
-        e = get_expansion("a5", alpha=2)
-        assert [d.as_fraction() for d in e.derivative_sequence(3)] == [2, 2, 0]
+        assert [d.as_fraction() for d in derivative_sequence("a5", 3, alpha=2)] == [2, 2, 0]
         assert bell_values("a5", 3, alpha=2)[3][2] == 12
-        assert [c.as_fraction() for c in e.series(4).coeffs] == [0, 2, 1, 0, 0]
+        assert [c.as_fraction() for c in family_series("a5", 4, alpha=2).coeffs] == [0, 2, 1, 0, 0]
 
 
 # (lo, hi, lo_closed, hi_closed) per family; None marks endpoints checked

@@ -36,6 +36,8 @@ class TestConstruction:
     def test_from_string(self):
         assert ExactScalar("2/3").as_fraction() == Fraction(2, 3)
         assert ExactScalar("-5").as_fraction() == -5
+        with pytest.raises(ValueError, match="'1/0'"):
+            ExactScalar("1/0")
 
     def test_from_float_is_approximate(self):
         s = ExactScalar(0.5)

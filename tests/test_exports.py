@@ -19,14 +19,26 @@ def test_all_names_resolve(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_exports_its_modules_lists():
+    import funcseries
+    from funcseries import approx, bell, catalog, exact, pseries
+
+    lists = [exact.__all__, pseries.__all__, catalog.__all__, approx.__all__, bell.__all__]
+    expected = ["__version__"] + [name for names in lists for name in names]
+    assert sorted(funcseries.__all__) == sorted(expected)
+    assert len(set(funcseries.__all__)) == len(funcseries.__all__)
+    assert funcseries._BELL_NAMES == set(bell.__all__)
+
+
 def test_bell_names_resolve_after_a_bare_import():
-    # bell loads on first use, through the package's module __getattr__
+    # bell loads on first use, through the package's module __getattr__;
+    # cli is not re-exported, so a bare import leaves argparse unloaded
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         importlib.import_module("funcseries").__file__)))
     code = (
         "import sys\n"
         "import funcseries\n"
-        "print('funcseries.bell' in sys.modules)\n"
+        "print('funcseries.bell' in sys.modules, 'funcseries.cli' in sys.modules)\n"
         "print(funcseries.bell.__name__, funcseries.bell_values is funcseries.bell.bell_values)\n"
         "from funcseries import gate_report\n"
         "print(gate_report is funcseries.bell.gate_report, funcseries.gate_report())\n"
@@ -39,7 +51,7 @@ def test_bell_names_resolve_after_a_bare_import():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == [
-        "False",
+        "False False",
         "funcseries.bell True",
         "True {}",
         "module 'funcseries' has no attribute 'no_such_name'",
