@@ -9,13 +9,14 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 
 import pytest
 
 import funcseries
-from funcseries import cli
+from funcseries import cli, scalar
 from funcseries.cli import _linspace, main
 
 
@@ -36,6 +37,52 @@ n,decimal,exact
 4,0.50000000000000000,1/2
 5,0.40000000000000000,2/5
 """
+
+
+# Number text through the CLI's readers: (token, --at reading, rational
+# flag reading, scalar(token)), a float as its IEEE-754 bits in hex, a
+# rational as (numerator, denominator), None for a usage error (ValueError
+# for scalar).
+NUMBER_TOKENS = [
+    ("2", "4000000000000000", (2, 1), (2, 1)),
+    ("-3/4", "bfe8000000000000", (-3, 4), (-3, 4)),
+    (" 1/2 ", "3fe0000000000000", (1, 2), (1, 2)),
+    ("0.1", "3fb999999999999a", (1, 10), (1, 10)),
+    ("2.5e-3", "3f647ae147ae147b", (1, 400), (1, 400)),
+    ("1E5", "40f86a0000000000", (100000, 1), (100000, 1)),
+    ("1e300", "7e37e43c8800759c", (10**300, 1), (10**300, 1)),
+    ("1e400", "7ff0000000000000", (10**400, 1), (10**400, 1)),
+    ("-1e400", "fff0000000000000", (-10**400, 1), (-10**400, 1)),
+    ("1e-400", "0000000000000000", (1, 10**400), (1, 10**400)),
+    ("-1e-400", "8000000000000000", (-1, 10**400), (-1, 10**400)),
+    ("inf", "7ff0000000000000", None, None),
+    ("-inf", "fff0000000000000", None, None),
+    ("nan", "7ff8000000000000", None, None),
+    ("1/0", None, None, None),
+    ("abc", None, None, None),
+    ("", None, None, None),
+    ("1e10000", "7ff0000000000000", (10**10000, 1), (10**10000, 1)),
+    ("1e+10000", "7ff0000000000000", (10**10000, 1), (10**10000, 1)),
+    ("0.5e10000", "7ff0000000000000", (5 * 10**9999, 1), (5 * 10**9999, 1)),
+    ("-1e-10000", "8000000000000000", (-1, 10**10000), (-1, 10**10000)),
+]
+
+
+def _outcome(convert, token, error):
+    try:
+        value = convert(token)
+    except error:
+        return None
+    if isinstance(value, float):
+        return struct.pack(">d", value).hex()
+    return (value.numerator, value.denominator)
+
+
+@pytest.mark.parametrize("token, point, rational, exact", NUMBER_TOKENS)
+def test_number_token_readings(token, point, rational, exact):
+    assert _outcome(cli._parse_point, token, cli.UsageError) == point
+    assert _outcome(cli._parse_rational, token, cli.UsageError) == rational
+    assert _outcome(scalar, token, ValueError) == exact
 
 
 class TestExitCodes:
