@@ -215,10 +215,7 @@ def function_from_derivatives(values: Sequence, name: str = "custom", x0=0) -> F
 def _to_float(value: ExactScalar, name: str) -> float:
     """float(value); a value beyond the float range, exact or a float that
     assembly rounded to +-inf, is a DomainError."""
-    try:
-        f = float(value)
-    except OverflowError:
-        f = math.inf
+    f = _as_float(value)
     if not math.isfinite(f):
         raise DomainError(f"{name} is beyond the float range")
     return f

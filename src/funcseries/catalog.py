@@ -798,10 +798,7 @@ PARAM_DEFAULTS = {key: dict(f.defaults) for key, f in FAMILIES.items() if f.defa
 def _float_param(value: ExactScalar, what: str, nonzero: bool = False) -> float:
     """float(value), or ValueError when the float evaluators cannot use it:
     it has no finite float, or it must not be 0 and rounds to 0.0."""
-    try:
-        f = float(value)
-    except OverflowError:
-        f = math.inf
+    f = _as_float(value)
     if not math.isfinite(f):
         raise ValueError(f"{what} has no finite float value")
     if nonzero and f == 0.0:
@@ -872,7 +869,8 @@ def _expansion(key: str, params: tuple) -> Expansion:
 
 
 def _as_float(x) -> float:
-    """float(x), with an int or Fraction beyond the float range read as +-inf."""
+    """float(x), with an int, Fraction or exact scalar beyond the float range
+    read as +-inf: the package's one statement of that rule."""
     try:
         return float(x)
     except OverflowError:

@@ -5,6 +5,10 @@ round-trip decimal padded to 17 significant digits, CSV uses LF line
 endings and a header row, and grids are the points numpy.linspace gives
 for the parsed start:stop:count triple, computed in plain Python so that
 only the radius command imports numpy (the optional "radius" extra).
+The CLI has no number rule of its own: every number, a flag's or a
+derivative file's, is read by :func:`funcseries.exact.scalar`, and a point
+(--at, a grid end) falls back to float() only for what that refuses (inf,
+nan, a decimal exponent beyond its bound).
 Likewise json and csv are imported by the commands that write them, so
 start-up loads only what every command needs; no command loads the Bell
 verifiers of :mod:`funcseries.bell`.
@@ -18,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .approx import (
@@ -33,7 +36,8 @@ from .approx import (
     function_from_derivatives,
     taylor_baseline,
 )
-from .catalog import ConvergenceError, DomainError, get_expansion, map_domain
+from .catalog import ConvergenceError, DomainError, _as_float, get_expansion, map_domain
+from .exact import ExactScalar, scalar
 from .pseries import FAMILY_KEYS
 
 __all__ = ["main", "UsageError"]
@@ -53,7 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 # Converters for argparse's type=.  argparse turns only ArgumentTypeError,
 # TypeError and ValueError into its own message, so the UsageError each of
-# them raises reaches main() with its text unchanged.
+# them raises reaches main() with its text unchanged.  Number text goes to
+# scalar, the package's one reader of it.
 
 
 def _parse_expansions(text: str) -> tuple:
@@ -64,63 +69,50 @@ def _parse_expansions(text: str) -> tuple:
     return keys
 
 
-def _parse_terms(text: str) -> int:
+def _parse_count(text: str, flag: str = "--terms") -> int:
+    """A count: --terms, an --n-list entry or the grid's; at least 1."""
     try:
-        terms = int(text)
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise UsageError(f"{flag} must be a positive integer, got {text!r}")
+    return count
+
+
+def _parse_rational(text: str) -> ExactScalar:
+    try:
+        return scalar(text)
     except ValueError as err:
-        raise UsageError(f"--terms must be an integer, got {text!r}") from err
-    if terms < 1:
-        raise UsageError("--terms must be at least 1")
-    return terms
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise UsageError(f"not a rational number: {text!r}") from err
+        raise UsageError(str(err)) from None
 
 
 def _parse_point(text: str) -> float:
+    """scalar(text) as a float, beyond the float range +-inf; what scalar
+    refuses (inf, nan, an exponent beyond its bound) as float() reads it."""
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):  # float("1e400") is inf
+        return _as_float(scalar(text))
+    except ValueError:
         pass
     try:
         return float(text)
-    except ValueError as err:
-        raise UsageError(f"not a number: {text!r}") from err
+    except ValueError:
+        raise UsageError(f"not a number: {text!r}") from None
 
 
 def _parse_grid(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must be start:stop:count, got {text!r}")
-    start = _parse_point(parts[0])
-    stop = _parse_point(parts[1])
-    try:
-        count = int(parts[2])
-    except ValueError as err:
-        raise UsageError(f"grid count must be an integer, got {parts[2]!r}") from err
-    if count < 1:
-        raise UsageError("grid count must be at least 1")
+        raise UsageError(f"--grid must be start:stop:count, got {text!r}")
+    start, stop = _parse_point(parts[0]), _parse_point(parts[1])
+    count = _parse_count(parts[2], "--grid count")
     if start > stop:
-        raise UsageError("grid start must not exceed stop")
+        raise UsageError("--grid start must not exceed stop")
     return (start, stop, count)
 
 
 def _parse_n_list(text: str) -> tuple:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        try:
-            n = int(piece)
-        except ValueError as err:
-            raise UsageError(f"--n-list entries must be integers, got {piece!r}") from err
-        if n < 1:
-            raise UsageError("--n-list entries must be at least 1")
-        out.append(n)
-    return tuple(out)
+    return tuple(_parse_count(piece, "--n-list entry") for piece in text.split(","))
 
 
 _PLAIN_BUILTINS = tuple(name for name in BUILTIN_FUNCTIONS if name != "pow")  # no alpha
@@ -133,7 +125,7 @@ def _load_function(spec_text: str) -> FunctionSpec:
     if spec_text == "pow":
         raise UsageError("builtin 'pow' needs an exponent, e.g. pow:1/5")
     if spec_text.startswith("pow:"):
-        return builtin_function("pow", alpha=_parse_rational(spec_text[4:]))
+        return builtin_function("pow", alpha=spec_text[4:])
     if os.path.exists(spec_text):
         values = []
         with open(spec_text, "r", encoding="utf-8") as fh:
@@ -142,11 +134,9 @@ def _load_function(spec_text: str) -> FunctionSpec:
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    values.append(Fraction(line))
-                except (ValueError, ZeroDivisionError) as err:
-                    raise UsageError(
-                        f"{spec_text}:{lineno}: not a rational number: {line!r}"
-                    ) from err
+                    values.append(scalar(line))
+                except ValueError as err:
+                    raise UsageError(f"{spec_text}:{lineno}: {err}") from None
         if not values:
             raise UsageError(f"{spec_text}: no derivative values found")
         name = os.path.splitext(os.path.basename(spec_text))[0]
@@ -166,32 +156,24 @@ def _build_model(key: str, func: FunctionSpec, terms: int, alpha=None, beta=None
     return assemble(get_expansion(key, alpha=alpha, beta=beta, w=w), func, terms)
 
 
-def _open_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _write_csv(path: Optional[str], header, rows):
-    """Write header and rows as CSV to the file at path, or to stdout."""
-    import csv
-
-    fh, owned = _open_out(path)
+def _write(path: Optional[str], header, rows, doc=None):
+    """Write doc as indented JSON, or else header (unless None) and rows as
+    CSV, to the file at path or to stdout: every command's one writer."""
+    fh = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if owned:
-            fh.close()
+        if doc is not None:
+            import json
 
+            fh.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            import csv
 
-def _write_text(path: Optional[str], text: str):
-    fh, owned = _open_out(path)
-    try:
-        fh.write(text)
+            writer = csv.writer(fh, lineterminator="\n")
+            if header is not None:
+                writer.writerow(header)
+            writer.writerows(rows)
     finally:
-        if owned:
+        if path is not None:
             fh.close()
 
 
@@ -230,7 +212,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         delta_a8 = abs(evaluate(assemble(a8, func, n), x) - exact)
         delta_tp = abs(evaluate(taylor_baseline(func, n), x) - exact)
         rows.append([str(n), format_decimal(delta_a8), format_decimal(delta_tp)])
-    _write_csv(args.out, ["N", "delta_a8", "delta_tp"], rows)
+    _write(args.out, ["N", "delta_a8", "delta_tp"], rows)
     return 0
 
 
@@ -243,8 +225,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     manifest = []
 
     def emit(filename, header, rows, func_name, family):
-        _write_csv(os.path.join(args.out, filename), header, rows)
-        kept = [float(r[0]) for r in rows]
+        """Write rows of floats, x first, and list the file in the manifest."""
+        _write(os.path.join(args.out, filename), header,
+               [[format_decimal(v) for v in row] for row in rows])
+        kept = [row[0] for row in rows]
         manifest.append([
             func_name, family, filename, str(len(rows)),
             format_decimal(min(kept)) if kept else "nan",
@@ -256,39 +240,21 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         for family in _FIGURE_FAMILIES:
             # figures takes no --alpha/--beta/--w: each family at its catalog defaults
             model = _build_model(family, func, args.terms)
-            rows = []
-            for point in error_report(model, xs):
-                if point.note or math.isnan(point.exact):
-                    continue  # outside the family's or the target's domain
-                rows.append([
-                    format_decimal(point.x),
-                    format_decimal(point.approx),
-                    format_decimal(point.exact),
-                ])
-            emit(
-                f"{func_name}_{family}.csv", ["x", "approx", "exact"],
-                rows, func_name, family,
-            )
+            # only the points inside both the family's and the target's domain
+            rows = [(point.x, point.approx, point.exact) for point in error_report(model, xs)
+                    if not point.note and not math.isnan(point.exact)]
+            emit(f"{func_name}_{family}.csv", ["x", "approx", "exact"], rows, func_name, family)
 
     # The fifth-root experiment: one file, both approximants side by side.
-    func = builtin_function("pow", alpha=Fraction(1, 5))
+    func = builtin_function("pow", alpha="1/5")
     a5 = assemble(get_expansion("a5", alpha=2), func, args.terms)
     tp = taylor_baseline(func, args.terms)
-    rows = []
-    for x in _linspace(-1.0, 6.0, 281):
-        rows.append([
-            format_decimal(x),
-            format_decimal(evaluate(a5, x)),
-            format_decimal(evaluate(tp, x)),
-            format_decimal(func.value_at(x)),
-        ])
-    emit(
-        "fifth_root.csv", ["x", "approx_a5", "approx_tp", "exact"],
-        rows, func.name, "a5",
-    )
+    rows = [(x, evaluate(a5, x), evaluate(tp, x), func.value_at(x))
+            for x in _linspace(-1.0, 6.0, 281)]
+    emit("fifth_root.csv", ["x", "approx_a5", "approx_tp", "exact"], rows, func.name, "a5")
 
-    _write_csv(os.path.join(args.out, "manifest.csv"),
-               ["function", "expansion", "file", "points", "x_lo", "x_hi"], manifest)
+    _write(os.path.join(args.out, "manifest.csv"),
+           ["function", "expansion", "file", "points", "x_lo", "x_hi"], manifest)
     return 0
 
 
@@ -302,16 +268,12 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
     key = _require_single_expansion(args)
     func = _load_function(args.function)
     model = _build_model(key, func, args.terms, args.alpha, args.beta, args.w)
-    if args.fmt == "json":
-        import json
-
-        _write_text(args.out, json.dumps(model.to_json_dict(), indent=2) + "\n")
-        return 0
     # to_json_dict gives the decimal column, and raises DomainError for a
     # coefficient beyond the float range
+    doc = model.to_json_dict()
     rows = [[str(entry["n"]), entry["decimal"], str(c) if c.is_exact else ""]
-            for entry, c in zip(model.to_json_dict()["coefficients"], model.coefficients)]
-    _write_csv(args.out, ["n", "decimal", "exact"], rows)
+            for entry, c in zip(doc["coefficients"], model.coefficients)]
+    _write(args.out, ["n", "decimal", "exact"], rows, doc if args.fmt == "json" else None)
     return 0
 
 
@@ -322,19 +284,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     model = _build_model(key, _load_function(args.function), args.terms,
                          args.alpha, args.beta, args.w)
     if args.at is not None:
-        _write_text(args.out, format_decimal(evaluate(model, args.at)) + "\n")
+        _write(args.out, None, [[format_decimal(evaluate(model, args.at))]])
         return 0
-    failed = False
-    rows = []
-    for x in _linspace(*args.grid):
-        try:
-            value = evaluate(model, x)
-        except DomainError:
-            value = math.nan
-            failed = True
-        rows.append([format_decimal(x), format_decimal(value)])
-    _write_csv(args.out, ["x", "approx"], rows)
-    return 2 if failed else 0
+    report = error_report(model, _linspace(*args.grid))
+    _write(args.out, ["x", "approx"],
+           [[format_decimal(point.x), format_decimal(point.approx)] for point in report])
+    return 2 if any(point.note for point in report) else 0
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
@@ -345,19 +300,9 @@ def _cmd_radius(args: argparse.Namespace) -> int:
                          args.alpha, args.beta, args.w)
     radius = estimate_radius(model)
     interval = map_domain(model.expansion, radius if math.isfinite(radius) else math.inf)
-    if args.fmt == "json":
-        import json
-
-        _write_text(args.out, json.dumps({
-            "R": format_decimal(radius),
-            "x_lo": format_decimal(interval.lo),
-            "x_hi": format_decimal(interval.hi),
-        }, indent=2) + "\n")
-        return 0
-    _write_csv(args.out, ["R", "x_lo", "x_hi"], [[
-        format_decimal(radius), format_decimal(interval.lo),
-        format_decimal(interval.hi),
-    ]])
+    header = ["R", "x_lo", "x_hi"]
+    row = [format_decimal(radius), format_decimal(interval.lo), format_decimal(interval.hi)]
+    _write(args.out, header, [row], dict(zip(header, row)) if args.fmt == "json" else None)
     return 0
 
 
@@ -372,22 +317,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for key in args.expansions:
         model = _build_model(key, func, args.terms, args.alpha, args.beta, args.w)
-        for point in error_report(model, xs):
-            if point.note:
-                failed = True
-            rows.append([
-                key,
-                format_decimal(point.x),
-                format_decimal(point.approx),
-                format_decimal(point.exact),
-                format_decimal(point.delta),
-            ])
-    _write_csv(args.out, ["expansion", "x", "approx", "exact", "delta"], rows)
+        report = error_report(model, xs)
+        failed = failed or any(point.note for point in report)
+        rows += [[key] + [format_decimal(v) for v in (p.x, p.approx, p.exact, p.delta)]
+                 for p in report]
+    _write(args.out, ["expansion", "x", "approx", "exact", "delta"], rows)
     return 2 if failed else 0
 
 
 def _add_terms_flag(sub):
-    sub.add_argument("--terms", type=_parse_terms, default=8,
+    sub.add_argument("--terms", type=_parse_count, default=8,
                      help="matched derivative order N (default 8)")
 
 

@@ -59,8 +59,15 @@ __all__ = [
 ScalarLike = Union[int, float, Fraction, str, "ExactScalar"]
 
 
+# The largest decimal exponent a scalar string may carry: Fraction("1e10000")
+# builds its power of ten in a fraction of a millisecond, while a larger
+# exponent costs big-integer time and memory that grows with it.
+_MAX_EXPONENT = 10_000
+
+
 def _coerce(value: ScalarLike):
-    """Return the raw Fraction or float behind any scalar-like input."""
+    """Return the raw Fraction or float behind any scalar-like input; a
+    string is read, or refused with ValueError, as :func:`scalar` states."""
     if type(value) is Fraction or type(value) is float:  # already raw; Fraction(value) only copies
         return value
     if isinstance(value, ExactScalar):
@@ -72,10 +79,19 @@ def _coerce(value: ScalarLike):
     if isinstance(value, float):
         return value
     if isinstance(value, str):
+        # checked first: Fraction would build the power of ten at once
+        _, e, exponent = value.replace("E", "e").rpartition("e")
+        try:
+            beyond = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:  # not an exponent, which Fraction refuses too
+            beyond = False
+        if beyond:
+            raise ValueError(f"{value!r} has a decimal exponent beyond "
+                             f"+-{_MAX_EXPONENT}")
         try:
             return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in scalar {value!r}") from None
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"not a rational number: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
 
 
@@ -272,7 +288,14 @@ def _tagged(value: ExactScalar) -> tuple:
 
 
 def scalar(value: ScalarLike) -> ExactScalar:
-    """Coerce any scalar-like value to :class:`ExactScalar`."""
+    """Coerce any scalar-like value to :class:`ExactScalar`.
+
+    This is the package's one reader of number text: a string such as
+    "2", "-3/4", "0.1" or "2.5e-3" is read exactly, as Fraction reads it.
+    A decimal exponent beyond +-10000 (``_MAX_EXPONENT``), a zero
+    denominator or a string that is no number ("abc", "inf", "nan") raises
+    ValueError, the first before any power of ten is built.
+    """
     if isinstance(value, ExactScalar):
         return value
     return ExactScalar(value)

@@ -65,6 +65,12 @@ NUMBER_TOKENS = [
     ("1e+10000", "7ff0000000000000", (10**10000, 1), (10**10000, 1)),
     ("0.5e10000", "7ff0000000000000", (5 * 10**9999, 1), (5 * 10**9999, 1)),
     ("-1e-10000", "8000000000000000", (-1, 10**10000), (-1, 10**10000)),
+    # beyond the reader's bound: refused before 10**10001 is built, and a
+    # point reads as float() reads it
+    ("1e10001", "7ff0000000000000", None, None),
+    ("-1e10001", "fff0000000000000", None, None),
+    ("1e-10001", "0000000000000000", None, None),
+    ("-1E-10_001", "8000000000000000", None, None),
 ]
 
 
@@ -113,6 +119,17 @@ class TestExitCodes:
             assert main(argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error:") or "usage" in err.lower(), argv
+        # a count that is no positive integer: one error line naming the flag
+        for argv, flag in [
+            (["coeffs", "--expansion", "a8", "--function", "ln1p", "--terms", "0"], "--terms"),
+            (["coeffs", "--expansion", "a8", "--function", "ln1p", "--terms", "x"], "--terms"),
+            (["table", "--n-list", "3,0"], "--n-list"),
+            (["eval", "--expansion", "a1", "--function", "ln1p", "--grid=0:1:0"], "--grid"),
+            (["eval", "--expansion", "a1", "--function", "ln1p", "--grid=0:1:x"], "--grid"),
+        ]:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and flag in err, argv
 
     def test_domain_errors_return_two(self, capsys):
         rc = main(["eval", "--expansion", "a1", "--function", "ln1p", "--at=-2"])
@@ -405,6 +422,80 @@ class TestDerivativeFiles:
         rc = main(["coeffs", "--expansion", "a1", "--function", str(path), "--terms", "5"])
         assert rc == 1
         capsys.readouterr()
+
+
+def _in_child(code: str, *args: str):
+    """The JSON that code prints in a fresh interpreter, within 20 s, so
+    that a reader which builds a huge power of ten fails the test instead
+    of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(funcseries.__file__)))
+    r = subprocess.run([sys.executable, "-c", code, *args], env=dict(os.environ, PYTHONPATH=src),
+                       capture_output=True, text=True, timeout=20)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+HUGE = "1e999999999"
+
+
+def test_huge_exponent_is_a_prompt_value_error():
+    code = (
+        "import json, sys, time\n"
+        "from funcseries import (builtin_function, function_from_derivatives,"
+        " get_expansion, scalar)\n"
+        "huge = sys.argv[1]\n"
+        "calls = [lambda: scalar(huge), lambda: get_expansion('a5', alpha=huge),\n"
+        "         lambda: builtin_function('exp', x0=huge),\n"
+        "         lambda: builtin_function('pow', alpha=huge),\n"
+        "         lambda: function_from_derivatives(['1', huge])]\n"
+        "out = []\n"
+        "for call in calls:\n"
+        "    start = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "        raised = None\n"
+        "    except ValueError as err:\n"
+        "        raised = str(err)\n"
+        "    out.append([raised, time.perf_counter() - start])\n"
+        "print(json.dumps(out))\n"
+    )
+    for raised, seconds in _in_child(code, HUGE):
+        assert raised is not None and "exponent" in raised
+        assert seconds < 1.0
+
+
+def test_huge_exponent_on_the_command_line(tmp_path):
+    path = tmp_path / "huge.derivs"
+    path.write_text(f"1\n{HUGE}\n")
+    at = ["eval", "--expansion", "a1", "--function", "exp"]
+    cases = [
+        ["eval", "--expansion", "a5", f"--alpha={HUGE}", "--function", "exp", "--at=0.5"],
+        ["coeffs", "--expansion", "a1", "--function", f"pow:{HUGE}"],
+        ["coeffs", "--expansion", "a1", "--function", str(path), "--terms", "1"],
+        at + [f"--at={HUGE}"], at + ["--at=1e400"],
+        at + ["--at=-1e-999999999"], at + ["--at=-1e-400"],
+    ]
+    code = (
+        "import contextlib, io, json, sys, time\n"
+        "from funcseries.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    stdout, stderr = io.StringIO(), io.StringIO()\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):\n"
+        "        rc = main(argv)\n"
+        "    out.append([rc, stdout.getvalue(), stderr.getvalue(), time.perf_counter() - start])\n"
+        "print(json.dumps(out))\n"
+    )
+    runs = _in_child(code, json.dumps(cases))
+    assert all(seconds < 1.0 for *_, seconds in runs)
+    for rc, out, err, _ in runs[:3]:
+        assert (rc, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "exponent" in err
+    assert f"{path}:2:" in runs[2][2]
+    # a point beyond the bound reads as float() reads it: +inf, or -0.0
+    assert runs[3][:3] == runs[4][:3] and runs[3][0] == 2 and runs[3][1] == ""
+    assert runs[5][:3] == runs[6][:3] and runs[5][0] == 0
 
 
 class TestLinspace:
