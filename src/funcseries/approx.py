@@ -9,11 +9,11 @@ derivative of F = f o h over n!, with h the inverse basis.
 
 :func:`assemble` computes that sum exactly, each float input taken as its
 exact binary value, by one of two routes.  A target is data: a table of
-its known derivatives, and for exp and ln1p (at every x0) and pow a
-first-order linear ODE that states every f^(k) in closed form.  An ODE
-target takes J. C. P. Miller's O(N**2) composition recurrence, :func:`_composed`;
-every other (sin and sq, their tables ending at ``MAX_ORDER``, a derivative
-list) the Bell column kernel of :mod:`funcseries.exact`, :func:`_kernel_rows`.
+its known derivatives and, for every builtin, a linear ODE of order m that
+states the rest (exp, ln1p and pow of first order, sin and sq of second).
+A builtin takes J. C. P. Miller's O(N**2) composition recurrence,
+:func:`_composed`, over the state (f o h, ..., f^(m-1) o h); a derivative
+list the Bell column kernel of :mod:`funcseries.exact`, :func:`_kernel_rows`.
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
@@ -27,15 +27,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import accumulate, chain, repeat
-from operator import add, and_, mul
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_float,
                       _float_param, eval_g, get_expansion)
 from .exact import (ONE, ZERO, ExactScalar, _binary, _columns, _Record, _round, _supports,
                     _tagged, scalar)
-from .pseries import MAX_ORDER, TruncatedSeries, _check_order, family_series, get_family
+from .pseries import TruncatedSeries, _check_order, family_series, get_family
 
 __all__ = [
     "BUILTIN_FUNCTIONS",
@@ -57,15 +57,15 @@ class FunctionSpec(_Record):
     """A target function known through its derivatives at a base point.
 
     _table holds the known f^(0), f^(1), ...: a derivative list's values,
-    sin's and sq's up to ``MAX_ORDER``, f(x0) alone for a target with an ODE.
-    _ode, which follows from name and x0, is (rho, a, b) when
-    (1 + rho x) f'(x) = a f(x) + b; it states every other f^(k) in closed
-    form (see :meth:`derivative`), float-tagged where the input _source is
-    a float, and :func:`assemble` then takes the composition recurrence.
-    domain is where the float reference evaluator _value is defined;
-    _table, _value, _ode and _source are fields that repr leaves out.  A
-    builtin's name carries its parameters (pow's alpha), so specs compare
-    and hash by (name, x0, _table), each scalar tagged with its exactness.
+    or a builtin's f^(0) .. f^(m-1), whose _ode (rho, a, b) states the
+    ODE (1 + rho x) f^(m) = a_0 f + ... + a_(m-1) f^(m-1) + b, rho != 0
+    only for m = 1; it gives every other f^(k) (see :meth:`derivative`),
+    and :func:`assemble` then takes the composition recurrence.  _source
+    is the input the ODE is made from (ln1p's x0, pow's alpha).  domain is
+    where the float reference evaluator _value is defined; _table, _value,
+    _ode and _source are fields that repr leaves out.  A builtin's name
+    carries its parameters (pow's alpha), so specs compare and hash by
+    (name, x0, _table), each scalar tagged with its exactness.
     """
 
     __slots__ = _fields = ("name", "x0", "domain", "_table", "_value", "_ode", "_source")
@@ -82,10 +82,9 @@ class FunctionSpec(_Record):
     def derivative(self, n: int) -> ExactScalar:
         """n-th derivative at x0; n = 0 is the function value.
 
-        Read from _table, else from the ODE over integers (see
-        :func:`_ode_ints`): f' = a f(x0) + b and, differentiating the ODE
-        k - 1 times at 0, f^(k) = f' (a - rho) (a - 2 rho) ... (a - (k-1) rho),
-        exact or, where _source is a float, rounded once.
+        Read from _table below its length, else from the ODE: f o h at h = x
+        (d_1 = 1, every other d_j = 0) through :func:`_composed`, exact or,
+        where a float input reaches it, rounded once.
         """
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("derivative order must be a non-negative integer")
@@ -94,11 +93,30 @@ class FunctionSpec(_Record):
         if self._ode is None:
             raise ValueError(f"function {self.name!r} provides derivatives only up to order "
                              f"{len(self._table) - 1}, order {n} requested")
-        t, rho, a, b = _ode_ints(self._ode)
-        p, q = self._table[0]._v.as_integer_ratio()
-        num = (a * p + b * q) * math.prod(a - i * rho for i in range(1, n))
-        den = t**n * q
-        return ExactScalar(Fraction(num, den) if self._source.is_exact else _round(num, den))
+        ode, start, floats = self._inputs(n)
+        p, s = _composed([1] + [0] * (n - 1), n, ode, start)[-1]
+        return ExactScalar(_round(p, s) if floats >> n & 1 else Fraction(p, s))
+
+    def _inputs(self, order: int) -> tuple:
+        """(ode, start, floats) for :func:`_composed`: the ODE (t, rho, a, b)
+        over the integers and _table, each float read as its binary value
+        and f(x0) as 0 where no term reads it (a_0 = 0: ln1p, and sq, whose
+        f(x0) is ~inf for |x0| > 1.34e154).  Bit k of floats, k <= order,
+        marks a float f^(k): every k >= m for a float _source, and where a
+        float _table entry has a nonzero coefficient, f o h at h = x over
+        that unit start with b = 0."""
+        rho, a, b = self._ode
+        ratios = [v.as_integer_ratio() for v in (rho, *a, b)]
+        t = math.lcm(*(q for _, q in ratios))
+        rho, *a, b = (p * (t // q) for p, q in ratios)
+        table = [v._v if l or a[0] else 0 for l, v in enumerate(self._table)]
+        start = _binary(table, f"derivative f^({{}}) of {self.name!r}")[0]
+        floats = 0 if self._source is None or self._source.is_exact else -1 << len(a)
+        for l in (l for l, v in enumerate(self._table) if not v.is_exact):
+            unit = [int(i == l) for i in range(len(a))]
+            rows = _composed([1] + [0] * (order - 1), order, (t, rho, a, 0), unit)
+            floats |= 1 << l | sum(bool(p) << k for k, (p, _) in enumerate(rows, 1))
+        return (t, rho, a, b), start, floats
 
     def value_at(self, x: float) -> Optional[float]:
         """Reference value f(x), or None when unavailable at this x; inf
@@ -115,13 +133,6 @@ class FunctionSpec(_Record):
 
 
 BUILTIN_FUNCTIONS = ("exp", "sin", "sq", "ln1p", "pow")
-
-
-def _ode_ints(ode: tuple) -> tuple:
-    """(t, rho, a, b): ode = (rho, a, b), a float read as its binary value,
-    as integers over their common denominator t."""
-    t = math.lcm(*(Fraction(c).denominator for c in ode))
-    return (t, *(int(Fraction(c) * t) for c in ode))
 
 
 # The builtins' float references are module-level functions, so a spec pickles.
@@ -142,15 +153,15 @@ def _one(x: float) -> float:
 def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
     """A ready-made target: exp, sin, sq (x^2), ln1p, or pow ((1+x)^alpha).
 
-    exp, ln1p and pow keep f(x0) and declare their ODE (see
-    :class:`FunctionSpec`), which states each f^(k), k >= 1, exact or, where
-    the input it names is a float (exp's f(x0), ln1p's x0, pow's alpha),
-    rounded once.  sin and sq keep a table of f^(0) .. f^(MAX_ORDER), the
-    cap of :func:`assemble`; a higher order raises ValueError.  f(x0) of exp
-    and ln1p and sin's derivatives at x0 != 0 are floats, which
-    :func:`assemble` takes as exact binary values.  "pow" requires alpha
-    and x0 = 0.  An alpha, x0 or exp(x0) without a finite float raises
-    ValueError.
+    Each keeps f^(0) .. f^(m-1) at x0 and declares its order-m ODE (see
+    :class:`FunctionSpec`): exp f' = f, ln1p (1 + x0 + x) f' = 1, pow
+    (1 + x) f' = alpha f, sin f'' = -f and sq f'' = 2.  The ODE states
+    every other f^(k), exact or, where a float input reaches it (exp's
+    f(x0), ln1p's x0, pow's alpha, sin's f(x0) and f'(x0)), rounded once.
+    f(x0) of exp and ln1p, sin's values at x0 != 0 and sq's at a float x0
+    are floats, which :func:`assemble` takes as exact binary values.
+    "pow" requires alpha and x0 = 0.  An alpha, x0 or exp(x0) without a
+    finite float raises ValueError.
     """
     x0v = scalar(x0)
     x0f = _float_param(x0v, "x0")
@@ -165,7 +176,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             dom, value = Interval(-1.0, math.inf, lo_closed=av > 0), partial(_pow, af)
         else:
             dom, value = _FULL_LINE, _one
-        return FunctionSpec(f"pow:{av}", x0v, dom, (ONE,), value, (1, av._v, 0), av)
+        return FunctionSpec(f"pow:{av}", x0v, dom, (ONE,), value, (1, (av._v,), 0), av)
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
 
@@ -174,17 +185,14 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             d0 = ONE if x0v == 0 else scalar(math.exp(x0f))
         except OverflowError:
             raise ValueError("builtin 'exp' f(x0) has no finite float value") from None
-        return FunctionSpec("exp", x0v, _FULL_LINE, (d0,), math.exp, (0, 1, 0), d0)
+        return FunctionSpec("exp", x0v, _FULL_LINE, (d0,), math.exp, (0, (1,), 0))
 
     if name == "sin":
-        s, c = (0, 1) if x0v == 0 else (math.sin(x0f), math.cos(x0f))
-        cycle = tuple(map(scalar, (s, c, -s, -c)))
-        table = (cycle * (MAX_ORDER // 4 + 1))[:MAX_ORDER + 1]
-        return FunctionSpec("sin", x0v, _FULL_LINE, table, math.sin)
+        s, c = (ZERO, ONE) if x0v == 0 else (scalar(math.sin(x0f)), scalar(math.cos(x0f)))
+        return FunctionSpec("sin", x0v, _FULL_LINE, (s, c), math.sin, (0, (-1, 0), 0))
 
     if name == "sq":
-        table = (x0v * x0v, 2 * x0v, scalar(2), *repeat(ZERO, MAX_ORDER - 2))
-        return FunctionSpec("sq", x0v, _FULL_LINE, table, _square)
+        return FunctionSpec("sq", x0v, _FULL_LINE, (x0v * x0v, 2 * x0v), _square, (0, (0, 0), 2))
 
     if name == "ln1p":
         base = Fraction(x0v._v) + 1  # a float x0 as its exact binary value
@@ -192,7 +200,7 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             raise ValueError("builtin 'ln1p' requires x0 > -1")
         d0 = ZERO if x0v == 0 else scalar(math.log1p(x0f))
         return FunctionSpec("ln1p", x0v, Interval(-1.0, math.inf), (d0,), math.log1p,
-                            (1 / base, 0, 1 / base), x0v)
+                            (1 / base, (0,), 1 / base), x0v)
 
     raise ValueError(f"unknown builtin function {name!r}")
 
@@ -252,14 +260,14 @@ class ApproximationModel(_Record):
 
     def to_json_dict(self) -> dict:
         def exact_str(v: ExactScalar) -> str:
-            return str(v.as_fraction()) if v.is_exact else repr(float(v))
+            return str(v) if v.is_exact else repr(float(v))
 
         rows = []
         for n, c in enumerate(self.coefficients):
             entry = {"n": n, "decimal": format_decimal(_to_float(c, f"coefficient a_{n}"))}
             if c.is_exact:
-                fr = c.as_fraction()
-                entry["exact"] = {"num": str(fr.numerator), "den": str(fr.denominator)}
+                num, _, den = str(c).partition("/")
+                entry["exact"] = {"num": num, "den": den or "1"}
             else:
                 entry["exact"] = None
             rows.append(entry)
@@ -280,8 +288,8 @@ def _kernel_rows(f: list, values: list, order: int) -> list:
     f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
     e_j, h^(j)(0) = d_j = r**j e_j, as ints or Fractions; F^(n) is the sum
     over k of f^(k) B(n, k)(d_1, d_2, ...), with the columns cut at the
-    last nonzero f^(k) (2 for sq).  B(n, k) has weight n in the d_j, so
-    the columns run over the e_j.  With column k = P_k / S_k from the Bell
+    last nonzero f^(k) (d for a degree-d list).  B(n, k) has weight n in
+    the d_j, so the columns run over the e_j.  With column k = P_k / S_k from the Bell
     column kernel :func:`funcseries.exact._columns`, f^(k) = c_k / Q and L
     the lcm of the S_k, P_n is the sum of c_k P_k[n] L / S_k and S_n = Q L.
     """
@@ -294,58 +302,82 @@ def _kernel_rows(f: list, values: list, order: int) -> list:
             for n in range(1, order + 1)]
 
 
-def _composed(values: list, order: int, ode: tuple, f0: Fraction) -> list:
+def _composed(values: list, order: int, ode: tuple, start: list) -> list:
     """(P_n, S_n), not reduced, with F^(n)(0) = P_n / S_n, n = 1 .. order, F = f o h.
 
-    values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, and
-    (1 + rho x) f' = a f + b with ode = (t, rho, a, b) in the integer form
-    of :func:`_ode_ints` and f(0) = f0.
-    Leibniz's rule on (1 + rho h) F' = (a F + b) h' gives J. C. P. Miller's
-    power-series recurrence (Knuth, *TAOCP* vol. 2, section 4.7),
+    values[j-1] holds d_j = h^(j)(0) as an int or Fraction, h(0) = 0, start
+    holds f^(0) .. f^(m-1) at 0, and ode = (t, rho, a, b) states (1 + rho x)
+    f^(m) = a_0 f + ... + a_(m-1) f^(m-1) + b over the integers (see
+    :meth:`FunctionSpec._inputs`).  Leibniz's rule on (1 + rho h) Y' =
+    (A Y + B) h', Y = (F, ..., f^(m-1) o h), A the companion matrix and
+    B = (0, ..., 0, b), gives J. C. P. Miller's power-series recurrence
+    (Knuth, *TAOCP* vol. 2, section 4.7), O(N**2) products against the
+    Bell triangle's O(N**3):
 
-        F^(n) = sum_{j=1}^{n} w(n, j) d_j F^(n-j) + b d_n,
-        w(n, j) = a C(n-1, j-1) - rho C(n-1, j),
+        Y_i^(n) = sum_l sum_{j=1}^{n} W_il(n, j) d_j Y_l^(n-j) + B_i d_n,
+        W_il(n, j) = A_il C(n-1, j-1) - rho [i = l] C(n-1, j).
 
-    O(N**2) products against the Bell triangle's O(N**3).  By Pascal's
-    rule w(n + 1, j) = w(n, j) + w(n, j - 1), w(n, 0) = -rho, w(1, 1) = a,
-    so a row of weights is one vector addition, grown in place up to the
-    last nonzero d_j, and each row one dot product (``map``/``sum``) that
-    skips the j beyond it and, for odd bases, the even j.  In integers,
-    with d_j = D_j / D and f0 = p / q, G_n = t^n q F^(n) satisfies G_0 = p and
+    rho = 0 for m >= 2, so one row of weights w serves every pair: W_00 for
+    m = 1, else C(n-1, j-1), with row m - 1 reading z = sum_l a_l Y_l.  By
+    Pascal's rule w(n + 1, j) = w(n, j) + w(n, j - 1), w(n, 0) = -rho, so a
+    row of weights is one vector addition, grown in place up to the last
+    nonzero d_j, and each Y_i one dot product (``map``/``sum``) that skips
+    the j beyond it and, for odd bases, the even j.  In integers, with
+    d_j = D_j / D, start over its common denominator q and A, rho and b
+    scaled by t, G_n = t^n q Y^(n) satisfies
 
-        D G_n = sum_j w(n, j) D_j t^(j-1) G_(n-j) + b q D_n t^(n-1);
+        D G_i(n) = sum_l sum_j W_il(n, j) D_j t^(j-1) G_l(n-j) + B_i q D_n t^(n-1);
 
-    the G_m are integers over one denominator L, and S_n = t^n q L is a
+    the G_l(k) are integers over one denominator L, and S_n = t^n q L is a
     running product.  While D = 1 (all but a11, a12, c3, c4 and c6) L = 1
-    and no row divides; otherwise row n divides its sum by g = gcd(sum, D)
-    and, if g != D, multiplies L, S_n and the earlier numerators by D / g.
+    and no row divides; otherwise row n divides its sums by g = gcd(sums,
+    D) and, if g != D, multiplies L, S_n and the earlier numerators by D / g.
     """
     t, rho, a, b = ode
-    b *= f0.denominator
+    m, q = len(a), math.lcm(*(v.denominator for v in start))
+    b *= q
     scale = math.lcm(*(v.denominator for v in values))  # D
-    d = [v.numerator * (scale // v.denominator) * t**j for j, v in enumerate(values)]
+    d = [v.numerator * (scale // v.denominator) * t**j if v else 0 for j, v in enumerate(values)]
     # d_j = 0 unless j <= width and step divides j - 1
     js = [j for j, v in enumerate(d) if v]
     step, width = math.gcd(*js) or 1, js[-1] + 1
     dj = d[:width:step]
-    top, den = 1, f0.denominator  # L and t^n q L
-    over_top = [f0.numerator]  # L G_m for m < n
-    rows = []
-    w = [a]  # w(n, j) for j = 1 .. min(n, width)
+    past = [v.numerator * (q // v.denominator) for v in start]  # L G_l(0)
+    if m == 1:
+        w, z = [a[0]], past[:1]
+    else:  # z stays empty where a = 0 (sq): the last row is then b d_n alone
+        w, z = [1], [sum(map(mul, a, past))] if any(a) else []
+    reads, new, top, den, rows = [[v] for v in past[1:]], (), 1, q, []  # L G_l(k), l >= 1
     for n in range(1, order + 1):
-        weights, past = (w, reversed(over_top)) if step == 1 else (w[::step], over_top[::-step])
-        acc = sum(map(mul, map(mul, weights, dj), past)) + b * d[n - 1] * top
+        wd, zs = ((map(mul, w, dj), reversed(z)) if step == 1
+                  else (map(mul, w[::step], dj), z[::-step]))
+        if m > 1:  # Y_i' = Y_(i+1) h', A_i(i+1) = 1 scaled by t
+            wd = list(wd)
+            new = [t * sum(map(mul, wd, reversed(p) if step == 1 else p[::-step]))
+                   for p in reads]
+        acc = sum(map(mul, wd, zs)) + b * d[n - 1] * top
         if len(w) < width:
             w.append(0)
         w = list(map(add, w, [-rho, *w]))
         den *= t
         if scale != 1:
-            g = math.gcd(acc, scale)
+            g = math.gcd(acc, scale, *new)
             acc, s = acc // g, scale // g
+            if m > 1:
+                new = [v // g for v in new]
             if s != 1:
-                over_top = list(map(mul, over_top, repeat(s)))
+                z = list(map(mul, z, repeat(s)))
+                reads = [list(map(mul, p, repeat(s))) for p in reads]
                 top, den = top * s, den * s
-        over_top.append(acc)
+        if m > 1:
+            new.append(acc)
+            for p, v in zip(reads, new[1:]):
+                p.append(v)
+            if any(a):
+                z.append(sum(map(mul, a, new)))
+            acc = new[0]
+        else:
+            z.append(acc)
         rows.append((acc, den))
     return rows
 
@@ -358,34 +390,32 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     sum over the partial Bell polynomials.  The family's registry formula
     states d_j = r**j e_j (r = rn / rd = 1 but for a5 and a7, see
     :mod:`funcseries.pseries`).  A float input enters as its exact binary
-    value.  A target with an ODE (exp, ln1p, pow; see :class:`FunctionSpec`)
+    value.  A builtin, which declares an ODE (see :class:`FunctionSpec`),
     is asked for f(x0) alone and takes the O(N**2) recurrence of
-    :func:`_composed`; any other target gives every f^(k) to the column
+    :func:`_composed`; a derivative list gives every f^(k) to the column
     kernel's :func:`_kernel_rows`.  Both give rows (P_n, S_n) with
     F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
     running products: a ``Fraction``, or its correctly rounded float (+-inf
     beyond the float range) when a nonzero term f^(k) B(n, k) has a float
-    factor (:func:`funcseries.exact._supports` finds them; an ODE target's
-    f^(k) is nonzero up to the first zero factor of its closed form, so no
-    f^(k) is evaluated).  Exact rationals have one reduced form, so both
-    routes give the same coefficients, and ``route`` reads "bell" for
-    either (part of the model's identity).
+    factor (:func:`funcseries.exact._supports` finds them; only when an
+    input is a float does a builtin's f^(k) get read, as f o h at h = x
+    through the same recurrence).  Exact rationals have one reduced form,
+    so both routes give the same coefficients, and ``route`` reads "bell"
+    for either (part of the model's identity).
     """
     _check_order(order)
     r, e = get_family(exp.key).graded(order, exp.param_dict())
     e, e_floats = _binary(e, f"{exp.key} basis derivative e_{{}}", 1)
-    f0, ode, tags = func.derivative(0), func._ode, 0
-    if ode is None:  # f^(0) enters only as a_0
+    f0, tags = func.derivative(0), 0
+    if func._ode is None:  # f^(0) enters only as a_0
         f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
                               f"derivative f^({{}}) of {func.name!r}")
         rows = _kernel_rows(f, e, order)
-    else:  # f^(k) = f' (a - rho) ... (a - (k-1) rho) is nonzero up to a zero factor;
-        _, rho, a, b = ode = _ode_ints(ode)  # a float source sets bit k >= 1 of f_floats
-        p, q = f0._v.as_integer_ratio()
-        nonzero = accumulate((a != i * rho for i in range(1, order)), and_,
-                             initial=a * p + b * q != 0)
-        f, f_floats = chain([0], nonzero), 0 if func._source.is_exact else ~1
-        rows = _composed(e, order, ode, Fraction(p, q))
+    else:
+        ode, start, f_floats = func._inputs(order)
+        rows = _composed(e, order, ode, start)
+        if f_floats or e_floats:  # which f^(k) are nonzero
+            f = [0, *(p for p, _ in _composed([1] + [0] * (order - 1), order, ode, start))]
     if f_floats or e_floats:
         for k, ((reach, read), fk) in enumerate(zip(_supports(e, e_floats, order, order), f)):
             if fk:  # bit n: a nonzero product in B(n, k), one with a float

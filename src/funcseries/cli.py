@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from typing import Optional
 
 from .approx import (
@@ -80,11 +81,11 @@ def _parse_count(text: str, flag: str = "--terms") -> int:
     return count
 
 
-def _parse_rational(text: str) -> ExactScalar:
+def _parse_rational(text: str, flag: Optional[str] = None) -> ExactScalar:
     try:
         return scalar(text)
     except ValueError as err:
-        raise UsageError(str(err)) from None
+        raise UsageError(str(err) if flag is None else f"{flag}: {err}") from None
 
 
 def _parse_point(text: str) -> float:
@@ -338,12 +339,12 @@ def _add_model_flags(sub, run, *, points: bool):
                      type=_parse_expansions, required=True,
                      help="family key (a1..a13, c1..c6) or tp; compare "
                           "accepts a comma-separated list")
-    sub.add_argument("--alpha", type=_parse_rational,
+    sub.add_argument("--alpha", type=partial(_parse_rational, flag="--alpha"),
                      help="alpha parameter (rational, e.g. 1/2; use --alpha=-1/2 for a "
                           "negative value)")
-    sub.add_argument("--beta", type=_parse_rational,
+    sub.add_argument("--beta", type=partial(_parse_rational, flag="--beta"),
                      help="beta parameter (rational; use --beta=-1/2 for a negative value)")
-    sub.add_argument("--w", type=_parse_rational,
+    sub.add_argument("--w", type=partial(_parse_rational, flag="--w"),
                      help="w parameter (rational; use --w=-1/2 for a negative value)")
     sub.add_argument("--function", required=True,
                      help="exp | sin | sq | ln1p | pow:RATIONAL | derivative file")

@@ -498,6 +498,54 @@ def test_huge_exponent_on_the_command_line(tmp_path):
     assert runs[5][:3] == runs[6][:3] and runs[5][0] == 0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["coeffs", "--expansion", "a5", "--alpha=1e10001", "--function", "exp"], "--alpha"),
+    (["coeffs", "--expansion", "a7", "--beta=abc", "--function", "exp"], "--beta"),
+    (["eval", "--expansion", "c1", "--w=1/0", "--function", "exp", "--at=0.5"], "--w"),
+])
+def test_a_rational_flag_names_itself_in_its_usage_error(argv, flag, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {flag}: ")
+
+
+def _decimal_digits(n):
+    """n in decimal, by a route other than the package's."""
+    import decimal
+
+    return str(decimal.Decimal(n))
+
+
+def test_exact_values_beyond_4300_digits_are_written(tmp_path, capsys):
+    # str refuses an int of more than 4300 digits (sys.get_int_max_str_digits);
+    # pow's name and the exact columns write such values in full, and the
+    # interpreter-wide limit is left as it is
+    limit = sys.get_int_max_str_digits()
+    tiny = "1/1" + "0" * 5000
+    assert main(["coeffs", "--expansion", "a1", "--function", "pow:1e-5000", "--terms", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[2] == f"1,0.0000000000000000,{tiny}"
+    assert funcseries.builtin_function("pow", alpha="1e-5000").name == f"pow:{tiny}"
+    assert repr(scalar("-1e-5000")) == f"ExactScalar(-{tiny})"
+    assert str(scalar("-7e5000") / 3) == "-7" + "0" * 5000 + "/3"
+    # a derivative file of 1e-9999 lines: each coefficient has over 10**4 digits
+    path = tmp_path / "tiny.txt"
+    path.write_text("1e-9999\n" * 9)
+    argv = ["coeffs", "--expansion", "a3", "--function", str(path)]
+    model = funcseries.assemble(funcseries.get_expansion("a3"), cli._load_function(str(path)), 8)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    exact = [row.split(",")[2] for row in out.splitlines()[1:]]
+    assert err == "" and len(exact) == 9 and len(exact[8]) > 10**4
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for c, text, row in zip(model.coefficients, exact, doc["coefficients"]):
+        num, den = _decimal_digits(c.numerator), _decimal_digits(c.denominator)
+        assert text == (num if den == "1" else f"{num}/{den}")
+        assert row["exact"] == {"num": num, "den": den}
+    assert sys.get_int_max_str_digits() == limit
+
+
 class TestLinspace:
     """The grids must be numpy.linspace's points, bit for bit."""
 

@@ -9,6 +9,7 @@ point and nothing on stderr.  A successful run writes nothing to stderr.
 
 import contextlib
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from funcseries.cli import main
 from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS
+from test_properties import HORNER
 
 PARAMS = ("0", "1e400", "-1e400", "1e-400", "-1e-400", "1/2", "1000", "junk")
 POINTS = ("1e300", "-1e300", "1e400", "-1e400", "inf", "-inf", "nan", "junk", "0.5", "-0.5",
@@ -46,8 +48,8 @@ def check_contract(argv):
 
 
 @st.composite
-def command_lines(draw):
-    command = draw(st.sampled_from(("coeffs", "eval", "radius", "compare")))
+def command_lines(draw, commands=("coeffs", "eval", "radius", "compare")):
+    command = draw(st.sampled_from(commands))
     keys = FAMILY_KEYS + ("tp",)
     if command == "compare":
         expansion = ",".join(draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)))
@@ -77,6 +79,45 @@ def command_lines(draw):
 @given(command_lines())
 def test_fuzzed_command_lines_keep_the_contract(argv):
     check_contract(argv)
+
+
+def approx_column(argv, out):
+    """The approx values an eval or compare run printed: eval --at prints
+    the value alone, eval --grid (x, approx) rows and compare (expansion,
+    x, approx, exact, delta) rows under a header."""
+    if argv[0] == "eval" and not any(a.startswith("--grid") for a in argv):
+        return out.split()
+    column = 1 if argv[0] == "eval" else 2
+    return [row.split(",")[column] for row in out.splitlines()[1:]]
+
+
+def check_finite_approx(argv):
+    code, out, _ = check_contract(argv)
+    if code == 0:
+        assert all(math.isfinite(float(v)) for v in approx_column(argv, out)), (argv, out)
+
+
+# eval and compare exit 0 here while the Horner sum overflows to inf
+HORNER_WITNESSES = (
+    ["eval", "--expansion", "a5", "--function", "sin", "--at=1e100"],
+    ["compare", "--expansion", "a5", "--function", "sin", "--at=1e100"],
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None, database=None)
+@given(command_lines(("eval", "compare")))
+def _fuzzed_approx_is_finite(argv):
+    check_finite_approx(argv)
+
+
+@pytest.mark.xfail(strict=True, reason=HORNER)
+def test_a_successful_evaluation_prints_finite_approx_values():
+    # a run that exits 0 printed a finite approx for every point (radius's
+    # R and the exact column may read inf); the witnesses run first, so
+    # this fails the same way on every run while they do
+    for argv in HORNER_WITNESSES:
+        check_finite_approx(argv)
+    _fuzzed_approx_is_finite()
 
 
 @pytest.mark.parametrize("argv", [

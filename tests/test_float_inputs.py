@@ -35,7 +35,7 @@ def _exact_target(func, order):
     if func._ode is None or not func.derivative(0).is_exact:
         return function_from_derivatives([_binary(func.derivative(k)) for k in range(order + 1)])
     if func.name.startswith("pow:"):  # a float alpha is the ODE's only float
-        return builtin_function("pow", alpha=Fraction(func._ode[1]))
+        return builtin_function("pow", alpha=Fraction(func._ode[1][0]))
     return func
 
 

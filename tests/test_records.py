@@ -238,27 +238,29 @@ def test_exactness_is_part_of_identity():
 
 def test_ode_stays_out_of_identity():
     # the declared ODE follows from name and x0, so a spec built without it
-    # is the same target; exp and ln1p declare it at every x0
+    # is the same target; every builtin declares it at every x0
     for f in (builtin_function("exp"), builtin_function("ln1p"),
               builtin_function("pow", alpha=Fraction(-1, 3)),
               builtin_function("exp", x0=Fraction(1, 2)), builtin_function("ln1p", x0=1),
-              builtin_function("ln1p", x0=0.5)):
+              builtin_function("ln1p", x0=0.5), builtin_function("sin"),
+              builtin_function("sin", x0=Fraction(1, 2)), builtin_function("sq", x0=0.5)):
         assert f._ode is not None
         twin = FunctionSpec(f.name, f.x0, f.domain, f._table, f._value)
         assert twin._ode is None and twin == f and hash(twin) == hash(f)
-    assert builtin_function("exp")._ode == (0, 1, 0)
-    assert builtin_function("exp", x0=0.5)._ode == (0, 1, 0)
-    assert builtin_function("ln1p")._ode == (1, 0, 1)
+    assert builtin_function("exp")._ode == (0, (1,), 0)
+    assert builtin_function("exp", x0=0.5)._ode == (0, (1,), 0)
+    assert builtin_function("ln1p")._ode == (1, (0,), 1)
     # rho = b = 1 / (1 + x0), a float x0 taken as its exact binary value
-    assert builtin_function("ln1p", x0=1)._ode == (Fraction(1, 2), 0, Fraction(1, 2))
+    assert builtin_function("ln1p", x0=1)._ode == (Fraction(1, 2), (0,), Fraction(1, 2))
     rho = 1 / (1 + Fraction(-0.3))
-    assert builtin_function("ln1p", x0=-0.3)._ode == (rho, 0, rho)
-    assert builtin_function("pow", alpha=Fraction(3, 2))._ode == (1, Fraction(3, 2), 0)
+    assert builtin_function("ln1p", x0=-0.3)._ode == (rho, (0,), rho)
+    assert builtin_function("pow", alpha=Fraction(3, 2))._ode == (1, (Fraction(3, 2),), 0)
     # a float alpha declares its ODE too; assemble reads it as 1/2 exactly
-    assert builtin_function("pow", alpha=0.5)._ode == (1, 0.5, 0)
-    for f in (builtin_function("sin"), builtin_function("sin", x0=Fraction(1, 2)),
-              builtin_function("sq"), function_from_derivatives([1, 1, 1])):
-        assert f._ode is None
+    assert builtin_function("pow", alpha=0.5)._ode == (1, (0.5,), 0)
+    # second order: sin'' = -sin, sq'' = 2, with f(x0) and f'(x0) in the table
+    assert builtin_function("sin", x0=0.5)._ode == (0, (-1, 0), 0)
+    assert builtin_function("sq", x0=Fraction(1, 2))._ode == (0, (0, 0), 2)
+    assert function_from_derivatives([1, 1, 1])._ode is None
 
 
 def test_a_target_is_data():

@@ -1,8 +1,8 @@
 """The two exact assembly routes give the same coefficients.
 
-exp and ln1p (at every x0) and pow declare a first-order linear ODE, and
-``assemble`` computes their series of f o h by the O(N**2) composition
-recurrence; every other target (sin, sq, a derivative list) reads the Bell
+Every builtin declares a linear ODE (first order for exp, ln1p and pow,
+second for sin and sq), and ``assemble`` computes its series of f o h by
+the O(N**2) composition recurrence; a derivative list reads the Bell
 column kernel.  The same derivatives wrapped by
 ``function_from_derivatives`` declare no ODE, so they take the kernel, and
 the two builds must agree coefficient for coefficient, exactness tags
@@ -26,7 +26,8 @@ from funcseries.catalog import get_expansion
 from funcseries.exact import falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER
 
-ODE_TARGETS = ("exp", "ln1p", "pow:1/5", "pow:-1/3", "pow:3/2")
+ODE_TARGETS = ("exp", "ln1p", "pow:1/5", "pow:-1/3", "pow:3/2", "sin", "sin@1/2", "sin@0.5", "sq",
+               "sq@0.5", "sq@-0.0")
 
 
 def _number(text):
@@ -74,17 +75,24 @@ def test_recurrence_matches_kernel_at_max_order(key, kernel_calls):
         fast = assemble(exp, func, MAX_ORDER)
         assert kernel_calls == []
         slow = assemble(exp, through_kernel(func, MAX_ORDER), MAX_ORDER)
-        assert kernel_calls == [(MAX_ORDER, MAX_ORDER)]
+        assert len(kernel_calls) == 1
         kernel_calls.clear()
-        assert fast.is_exact() and slow.is_exact()
+        # a float f(x0) (sin at x0 != 0, sq at a float x0) makes a_0 a float
+        assert fast.is_exact() == slow.is_exact() == func.derivative(0).is_exact
         assert tagged(fast) == tagged(slow), (key, spec)
         assert fast.route == slow.route == "bell"
 
 
 def test_targets_without_an_ode_keep_the_kernel(kernel_calls):
+    # only a derivative list reaches the column kernel: sin and sq at every
+    # family call it zero times
+    for key in FAMILY_KEYS:
+        for spec in ("sin", "sq"):
+            assemble(get_expansion(key), target(spec), MAX_ORDER)
+    assert kernel_calls == []
     exp = get_expansion("a1")
-    for func in (builtin_function("sin"), builtin_function("sq")):
-        assemble(exp, func, 8)
+    for spec in ("sin", "sq"):
+        assemble(exp, through_kernel(target(spec), 8), 8)
     # sin's last nonzero derivative up to order 8 is f^(7); sq has two
     assert kernel_calls == [(8, 7), (8, 2)]
 
@@ -122,9 +130,13 @@ _EXPANSIONS = st.one_of(
     st.tuples(st.just("c5"), st.fixed_dictionaries({
         "alpha": _rational(), "w": _rational(nonzero=True), "beta": _rational()})),
 )
+# sin and sq at an exact or a float x0
+_SECOND_ORDER = st.builds(builtin_function, st.sampled_from(["sin", "sq"]),
+                          x0=st.one_of(_rational(), st.floats(-4, 4)))
 _TARGETS = st.one_of(
     st.sampled_from(["exp", "ln1p"]).map(builtin_function),
     _rational(24, 24).map(lambda a: builtin_function("pow", alpha=a)),
+    _SECOND_ORDER,
 )
 
 
@@ -136,7 +148,7 @@ def test_recurrence_matches_kernel_property(case, func, order):
     exp = get_expansion(key, **params)
     fast = assemble(exp, func, order)
     slow = assemble(exp, through_kernel(func, order), order)
-    assert fast.is_exact()
+    assert fast.is_exact() == func.derivative(0).is_exact
     assert tagged(fast) == tagged(slow)
 
 
@@ -159,6 +171,7 @@ _FAMILY_PARAMS = {
 _WEIGHTED_TARGETS = st.one_of(
     st.sampled_from(["exp", "ln1p"]).map(builtin_function),
     _rational(6, 6, nonzero=True).map(lambda a: builtin_function("pow", alpha=a)),
+    _SECOND_ORDER,
 )
 
 
@@ -174,7 +187,7 @@ def test_recurrence_weights_match_kernel_in_every_family(key, data):
     slow = assemble(exp, through_kernel(func, order), order)
     assert tagged(fast) == tagged(slow)
     if key != "a7" or exp.param_dict()["alpha"].sqrt().is_exact:
-        assert fast.is_exact()
+        assert fast.is_exact() == func.derivative(0).is_exact
 
 
 @pytest.fixture
@@ -199,9 +212,16 @@ def test_an_ode_target_is_asked_for_its_value_only(spec, derivative_calls):
 
 
 def test_a_target_without_an_ode_is_asked_for_every_order(derivative_calls):
+    # a derivative list, here of sin and sq; the builtins themselves are
+    # asked for f(x0) alone
     for spec in ("sin", "sin@1/2", "sq@0.5"):
-        assemble(get_expansion("a2"), target(spec), MAX_ORDER)
+        func = through_kernel(target(spec), MAX_ORDER)
+        derivative_calls.clear()
+        assemble(get_expansion("a2"), func, MAX_ORDER)
         assert derivative_calls == list(range(MAX_ORDER + 1)), spec
+        derivative_calls.clear()
+        assemble(get_expansion("a2"), target(spec), MAX_ORDER)
+        assert derivative_calls == [0], spec
         derivative_calls.clear()
 
 
@@ -437,18 +457,57 @@ def test_ode_builtin_derivatives_pinned():
 
 
 # sha256 of the reprs of derivative(k), k = 0 .. MAX_ORDER, of sin and then
-# sq at x0 = 0, 1/2 and 0.5, recorded from the derivative closures these
-# tables replaced; both tables end at MAX_ORDER, the cap of assemble.
+# sq at x0 = 0, 1/2 and 0.5, recorded from the derivative closures that
+# 65-entry tables replaced; those tables now hold f(x0) and f'(x0) and the
+# ODE states the rest.  CENTER_TABLE_PIN is the same over x0 = -0.0, 1e200
+# (sq's f(x0) is ~inf there) and -7/3, recorded from the 65-entry tables.
 TABLE_PIN = "aa2c5fef1fef8e4fb8f5ba5e8aa402c5c6a2a484833a0aa9adedb328f9453ce5"
+CENTER_TABLE_PIN = "c4bfa959dd4299d6675a9cdefa5b56336a4d43e5bab95ffe8eb9fc780c2aaa2f"
 
 
 def test_sin_and_sq_tables_pinned():
-    funcs = [builtin_function(name, x0=x0) for name in ("sin", "sq")
-             for x0 in (0, Fraction(1, 2), 0.5)]
-    lines = [repr(func.derivative(k)) for func in funcs for k in range(MAX_ORDER + 1)]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TABLE_PIN
-    for func in funcs:
-        assert len(func._table) == MAX_ORDER + 1
-        with pytest.raises(ValueError, match=f"only up to order {MAX_ORDER}, order "
-                                             f"{MAX_ORDER + 1} requested"):
-            func.derivative(MAX_ORDER + 1)
+    for centers, digest in (((0, Fraction(1, 2), 0.5), TABLE_PIN),
+                            ((-0.0, 1e200, Fraction(-7, 3)), CENTER_TABLE_PIN)):
+        funcs = [builtin_function(name, x0=x0) for name in ("sin", "sq") for x0 in centers]
+        lines = [repr(func.derivative(k)) for func in funcs for k in range(MAX_ORDER + 1)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest, centers
+        for func in funcs:  # no order cap: sin's cycle and sq's zeros go on
+            assert len(func._table) == 2
+            assert repr(func.derivative(MAX_ORDER + 4)) == repr(func.derivative(MAX_ORDER))
+            assert repr(func.derivative(MAX_ORDER + 3)) == repr(func.derivative(MAX_ORDER - 1))
+
+
+def test_derivative_tags_follow_their_inputs():
+    # each f^(k) is float-tagged where a float input reaches it, per table
+    # entry: sq at a float x0 keeps f'' = 2 and the zeros beyond it exact
+    sq = builtin_function("sq", x0=0.5)
+    assert [repr(sq.derivative(k)) for k in range(5)] == [
+        "ExactScalar(~0.25)", "ExactScalar(~1.0)", "ExactScalar(2)", "ExactScalar(0)",
+        "ExactScalar(0)"]
+    # sq at -0.0 reads f'(x0) = ~-0.0 from its table, not rounded from 0
+    assert repr(builtin_function("sq", x0=-0.0).derivative(1)) == "ExactScalar(~-0.0)"
+    # ln1p's f(x0) is a float at an exact x0 != 0, but a = 0: no f^(k), k >= 1, reads it
+    ln1p = builtin_function("ln1p", x0=Fraction(1, 2))
+    assert not ln1p.derivative(0).is_exact
+    assert all(ln1p.derivative(k).is_exact for k in range(1, MAX_ORDER + 2))
+    # a float ODE coefficient (pow's alpha) tags every k >= 1, zeros included
+    assert [repr(target("pow:2.0").derivative(k)) for k in (2, 3, MAX_ORDER + 1)] == [
+        "ExactScalar(~2.0)", "ExactScalar(~0.0)", "ExactScalar(~0.0)"]
+    # sin at a float x0: both table entries are floats, and every f^(k) reads one
+    sin = builtin_function("sin", x0=0.5)
+    assert not any(sin.derivative(k).is_exact for k in range(MAX_ORDER + 2))
+
+
+def test_sq_beyond_the_float_range_builds():
+    # f(x0) = x0**2 is ~inf for |x0| > 1.34e154; no term of the recurrence
+    # reads it, so it enters only as a_0, as on the kernel over f^(1..N)
+    func = builtin_function("sq", x0=1e200)
+    assert repr(func.derivative(0)) == "ExactScalar(~inf)"
+    twin = function_from_derivatives([0, *(func.derivative(k) for k in range(1, 9))])
+    for key in FAMILY_KEYS:
+        model = assemble(get_expansion(key), func, 8)
+        assert repr(model.coefficients[0]) == "ExactScalar(~inf)"
+        assert tagged(model)[1:] == tagged(assemble(get_expansion(key), twin, 8))[1:], key
+    # 2 x0 beyond the float range is read, and named
+    with pytest.raises(ValueError, match=r"derivative f\^\(1\) of 'sq' is not finite"):
+        assemble(get_expansion("a1"), builtin_function("sq", x0=1e308), 8)
