@@ -25,6 +25,7 @@ the formulas themselves are checked against series built independently in
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import repeat
@@ -84,7 +85,9 @@ class FunctionSpec(_Record):
 
         Read from _table below its length, else from the ODE: f o h at h = x
         (d_1 = 1, every other d_j = 0) through :func:`_composed`, exact or,
-        where a float input reaches it, rounded once.
+        where a float input reaches it, rounded once.  Each such call runs
+        the recurrence to order n (once more per float table entry, for the
+        tag), so listing f^(0) .. f^(N) costs O(N**2) big-integer rows.
         """
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("derivative order must be a non-negative integer")
@@ -93,23 +96,24 @@ class FunctionSpec(_Record):
         if self._ode is None:
             raise ValueError(f"function {self.name!r} provides derivatives only up to order "
                              f"{len(self._table) - 1}, order {n} requested")
-        ode, start, floats = self._inputs(n)
+        ode, start, floats = self._inputs(n, len(self._table))
         p, s = _composed([1] + [0] * (n - 1), n, ode, start)[-1]
         return ExactScalar(_round(p, s) if floats >> n & 1 else Fraction(p, s))
 
-    def _inputs(self, order: int) -> tuple:
+    def _inputs(self, order: int, first: int = 1) -> tuple:
         """(ode, start, floats) for :func:`_composed`: the ODE (t, rho, a, b)
         over the integers and _table, each float read as its binary value
-        and f(x0) as 0 where no term reads it (a_0 = 0: ln1p, and sq, whose
-        f(x0) is ~inf for |x0| > 1.34e154).  Bit k of floats, k <= order,
-        marks a float f^(k): every k >= m for a float _source, and where a
-        float _table entry has a nonzero coefficient, f o h at h = x over
-        that unit start with b = 0."""
+        and f^(l) as 0 where no f^(k), k >= first, reads it (l < first and
+        a_0 = ... = a_l = 0: ln1p's f(x0), sq's f(x0), ~inf for |x0| >
+        1.34e154, and for derivative sq's f'(x0)).  Bit k of floats, k <=
+        order, marks a float f^(k): every k >= m for a float _source, and
+        where a float _table entry has a nonzero coefficient, f o h at h = x
+        over that unit start with b = 0."""
         rho, a, b = self._ode
         ratios = [v.as_integer_ratio() for v in (rho, *a, b)]
         t = math.lcm(*(q for _, q in ratios))
         rho, *a, b = (p * (t // q) for p, q in ratios)
-        table = [v._v if l or a[0] else 0 for l, v in enumerate(self._table)]
+        table = [v._v if l >= first or any(a[:l + 1]) else 0 for l, v in enumerate(self._table)]
         start = _binary(table, f"derivative f^({{}}) of {self.name!r}")[0]
         floats = 0 if self._source is None or self._source.is_exact else -1 << len(a)
         for l in (l for l, v in enumerate(self._table) if not v.is_exact):
@@ -176,7 +180,12 @@ def builtin_function(name: str, *, alpha=None, x0=0) -> FunctionSpec:
             dom, value = Interval(-1.0, math.inf, lo_closed=av > 0), partial(_pow, af)
         else:
             dom, value = _FULL_LINE, _one
-        return FunctionSpec(f"pow:{av}", x0v, dom, (ONE,), value, (1, (av._v,), 0), av)
+        try:
+            name = f"pow:{av}"
+        except ValueError:  # str writes no int of over sys.get_int_max_str_digits() digits
+            raise ValueError(f"builtin 'pow' alpha has over {sys.get_int_max_str_digits()} "
+                             "digits") from None
+        return FunctionSpec(name, x0v, dom, (ONE,), value, (1, (av._v,), 0), av)
     if alpha is not None:
         raise ValueError(f"builtin {name!r} takes no alpha")
 
@@ -260,14 +269,14 @@ class ApproximationModel(_Record):
 
     def to_json_dict(self) -> dict:
         def exact_str(v: ExactScalar) -> str:
-            return str(v) if v.is_exact else repr(float(v))
+            return str(v.as_fraction()) if v.is_exact else repr(float(v))
 
         rows = []
         for n, c in enumerate(self.coefficients):
             entry = {"n": n, "decimal": format_decimal(_to_float(c, f"coefficient a_{n}"))}
             if c.is_exact:
-                num, _, den = str(c).partition("/")
-                entry["exact"] = {"num": num, "den": den or "1"}
+                fr = c.as_fraction()
+                entry["exact"] = {"num": str(fr.numerator), "den": str(fr.denominator)}
             else:
                 entry["exact"] = None
             rows.append(entry)

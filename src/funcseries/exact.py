@@ -276,31 +276,10 @@ class ExactScalar(_Record):
 
     def __repr__(self):
         tag = "" if self.is_exact else "~"
-        return f"ExactScalar({tag}{self})"
+        return f"ExactScalar({tag}{self._v})"
 
     def __str__(self):
-        try:
-            return str(self._v)
-        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-            v = self._v
-            return f"{_digits(v.numerator)}/{_digits(v.denominator)}".removesuffix("/1")
-
-
-def _digits(n: int) -> str:
-    """n in decimal at any size, in O(M(n) log n): the halves of |n|, split
-    at a power of two, are joined in exact decimal arithmetic (str(n) and
-    Decimal(n) are quadratic, which is why str has its digit limit)."""
-    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-
-    def join(n: int) -> Decimal:
-        if n.bit_length() <= 8192:
-            return Decimal(n)
-        w = n.bit_length() >> 1
-        return join(n >> w) * Decimal(2) ** w + join(n & ((1 << w) - 1))
-
-    with localcontext() as ctx:
-        ctx.prec, ctx.Emax, ctx.traps[Inexact] = MAX_PREC, MAX_EMAX, True
-        return "-" * (n < 0) + str(join(abs(n)))
+        return str(self._v)
 
 
 def _tagged(value: ExactScalar) -> tuple:
