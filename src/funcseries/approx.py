@@ -8,12 +8,13 @@ against the expansion's Bell triangle, divided by n factorial: the n-th
 derivative of F = f o h over n!, with h the inverse basis.
 
 :func:`assemble` computes that sum exactly, each float input taken as its
-exact binary value, by one of two routes.  A target is data: a table of
-its known derivatives and, for every builtin, a linear ODE of order m that
-states the rest (exp, ln1p and pow of first order, sin and sq of second).
-A builtin takes J. C. P. Miller's O(N**2) composition recurrence,
-:func:`_composed`, over the state (f o h, ..., f^(m-1) o h); a derivative
-list the Bell column kernel of :mod:`funcseries.exact`, :func:`_kernel_rows`.
+exact binary value, by one route.  A target is data: a table of its known
+derivatives and, for every builtin, a linear ODE of order m that states
+the rest (exp, ln1p and pow of first order, sin and sq of second); a
+derivative list f^(0) .. f^(K) is the polynomial target f^(K+1) = 0, of
+order m = K + 1.  Each takes J. C. P. Miller's composition recurrence,
+:func:`_composed`, over the state (f o h, ..., f^(m-1) o h), O(N**2) for a
+builtin.
 :func:`assemble_via_composition` composes the truncated series of f with
 the series of the inverse basis; it is a check, and the test suite
 compares it with :func:`assemble` family by family.  All of them read the
@@ -34,8 +35,8 @@ from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_float,
                       _float_param, eval_g, get_expansion)
-from .exact import (ONE, ZERO, ExactScalar, _binary, _columns, _Record, _round, _supports,
-                    _tagged, scalar)
+from .exact import (ONE, ZERO, ExactScalar, _binary, _Record, _round, _supports, _tagged,
+                    scalar)
 from .pseries import TruncatedSeries, _check_order, family_series, get_family
 
 __all__ = [
@@ -60,16 +61,16 @@ class FunctionSpec(_Record):
     _table holds the known f^(0), f^(1), ...: a derivative list's values,
     or a builtin's f^(0) .. f^(m-1), whose _ode (rho, a, b) states the
     ODE (1 + rho x) f^(m) = a_0 f + ... + a_(m-1) f^(m-1) + b, rho != 0
-    only for m = 1; it gives every other f^(k) (see :meth:`derivative`),
-    and :func:`assemble` then takes the composition recurrence.  _source
-    is the input the ODE is made from (ln1p's x0, pow's alpha).  domain is
-    where the float reference evaluator _value is defined; _table, _value,
-    _ode and _source are fields that repr leaves out.  A builtin's name
-    carries its parameters (pow's alpha), so specs compare and hash by
-    (name, x0, _table), each scalar tagged with its exactness.
+    only for m = 1; it gives every other f^(k) (see :meth:`_listing`).
+    _source is the input the ODE is made from (ln1p's x0, pow's alpha).
+    domain is where the float reference evaluator _value is defined;
+    _table, _value, _ode and _source are fields that repr leaves out.  A
+    builtin's name carries its parameters (pow's alpha), so specs compare
+    and hash by (name, x0, _table), each scalar tagged with its exactness.
     """
 
-    __slots__ = _fields = ("name", "x0", "domain", "_table", "_value", "_ode", "_source")
+    _fields = ("name", "x0", "domain", "_table", "_value", "_ode", "_source")
+    __slots__ = (*_fields, "_known")  # _known, once set: the listing of :meth:`_listing`
     _shown = _fields[:3]
 
     def __init__(self, name: str, x0: ExactScalar, domain: Interval, _table: tuple,
@@ -81,34 +82,45 @@ class FunctionSpec(_Record):
         return self.name, _tagged(self.x0), tuple(map(_tagged, self._table))
 
     def derivative(self, n: int) -> ExactScalar:
-        """n-th derivative at x0; n = 0 is the function value.
-
-        Read from _table below its length, else from the ODE: f o h at h = x
-        (d_1 = 1, every other d_j = 0) through :func:`_composed`, exact or,
-        where a float input reaches it, rounded once.  Each such call runs
-        the recurrence to order n (once more per float table entry, for the
-        tag), so listing f^(0) .. f^(N) costs O(N**2) big-integer rows.
-        """
+        """n-th derivative at x0; n = 0 is the function value (see :meth:`_listing`)."""
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("derivative order must be a non-negative integer")
         if n < len(self._table):
             return self._table[n]
-        if self._ode is None:
-            raise ValueError(f"function {self.name!r} provides derivatives only up to order "
-                             f"{len(self._table) - 1}, order {n} requested")
-        ode, start, floats = self._inputs(n, len(self._table))
-        p, s = _composed([1] + [0] * (n - 1), n, ode, start)[-1]
-        return ExactScalar(_round(p, s) if floats >> n & 1 else Fraction(p, s))
+        return self._listing(n)[0][n]
+
+    def _listing(self, order: int) -> tuple:
+        """(values, nonzero): f^(0) .. f^(K) at x0, K >= order, and a bit mask
+        of the k with an exact f^(k) != 0.  _table gives those below its
+        length, and the ODE the rest: f o h at h = x (d_1 = 1, every other
+        d_j = 0) through one :func:`_composed` run, exact or, where a float
+        input reaches it, rounded once.  The listing is kept; an order beyond
+        it is composed afresh to at least twice its length."""
+        table = self._table
+        values, nonzero = (getattr(self, "_known", None)
+                           or (table, sum(bool(v) << k for k, v in enumerate(table))))
+        if order >= len(values):
+            if self._ode is None:
+                raise ValueError(f"function {self.name!r} provides derivatives only up to "
+                                 f"order {len(table) - 1}, order {order} requested")
+            order, first = max(order, 2 * len(values)), len(table)
+            ode, start, floats = self._inputs(order, first)
+            rows = _composed([1] + [0] * (order - 1), order, ode, start)[first - 1:]
+            values = table + tuple(ExactScalar(_round(p, s) if floats >> k & 1 else Fraction(p, s))
+                                   for k, (p, s) in enumerate(rows, first))
+            nonzero |= sum(bool(p) << k for k, (p, _) in enumerate(rows, first))
+            object.__setattr__(self, "_known", (values, nonzero))
+        return values, nonzero
 
     def _inputs(self, order: int, first: int = 1) -> tuple:
         """(ode, start, floats) for :func:`_composed`: the ODE (t, rho, a, b)
         over the integers and _table, each float read as its binary value
         and f^(l) as 0 where no f^(k), k >= first, reads it (l < first and
         a_0 = ... = a_l = 0: ln1p's f(x0), sq's f(x0), ~inf for |x0| >
-        1.34e154, and for derivative sq's f'(x0)).  Bit k of floats, k <=
-        order, marks a float f^(k): every k >= m for a float _source, and
-        where a float _table entry has a nonzero coefficient, f o h at h = x
-        over that unit start with b = 0."""
+        1.34e154, and for :meth:`_listing` sq's f'(x0)).  Bit k of floats,
+        k <= order, marks a float f^(k): every k >= m for a float _source,
+        and where a float _table entry has a nonzero coefficient, f o h at
+        h = x over that unit start with b = 0."""
         rho, a, b = self._ode
         ratios = [v.as_integer_ratio() for v in (rho, *a, b)]
         t = math.lcm(*(q for _, q in ratios))
@@ -268,18 +280,22 @@ class ApproximationModel(_Record):
         return (_to_float(self.func.x0, "x0"), floats[::-1])
 
     def to_json_dict(self) -> dict:
+        """The model as JSON data.  ValueError names the first exact a_n of
+        over sys.get_int_max_str_digits() digits, then DomainError the first
+        a_n beyond the float range."""
         def exact_str(v: ExactScalar) -> str:
             return str(v.as_fraction()) if v.is_exact else repr(float(v))
 
-        rows = []
-        for n, c in enumerate(self.coefficients):
-            entry = {"n": n, "decimal": format_decimal(_to_float(c, f"coefficient a_{n}"))}
-            if c.is_exact:
-                fr = c.as_fraction()
-                entry["exact"] = {"num": str(fr.numerator), "den": str(fr.denominator)}
-            else:
-                entry["exact"] = None
-            rows.append(entry)
+        def num_den(n: int, c: ExactScalar) -> Optional[dict]:
+            try:
+                return {"num": str(c.numerator), "den": str(c.denominator)} if c.is_exact else None
+            except ValueError:  # str writes no int of over sys.get_int_max_str_digits() digits
+                raise ValueError(f"exact coefficient a_{n} has over "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
+
+        exact = [num_den(n, c) for n, c in enumerate(self.coefficients)]
+        rows = [{"n": n, "decimal": format_decimal(_to_float(c, f"coefficient a_{n}")), "exact": x}
+                for (n, c), x in zip(enumerate(self.coefficients), exact)]
         return {
             "expansion": self.expansion.key,
             "params": {name: exact_str(v) for name, v in self.expansion.params},
@@ -289,26 +305,6 @@ class ApproximationModel(_Record):
             "route": self.route,
             "coefficients": rows,
         }
-
-
-def _kernel_rows(f: list, values: list, order: int) -> list:
-    """(P_n, S_n) with F^(n)(0) = r**n P_n / S_n, n = 1 .. order, F = f o h.
-
-    f[k] holds f^(k) at the base point (k <= order) and values[j-1] holds
-    e_j, h^(j)(0) = d_j = r**j e_j, as ints or Fractions; F^(n) is the sum
-    over k of f^(k) B(n, k)(d_1, d_2, ...), with the columns cut at the
-    last nonzero f^(k) (d for a degree-d list).  B(n, k) has weight n in
-    the d_j, so the columns run over the e_j.  With column k = P_k / S_k from the Bell
-    column kernel :func:`funcseries.exact._columns`, f^(k) = c_k / Q and L
-    the lcm of the S_k, P_n is the sum of c_k P_k[n] L / S_k and S_n = Q L.
-    """
-    kmax = max((k for k in range(1, order + 1) if f[k]), default=0)
-    f = f[1:kmax + 1]
-    cols, scales = _columns(values, order, kmax)
-    q, lcm = math.lcm(*(v.denominator for v in f)), math.lcm(*scales)
-    c = [v.numerator * (q // v.denominator) * (lcm // s) for v, s in zip(f, scales[1:])]
-    return [(sum(ck * col[n] for ck, col in zip(c[:n], cols[1:])), q * lcm)
-            for n in range(1, order + 1)]
 
 
 def _composed(values: list, order: int, ode: tuple, start: list) -> list:
@@ -331,9 +327,13 @@ def _composed(values: list, order: int, ode: tuple, start: list) -> list:
     Pascal's rule w(n + 1, j) = w(n, j) + w(n, j - 1), w(n, 0) = -rho, so a
     row of weights is one vector addition, grown in place up to the last
     nonzero d_j, and each Y_i one dot product (``map``/``sum``) that skips
-    the j beyond it and, for odd bases, the even j.  In integers, with
-    d_j = D_j / D, start over its common denominator q and A, rho and b
-    scaled by t, G_n = t^n q Y^(n) satisfies
+    the j beyond it and, for odd bases, the even j.  F^(order) reads Y_i^(n)
+    only while i <= order - n, so row n computes and rescales no other
+    state: O(m N**2) products, about N**3 / 6 for a derivative list of
+    length N + 1 (m > 2 only there, with a = 0: the last state is b d_n
+    alone and reads no history).  In integers, with d_j = D_j / D, start
+    over its common denominator q and A, rho and b scaled by t,
+    G_n = t^n q Y^(n) satisfies
 
         D G_i(n) = sum_l sum_j W_il(n, j) D_j t^(j-1) G_l(n-j) + B_i q D_n t^(n-1);
 
@@ -360,10 +360,10 @@ def _composed(values: list, order: int, ode: tuple, start: list) -> list:
     for n in range(1, order + 1):
         wd, zs = ((map(mul, w, dj), reversed(z)) if step == 1
                   else (map(mul, w[::step], dj), z[::-step]))
-        if m > 1:  # Y_i' = Y_(i+1) h', A_i(i+1) = 1 scaled by t
+        if m > 1:  # Y_i' = Y_(i+1) h', A_i(i+1) = 1 scaled by t, for i <= order - n
             wd = list(wd)
             new = [t * sum(map(mul, wd, reversed(p) if step == 1 else p[::-step]))
-                   for p in reads]
+                   for p in reads[:order - n + 1]]
         acc = sum(map(mul, wd, zs)) + b * d[n - 1] * top
         if len(w) < width:
             w.append(0)
@@ -376,14 +376,15 @@ def _composed(values: list, order: int, ode: tuple, start: list) -> list:
                 new = [v // g for v in new]
             if s != 1:
                 z = list(map(mul, z, repeat(s)))
-                reads = [list(map(mul, p, repeat(s))) for p in reads]
+                reads = [list(map(mul, p, repeat(s))) for p in reads[:order - n]]
                 top, den = top * s, den * s
         if m > 1:
-            new.append(acc)
+            if len(new) == m - 1:  # every state is still read
+                new.append(acc)
+                if any(a):
+                    z.append(sum(map(mul, a, new)))
             for p, v in zip(reads, new[1:]):
                 p.append(v)
-            if any(a):
-                z.append(sum(map(mul, a, new)))
             acc = new[0]
         else:
             z.append(acc)
@@ -400,34 +401,34 @@ def assemble(exp: Expansion, func: FunctionSpec, order: int) -> ApproximationMod
     states d_j = r**j e_j (r = rn / rd = 1 but for a5 and a7, see
     :mod:`funcseries.pseries`).  A float input enters as its exact binary
     value.  A builtin, which declares an ODE (see :class:`FunctionSpec`),
-    is asked for f(x0) alone and takes the O(N**2) recurrence of
-    :func:`_composed`; a derivative list gives every f^(k) to the column
-    kernel's :func:`_kernel_rows`.  Both give rows (P_n, S_n) with
-    F^(n) = r**n P_n / S_n, each finished as P_n rn^n / (S_n n! rd^n) over
-    running products: a ``Fraction``, or its correctly rounded float (+-inf
-    beyond the float range) when a nonzero term f^(k) B(n, k) has a float
-    factor (:func:`funcseries.exact._supports` finds them; only when an
-    input is a float does a builtin's f^(k) get read, as f o h at h = x
-    through the same recurrence).  Exact rationals have one reduced form,
-    so both routes give the same coefficients, and ``route`` reads "bell"
-    for either (part of the model's identity).
+    is asked for f(x0) alone; a derivative list is the polynomial target
+    f^(K + 1) = 0, K its last nonzero f^(k) up to order, with start
+    (0, f^(1), ..., f^(K)).  Either takes the recurrence of
+    :func:`_composed`, whose rows (P_n, S_n), F^(n) = r**n P_n / S_n, are
+    each finished as P_n rn^n / (S_n n! rd^n) over running products: a
+    ``Fraction``, or its correctly rounded float (+-inf beyond the float
+    range) when a nonzero term f^(k) B(n, k) has a float factor
+    (:func:`funcseries.exact._supports` finds them; only when an input is
+    a float does a builtin's f^(k) get read, from
+    :meth:`FunctionSpec._listing`).  ``route`` reads "bell" (part of the
+    model's identity).
     """
     _check_order(order)
     r, e = get_family(exp.key).graded(order, exp.param_dict())
     e, e_floats = _binary(e, f"{exp.key} basis derivative e_{{}}", 1)
     f0, tags = func.derivative(0), 0
-    if func._ode is None:  # f^(0) enters only as a_0
+    if func._ode is None:  # f^(K + 1) = 0 for the last nonzero f^(K); f^(0) is only a_0
         f, f_floats = _binary([0, *(func.derivative(k)._v for k in range(1, order + 1))],
                               f"derivative f^({{}}) of {func.name!r}")
-        rows = _kernel_rows(f, e, order)
+        m = max((k for k, v in enumerate(f) if v), default=0) + 1
+        ode, start = (1, 0, (0,) * m, 0), f[:m]
     else:
         ode, start, f_floats = func._inputs(order)
-        rows = _composed(e, order, ode, start)
-        if f_floats or e_floats:  # which f^(k) are nonzero
-            f = [0, *(p for p, _ in _composed([1] + [0] * (order - 1), order, ode, start))]
+    rows = _composed(e, order, ode, start)
     if f_floats or e_floats:
-        for k, ((reach, read), fk) in enumerate(zip(_supports(e, e_floats, order, order), f)):
-            if fk:  # bit n: a nonzero product in B(n, k), one with a float
+        nonzero = func._listing(order)[1]
+        for k, (reach, read) in enumerate(_supports(e, e_floats, order, order)[1:], 1):
+            if nonzero >> k & 1:  # bit n: a nonzero product in B(n, k), one with a float
                 tags |= reach if f_floats >> k & 1 else read
     coeffs, pn, pd = [f0], 1, 1  # pn, pd: rn^n and n! rd^n
     for n, (num, den) in enumerate(rows, 1):
@@ -448,7 +449,8 @@ def assemble_via_composition(
     derivative formula and scalar arithmetic, nothing else.
     """
     _check_order(order)
-    outer = TruncatedSeries(func.derivative(k) / math.factorial(k) for k in range(order + 1))
+    outer = TruncatedSeries(v / math.factorial(k)
+                            for k, v in enumerate(func._listing(order)[0][:order + 1]))
     comp = outer.compose(family_series(exp.key, order, **exp.param_dict()))
     return ApproximationModel(exp, func, order, comp.coeffs, "composition")
 

@@ -6,13 +6,13 @@ Every Bell value here comes from the standard recurrence (Comtet,
     B(n, k) = sum_{j=1}^{n-k+1} C(n-1, j-1) * x_j * B(n-j, k-1),
 
 with B(0, 0) = 1, over the argument vector x_j = d_j of the family's
-inverse-basis derivatives, by the column kernel
-:func:`funcseries.exact._columns`.  A float d_j (a5 with a float alpha, a7
-with an irrational root) enters as its exact binary value, and a nonzero
-cell with a float factor in one of its products rounds once.
-:func:`bell_values` and :func:`bell_generic` read the triangle.  Coefficient
-assembly sums the kernel's columns itself (:mod:`funcseries.approx`), so no
-model build loads this module.
+inverse-basis derivatives, by the column kernel :func:`_columns`.  A float
+d_j (a5 with a float alpha, a7 with an irrational root) enters as its
+exact binary value, and a nonzero cell with a float factor in one of its
+products rounds once.  :func:`bell_values` and :func:`bell_generic` read
+the triangle.  Coefficient assembly never forms it: the composition
+recurrence of :mod:`funcseries.approx` gives the sums over k of
+f^(k) B(n, k) directly, so no model build loads this module.
 
 The paper's special-value formulas for fifteen families ("a1" .. "a13",
 "c1", "c2") live here as :func:`bell_closed_form`.  They are checks, not
@@ -35,7 +35,7 @@ import warnings
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import (ONE, ZERO, ExactScalar, _binary, _columns, _round, _supports, _tagged,
+from .exact import (ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged,
                     double_factorial, falling_factorial, scalar, stirling1, stirling2)
 # family_series is not used here; it is bound in this namespace for callers
 # that wrap it per module (perfbench/tracer.py).
@@ -76,12 +76,48 @@ def bell_generic(n: int, k: int, args: Sequence) -> ExactScalar:
     return ExactScalar(_triangle(values, n, k)[n][k])
 
 
+def _columns(values: list, nmax: int, kmax: Optional[int] = None) -> tuple:
+    """(cols, scales): cols[k][n] for 0 <= k <= kmax and 0 <= n <= nmax.
+
+    values[j-1] holds d_j as an int or Fraction.  Bell's recurrence runs in
+    integers over D * d_j, with D the lcm of the denominators, and B(n, k)
+    = cols[k][n] / scales[k]: column k is computed over the scale D *
+    scales[k-1], and its content, the gcd of that scale and its entries,
+    is divided out before column k + 1 starts (Knuth's primitive part,
+    *TAOCP* vol. 2, section 4.6.1), which keeps the integers near the size
+    of the Bell values instead of D^k.  Zero factors are skipped.
+    """
+    kmax = nmax if kmax is None else kmax
+    values = values[:nmax]
+    scale = math.lcm(*(v.denominator for v in values))
+    values = [v.numerator * (scale // v.denominator) for v in values]
+    # (m, [C(i-1, m-1) * d_m for i <= nmax]) for the nonzero d_m, m ascending
+    weighted = [(m, [0] * m + [math.comb(i - 1, m - 1) * x for i in range(m, nmax + 1)])
+                for m, x in enumerate(values, 1) if x]
+    cols, scales = [[1] + [0] * nmax], [1]
+    for k in range(1, kmax + 1):
+        prev = cols[-1]
+        col = [0] * (nmax + 1)
+        for m, w in weighted:
+            for i in range(m + k - 1, nmax + 1):
+                below = prev[i - m]
+                if below:
+                    col[i] += w[i] * below
+        top = scale * scales[-1]
+        content = math.gcd(top, *col) if top > 1 else 1
+        if content > 1:
+            col = [c // content for c in col]
+        scales.append(top // content)
+        cols.append(col)
+    return cols, scales
+
+
 def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     """Rows B(i, j) for 0 <= j <= min(i, kmax), i <= nmax, as raw numbers.
 
     values[j-1] holds d_j as an int, Fraction or finite float; at least
     nmax of them are needed.  Cell (i, j) is P_j[i] / S_j from the kernel
-    :func:`funcseries.exact._columns` over the exact binary values, as a
+    :func:`_columns` over the exact binary values, as a
     Fraction, or as its correctly rounded float where
     :func:`funcseries.exact._supports` finds a float factor.  Serves
     :func:`bell_generic`, :func:`bell_values` and the gate.

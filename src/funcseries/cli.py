@@ -265,24 +265,19 @@ def _require_single_expansion(args: argparse.Namespace) -> str:
     return args.expansions[0]
 
 
-def _exact_text(c: ExactScalar, n: int) -> str:
-    try:
-        return str(c)
-    except ValueError:  # str writes no int of over sys.get_int_max_str_digits() digits
-        raise ValueError(f"exact coefficient a_{n} has over {sys.get_int_max_str_digits()} "
-                         "digits") from None
+def _exact_column(exact: Optional[dict]) -> str:
+    """to_json_dict's num and den written as str(Fraction) writes them; "" for a float."""
+    if exact is None:
+        return ""
+    return exact["num"] if exact["den"] == "1" else f"{exact['num']}/{exact['den']}"
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
     key = _require_single_expansion(args)
     func = _load_function(args.function)
     model = _build_model(key, func, args.terms, args.alpha, args.beta, args.w)
-    exact = [_exact_text(c, n) if c.is_exact else "" for n, c in enumerate(model.coefficients)]
-    # to_json_dict gives the decimal column, and raises DomainError for a
-    # coefficient beyond the float range
-    doc = model.to_json_dict()
-    rows = [[str(entry["n"]), entry["decimal"], text]
-            for entry, text in zip(doc["coefficients"], exact)]
+    doc = model.to_json_dict()  # each coefficient's text, once, or the error that names it
+    rows = [[str(c["n"]), c["decimal"], _exact_column(c["exact"])] for c in doc["coefficients"]]
     _write(args.out, ["n", "decimal", "exact"], rows, doc if args.fmt == "json" else None)
     return 0
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import funcseries.bell as bell
-from funcseries import approx
+from funcseries.approx import assemble, function_from_derivatives
 from funcseries.bell import (
     CLOSED_FORM_FAMILIES,
     bell_closed_form,
@@ -17,7 +17,7 @@ from funcseries.bell import (
     gate_report,
 )
 from funcseries.catalog import get_expansion
-from funcseries.exact import ONE, ZERO, _columns, falling_factorial, scalar, stirling2
+from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series, get_family
 from oracles import bell_by_partitions, revert_by_lagrange, stirling1_rec
 
@@ -305,13 +305,13 @@ class TestColumnKernel:
         # keeps them near the size of the values.
         params = get_expansion(key).param_dict()
         values = bell._raw(derivative_sequence(key, MAX_ORDER, **params))
-        cols, scales = _columns(values, MAX_ORDER)
+        cols, scales = bell._columns(values, MAX_ORDER)
         stored = [*scales, *(c for col in cols for c in col)]
         assert max(abs(v).bit_length() for v in stored) < 1000
 
     def test_columns_over_their_scales_match_the_partition_oracle(self):
         values = bell._raw(derivative_sequence("c4", 8))
-        cols, scales = _columns(values, 8)
+        cols, scales = bell._columns(values, 8)
         for n in range(1, 9):
             for k in range(1, n + 1):
                 expected = bell_by_partitions(n, k, values[: n - k + 1])
@@ -321,18 +321,19 @@ class TestColumnKernel:
 
     @pytest.mark.parametrize("key", FAMILY_KEYS)
     def test_capped_composite_matches_every_column(self, key):
-        # the kernel rows stop at the last nonzero f^(k): 2 columns for sq, 5
-        # for a degree-5 list; the sum over all MAX_ORDER columns is the same
-        fam = get_family(key)
-        r, e = fam.graded(MAX_ORDER, get_expansion(key).param_dict())
-        cols, scales = _columns(list(e), MAX_ORDER)
+        # a derivative list is the polynomial target f^(K + 1) = 0, whose
+        # recurrence carries K + 1 states (3 for sq, 6 for a degree-5 list);
+        # each of its coefficients is the sum over all MAX_ORDER columns
+        exp = get_expansion(key)
+        r, e = get_family(key).graded(MAX_ORDER, exp.param_dict())
+        cols, scales = bell._columns(list(e), MAX_ORDER)
         pad = [0] * MAX_ORDER
         for f in ([0, 0, 2, *pad], [1, 2, -3, Fraction(1, 2), 5, 7, *pad]):
-            rows = approx._kernel_rows(f, list(e), MAX_ORDER)
-            for n, (p, s) in enumerate(rows, 1):
+            model = assemble(exp, function_from_derivatives(f[:MAX_ORDER + 1]), MAX_ORDER)
+            for n, c in enumerate(model.coefficients[1:], 1):
                 full = sum(Fraction(fk * col[n], sk)
                            for fk, col, sk in zip(f[1:], cols[1:], scales[1:]))
-                assert Fraction(p, s) == full, (key, f[:6], n)
+                assert c == full * r**n / math.factorial(n), (key, f[:6], n)
 
 
 class TestGrading:

@@ -12,6 +12,7 @@ import random
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -527,6 +528,29 @@ def test_exact_values_beyond_4300_digits_are_refused(tmp_path, capsys):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: exact coefficient a_1 has over {limit} digits\n")
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["--expansion", "a8", "--function", "ln1p"],
+    ["--expansion", "a5", "--alpha", "0.5", "--function", "exp"],
+    ["--expansion", "a7", "--alpha", "2", "--function", "sin"],
+    ["--expansion", "c4", "--function", "pow:-7/3"],
+    ["--expansion", "a2", "--function", "LIST"],
+])
+def test_coeffs_csv_and_json_agree(argv, tmp_path, capsys):
+    # one coefficient text each: the csv exact column is str(Fraction) of
+    # the json num/den, empty where the json has null
+    path = tmp_path / "mixed.txt"
+    path.write_text("0.5\n-3\n0\n-2.5\n3/7\n1e-30\n")
+    argv = ["coeffs", *(str(path) if a == "LIST" else a for a in argv), "--terms", "5"]
+    assert main(argv) == 0
+    header, *rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert header == ["n", "decimal", "exact"]
+    assert rows == [[str(c["n"]), c["decimal"], "" if c["exact"] is None else
+                     str(Fraction(int(c["exact"]["num"]), int(c["exact"]["den"])))]
+                    for c in doc["coefficients"]]
 
 
 class TestLinspace:

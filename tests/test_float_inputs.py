@@ -14,13 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from funcseries import approx, bell
+from funcseries import bell
 from funcseries.approx import assemble, builtin_function, evaluate, function_from_derivatives
 from funcseries.catalog import DomainError, get_expansion
 from funcseries.exact import falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, get_family
 from test_approx import COEFFICIENT_PINS, SHIFTED_CENTER_REPRS, pin_target
-from test_routes import FLOAT_MODEL_DIGESTS, KERNEL_ROUTE_DIGESTS, _kernel_cases, target
+from test_routes import (FLOAT_MODEL_DIGESTS, KERNEL_ROUTE_DIGESTS, _kernel_cases, bell_oracle,
+                         target)
 
 
 def _binary(value):
@@ -33,7 +34,7 @@ def _exact_target(func, order):
     target with a float f(x0) (exp at x0 != 0, ln1p at an exact x0 != 0) as
     its derivative list."""
     if func._ode is None or not func.derivative(0).is_exact:
-        return function_from_derivatives([_binary(func.derivative(k)) for k in range(order + 1)])
+        return function_from_derivatives([_binary(v) for v in func._listing(order)[0][:order + 1]])
     if func.name.startswith("pow:"):  # a float alpha is the ODE's only float
         return builtin_function("pow", alpha=Fraction(func._ode[1][0]))
     return func
@@ -44,19 +45,17 @@ def exact_coefficients(exp, func, order):
 
     A float parameter of the basis enters through its e_j (a5's falling
     factorials of a float alpha, a7's powers of a float root), which no
-    exact expansion has: the kernel sums over their binary values then.
+    exact expansion has: the Bell columns sum over their binary values then.
     """
     twin = _exact_target(func, order)
-    r, e = get_family(exp.key).graded(order, exp.param_dict())
+    e = get_family(exp.key).graded(order, exp.param_dict())[1]
     if not any(isinstance(v, float) for v in e):
         params = {name: _binary(v) for name, v in exp.params}
         model = assemble(get_expansion(exp.key, **params), twin, order)
         assert model.is_exact()
         return [c.as_fraction() for c in model.coefficients]
-    f = [_binary(twin.derivative(k)) for k in range(order + 1)]
-    rows = approx._kernel_rows(f, [Fraction(v) for v in e], order)
-    return [f[0]] + [Fraction(p * r**n, s * math.factorial(n))
-                     for n, (p, s) in enumerate(rows, 1)]
+    values = twin._listing(order)[0]
+    return [_binary(values[0]), *(a for a, _ in bell_oracle(exp, values, order))]
 
 
 def _pinned_float_models():

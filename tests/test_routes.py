@@ -1,30 +1,31 @@
-"""The two exact assembly routes give the same coefficients.
+"""Every target takes one exact route, checked against the Bell columns.
 
 Every builtin declares a linear ODE (first order for exp, ln1p and pow,
-second for sin and sq), and ``assemble`` computes its series of f o h by
-the O(N**2) composition recurrence; a derivative list reads the Bell
-column kernel.  The same derivatives wrapped by
-``function_from_derivatives`` declare no ODE, so they take the kernel, and
-the two builds must agree coefficient for coefficient, exactness tags
-included (``ExactScalar.__eq__`` ignores them, so the tests compare
-reprs).  Float inputs enter either route as their exact binary values, and
-each float coefficient is the correctly rounded value of its exact
-rational; digests pin the float models bit for bit.
+second for sin and sq), and a derivative list f^(0) .. f^(K) is the
+polynomial target f^(K + 1) = 0; ``assemble`` computes the series of
+f o h for either by the composition recurrence.  The oracle here sums
+f^(k) B(n, k) over the columns of ``bell._columns``, the O(N**3) Bell
+triangle, and the builds must agree with it coefficient for coefficient,
+exactness tags included (``ExactScalar.__eq__`` ignores them, so the tests
+compare reprs).  Float inputs enter as their exact binary values, and each
+float coefficient is the correctly rounded value of its exact rational;
+digests pin the float models bit for bit.
 """
 
 import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcseries import approx
+from funcseries import approx, bell
 from funcseries.approx import assemble, builtin_function, function_from_derivatives
 from funcseries.catalog import get_expansion
-from funcseries.exact import falling_factorial
-from funcseries.pseries import FAMILY_KEYS, MAX_ORDER
+from funcseries.exact import ExactScalar, _round, _supports, falling_factorial
+from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, get_family
 
 ODE_TARGETS = ("exp", "ln1p", "pow:1/5", "pow:-1/3", "pow:3/2", "sin", "sin@1/2", "sin@0.5", "sq",
                "sq@0.5", "sq@-0.0")
@@ -43,9 +44,9 @@ def target(spec):
     return builtin_function(name, x0=_number(x0 or "0"))
 
 
-def through_kernel(func, order):
+def as_list(func, order):
     """The same derivatives d_0 .. d_order, with no ODE declared."""
-    return function_from_derivatives([func.derivative(k) for k in range(order + 1)])
+    return function_from_derivatives(func._listing(order)[0][:order + 1])
 
 
 def tagged(model):
@@ -53,51 +54,65 @@ def tagged(model):
     return list(map(repr, model.coefficients))
 
 
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Count the column-kernel builds assemble makes, as (rows, columns)."""
-    calls = []
+@lru_cache(maxsize=None)
+def _bell_columns(exp):
+    """(r, cols, scales, supports) of exp at MAX_ORDER: B(n, k) = cols[k][n] / scales[k]
+    over the binary values of the e_j, and exact._supports' masks."""
+    r, e = get_family(exp.key).graded(MAX_ORDER, exp.param_dict())
+    floats = sum(isinstance(v, float) << j for j, v in enumerate(e))
+    e = [Fraction(v) for v in e]
+    return (r, *bell._columns(e, MAX_ORDER), _supports(e, floats, MAX_ORDER, MAX_ORDER))
 
-    def counted(values, nmax, kmax=None, _columns=approx._columns):
-        calls.append((nmax, kmax))
-        return _columns(values, nmax, kmax)
 
-    monkeypatch.setattr(approx, "_columns", counted)
-    return calls
+def bell_oracle(exp, values, order):
+    """[(a_n, rounded)] for n = 1 .. order of the derivative list values on exp.
+
+    a_n = sum_k f^(k) B(n, k)(d_1, d_2, ...) / n! as an exact rational over
+    the binary values of the floats, f^(k) = values[k] and B(n, k) read from
+    bell's columns; rounded marks the a_n that has a nonzero term with a
+    float factor: a float f^(k) times a nonzero product of the d_j, or any
+    nonzero f^(k) times one with a float d_j (the masks of exact._supports).
+    """
+    r, cols, scales, supports = _bell_columns(exp)
+    terms = [(Fraction(v._v), v.is_exact, col, Fraction(1, s), masks)
+             for v, col, s, masks in zip(values[1:order + 1], cols[1:], scales[1:], supports[1:])
+             if v]
+    return [(sum((fk * col[n] * inv for fk, _, col, inv, _ in terms), Fraction(0))
+             * r**n / math.factorial(n),
+             any((read if exact else reach) >> n & 1 for _, exact, _, _, (reach, read) in terms))
+            for n in range(1, order + 1)]
+
+
+def oracle_tagged(exp, func, order):
+    """The reprs of a_0 = f(x0) and of the oracle's a_1 .. a_order over func's
+    derivatives, each rounded once where marked."""
+    values = func._listing(order)[0]
+    return [repr(values[0]), *(repr(ExactScalar(_round(a.numerator, a.denominator) if rounded
+                                                else a))
+                               for a, rounded in bell_oracle(exp, values, order))]
 
 
 @pytest.mark.parametrize("key", FAMILY_KEYS)
-def test_recurrence_matches_kernel_at_max_order(key, kernel_calls):
+def test_recurrence_matches_kernel_at_max_order(key):
     exp = get_expansion(key)
-    assert kernel_calls == []  # a11's and a12's Newton start tables are constants
     for spec in ODE_TARGETS:
         func = target(spec)
         fast = assemble(exp, func, MAX_ORDER)
-        assert kernel_calls == []
-        slow = assemble(exp, through_kernel(func, MAX_ORDER), MAX_ORDER)
-        # the kernel cuts its columns at the last nonzero f^(k): 64 but for
-        # sin at 0 (f^(64) = 0) and sq (f^(2))
-        k_last = max(k for k in range(MAX_ORDER + 1) if func.derivative(k))
-        assert kernel_calls == [(MAX_ORDER, k_last)]
-        kernel_calls.clear()
+        slow = assemble(exp, as_list(func, MAX_ORDER), MAX_ORDER)
         # a float f(x0) (sin at x0 != 0, sq at a float x0) makes a_0 a float
         assert fast.is_exact() == slow.is_exact() == func.derivative(0).is_exact
-        assert tagged(fast) == tagged(slow), (key, spec)
+        assert tagged(fast) == tagged(slow) == oracle_tagged(exp, func, MAX_ORDER), (key, spec)
         assert fast.route == slow.route == "bell"
 
 
-def test_targets_without_an_ode_keep_the_kernel(kernel_calls):
-    # only a derivative list reaches the column kernel: sin and sq at every
-    # family call it zero times
+def test_derivative_lists_match_the_bell_columns():
+    # a list f^(0) .. f^(K) takes the recurrence as the polynomial target
+    # f^(K + 1) = 0: sin's up to order 8 has K = 7, sq's K = 2
     for key in FAMILY_KEYS:
-        for spec in ("sin", "sq"):
-            assemble(get_expansion(key), target(spec), MAX_ORDER)
-    assert kernel_calls == []
-    exp = get_expansion("a1")
-    for spec in ("sin", "sq"):
-        assemble(exp, through_kernel(target(spec), 8), 8)
-    # sin's last nonzero derivative up to order 8 is f^(7); sq has two
-    assert kernel_calls == [(8, 7), (8, 2)]
+        exp = get_expansion(key)
+        for spec in ("sin", "sq", "sq@1/2"):
+            func = as_list(target(spec), 8)
+            assert tagged(assemble(exp, func, 8)) == oracle_tagged(exp, func, 8), (key, spec)
 
 
 def test_lowest_orders():
@@ -107,7 +122,7 @@ def test_lowest_orders():
             func = target(spec)
             for order in (1, 2):
                 assert tagged(assemble(exp, func, order)) == tagged(
-                    assemble(exp, through_kernel(func, order), order))
+                    assemble(exp, as_list(func, order), order))
 
 
 def _rational(max_num=12, max_den=12, nonzero=False, positive=False):
@@ -150,7 +165,7 @@ def test_recurrence_matches_kernel_property(case, func, order):
     key, params = case
     exp = get_expansion(key, **params)
     fast = assemble(exp, func, order)
-    slow = assemble(exp, through_kernel(func, order), order)
+    slow = assemble(exp, as_list(func, order), order)
     assert fast.is_exact() == func.derivative(0).is_exact
     assert tagged(fast) == tagged(slow)
 
@@ -187,10 +202,31 @@ def test_recurrence_weights_match_kernel_in_every_family(key, data):
     order = data.draw(st.integers(1, 24), label="order")
     exp = get_expansion(key, **params)
     fast = assemble(exp, func, order)
-    slow = assemble(exp, through_kernel(func, order), order)
+    slow = assemble(exp, as_list(func, order), order)
     assert tagged(fast) == tagged(slow)
     if key != "a7" or exp.param_dict()["alpha"].sqrt().is_exact:
         assert fast.is_exact() == func.derivative(0).is_exact
+
+
+# derivative lists of 1 .. MAX_ORDER + 1 entries: ints, Fractions and floats
+# over the whole finite range, each followed by a run of exact or float zeros
+_ENTRIES = st.one_of(st.integers(-10**6, 10**6), _rational(10**6, 10**6),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_LISTS = st.lists(st.tuples(_ENTRIES, st.integers(0, 12), st.sampled_from([0, 0.0, -0.0])),
+                  min_size=1, max_size=MAX_ORDER + 1).map(
+    lambda runs: [x for v, zeros, zero in runs for x in (v, *[zero] * zeros)][:MAX_ORDER + 1])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(values=_LISTS)
+def test_derivative_lists_match_the_bell_columns_property(values):
+    func, order = function_from_derivatives(values), len(values) - 1
+    for exp in map(get_expansion, FAMILY_KEYS):
+        if not order:
+            with pytest.raises(ValueError, match="only up to order 0, order 1 requested"):
+                assemble(exp, func, 1)
+        else:
+            assert tagged(assemble(exp, func, order)) == oracle_tagged(exp, func, order), exp.key
 
 
 @pytest.fixture
@@ -218,7 +254,7 @@ def test_a_target_without_an_ode_is_asked_for_every_order(derivative_calls):
     # a derivative list, here of sin and sq; the builtins themselves are
     # asked for f(x0) alone
     for spec in ("sin", "sin@1/2", "sq@0.5"):
-        func = through_kernel(target(spec), MAX_ORDER)
+        func = as_list(target(spec), MAX_ORDER)
         derivative_calls.clear()
         assemble(get_expansion("a2"), func, MAX_ORDER)
         assert derivative_calls == list(range(MAX_ORDER + 1)), spec
@@ -228,14 +264,15 @@ def test_a_target_without_an_ode_is_asked_for_every_order(derivative_calls):
         derivative_calls.clear()
 
 
-def test_a_float_alpha_takes_the_recurrence(kernel_calls, derivative_calls):
+def test_a_float_alpha_takes_the_recurrence(derivative_calls):
     # pow with a float alpha declares its ODE, and assemble runs it over
     # the exact binary value of alpha; the exactness tags read the ODE too
-    model = assemble(get_expansion("a2"), target("pow:0.5"), MAX_ORDER)
-    assert kernel_calls == [] and derivative_calls == [0]
-    exact = assemble(get_expansion("a2"), target("pow:1/2"), MAX_ORDER)
+    exp = get_expansion("a2")
+    model = assemble(exp, target("pow:0.5"), MAX_ORDER)
+    assert derivative_calls == [0]
     assert model.coefficients[0].is_exact
-    assert [float(c) for c in model.coefficients] == [float(c) for c in exact.coefficients]
+    exact = [a for a, _ in bell_oracle(exp, target("pow:1/2")._listing(MAX_ORDER)[0], MAX_ORDER)]
+    assert [float(c) for c in model.coefficients[1:]] == [float(a) for a in exact]
     assert not any(c.is_exact for c in model.coefficients[1:])
 
 
@@ -244,9 +281,9 @@ def _tags(model):
 
 
 @pytest.mark.parametrize("key", FAMILY_KEYS)
-def test_ode_targets_tag_as_the_kernel_does_at_every_center(key, kernel_calls):
+def test_ode_targets_tag_as_the_kernel_does_at_every_center(key):
     # exp and ln1p take the recurrence at every x0, exact or float, and each
-    # coefficient carries the tag the kernel gives it over the same
+    # coefficient carries the tag the Bell columns give it over the same
     # derivatives.  Where those derivatives are the ODE's exact data (exp's
     # f(x0), ln1p at an exact x0, an exact alpha) the values agree too;
     # ln1p at a float x0 and a float alpha round their f^(k), which the
@@ -258,13 +295,11 @@ def test_ode_targets_tag_as_the_kernel_does_at_every_center(key, kernel_calls):
     pows = ("pow:1/5", "pow:-1/3", "pow:0.5", "pow:0.2", "pow:2", "pow:2.0", "pow:0")
     for func in [*funcs, *map(target, pows)]:
         fast = assemble(exp, func, MAX_ORDER)
-        assert kernel_calls == []
-        slow = assemble(exp, through_kernel(func, MAX_ORDER), MAX_ORDER)
-        kernel_calls.clear()
+        slow = oracle_tagged(exp, func, MAX_ORDER)
         if func.name == "exp" or func.derivative(1).is_exact:
-            assert tagged(fast) == tagged(slow), (func, func.x0)
+            assert tagged(fast) == slow, (func, func.x0)
         else:
-            assert _tags(fast) == _tags(slow), (func, func.x0)
+            assert _tags(fast) == [not s.startswith("ExactScalar(~") for s in slow], (func, func.x0)
             assert func.name == "pow:2.0" or not any(_tags(fast)[1:]), (func, func.x0)
 
 
