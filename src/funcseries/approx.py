@@ -34,7 +34,7 @@ from operator import add, mul
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_float,
-                      _float_param, eval_g, get_expansion)
+                      _float_param, _horner_kernel, eval_g, get_expansion)
 from .exact import (ONE, ZERO, ExactScalar, _binary, _Record, _round, _supports, _tagged,
                     scalar)
 from .pseries import TruncatedSeries, _check_order, family_series, get_family
@@ -253,7 +253,8 @@ def _to_float(value: ExactScalar, name: str) -> float:
 class ApproximationModel(_Record):
     """A finished approximation: expansion, target, and coefficients a_0..a_N.
 
-    Its fields live in the instance dict, next to the cached float form.
+    Its fields live in the instance dict, next to the cached float form
+    and Horner kernel.
     """
 
     _fields = _shown = ("expansion", "func", "order", "coefficients", "route")
@@ -270,14 +271,26 @@ class ApproximationModel(_Record):
         """(float(x0), (float(a_N), ..., float(a_0))): the Horner input.
 
         Converted once per model on first use and kept in the instance
-        dict; not a field, so it takes no part in repr, equality, hashing
-        or the JSON form.  A value beyond the float range raises
+        dict; not a field, so it takes no part in repr, equality, hashing,
+        the JSON form or pickling.  A value beyond the float range raises
         DomainError (and nothing is cached).
         """
         floats = tuple(
             _to_float(c, f"coefficient a_{n}") for n, c in enumerate(self.coefficients)
         )
         return (_to_float(self.func.x0, "x0"), floats[::-1])
+
+    @cached_property
+    def _kernel(self) -> tuple:
+        """(float(x0), the Horner sum of _float_form's coefficients compiled
+        as a function of u by :func:`funcseries.catalog._horner_kernel`).
+
+        Built on the first :func:`evaluate`, never by :func:`assemble`, and
+        kept like _float_form, outside the model's identity; a DomainError
+        from _float_form caches nothing.
+        """
+        x0, coeffs = self._float_form
+        return x0, _horner_kernel(coeffs)
 
     def to_json_dict(self) -> dict:
         """The model as JSON data.  ValueError names the first exact a_n of
@@ -459,23 +472,21 @@ def evaluate(model: ApproximationModel, x: float) -> float:
     """Float value of the approximation at x (Horner in u = g(x - x0)).
 
     The Horner sum runs over the model's float coefficients, converted
-    from the exact ones once per model, so every point costs one basis
-    evaluation and N multiply-adds.  The result equals converting each
-    coefficient at every call, bit for bit.  x is a float, an int or a
-    Fraction: x - x0 is a float, which eval_g admits into the domain in
-    one step (see :func:`funcseries.catalog.eval_g`); an x beyond the
-    float range reads as +-inf, outside every domain.
+    from the exact ones and compiled into one straight-line expression
+    once per model, on its first evaluation, so every point costs one
+    basis evaluation and N multiply-adds, with no loop.  The result equals
+    the Horner loop over each coefficient converted at every call, bit
+    for bit.  x is a float, an int or a Fraction: x - x0 is a float,
+    which eval_g admits into the domain in one step (see
+    :func:`funcseries.catalog.eval_g`); an x beyond the float range reads
+    as +-inf, outside every domain.
     """
-    x0, horner = model._float_form
+    x0, horner = model._kernel
     try:
         t = x - x0
     except OverflowError:  # an int or Fraction beyond the float range
         t = math.inf if x > 0 else -math.inf
-    u = eval_g(model.expansion, t)
-    acc = 0.0
-    for c in horner:
-        acc = acc * u + c
-    return acc
+    return horner(eval_g(model.expansion, t))
 
 
 def taylor_baseline(func: FunctionSpec, order: int) -> ApproximationModel:

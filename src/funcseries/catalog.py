@@ -28,9 +28,10 @@ that the direct formula loses half the mantissa.
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.  A series branch sums its table, reversed once when
-the family is built, by one of two shared Horner helpers: :func:`_horner`
-for the value and :func:`_horner_d` for value and slope.
+documented threshold.  A series branch sums its table through the
+package's one polynomial kernel, :func:`_horner_kernel`, which compiles a
+table into a straight-line Horner expression once per process; the models
+of :mod:`funcseries.approx` sum their coefficients through it too.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
@@ -203,49 +204,58 @@ def lambert_w0(x: float) -> float:
     raise ConvergenceError(f"lambert_w0 failed to converge at x={x!r}")
 
 
-# -- series tables -------------------------------------------------------------
+# -- polynomial kernel and series tables -------------------------------------
 #
-# The tables are kept in ascending order; a builder takes the ones it sums
-# by Horner reversed, once, so that each evaluation loops over them
-# directly.  The inverse-series tables are cached from family_series; the
-# a11/a12 Newton start tables are constants, so no float basis reverts a series.
+# The tables are kept in ascending order; a series branch compiles the ones
+# it sums, highest degree first, into one kernel, once per process.  The
+# inverse-series tables come from family_series; the a11/a12 Newton start
+# tables are constants, so no float basis reverts a series.
+
+
+def _horner_kernel(*tables: tuple) -> Callable:
+    """A function of one float u that sums each table by Horner's rule.
+
+    A table holds finite floats c_N, ..., c_0, highest degree first, and
+    its sum is one straight-line expression
+    (...((0.0*u + c_N)*u + c_(N-1))...)*u + c_0 with each coefficient's
+    repr as a constant: the multiply-adds of the loop acc = acc*u + c in
+    the same order, so every result is the loop's bit for bit, the nan
+    of 0.0*inf included.  The function returns the one sum, or the tuple
+    of the sums for several tables.  Each term nests one parenthesis, and
+    CPython parses at most 200 nested, so a table of over 199 terms (a
+    model's has at most MAX_ORDER + 1 = 65), or a coefficient that is not
+    finite, raises ValueError.
+    """
+    sums = []
+    for table in tables:
+        if len(table) > 199:
+            raise ValueError(f"a polynomial of {len(table)} terms is over the 199 that "
+                             "compile as one expression")
+        expr = "0.0"
+        for c in map(float, table):
+            if not math.isfinite(c):
+                raise ValueError(f"polynomial coefficient {c!r} is not finite")
+            expr = f"({expr} * u + {c!r})"
+        sums.append(expr)
+    body = sums[0] if len(sums) == 1 else f"({', '.join(sums)})"
+    return eval(compile(f"lambda u: {body}", "<horner>", "eval"), {"__builtins__": {}})
 
 
 @lru_cache(maxsize=None)
-def _series_floats(key: str, order: int) -> tuple:
-    """Float coefficients of a parameter-free family's inverse series."""
-    return tuple(float(c) for c in family_series(key, order).coeffs)
-
-
-def _horner_tables(key: str, order: int) -> tuple:
-    """A series branch's tables: c_order .. c_0 for the inverse basis, the
-    pairs (c_n, n c_n) for n = order .. 1 for it and its slope, and c_0."""
-    c = _series_floats(key, order)
-    return c[::-1], tuple((c[n], n * c[n]) for n in range(order, 0, -1)), c[0]
-
-
-def _horner(c: tuple, y: float) -> float:
-    """The polynomial with coefficients c, highest degree first, at y."""
-    acc = 0.0
-    for cn in c:
-        acc = acc * y + cn
-    return acc
-
-
-def _horner_d(cd: tuple, c0: float, y: float) -> tuple:
-    """A series and its slope at y from the pairs and c_0 of _horner_tables,
-    both sums in one loop."""
-    acc = dacc = 0.0
-    for cn, dn in cd:
-        acc = acc * y + cn
-        dacc = dacc * y + dn
-    return acc * y + c0, dacc
+def _series_kernel(key: str, order: int, slope: bool = False) -> Callable:
+    """The kernel of a parameter-free family's inverse series c_0 + ... +
+    c_order y^order, floats of family_series, built once per process: its
+    value at y, or with slope the pair (value, slope)."""
+    c = tuple(float(v) for v in family_series(key, order).coeffs)
+    if not slope:
+        return _horner_kernel(c[::-1])
+    return _horner_kernel(c[::-1], tuple(n * c[n] for n in range(order, 0, -1)))
 
 
 # t_0 .. t_16 of a11's and a12's basis series, the compositional inverse of
 # the inverse basis (Comtet, *Advanced Combinatorics*, section 3.8): the
 # floats of family_series(key, 16).reversion(), which tests/test_approx.py
-# recomputes.
+# recomputes; _start_kernel compiles them.
 _G_INIT = {
     "a11": (0.0, 2.0, -2.6666666666666665, 3.111111111111111, -3.437037037037037,
             3.6938271604938273, -3.905467372134039, 4.085314520870076, -4.241583382324123,
@@ -432,8 +442,7 @@ def _scan_pieces(ginv_d, d1: float, tail_neg: float):
 # for the bisection walk, and either the domain and image or, for c1 ..
 # c5, tail_neg (see _scan_pieces); a11, a12 and c6 also name their side.
 # get_expansion derives the other fields.  A pair computes what its value
-# shares with the slope once; a series branch runs both Horner sums in one
-# loop.
+# shares with the slope once; a series branch sums both in one kernel call.
 
 _FULL_LINE = Interval(-math.inf, math.inf)
 
@@ -592,10 +601,17 @@ def _make_a10(p):
 _NEAR_ZERO = 1e-3
 
 
-def _near_zero_start(init: tuple, ginv_d: Callable, x: float) -> float:
-    """a11's and a12's g near zero: the basis series (init, highest
-    coefficient first), then two Newton steps on the inverse basis."""
-    y = _horner(init, x)
+@lru_cache(maxsize=None)
+def _start_kernel(key: str) -> Callable:
+    """The kernel of a11's or a12's basis series t_0 + ... + t_16 x^16
+    from _G_INIT, built once per process."""
+    return _horner_kernel(_G_INIT[key][::-1])
+
+
+def _near_zero_start(start: Callable, ginv_d: Callable, x: float) -> float:
+    """a11's and a12's g near zero: the basis series (its kernel start),
+    then two Newton steps on the inverse basis."""
+    y = start(x)
     for _ in range(2):
         v, d = ginv_d(y)
         y -= (v - x) / d
@@ -603,12 +619,11 @@ def _near_zero_start(init: tuple, ginv_d: Callable, x: float) -> float:
 
 
 def _make_a11(p):
-    _, cd, c0 = _horner_tables("a11", 8)
-    init = _G_INIT["a11"][::-1]
+    series_d, start = _series_kernel("a11", 8, True), _start_kernel("a11")
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            return _horner_d(cd, c0, y)
+            return series_d(y)
         ly = math.log1p(-y)
         return -ly / y - 1.0, (y / (1.0 - y) + ly) / (y * y)
 
@@ -616,7 +631,7 @@ def _make_a11(p):
         if x >= 0.0625:
             t = 1.0 + x
             return lambert_w0(-t * math.exp(-t)) / t + 1.0
-        return _near_zero_start(init, ginv_d, x)
+        return _near_zero_start(start, ginv_d, x)
 
     return dict(
         domain=Interval(0.0, math.inf, lo_closed=True),
@@ -626,12 +641,11 @@ def _make_a11(p):
 
 
 def _make_a12(p):
-    _, cd, c0 = _horner_tables("a12", 8)
-    init = _G_INIT["a12"][::-1]
+    series_d, start = _series_kernel("a12", 8, True), _start_kernel("a12")
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            return _horner_d(cd, c0, y)
+            return series_d(y)
         return math.expm1(y) / y - 1.0, ((y - 1.0) * math.exp(y) + 1.0) / (y * y)
 
     def g(x):
@@ -639,7 +653,7 @@ def _make_a12(p):
             t = 1.0 + x
             u = lambert_w0(-math.exp(-1.0 / t) / t)
             return -(u + 1.0 / t)
-        return _near_zero_start(init, ginv_d, x)
+        return _near_zero_start(start, ginv_d, x)
 
     return dict(
         domain=Interval(-1.0, 0.0, hi_closed=True),
@@ -688,16 +702,16 @@ def _make_c2(p):
 
 
 def _make_c3(p):
-    c, cd, c0 = _horner_tables("c3", 20)
+    series, series_d = _series_kernel("c3", 20), _series_kernel("c3", 20, True)
 
     def ginv(y):
         if abs(y) < 0.25:
-            return _horner(c, y)
+            return series(y)
         return (2.0 * math.exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)
 
     def ginv_d(y):
         if abs(y) < 0.25:
-            return _horner_d(cd, c0, y)
+            return series_d(y)
         ey = math.exp(y)
         num = 2.0 * ey - 2.0 - 2.0 * y - y * y
         nump = 2.0 * ey - 2.0 - 2.0 * y
@@ -710,17 +724,18 @@ def _make_c3(p):
 
 
 def _make_c4(p):
-    c, cd, c0 = _horner_tables("c4", 24)
+    series, series_d = _series_kernel("c4", 24), _series_kernel("c4", 24, True)
 
     def ginv(y):
         if abs(y) < 0.5:
-            return _horner(c, y)
+            return series(y)
         ey = math.exp(y)
-        return (6.0 * y * ey - 12.0 * ey - y ** 3 + 6.0 * y + 12.0) / (6.0 * y ** 3)
+        y3 = y ** 3
+        return (6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0) / (6.0 * y3)
 
     def ginv_d(y):
         if abs(y) < 0.5:
-            return _horner_d(cd, c0, y)
+            return series_d(y)
         ey = math.exp(y)
         y3 = y ** 3
         num = 6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0
@@ -738,12 +753,11 @@ def _make_c5(p):
     a1f = float(p["w"])
     a2f = float(p["beta"])
 
-    def ginv(y):
-        return af + (af + a1f - 1.0) * y + 0.5 * (af + a2f - 2.0) * y * y \
-            + (y - af) * math.exp(y)
-
     q = af + a2f - 2.0
     lin = af + a1f - 1.0
+
+    def ginv(y):
+        return af + lin * y + 0.5 * q * y * y + (y - af) * math.exp(y)
 
     def ginv_d(y):
         ey = math.exp(y)
@@ -759,17 +773,17 @@ def _make_c5(p):
 
 
 def _make_c6(p):
-    c, cd, c0 = _horner_tables("c6", 20)
+    series, series_d = _series_kernel("c6", 20), _series_kernel("c6", 20, True)
 
     def ginv(y):
         if abs(y) < 0.0625:
-            return _horner(c, y)
+            return series(y)
         a = math.acos(1.0 + y)
         return -a * a / (2.0 * y) - 1.0
 
     def ginv_d(y):
         if abs(y) < 0.0625:
-            return _horner_d(cd, c0, y)
+            return series_d(y)
         a = math.acos(1.0 + y)
         ap = -1.0 / math.sqrt(max(-y * (2.0 + y), 5e-324))
         return -a * a / (2.0 * y) - 1.0, (a * a - 2.0 * a * ap * y) / (2.0 * y * y)

@@ -1,9 +1,11 @@
 """Tests for coefficient assembly, evaluation, radius and error reporting."""
 
+import copy
 import hashlib
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from funcseries.approx import (
     taylor_baseline,
 )
 from funcseries.catalog import ConvergenceError, DomainError, Interval, eval_g, get_expansion
-from funcseries.exact import falling_factorial
+from funcseries.exact import ExactScalar, falling_factorial
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, TruncatedSeries, family_series, get_family
 from oracles import poly_eval_float, revert_by_lagrange
 
@@ -480,7 +482,7 @@ class TestAssemble:
         def refuse(self):
             raise AssertionError("c6 must not revert a series")
 
-        catalog._series_floats.cache_clear()
+        catalog._series_kernel.cache_clear()
         monkeypatch.setattr(TruncatedSeries, "reversion", refuse)
         exp = get_expansion("c6")
         m = assemble(exp, builtin_function("ln1p"), MAX_ORDER)
@@ -635,6 +637,67 @@ class TestEvaluate:
             u = eval_g(e, x)
             expected = poly_eval_float([c.as_fraction() for c in m.coefficients], u)
             assert evaluate(m, x) == pytest.approx(expected, rel=1e-14)
+        # each model's compiled kernel against the loop it replaced
+        # (poly_eval_float converts each coefficient as it goes), bit for bit:
+        # every family and tp up to MAX_ORDER, whose kernel nests 65 terms
+        f = builtin_function("ln1p")
+        us = _KERNEL_POINTS + tuple(rng.uniform(-1.5, 1.5) for _ in range(8))
+        for key in FAMILY_KEYS + ("tp",):
+            for order in _KERNEL_ORDERS:
+                m = (taylor_baseline(f, order) if key == "tp"
+                     else assemble(get_expansion(key), f, order))
+                horner = m._kernel[1]
+                for u in us:
+                    assert repr(horner(u)) == repr(poly_eval_float(m.coefficients, u)), (
+                        key, order, u)
+        # -0.0 and 0.0 are distinct constants of one kernel; on u = x (a5,
+        # alpha = 1) the last step -0.0 + -0.0 keeps the sign of a_0
+        coeffs = tuple(map(ExactScalar, (-0.0, 0.0, -0.0, 1.5, -0.0)))
+        m = ApproximationModel(get_expansion("a5", alpha=1), f, 4, coeffs, "bell")
+        for u in us:
+            assert repr(m._kernel[1](u)) == repr(poly_eval_float(coeffs, u)), u
+            assert _outcome(m, u) == _reference_outcome(m, u), u
+        assert repr(evaluate(m, -0.0)) == "-0.0"
+        # CPython parses at most 200 nested parentheses, one per term
+        assert catalog._horner_kernel((1.0,) * 199, (1.0,) * 199)(0.5) == (2.0, 2.0)
+        with pytest.raises(ValueError, match="200 terms"):
+            catalog._horner_kernel((1.0,) * 200)
+
+    def test_series_branch_kernels_match_the_loops(self):
+        # each series branch against the Horner loops that its compiled
+        # kernels replaced, bit for bit, at points inside its switch: the
+        # value-only ginv of c3, c4 and c6, the value-and-slope pair of all
+        # five, and a11's and a12's Newton start series
+        def loops(key, order, y):
+            c = [float(v) for v in family_series(key, order).coeffs]
+            acc = 0.0
+            for cn in c[::-1]:
+                acc = acc * y + cn
+            acc_d = dacc = 0.0
+            for n in range(order, 0, -1):
+                acc_d = acc_d * y + c[n]
+                dacc = dacc * y + n * c[n]
+            return acc, (acc_d * y + c[0], dacc)
+
+        branches = (("a11", 8, 1e-3), ("a12", 8, 1e-3), ("c3", 20, 0.25), ("c4", 24, 0.5),
+                    ("c6", 20, 0.0625))
+        for key, order, switch in branches:
+            pieces = catalog._BUILDERS[key]({})
+            inner = math.nextafter(switch, 0.0)
+            ys = [0.0, -0.0, 5e-324, -5e-324, inner, -inner]
+            ys += [switch * k / 8 for k in range(-7, 8)]
+            for y in ys:
+                value, pair = loops(key, order, y)
+                assert repr(pieces["ginv_d"](y)) == repr(pair), (key, y)
+                if "ginv" in pieces:
+                    assert repr(pieces["ginv"](y)) == repr(value), (key, y)
+        for key, sign in (("a11", 1.0), ("a12", -1.0)):
+            start = catalog._start_kernel(key)
+            for x in [0.0, -0.0, 5e-324] + [sign * 0.0625 * k / 8 for k in range(8)]:
+                acc = 0.0
+                for t in catalog._G_INIT[key][::-1]:
+                    acc = acc * x + t
+                assert repr(start(x)) == repr(acc), (key, x)
 
     def test_domain_error_propagates(self):
         m = assemble(get_expansion("a8"), builtin_function("ln1p"), 5)
@@ -648,6 +711,13 @@ class TestEvaluate:
         got = evaluate(m, 1.5)
         assert got == pytest.approx(math.log(2.5), abs=1e-3)
         assert evaluate(m, 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+# The compiled kernels' orders and points: MAX_ORDER nests 65 terms, and
+# signed zeros, subnormals, overflow and non-finite u reach every rule of
+# float arithmetic that a Horner step meets (0.0 * inf is nan).
+_KERNEL_ORDERS = (1, 8, 20, MAX_ORDER)
+_KERNEL_POINTS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan)
 
 
 def _reference_outcome(model, x):
@@ -710,15 +780,16 @@ class TestEvaluateFloatForm:
     @pytest.mark.parametrize("key", FAMILY_KEYS + ("tp",))
     def test_matches_call_time_conversion_bit_for_bit(self, key):
         f = builtin_function("ln1p")
-        if key == "tp":
-            m = taylor_baseline(f, 20)
-        else:
-            m = assemble(get_expansion(key), f, 20)
         rng = random.Random(f"float-form:{key}")
         xs = [rng.uniform(-0.99, 6.0) for _ in range(40)] + list(_EXTREME_POINTS)
-        outcomes = [_outcome(m, x) for x in xs]
-        assert outcomes == [_reference_outcome(m, x) for x in xs]
-        assert any(o not in ("DomainError", "ConvergenceError") for o in outcomes)
+        for order in _KERNEL_ORDERS:
+            if key == "tp":
+                m = taylor_baseline(f, order)
+            else:
+                m = assemble(get_expansion(key), f, order)
+            outcomes = [_outcome(m, x) for x in xs]
+            assert outcomes == [_reference_outcome(m, x) for x in xs], order
+            assert any(o not in ("DomainError", "ConvergenceError") for o in outcomes)
 
     def test_evaluator_bits_pinned(self):
         # The reference above calls eval_g itself, so it cannot see a moved
@@ -752,13 +823,20 @@ class TestEvaluateFloatForm:
         used = assemble(exp, f, 10)
         fresh = assemble(exp, f, 10)
         state = dict(vars(used))
-        evaluate(used, 0.5)
+        value = evaluate(used, 0.5)
         estimate_radius(used)
         assert len(vars(used)) > len(state)  # the float form is now held
+        assert "_kernel" in vars(used) and "_kernel" not in vars(fresh)  # assemble builds none
         assert repr(used) == repr(fresh)
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert used.to_json_dict() == fresh.to_json_dict()
+        # a copy is the model called on its fields again: equal, without
+        # the kernel, and it evaluates to the same bits
+        for other in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+            assert "_kernel" not in vars(other)
+            assert repr(other) == repr(used) and other == used and hash(other) == hash(used)
+            assert repr(evaluate(other, 0.5)) == repr(value)
 
     def test_coefficient_beyond_float_range_is_a_domain_error(self):
         # a_1 = 1e400 from a derivative list; converting it to float overflows
@@ -769,6 +847,9 @@ class TestEvaluateFloatForm:
                 call()
         with pytest.raises(DomainError, match="coefficient a_1 "):
             evaluate(m, -5.0)  # outside a1's domain: the conversion comes first
+        with pytest.raises(DomainError, match="coefficient a_1 "):
+            evaluate(m, 0.5)  # a failure is never cached
+        assert "_float_form" not in vars(m) and "_kernel" not in vars(m)
 
 
 class TestTaylorBaseline:
