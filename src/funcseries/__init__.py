@@ -10,14 +10,18 @@ N at the expansion point.  Coefficient arithmetic is exact rational
 wherever the inputs are; floats only enter through explicitly approximate
 derivative values or at final evaluation time.
 
-Layering: exact scalars, combinatorics and the Bell column kernel
-(`exact`), truncated series arithmetic and the registry of the 19 basis
-families (`pseries`), the paper's closed-form Bell values and their
-verification gate (`bell`), the basis catalog with float evaluators
-(`catalog`), model assembly and evaluation (`approx`), and the
-command-line front end (`cli`).  `bell` loads on first use, by a caller
-that names it; no model build, float evaluator or `import funcseries.cli`
-loads it.
+Layering: exact scalars and falling factorials (`exact`), truncated
+series and the registry of the 19 basis families (`pseries`), the
+paper's side (`bell`: the Bell column kernel, the closed-form Bell values
+with the Stirling numbers they read, their verification gate, and series
+multiplication, composition and reversion), the basis catalog with float
+evaluators (`catalog`), the implicit bases c1 .. c6 with their numeric
+inversion (`implicit`), model assembly and evaluation (`approx`), and the
+command-line front end (`cli`).  Two modules load on first use, so that
+start-up compiles only what runs: `bell`, by a caller that names it or
+calls a series verifier (no model build, float evaluator or
+`import funcseries.cli` loads it), and `implicit`, by the catalog for a
+c-family or `invert_numeric`.
 
 The package exports every name in the `__all__` lists of its modules:
 those of `exact`, `pseries`, `catalog` and `approx` on import, and
@@ -38,7 +42,8 @@ __version__ = "0.1.0"
 # bell and the names it exports load on first use (PEP 562): no model build
 # and not the CLI's start-up reach its verifiers.
 _BELL_NAMES = frozenset({"CLOSED_FORM_FAMILIES", "bell_closed_form", "bell_generic",
-                         "bell_values", "derivative_sequence", "gate_report"})
+                         "bell_values", "derivative_sequence", "double_factorial",
+                         "gate_report", "stirling1", "stirling2"})
 
 
 def __getattr__(name: str):

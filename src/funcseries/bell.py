@@ -25,6 +25,14 @@ is left unchecked.  Returned values never depend on the outcome.
 Every family's argument vector, closed form or not, is the derivative
 formula of its record in the registry :data:`funcseries.pseries.FAMILIES`,
 which also validates the family's parameters.
+
+The rest of the package's verifier-only code lives here too, so that it
+compiles only when a check runs: the Stirling numbers and the double
+factorial that the closed forms read, and the bodies of the series
+operations :meth:`funcseries.pseries.TruncatedSeries.mul`, ``compose``,
+``reversion`` and ``derivatives``, which the methods call.  The module
+loads on first use: through a name of its own, through the package's
+``funcseries.stirling2`` and the like, or through one of those methods.
 """
 
 from __future__ import annotations
@@ -33,13 +41,15 @@ import math
 import threading
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .exact import (ONE, ZERO, ExactScalar, _binary, _round, _supports, _tagged,
-                    double_factorial, falling_factorial, scalar, stirling1, stirling2)
+                    falling_factorial, scalar)
 # family_series is not used here; it is bound in this namespace for callers
 # that wrap it per module (perfbench/tracer.py).
-from .pseries import FAMILY_KEYS, MAX_ORDER, _check_order, family_series, get_family
+from .pseries import (FAMILY_KEYS, MAX_ORDER, TruncatedSeries, _check_order, family_series,
+                      get_family)
 
 __all__ = [
     "CLOSED_FORM_FAMILIES",
@@ -48,6 +58,9 @@ __all__ = [
     "derivative_sequence",
     "bell_values",
     "gate_report",
+    "stirling2",
+    "stirling1",
+    "double_factorial",
 ]
 
 _GATE_DEPTH = 10
@@ -128,6 +141,174 @@ def _triangle(values: list, nmax: int, kmax: Optional[int] = None) -> list:
     cols = [[(_round(p, s) if read >> i & 1 else Fraction(p, s)) if p else 0
              for i, p in enumerate(col)] for col, s, read in zip(cols, scales, reads)]
     return [[col[i] for col in cols[: i + 1]] for i in range(nmax + 1)]
+
+
+# -- series operations: the bodies of TruncatedSeries' verifier methods ------
+#
+# They compose and revert series, a second route to the coefficients that
+# assembly never takes; the methods call them here, so the bodies load with
+# the rest of the checks.
+
+
+def _same_order(a: TruncatedSeries, b: TruncatedSeries) -> None:
+    if not isinstance(b, TruncatedSeries):
+        raise TypeError("expected a TruncatedSeries operand")
+    if b.order != a.order:
+        raise ValueError(
+            f"order mismatch: {a.order} vs {b.order}; "
+            "binary operations require equal orders"
+        )
+
+
+def _series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
+    """Cauchy product truncated at the shared order.
+
+    Zero factors are skipped so that exact zero coefficients stay exact
+    even when the other series carries approximate (float) entries.
+    """
+    _same_order(a, b)
+    x = [c._v for c in a.coeffs]
+    y = [c._v for c in b.coeffs]
+    out = []
+    for m in range(len(x)):
+        acc = 0
+        for i in range(m + 1):
+            u, v = x[i], y[m - i]
+            if u and v:
+                acc += u * v
+        out.append(acc)
+    return TruncatedSeries(out)
+
+
+def _series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
+    """Coefficients of outer(inner(y)) to the shared order.
+
+    Horner-style accumulation over the outer coefficients; the inner
+    series must have zero constant term so that truncation is sound.
+    """
+    _same_order(outer, inner)
+    if inner[0] != 0:
+        raise ValueError("composition requires inner constant term 0")
+    c = outer.coeffs
+    n = outer.order
+    acc = TruncatedSeries((c[n],) + (ZERO,) * n)
+    for k in range(n - 1, -1, -1):
+        acc = _series_mul(acc, inner)
+        acc = TruncatedSeries((acc[0] + c[k],) + acc.coeffs[1:])
+    return acc
+
+
+def _series_reversion(series: TruncatedSeries) -> TruncatedSeries:
+    """Compositional inverse t with series(t(y)) = y to the same order.
+
+    Triangular scheme: walking the target order m upward, the table
+    pw[k][m] = [y^m] t(y)^k is filled for k >= 2 from already-known
+    t_1 .. t_{m-1}, after which t_m drops out of the requirement that
+    [y^m] series(t(y)) vanishes for m >= 2.
+    """
+    if series[0] != 0:
+        raise ValueError("reversion requires constant term 0")
+    if series.order < 1 or not series[1]:
+        raise ValueError("reversion requires a nonzero linear term")
+    s = [c._v for c in series.coeffs]
+    n = series.order
+    t = [0] * (n + 1)
+    t[1] = 1 / s[1]
+    pw = [[0] * (n + 1) for _ in range(n + 1)]
+    pw[1][1] = t[1]
+    for m in range(2, n + 1):
+        for k in range(2, m + 1):
+            prev = pw[k - 1]
+            acc = 0
+            for j in range(1, m - k + 2):
+                if t[j] and prev[m - j]:
+                    acc += prev[m - j] * t[j]
+            pw[k][m] = acc
+        acc = 0
+        for k in range(2, m + 1):
+            if s[k] and pw[k][m]:
+                acc += s[k] * pw[k][m]
+        t[m] = -acc / s[1]
+        pw[1][m] = t[m]
+    return TruncatedSeries(t)
+
+
+def _series_derivatives(series: TruncatedSeries) -> tuple:
+    """Derivative values d_1 .. d_N at zero (d_n = n! * c_n)."""
+    return tuple(
+        ExactScalar(c._v * math.factorial(m)) if c else c
+        for m, c in enumerate(series.coeffs[1:], 1)
+    )
+
+
+# -- combinatorial primitives of the closed forms -----------------------------
+#
+# The classical alternating sums, evaluated directly rather than by the
+# usual recurrences, which serve as independent oracles in the test suite.
+# Both Stirling tables are memoized (a triangular cache keyed by (n, m));
+# under CPython the caches are safe to share across threads, the worst
+# case being a duplicated computation.
+
+
+@lru_cache(maxsize=None)
+def _stirling2_raw(n: int, m: int) -> Fraction:
+    total = 0
+    for k in range(m + 1):
+        total += (-1) ** k * math.comb(m, k) * (m - k) ** n
+    return Fraction(total, math.factorial(m))
+
+
+def stirling2(n: int, m: int) -> ExactScalar:
+    """Second-kind Stirling number: partitions of an n-set into m blocks.
+
+    Computed from the alternating binomial sum
+    (1/m!) * sum_k (-1)^k C(m,k) (m-k)^n with the ``0**0 == 1``
+    convention, so ``stirling2(0, 0) == 1``.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("stirling2 requires n >= 0 and m >= 0")
+    if m > n:
+        return ZERO
+    return ExactScalar(_stirling2_raw(n, m))
+
+
+@lru_cache(maxsize=None)
+def _stirling1_raw(n: int, m: int) -> Fraction:
+    if n == 0:
+        return Fraction(1 if m == 0 else 0)
+    total = Fraction(0)
+    for j in range(n - m + 1):
+        total += (
+            (-1) ** j
+            * math.comb(n - 1 + j, n - m + j)
+            * math.comb(2 * n - m, n - m - j)
+            * _stirling2_raw(n - m + j, j)
+        )
+    return total
+
+
+def stirling1(n: int, m: int) -> ExactScalar:
+    """Signed first-kind Stirling number.
+
+    Evaluated through the double alternating sum over second-kind numbers;
+    for example ``stirling1(3, 1) == 2`` and ``stirling1(2, 1) == -1``.
+    """
+    if n < 0 or m < 0:
+        raise ValueError("stirling1 requires n >= 0 and m >= 0")
+    if m > n:
+        return ZERO
+    return ExactScalar(_stirling1_raw(n, m))
+
+
+def double_factorial(n: int) -> ExactScalar:
+    """n!! for n >= -1, with (-1)!! == 0!! == 1."""
+    if n < -1:
+        raise ValueError("double_factorial requires n >= -1")
+    result = 1
+    while n > 1:
+        result *= n
+        n -= 2
+    return ExactScalar(result)
 
 
 # -- closed-form special values ---------------------------------------------

@@ -9,30 +9,20 @@ approximate value yields an approximate result.  This mirrors Python's own
 ``Fraction``/``float`` mixing rules, which is exactly the contamination
 behaviour we want.
 
-The combinatorial helpers evaluate the classical alternating sums
-directly:
-
-* ``stirling2(n, m)``   second-kind Stirling numbers,
-  ``(1/m!) * sum_k (-1)^k C(m,k) (m-k)^n``;
-* ``stirling1(n, m)``   signed first-kind Stirling numbers, written as a
-  double alternating sum over second-kind numbers;
-* ``falling_factorial(a, n)``   ``a (a-1) ... (a-n+1)`` for arbitrary
-  rational or float ``a``;
-* ``double_factorial(n)``   with the conventions ``(-1)!! = 0!! = 1``;
-* ``binomial(a, k)``   generalized binomial ``falling_factorial(a,k)/k!``.
-
-The sums are implemented verbatim rather than via the usual recurrences;
-the recurrences serve as independent oracles in the test suite.  Both
-Stirling tables are memoized (a triangular cache keyed by ``(n, m)``);
-under CPython the caches are safe to share across threads, the worst case
-being a duplicated computation.
+Two combinatorial helpers sit beside it: ``falling_factorial(a, n)``,
+``a (a-1) ... (a-n+1)`` for arbitrary rational or float ``a``, whose
+prefix products give the registry's a5 and a7 derivatives, and
+``binomial(a, k)``, the generalized ``falling_factorial(a,k)/k!``.  The
+Stirling numbers and the double factorial, which only the paper's closed
+forms read, live with those forms in :mod:`funcseries.bell`, which loads
+on first use.
 
 The bit masks of a partial Bell triangle's products, :func:`_supports`,
 live here too: model assembly (:mod:`funcseries.approx`) tags its
 coefficients with them, and :mod:`funcseries.bell` its cells.
 
 :class:`_Record` is the one base of the package's immutable value types,
-``ExactScalar`` and ``TruncatedSeries`` among them.
+``ExactScalar``, ``TruncatedSeries`` and ``Family`` among them.
 """
 
 from __future__ import annotations
@@ -40,7 +30,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 __all__ = [
@@ -48,10 +37,7 @@ __all__ = [
     "scalar",
     "ZERO",
     "ONE",
-    "stirling2",
-    "stirling1",
     "falling_factorial",
-    "double_factorial",
     "binomial",
 ]
 
@@ -344,55 +330,6 @@ ONE = ExactScalar(1)
 # -- combinatorial primitives ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stirling2_raw(n: int, m: int) -> Fraction:
-    total = 0
-    for k in range(m + 1):
-        total += (-1) ** k * math.comb(m, k) * (m - k) ** n
-    return Fraction(total, math.factorial(m))
-
-
-def stirling2(n: int, m: int) -> ExactScalar:
-    """Second-kind Stirling number: partitions of an n-set into m blocks.
-
-    Computed from the alternating binomial sum with the ``0**0 == 1``
-    convention, so ``stirling2(0, 0) == 1``.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("stirling2 requires n >= 0 and m >= 0")
-    if m > n:
-        return ZERO
-    return ExactScalar(_stirling2_raw(n, m))
-
-
-@lru_cache(maxsize=None)
-def _stirling1_raw(n: int, m: int) -> Fraction:
-    if n == 0:
-        return Fraction(1 if m == 0 else 0)
-    total = Fraction(0)
-    for j in range(n - m + 1):
-        total += (
-            (-1) ** j
-            * math.comb(n - 1 + j, n - m + j)
-            * math.comb(2 * n - m, n - m - j)
-            * _stirling2_raw(n - m + j, j)
-        )
-    return total
-
-
-def stirling1(n: int, m: int) -> ExactScalar:
-    """Signed first-kind Stirling number.
-
-    Evaluated through the double alternating sum over second-kind numbers;
-    for example ``stirling1(3, 1) == 2`` and ``stirling1(2, 1) == -1``.
-    """
-    if n < 0 or m < 0:
-        raise ValueError("stirling1 requires n >= 0 and m >= 0")
-    if m > n:
-        return ZERO
-    return ExactScalar(_stirling1_raw(n, m))
-
-
 def _falling_factorials(a: ScalarLike, n: int) -> list:
     """Raw values of a (a-1) ... (a-k+1) for k = 0 .. n, as prefix products.
 
@@ -412,17 +349,6 @@ def _falling_factorials(a: ScalarLike, n: int) -> list:
 def falling_factorial(a: ScalarLike, n: int) -> ExactScalar:
     """Product a (a-1) ... (a-n+1); empty product is 1."""
     return ExactScalar(_falling_factorials(a, n)[n])
-
-
-def double_factorial(n: int) -> ExactScalar:
-    """n!! for n >= -1, with (-1)!! == 0!! == 1."""
-    if n < -1:
-        raise ValueError("double_factorial requires n >= -1")
-    result = 1
-    while n > 1:
-        result *= n
-        n -= 2
-    return ExactScalar(result)
 
 
 def binomial(a: ScalarLike, k: int) -> ExactScalar:

@@ -11,9 +11,13 @@ plain Maclaurin coefficient, so d_n = n! * c_n.  Binary operations require
 equal orders and return the same order; truncation never happens silently.
 A series is a record of :mod:`funcseries.exact`: immutable, compared and
 hashed by its coefficients, copied and pickled like every value type.
+Its operations (:meth:`~TruncatedSeries.mul`, ``compose``, ``reversion``
+and ``derivatives``) only verify: ``assemble`` never calls them, and the
+check ``assemble_via_composition`` does, so their bodies live in
+:mod:`funcseries.bell` and load with it on the first call.
 
 :data:`FAMILIES` is the registry of the 19 basis families ("a1" .. "a13",
-"c1" .. "c6"), one :class:`Family` per key, an immutable ``NamedTuple``:
+"c1" .. "c6"), one :class:`Family` per key, a record of the same base:
 its label, its parameters with their defaults and constraints, and one
 exact formula for the derivatives d_1 .. d_N of its inverse basis at 0, in
 O(N) exact operations.  Everything else exact about a family is read from that
@@ -31,7 +35,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .exact import ExactScalar, ZERO, _falling_factorials, _Record, scalar
 
@@ -87,92 +91,31 @@ class TruncatedSeries(_Record):
     def __repr__(self):
         return f"TruncatedSeries([{', '.join(str(c) for c in self._c)}])"
 
-    def _require_same_order(self, other: "TruncatedSeries") -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError("expected a TruncatedSeries operand")
-        if other.order != self.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}; "
-                "binary operations require equal orders"
-            )
-
-    # -- series operations --------------------------------------------------
+    # -- series operations: verifiers, whose bodies load with funcseries.bell --
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at the shared order.
-
-        Zero factors are skipped so that exact zero coefficients stay exact
-        even when the other series carries approximate (float) entries.
-        """
-        self._require_same_order(other)
-        a = [c._v for c in self._c]
-        b = [c._v for c in other._c]
-        out = []
-        for m in range(len(a)):
-            acc = 0
-            for i in range(m + 1):
-                x, y = a[i], b[m - i]
-                if x and y:
-                    acc += x * y
-            out.append(acc)
-        return TruncatedSeries(out)
+        """Cauchy product truncated at the shared order; an exact zero factor
+        keeps its product exact (:func:`funcseries.bell._series_mul`)."""
+        from .bell import _series_mul
+        return _series_mul(self, other)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Coefficients of self(inner(y)) to the shared order.
-
-        Horner-style accumulation over the outer coefficients; the inner
-        series must have zero constant term so that truncation is sound.
-        """
-        self._require_same_order(inner)
-        if inner._c[0] != 0:
-            raise ValueError("composition requires inner constant term 0")
-        n = self.order
-        acc = TruncatedSeries((self._c[n],) + (ZERO,) * n)
-        for k in range(n - 1, -1, -1):
-            acc = acc.mul(inner)
-            acc = TruncatedSeries((acc._c[0] + self._c[k],) + acc._c[1:])
-        return acc
+        """Coefficients of self(inner(y)) to the shared order; inner needs
+        constant term 0 (:func:`funcseries.bell._series_compose`)."""
+        from .bell import _series_compose
+        return _series_compose(self, inner)
 
     def reversion(self) -> "TruncatedSeries":
-        """Compositional inverse t with self(t(y)) = y to the same order.
-
-        Triangular scheme: walking the target order m upward, the table
-        pw[k][m] = [y^m] t(y)^k is filled for k >= 2 from already-known
-        t_1 .. t_{m-1}, after which t_m drops out of the requirement that
-        [y^m] self(t(y)) vanishes for m >= 2.
-        """
-        if self._c[0] != 0:
-            raise ValueError("reversion requires constant term 0")
-        if self.order < 1 or not self._c[1]:
-            raise ValueError("reversion requires a nonzero linear term")
-        s = [c._v for c in self._c]
-        n = self.order
-        t = [0] * (n + 1)
-        t[1] = 1 / s[1]
-        pw = [[0] * (n + 1) for _ in range(n + 1)]
-        pw[1][1] = t[1]
-        for m in range(2, n + 1):
-            for k in range(2, m + 1):
-                prev = pw[k - 1]
-                acc = 0
-                for j in range(1, m - k + 2):
-                    if t[j] and prev[m - j]:
-                        acc += prev[m - j] * t[j]
-                pw[k][m] = acc
-            acc = 0
-            for k in range(2, m + 1):
-                if s[k] and pw[k][m]:
-                    acc += s[k] * pw[k][m]
-            t[m] = -acc / s[1]
-            pw[1][m] = t[m]
-        return TruncatedSeries(t)
+        """Compositional inverse t with self(t(y)) = y to the same order
+        (:func:`funcseries.bell._series_reversion`)."""
+        from .bell import _series_reversion
+        return _series_reversion(self)
 
     def derivatives(self) -> tuple:
         """Derivative values d_1 .. d_N at zero (d_n = n! * c_n)."""
-        return tuple(
-            ExactScalar(c._v * math.factorial(m)) if c else c
-            for m, c in enumerate(self._c[1:], 1)
-        )
+        from .bell import _series_derivatives
+        return _series_derivatives(self)
+
 
 # -- the family registry ------------------------------------------------------
 #
@@ -303,22 +246,23 @@ def _d_c6(n):
     return 1, out
 
 
-class Family(NamedTuple):
+class Family(_Record):
     """One basis family: its key, label, parameters and derivative formula.
 
     ``formula(n, **raw_params)`` gives d_1 .. d_n of the inverse basis, the
     family's only exact fact, as (r, e) with d_j = r**j * e[j-1] (see the
     registry comment above).  ``defaults`` lists the (name, default) pairs
     of its parameters in order; a parameter named in ``nonzero`` must not
-    be 0 and one named in ``positive`` must be > 0.
+    be 0 and one named in ``positive`` must be > 0.  repr leaves out the
+    formula.
     """
 
-    key: str
-    label: str
-    formula: Callable
-    defaults: tuple = ()
-    nonzero: tuple = ()
-    positive: tuple = ()
+    __slots__ = _fields = ("key", "label", "formula", "defaults", "nonzero", "positive")
+    _shown = ("key", "label", "defaults", "nonzero", "positive")
+
+    def __init__(self, key: str, label: str, formula: Callable, defaults: tuple = (),
+                 nonzero: tuple = (), positive: tuple = ()):
+        self._set(key, label, formula, defaults, nonzero, positive)
 
     @property
     def params(self) -> tuple:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcseries import bell, catalog
+from funcseries import bell, catalog, implicit
 from funcseries.approx import (
     BUILTIN_FUNCTIONS,
     ApproximationModel,
@@ -592,6 +592,68 @@ class TestBellOnFirstUse:
                          FAMILY_DIGESTS["a8"]]
 
 
+    # funcseries.implicit (the bases c1 .. c6 and their solvers) loads on
+    # first use too: an explicit family's build and evaluation, through the
+    # CLI's coeffs and eval, load neither it nor bell
+    def test_explicit_families_load_neither_implicit_nor_bell(self):
+        lines = _fresh(
+            "import contextlib, io, sys\n"
+            "from funcseries import FAMILY_KEYS\n"
+            "from funcseries.cli import main\n"
+            "for key in [k for k in FAMILY_KEYS if k[0] == 'a'] + ['tp']:\n"
+            "    at = '--at=-0.01' if key == 'a12' else '--at=0.01'\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(['coeffs', '--expansion', key, '--function', 'ln1p']) == 0\n"
+            "        assert main(['eval', '--expansion', key, '--function', 'exp', at]) == 0\n"
+            "print([m in sys.modules for m in ('funcseries.implicit', 'funcseries.bell')])\n"
+        )
+        assert lines == ["[False, False]"]
+
+    @pytest.mark.parametrize("key", ["c1", "c2", "c3", "c4", "c5", "c6"])
+    def test_implicit_basis_loads_implicit_not_bell(self, key):
+        lines = _fresh(
+            "import sys\n"
+            "from funcseries import eval_g, get_expansion\n"
+            "print('funcseries.implicit' in sys.modules)\n"
+            f"e = get_expansion({key!r})\n"
+            "eval_g(e, 0.01)\n"
+            "print([m in sys.modules for m in ('funcseries.implicit', 'funcseries.bell')])\n"
+        )
+        assert lines == ["False", "[True, False]"]
+
+    def test_invert_numeric_loads_implicit(self):
+        lines = _fresh(
+            "import sys\n"
+            "from funcseries import get_expansion, invert_numeric\n"
+            "e = get_expansion('a1')\n"
+            "print('funcseries.implicit' in sys.modules)\n"
+            "invert_numeric(e, 0.5)\n"
+            "print([m in sys.modules for m in ('funcseries.implicit', 'funcseries.bell')])\n"
+        )
+        assert lines == ["False", "[True, False]"]
+
+    def test_series_verifiers_and_stirling_load_bell(self):
+        # the verifier-only code lives in bell: a reversion, and a Stirling
+        # number through the package's first-use names
+        lines = _fresh(
+            "import sys\n"
+            "import funcseries\n"
+            "s = funcseries.family_series('a1', 6)\n"
+            "print('funcseries.bell' in sys.modules)\n"
+            "t = s.reversion()\n"
+            "print('funcseries.bell' in sys.modules, t.order)\n"
+        )
+        assert lines == ["False", "True 6"]
+        lines = _fresh(
+            "import sys\n"
+            "import funcseries\n"
+            "print('funcseries.bell' in sys.modules)\n"
+            "print(funcseries.stirling2(5, 2), 'funcseries.bell' in sys.modules)\n"
+            "print('funcseries.implicit' in sys.modules)\n"
+        )
+        assert lines == ["False", "15 True", "False"]
+
+
 class TestCompositionRoute:
     @pytest.mark.parametrize("key", ["a2", "a5", "a7", "a10", "c3", "c6"])
     def test_agrees_with_bell_route(self, key):
@@ -682,7 +744,7 @@ class TestEvaluate:
         branches = (("a11", 8, 1e-3), ("a12", 8, 1e-3), ("c3", 20, 0.25), ("c4", 24, 0.5),
                     ("c6", 20, 0.0625))
         for key, order, switch in branches:
-            pieces = catalog._BUILDERS[key]({})
+            pieces = {**catalog._BUILDERS, **implicit._BUILDERS}[key]({})
             inner = math.nextafter(switch, 0.0)
             ys = [0.0, -0.0, 5e-324, -5e-324, inner, -inner]
             ys += [switch * k / 8 for k in range(-7, 8)]

@@ -15,9 +15,10 @@ from funcseries.bell import (
     bell_values,
     derivative_sequence,
     gate_report,
+    stirling2,
 )
 from funcseries.catalog import get_expansion
-from funcseries.exact import ONE, ZERO, falling_factorial, scalar, stirling2
+from funcseries.exact import ONE, ZERO, falling_factorial, scalar
 from funcseries.pseries import FAMILY_KEYS, MAX_ORDER, family_series, get_family
 from oracles import bell_by_partitions, revert_by_lagrange, stirling1_rec
 

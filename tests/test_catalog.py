@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from funcseries.approx import assemble, builtin_function, error_report, evaluate, taylor_baseline
+from funcseries import catalog, implicit
 from funcseries.bell import bell_values, derivative_sequence
 from funcseries.cli import main
 from funcseries.catalog import (
@@ -16,9 +17,7 @@ from funcseries.catalog import (
     Expansion,
     Interval,
     PARAM_DEFAULTS,
-    _BUILDERS,
     _admit,
-    _bisect_monotone,
     eval_g,
     eval_ginv,
     get_expansion,
@@ -26,8 +25,13 @@ from funcseries.catalog import (
     lambert_w0,
     map_domain,
 )
+from funcseries.implicit import _bisect_monotone, _invert_monotone
 from funcseries.pseries import FAMILY_KEYS, family_series
 from oracles import poly_eval_float
+
+# the builders of every family: the explicit ones in the catalog, c1 .. c6
+# in funcseries.implicit
+_BUILDERS = {**catalog._BUILDERS, **implicit._BUILDERS}
 
 
 def grid(lo, hi, count):
@@ -597,7 +601,7 @@ class TestInvertNumeric:
 _PAIR_THRESHOLDS = (1e-3, 0.0625, 0.25, 0.5)  # the series-branch switches
 _EXP_LIMIT = 709.782712893384  # the largest y with a finite exp(y) and expm1(y)
 _SINH_LIMIT = 710.4758600739439  # the largest y with a finite sinh(y) and cosh(y)
-_FLIP_SCAN = tuple(0.125 * k for k in range(1, 129)) + (32.0, 64.0)  # catalog._find_flip
+_FLIP_SCAN = tuple(0.125 * k for k in range(1, 129)) + (32.0, 64.0)  # implicit._find_flip
 
 
 def _nextafter(y, toward, count):
@@ -707,7 +711,6 @@ class TestValueSlopePair:
             calls.append(y)
             return e._ginv_d(y)
 
-        from funcseries.catalog import _invert_monotone
         ginv = _BUILDERS["c4"](e.param_dict())["ginv"]
         y = _invert_monotone(2.0, ginv, counted, e.image, e.increasing, e._d1, "c4")
         assert y == eval_g(e, 2.0)

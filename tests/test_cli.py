@@ -589,14 +589,15 @@ def test_cli_import_leaves_numpy_unloaded():
     # the CLI and running a grid command must not load it.  Start-up pays
     # for every module it imports, so the import itself also loads no
     # dataclasses (which brings inspect, ast and dis) and no json or csv,
-    # which only the commands that write them import, and no Bell kernel,
-    # which only a build that reaches it imports.
+    # which only the commands that write them import, no Bell kernel and
+    # no implicit basis (c1 .. c6), which load on first use.
     src = os.path.dirname(os.path.dirname(os.path.abspath(funcseries.__file__)))
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "from funcseries.cli import main\n"
-        "heavy = ('dataclasses', 'inspect', 'json', 'csv', 'numpy', 'funcseries.bell')\n"
+        "heavy = ('dataclasses', 'inspect', 'json', 'csv', 'numpy', 'funcseries.bell',\n"
+        "         'funcseries.implicit')\n"
         "print(sorted(m for m in heavy if m in sys.modules and m not in before))\n"
         "main(['eval', '--expansion', 'a8', '--function', 'ln1p', '--grid=-0.5:1:5'])\n"
         "print('numpy' in sys.modules)\n"

@@ -12,12 +12,10 @@ from funcseries.exact import (
     ExactScalar,
     _falling_factorials,
     binomial,
-    double_factorial,
     falling_factorial,
     scalar,
-    stirling1,
-    stirling2,
 )
+from funcseries.bell import double_factorial, stirling1, stirling2
 from oracles import stirling1_rec, stirling2_rec
 
 

@@ -8,6 +8,7 @@ from functools import lru_cache
 import pytest
 
 import funcseries.catalog as catalog
+import funcseries.implicit as implicit
 from funcseries.bell import (
     CLOSED_FORM_FAMILIES,
     bell_closed_form,
@@ -58,7 +59,9 @@ LABELS = {
 
 def test_registry_keys_match_the_catalog():
     assert tuple(FAMILIES) == FAMILY_KEYS == KEYS
-    assert set(catalog._BUILDERS) == set(KEYS)
+    # the explicit builders in the catalog, c1 .. c6 in funcseries.implicit
+    assert set(catalog._BUILDERS) | set(implicit._BUILDERS) == set(KEYS)
+    assert not set(catalog._BUILDERS) & set(implicit._BUILDERS)
     assert all(FAMILIES[key].key == key for key in KEYS)
 
 

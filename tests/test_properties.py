@@ -11,7 +11,12 @@ catalog's ``Interval``), not over a window that avoids its weak spots:
 * where ``eval_g`` and ``invert_numeric`` both answer, they agree, and
   ``invert_numeric`` does not give up (``ConvergenceError``) where
   ``eval_g`` answers;
-* the round trip g(g^-1(y)) returns y where ``invert_numeric`` returns.
+* the round trip g(g^-1(y)) returns y where ``invert_numeric`` returns;
+* the error contract of the other Python entry points: ``scalar`` on
+  number text, ``get_expansion`` on drawn parameters, ``map_domain`` on
+  drawn radii, ``error_report`` on drawn points and ``estimate_radius``
+  on models of order 8 to 20 each return a value or raise
+  ``DomainError``, ``ConvergenceError`` or ``ValueError``.
 
 Two values of g(x) agree when they differ by at most 1e-12 max(1, |y|)
 plus 1e-12 max(1, |x|) / ginv'(y), which is how far g moves when x moves
@@ -23,16 +28,21 @@ family's witnesses, points where the defect shows, before the drawn point,
 so that it fails whatever examples hypothesis draws.
 """
 
+import importlib.util
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from funcseries.approx import assemble, builtin_function, evaluate
-from funcseries.catalog import (ConvergenceError, DomainError, eval_g, eval_ginv,
-                                get_expansion, invert_numeric)
-from funcseries.pseries import FAMILY_KEYS
+from funcseries.approx import (PointReport, assemble, builtin_function,
+                               error_report, estimate_radius, evaluate, taylor_baseline)
+from funcseries.catalog import (ConvergenceError, DomainError, Expansion, Interval, eval_g,
+                                eval_ginv, get_expansion, invert_numeric, map_domain)
+from funcseries.exact import ExactScalar, scalar
+from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS
 
 # derandomized: the same examples on every run, so tier-1 cannot flake
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -45,6 +55,8 @@ EXTREME = ("CHANGES.md FOUND: the float evaluators break their contract at extre
            "magnitudes")
 HORNER = ("CHANGES.md FOUND: approx.evaluate overflows silently to inf in the Horner sum "
           "when |g(x)| is huge but finite")
+LONG_TEXT = ("CHANGES.md FOUND: exact.scalar refuses number text with over 4300 digits in one "
+             "part as 'not a rational number'")
 
 # property -> {key: (witnesses, reason)}
 KNOWN = {
@@ -209,3 +221,130 @@ def test_horner_overflow():
     except DomainError:
         return
     assert math.isfinite(value)
+
+
+# -- the error contract of the other Python entry points ------------------------
+#
+# Each call returns a value or raises one of CONTRACT; anything else escaping
+# (TypeError, OverflowError, ZeroDivisionError, ...) fails the test.  The
+# five properties below draw 1,000 examples in all (about 2 s here).
+
+CONTRACT = (DomainError, ConvergenceError, ValueError)
+ENTRY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def returned(call, *args):
+    """call(*args), or None where it raises an error of the contract."""
+    try:
+        return call(*args)
+    except CONTRACT:
+        return None
+
+
+# number text: ASCII, Arabic-Indic and fullwidth digits, signs (U+2212 is
+# not one), fractions and decimals, exponents near the reader's +-10000
+# bound and far beyond it, and surrounding spaces, non-ASCII ones included
+_DIGITS = st.sampled_from("0123456789\u0660\u0661\u0669\uff10\uff11\uff19")
+_EXPONENTS = st.one_of(st.integers(9990, 10010).map(str), st.integers(0, 10**30).map(str),
+                       st.text(_DIGITS, min_size=1, max_size=6))
+_NUMBER_TEXT = st.builds(
+    "{}{}{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "\u00a0", "\u3000"]),
+    st.sampled_from(["", "-", "+", "\u2212"]),
+    st.text(_DIGITS, min_size=1, max_size=4),
+    st.sampled_from(["", ".5", "/3", "/0", ".", "/"]),
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                     st.sampled_from(["", "-", "+"]), _EXPONENTS)),
+    st.sampled_from(["", " ", "\n"]),
+)
+
+
+# and short strings over the characters of number text and some near them
+_JUMBLE = st.text("0123456789eE+-./_ infa\u0660\uff10\u2212\u00a0", max_size=12)
+
+
+@ENTRY
+@given(st.one_of(_NUMBER_TEXT, _JUMBLE))
+def test_scalar_reads_number_text_or_refuses_it(text):
+    value = returned(scalar, text)
+    assert value is None or (isinstance(value, ExactScalar) and value.is_exact), (text, value)
+
+
+@pytest.mark.xfail(strict=True, reason=LONG_TEXT)
+def test_scalar_reads_long_number_text_or_names_the_digit_limit():
+    # CPython's int() reads at most 4300 digits, and Fraction reads the
+    # integer and fractional parts through it
+    text = "1" * 4301
+    try:
+        value = scalar(text)
+    except ValueError as err:
+        assert "digits" in str(err) and len(str(err)) < 200, str(err)[:80]
+        return
+    assert value == (10**4301 - 1) // 9
+
+
+# parameters: ints, Fractions (a denominator up to 10**400 among them) and
+# floats, with 0, +-inf, nan, 10**400 and magnitudes that overflow a
+# builder's float arithmetic (a10's exp(w - 1) beyond w = 710), or the
+# default (None)
+_PARAMS = st.one_of(
+    st.none(), st.integers(-10**6, 10**6), st.sampled_from([10**400, -10**400, 711, 10**6]),
+    st.fractions(max_denominator=10**6), st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 1e300, 5e-324]),
+    st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**400)),
+)
+
+
+@ENTRY
+@given(st.sampled_from(sorted(FAMILY_PARAMS)), _PARAMS, _PARAMS, _PARAMS)
+def test_get_expansion_builds_or_refuses(key, alpha, beta, w):
+    names = FAMILY_PARAMS[key]
+    params = {name: value for name, value in (("alpha", alpha), ("beta", beta), ("w", w))
+              if name in names and value is not None}
+    exp = returned(lambda: get_expansion(key, **params))
+    assert exp is None or (isinstance(exp, Expansion) and exp.key == key), (key, params)
+
+
+_RADII = st.one_of(st.floats(), st.integers(-10, 10**400), st.fractions(),
+                   st.sampled_from([10**400, 5e-324, math.inf]))
+
+
+@ENTRY
+@given(st.sampled_from(FAMILY_KEYS), _RADII)
+def test_map_domain_maps_or_refuses(key, radius):
+    exp = get_expansion(key)
+    m = returned(map_domain, exp, radius)
+    if m is not None:
+        assert isinstance(m, Interval), (key, radius, m)
+        assert exp.domain.lo <= m.lo and m.hi <= exp.domain.hi, (key, radius, m)
+
+
+_TARGETS = ("exp", "ln1p", "sin", "sq", "pow")
+
+
+@lru_cache(maxsize=None)
+def _model(key, name, order):
+    f = builtin_function(name, **({"alpha": Fraction(1, 5)} if name == "pow" else {}))
+    return taylor_baseline(f, order) if key == "tp" else assemble(get_expansion(key), f, order)
+
+
+_POINTS = st.one_of(st.floats(), st.integers(-10**400, 10**400), st.fractions())
+
+
+@ENTRY
+@given(st.sampled_from(FAMILY_KEYS + ("tp",)), st.sampled_from(_TARGETS),
+       st.lists(_POINTS, max_size=4))
+def test_error_report_reports_or_refuses(key, name, xs):
+    report = returned(error_report, _model(key, name, 8), xs)
+    if report is not None:
+        assert len(report) == len(xs), (key, name, xs)
+        assert all(isinstance(p, PointReport) and type(p.approx) is float for p in report)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                    reason="estimate_radius fits its line with numpy, the radius extra")
+@ENTRY
+@given(st.sampled_from(FAMILY_KEYS), st.sampled_from(_TARGETS), st.integers(8, 20))
+def test_estimate_radius_estimates_or_refuses(key, name, order):
+    r = returned(estimate_radius, _model(key, name, order))
+    assert r is None or (type(r) is float and not math.isnan(r)), (key, name, order, r)

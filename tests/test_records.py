@@ -3,9 +3,9 @@
 Interval, Expansion, FunctionSpec, ApproximationModel and PointReport are
 compared by value, shown by repr, and cannot be changed after
 construction.  The reprs below were recorded from the frozen-dataclass
-versions of these classes and must not move.  These five, ExactScalar and
-TruncatedSeries share one record base, and each of them copies and
-pickles to an equal twin.
+versions of these classes and must not move.  These five, ExactScalar,
+TruncatedSeries and the registry's Family share one record base, and each
+of them copies and pickles to an equal twin.
 """
 
 import copy
@@ -16,8 +16,10 @@ from fractions import Fraction
 import pytest
 
 from funcseries import (
+    FAMILIES,
     FAMILY_KEYS,
     ApproximationModel,
+    Family,
     DomainError,
     Expansion,
     FunctionSpec,
@@ -56,6 +58,9 @@ def _copy_of(record):
     if isinstance(record, ApproximationModel):
         return ApproximationModel(record.expansion, record.func, record.order,
                                   record.coefficients, record.route)
+    if isinstance(record, Family):
+        return Family(record.key, record.label, record.formula, record.defaults,
+                      record.nonzero, record.positive)
     return PointReport(record.x, record.approx, record.exact, record.delta, record.note)
 
 
@@ -71,6 +76,13 @@ _RECORDS = {
         "domain=Interval(lo=-1.5, hi=inf, lo_closed=True, hi_closed=False), "
         "image=Interval(lo=-inf, hi=1.125, lo_closed=False, hi_closed=True), "
         "side='both', increasing=False, implicit=False)",
+    ),
+    # repr leaves out the derivative formula, a function
+    "Family": (
+        lambda: FAMILIES["a7"],
+        "Family(key='a7', label='powers of (x^2 + 2 sqrt(alpha) x)/beta', "
+        "defaults=(('alpha', Fraction(4, 1)), ('beta', Fraction(3, 1))), "
+        "nonzero=('beta',), positive=('alpha',))",
     ),
     "FunctionSpec": (
         lambda: builtin_function("ln1p"),
@@ -174,6 +186,15 @@ def test_positional_and_keyword_construction_with_defaults():
     assert PointReport(1.0, 2.0, 3.0, -1.0, "n").note == "n"
     with pytest.raises(TypeError):
         PointReport(1.0, 2.0, 3.0)
+
+    # a Family's constraint lists default to empty
+    fam = FAMILIES["a1"]
+    assert Family("a1", fam.label, fam.formula) == fam
+    assert (fam.defaults, fam.nonzero, fam.positive) == ((), (), ())
+    assert Family(key="a1", label=fam.label, formula=fam.formula, defaults=(), nonzero=(),
+                  positive=()) == fam
+    with pytest.raises(TypeError):
+        Family("a1", fam.label)
 
     f = builtin_function("exp")
     spec = FunctionSpec("e", ExactScalar(0), f.domain, _table=f._table)
@@ -324,6 +345,8 @@ _VALUES = [
     pytest.param(lambda: ExactScalar(0.5), id="ExactScalar-0.5"),
     pytest.param(lambda: TruncatedSeries([0, 1, Fraction(1, 2), 0.25]), id="TruncatedSeries"),
 ]
+_VALUES += [pytest.param(lambda key=key: FAMILIES[key], id=f"Family-{key}")
+            for key in FAMILY_KEYS]
 _VALUES += [pytest.param(lambda key=key, kw=kw: get_expansion(key, **kw),
                          id=f"Expansion-{_label(key, kw)}") for key, kw in _EXPANSIONS]
 _VALUES += [pytest.param(lambda name=name, kw=kw: _target(name, kw),
