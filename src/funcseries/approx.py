@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import add, mul
+from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_float,
-                      _float_param, _horner_kernel, eval_g, get_expansion)
+                      _float_param, _horner_expr, eval_g, get_expansion)
 from .exact import (ONE, ZERO, ExactScalar, _binary, _Record, _round, _supports, _tagged,
                     scalar)
 from .pseries import TruncatedSeries, _check_order, family_series, get_family
@@ -254,7 +255,7 @@ class ApproximationModel(_Record):
     """A finished approximation: expansion, target, and coefficients a_0..a_N.
 
     Its fields live in the instance dict, next to the cached float form
-    and Horner kernel.
+    and compiled evaluator.
     """
 
     _fields = _shown = ("expansion", "func", "order", "coefficients", "route")
@@ -281,16 +282,19 @@ class ApproximationModel(_Record):
         return (_to_float(self.func.x0, "x0"), floats[::-1])
 
     @cached_property
-    def _kernel(self) -> tuple:
-        """(float(x0), the Horner sum of _float_form's coefficients compiled
-        as a function of u by :func:`funcseries.catalog._horner_kernel`).
+    def _kernel(self) -> Callable:
+        """The model's evaluator, the function of x of
+        :func:`_evaluator_code` with _float_form's floats as its defaults:
+        :func:`evaluate` calls it.
 
         Built on the first :func:`evaluate`, never by :func:`assemble`, and
         kept like _float_form, outside the model's identity; a DomainError
         from _float_form caches nothing.
         """
         x0, coeffs = self._float_form
-        return x0, _horner_kernel(coeffs)
+        exp = self.expansion
+        return FunctionType(_evaluator_code(len(coeffs)), globals(), "evaluator",
+                            (x0, exp.domain.lo, exp.domain.hi, exp._g, exp) + coeffs)
 
     def to_json_dict(self) -> dict:
         """The model as JSON data.  ValueError names the first exact a_n of
@@ -468,25 +472,46 @@ def assemble_via_composition(
     return ApproximationModel(exp, func, order, comp.coeffs, "composition")
 
 
+@lru_cache(maxsize=None)
+def _evaluator_code(n: int) -> CodeType:
+    """The code of a model's evaluator over n coefficients, compiled once
+    per n per process: a function of x whose defaults are x0, the domain
+    ends lo and hi, the basis g, the expansion and a_N, ..., a_0.  It
+    computes t = float(x - x0), tests the open interior of the domain as
+    _admit tests it first, and binds u = g(t) there and eval_g(exp, t)
+    elsewhere (eval_g looked up in this module's namespace at each call)
+    where the Horner sum of catalog._horner_expr first reads u.  An
+    OverflowError from x - x0 or from g escapes to :func:`evaluate`."""
+    cs = [f"c{k}" for k in range(n)]
+    u = "(u := g(t) if lo < (t := float(x - x0)) < hi else eval_g(exp, t))"
+    body = _horner_expr(cs, u) if cs else f"({u}, 0.0)[1]"
+    return eval(f"lambda x, x0, lo, hi, g, exp{''.join(', ' + c for c in cs)}: {body}").__code__
+
+
 def evaluate(model: ApproximationModel, x: float) -> float:
     """Float value of the approximation at x (Horner in u = g(x - x0)).
 
-    The Horner sum runs over the model's float coefficients, converted
-    from the exact ones and compiled into one straight-line expression
-    once per model, on its first evaluation, so every point costs one
-    basis evaluation and N multiply-adds, with no loop.  The result equals
-    the Horner loop over each coefficient converted at every call, bit
-    for bit.  x is a float, an int or a Fraction: x - x0 is a float,
-    which eval_g admits into the domain in one step (see
-    :func:`funcseries.catalog.eval_g`); an x beyond the float range reads
-    as +-inf, outside every domain.
+    Each model builds one function of x on its first evaluation
+    (``ApproximationModel._kernel``), from code compiled once per number
+    of coefficients, and every later call runs it.  A point strictly
+    inside the domain takes the basis and the Horner sum over the model's
+    float coefficients inline, as one straight-line expression; every
+    other point goes through
+    :func:`funcseries.catalog.eval_g`, which admits a closed end's fuzz or
+    raises DomainError.  The result equals the Horner loop over each
+    coefficient converted at every call, bit for bit.  x is a float, an
+    int or a Fraction: x - x0 is a float, and an x beyond the float range
+    reads as +-inf, outside every domain.
     """
-    x0, horner = model._kernel
     try:
-        t = x - x0
-    except OverflowError:  # an int or Fraction beyond the float range
-        t = math.inf if x > 0 else -math.inf
-    return horner(eval_g(model.expansion, t))
+        return model._kernel(x)
+    except OverflowError:  # from x - x0 or from g: eval_g raises a DomainError
+        try:
+            t = float(x - model._float_form[0])
+        except OverflowError:  # an int or Fraction beyond the float range
+            t = math.inf if x > 0 else -math.inf
+        eval_g(model.expansion, t)
+        raise  # not reached: g overflows at t again
 
 
 def taylor_baseline(func: FunctionSpec, order: int) -> ApproximationModel:

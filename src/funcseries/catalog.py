@@ -32,10 +32,11 @@ that the direct formula loses half the mantissa.
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.  A series branch sums its table through the
-package's one polynomial kernel, :func:`_horner_kernel`, which compiles a
-table into a straight-line Horner expression once per process; the models
-of :mod:`funcseries.approx` sum their coefficients through it too.
+documented threshold.  A series branch sums its table through
+:func:`_horner_kernel`, which compiles a table into a straight-line Horner
+expression once per process.  The package has one writer of that
+expression, :func:`_horner_expr`, and the models of
+:mod:`funcseries.approx` inline it in their evaluators' code.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
@@ -185,11 +186,14 @@ def lambert_w0(x: float) -> float:
         w = l1 - l2 + l2 / l1
     else:
         w = math.log1p(x)
+    # The tolerance test is a comparison, as in the implicit solvers:
+    # mtol <= f <= tol is abs(f) <= tol, False for nan.
     tol = 1e-15 * max(1.0, abs(x))
+    mtol = -tol
     for _ in range(50):
         ew = math.exp(w)
         f = w * ew - x
-        if abs(f) <= tol:
+        if mtol <= f <= tol:
             return w
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
@@ -218,31 +222,38 @@ def lambert_w0(x: float) -> float:
 # tables are constants, so no float basis reverts a series.
 
 
-def _horner_kernel(*tables: tuple) -> Callable:
-    """A function of one float u that sums each table by Horner's rule.
-
-    A table holds finite floats c_N, ..., c_0, highest degree first, and
-    its sum is one straight-line expression
-    (...((0.0*u + c_N)*u + c_(N-1))...)*u + c_0 with each coefficient's
-    repr as a constant: the multiply-adds of the loop acc = acc*u + c in
-    the same order, so every result is the loop's bit for bit, the nan
-    of 0.0*inf included.  The function returns the one sum, or the tuple
-    of the sums for several tables.  Each term nests one parenthesis, and
-    CPython parses at most 200 nested, so a table of over 199 terms (a
-    model's has at most MAX_ORDER + 1 = 65), or a coefficient that is not
-    finite, raises ValueError.
+def _horner_expr(terms: list, first: str = "u") -> str:
+    """Horner's rule over the terms c_N, ..., c_0 (source text, highest
+    degree first) as one straight-line expression in u:
+    (...((0.0*first + c_N)*u + c_(N-1))...)*u + c_0, where `first`,
+    evaluated before any other u, may bind u.  These are the multiply-adds
+    of the loop acc = acc*u + c in the same order, so every result is the
+    loop's bit for bit, the nan of 0.0*inf included.  Each term nests one
+    parenthesis, and CPython parses at most 200 nested, so over 199 terms
+    (a model has at most MAX_ORDER + 1 = 65) raise ValueError.
     """
+    if len(terms) > 199:
+        raise ValueError(f"a polynomial of {len(terms)} terms is over the 199 that "
+                         "compile as one expression")
+    expr, u = "0.0", first
+    for c in terms:
+        expr, u = f"({expr} * {u} + {c})", "u"
+    return expr
+
+
+def _horner_kernel(*tables: tuple) -> Callable:
+    """A function of one float u that sums each table of finite floats by
+    :func:`_horner_expr`, each coefficient's repr a constant: the one sum,
+    or the tuple of the sums for several tables.  A coefficient that is
+    not finite raises ValueError."""
     sums = []
     for table in tables:
-        if len(table) > 199:
-            raise ValueError(f"a polynomial of {len(table)} terms is over the 199 that "
-                             "compile as one expression")
-        expr = "0.0"
+        reprs = []
         for c in map(float, table):
             if not math.isfinite(c):
                 raise ValueError(f"polynomial coefficient {c!r} is not finite")
-            expr = f"({expr} * u + {c!r})"
-        sums.append(expr)
+            reprs.append(repr(c))
+        sums.append(_horner_expr(reprs))
     body = sums[0] if len(sums) == 1 else f"({', '.join(sums)})"
     return eval(compile(f"lambda u: {body}", "<horner>", "eval"), {"__builtins__": {}})
 

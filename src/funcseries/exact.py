@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -75,7 +76,13 @@ def _coerce(value: ScalarLike):
                              f"+-{_MAX_EXPONENT}")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
+            raise ValueError(f"not a rational number: {value!r}") from None
+        except ValueError as err:  # int(), so Fraction, reads a limited run of digits
+            if str(err).startswith("Exceeds the limit"):
+                raise ValueError(f"number text with over {sys.get_int_max_str_digits()} "
+                                 "digits in one part is beyond CPython's int() limit "
+                                 "(sys.get_int_max_str_digits())") from None
             raise ValueError(f"not a rational number: {value!r}") from None
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")
 
@@ -279,7 +286,9 @@ def scalar(value: ScalarLike) -> ExactScalar:
     "2", "-3/4", "0.1" or "2.5e-3" is read exactly, as Fraction reads it.
     A decimal exponent beyond +-10000 (``_MAX_EXPONENT``), a zero
     denominator or a string that is no number ("abc", "inf", "nan") raises
-    ValueError, the first before any power of ten is built.
+    ValueError, the first before any power of ten is built; so does a part
+    of over ``sys.get_int_max_str_digits()`` digits (4300 by default),
+    which CPython's int() refuses, with a message that names the limit.
     """
     if isinstance(value, ExactScalar):
         return value

@@ -699,31 +699,64 @@ class TestEvaluate:
             u = eval_g(e, x)
             expected = poly_eval_float([c.as_fraction() for c in m.coefficients], u)
             assert evaluate(m, x) == pytest.approx(expected, rel=1e-14)
-        # each model's compiled kernel against the loop it replaced
+        # each model's compiled evaluator against the loop it replaced
         # (poly_eval_float converts each coefficient as it goes), bit for bit:
-        # every family and tp up to MAX_ORDER, whose kernel nests 65 terms
+        # every family and tp up to MAX_ORDER, whose Horner sum nests 65
+        # terms.  The evaluator runs at x, and again on tp's basis u = x
+        # over the whole line, where its inline sum meets every finite u;
+        # the writer it inlines is compiled alone for the non-finite u that
+        # only a basis value can bring.
         f = builtin_function("ln1p")
         us = _KERNEL_POINTS + tuple(rng.uniform(-1.5, 1.5) for _ in range(8))
+        identity = get_expansion("a5", alpha=1)
         for key in FAMILY_KEYS + ("tp",):
             for order in _KERNEL_ORDERS:
                 m = (taylor_baseline(f, order) if key == "tp"
                      else assemble(get_expansion(key), f, order))
-                horner = m._kernel[1]
+                xs = us + _end_points(m.expansion.domain)
+                assert [_outcome(m, x, True) for x in xs] == [_loop_outcome(m, x) for x in xs], (
+                    key, order)
+                twin = ApproximationModel(identity, f, order, m.coefficients, "bell")
+                assert [_outcome(twin, u, True) for u in us] == [_loop_outcome(twin, u) for u in us]
+                horner = catalog._horner_kernel(m._float_form[1])
                 for u in us:
                     assert repr(horner(u)) == repr(poly_eval_float(m.coefficients, u)), (
                         key, order, u)
-        # -0.0 and 0.0 are distinct constants of one kernel; on u = x (a5,
+        # -0.0 and 0.0 are distinct constants of one sum; on u = x (a5,
         # alpha = 1) the last step -0.0 + -0.0 keeps the sign of a_0
         coeffs = tuple(map(ExactScalar, (-0.0, 0.0, -0.0, 1.5, -0.0)))
-        m = ApproximationModel(get_expansion("a5", alpha=1), f, 4, coeffs, "bell")
+        m = ApproximationModel(identity, f, 4, coeffs, "bell")
         for u in us:
-            assert repr(m._kernel[1](u)) == repr(poly_eval_float(coeffs, u)), u
+            assert _outcome(m, u, True) == _loop_outcome(m, u), u
             assert _outcome(m, u) == _reference_outcome(m, u), u
         assert repr(evaluate(m, -0.0)) == "-0.0"
         # CPython parses at most 200 nested parentheses, one per term
         assert catalog._horner_kernel((1.0,) * 199, (1.0,) * 199)(0.5) == (2.0, 2.0)
         with pytest.raises(ValueError, match="200 terms"):
             catalog._horner_kernel((1.0,) * 200)
+
+    def test_only_points_off_the_open_interior_take_eval_g(self, monkeypatch):
+        # the evaluator looks eval_g up in approx's namespace at each call,
+        # where a tracer patches it, and calls it for no point strictly inside
+        from funcseries import approx
+
+        calls = []
+
+        def counted(exp, t):
+            calls.append(t)
+            return eval_g(exp, t)
+
+        m = assemble(get_expansion("a4"), builtin_function("ln1p"), 8)
+        evaluate(m, 1.0)  # compiled before the patch, as a traced run finds it
+        monkeypatch.setattr(approx, "eval_g", counted)
+        inside = [evaluate(m, x) for x in (-0.5, 0.0, 0.999)]
+        assert calls == []
+        assert evaluate(m, 1.0000000000001) == evaluate(m, 1.0)
+        for x in (1.001, math.nan):
+            with pytest.raises(DomainError, match="outside the validity domain"):
+                evaluate(m, x)
+        assert [repr(t) for t in calls] == ["1.0000000000001", "1.0", "1.001", "nan"]
+        assert inside == [evaluate(m, x) for x in (-0.5, 0.0, 0.999)] and len(calls) == 4
 
     def test_series_branch_kernels_match_the_loops(self):
         # each series branch against the Horner loops that its compiled
@@ -775,7 +808,7 @@ class TestEvaluate:
         assert evaluate(m, 1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
-# The compiled kernels' orders and points: MAX_ORDER nests 65 terms, and
+# The compiled evaluators' orders and points: MAX_ORDER nests 65 terms, and
 # signed zeros, subnormals, overflow and non-finite u reach every rule of
 # float arithmetic that a Horner step meets (0.0 * inf is nan).
 _KERNEL_ORDERS = (1, 8, 20, MAX_ORDER)
@@ -794,11 +827,37 @@ def _reference_outcome(model, x):
         return type(err).__name__
 
 
-def _outcome(model, x):
+def _loop_outcome(model, x):
+    """The reference route: eval_g at x - x0, then the Horner loop; an
+    error as its class and message."""
+    x0 = float(model.func.x0)
+    try:
+        try:
+            t = x - x0
+        except OverflowError:
+            t = math.inf if x > 0 else -math.inf
+        return repr(poly_eval_float(model.coefficients, eval_g(model.expansion, t)))
+    except (DomainError, ConvergenceError) as err:
+        return type(err).__name__, str(err)
+
+
+def _outcome(model, x, message=False):
     try:
         return repr(evaluate(model, x))
     except (DomainError, ConvergenceError) as err:
-        return type(err).__name__
+        return (type(err).__name__, str(err)) if message else type(err).__name__
+
+
+def _end_points(interval):
+    """The finite ends of `interval`, and 1 ulp and 1e-12 * max(1, |end|)
+    plus or minus 1 ulp on either side of each."""
+    xs = []
+    for end in (interval.lo, interval.hi):
+        if math.isfinite(end):
+            slack = 1e-12 * max(1.0, abs(end))
+            for x in (end - slack, end, end + slack):
+                xs += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+    return tuple(xs)
 
 
 _EXTREME_POINTS = (
@@ -888,13 +947,16 @@ class TestEvaluateFloatForm:
         value = evaluate(used, 0.5)
         estimate_radius(used)
         assert len(vars(used)) > len(state)  # the float form is now held
-        assert "_kernel" in vars(used) and "_kernel" not in vars(fresh)  # assemble builds none
+        assert callable(vars(used)["_kernel"])  # the evaluator, compiled once
+        assert "_kernel" not in vars(fresh)  # assemble builds none
+        evaluator = used._kernel
+        assert repr(evaluate(used, 0.5)) == repr(value) and used._kernel is evaluator
         assert repr(used) == repr(fresh)
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert used.to_json_dict() == fresh.to_json_dict()
         # a copy is the model called on its fields again: equal, without
-        # the kernel, and it evaluates to the same bits
+        # the evaluator, and it evaluates to the same bits
         for other in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
             assert "_kernel" not in vars(other)
             assert repr(other) == repr(used) and other == used and hash(other) == hash(used)
@@ -907,8 +969,9 @@ class TestEvaluateFloatForm:
         for call in (lambda: evaluate(m, 0.5), m.to_json_dict):
             with pytest.raises(DomainError, match="coefficient a_1 "):
                 call()
-        with pytest.raises(DomainError, match="coefficient a_1 "):
-            evaluate(m, -5.0)  # outside a1's domain: the conversion comes first
+        for x in (-5.0, math.nan):  # outside a1's domain: the conversion comes first
+            with pytest.raises(DomainError, match="coefficient a_1 "):
+                evaluate(m, x)
         with pytest.raises(DomainError, match="coefficient a_1 "):
             evaluate(m, 0.5)  # a failure is never cached
         assert "_float_form" not in vars(m) and "_kernel" not in vars(m)

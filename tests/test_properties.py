@@ -16,7 +16,10 @@ catalog's ``Interval``), not over a window that avoids its weak spots:
   number text, ``get_expansion`` on drawn parameters, ``map_domain`` on
   drawn radii, ``error_report`` on drawn points and ``estimate_radius``
   on models of order 8 to 20 each return a value or raise
-  ``DomainError``, ``ConvergenceError`` or ``ValueError``.
+  ``DomainError``, ``ConvergenceError`` or ``ValueError``;
+* ``evaluate`` takes the reference route, the Horner loop over
+  ``eval_g(exp, x - x0)``, bit for bit, or raises what it raises, on every
+  model kind at orders 1 to ``MAX_ORDER``.
 
 Two values of g(x) agree when they differ by at most 1e-12 max(1, |y|)
 plus 1e-12 max(1, |x|) / ginv'(y), which is how far g moves when x moves
@@ -42,7 +45,8 @@ from funcseries.approx import (PointReport, assemble, builtin_function,
 from funcseries.catalog import (ConvergenceError, DomainError, Expansion, Interval, eval_g,
                                 eval_ginv, get_expansion, invert_numeric, map_domain)
 from funcseries.exact import ExactScalar, scalar
-from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS
+from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS, MAX_ORDER
+from test_approx import _loop_outcome, _outcome
 
 # derandomized: the same examples on every run, so tier-1 cannot flake
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -55,8 +59,6 @@ EXTREME = ("CHANGES.md FOUND: the float evaluators break their contract at extre
            "magnitudes")
 HORNER = ("CHANGES.md FOUND: approx.evaluate overflows silently to inf in the Horner sum "
           "when |g(x)| is huge but finite")
-LONG_TEXT = ("CHANGES.md FOUND: exact.scalar refuses number text with over 4300 digits in one "
-             "part as 'not a rational number'")
 
 # property -> {key: (witnesses, reason)}
 KNOWN = {
@@ -270,17 +272,17 @@ def test_scalar_reads_number_text_or_refuses_it(text):
     assert value is None or (isinstance(value, ExactScalar) and value.is_exact), (text, value)
 
 
-@pytest.mark.xfail(strict=True, reason=LONG_TEXT)
 def test_scalar_reads_long_number_text_or_names_the_digit_limit():
     # CPython's int() reads at most 4300 digits, and Fraction reads the
     # integer and fractional parts through it
-    text = "1" * 4301
-    try:
-        value = scalar(text)
-    except ValueError as err:
-        assert "digits" in str(err) and len(str(err)) < 200, str(err)[:80]
-        return
-    assert value == (10**4301 - 1) // 9
+    for text, exact in (("1" * 4301, Fraction((10**4301 - 1) // 9)),
+                        ("0." + "1" * 4301, Fraction((10**4301 - 1) // 9, 10**4301))):
+        try:
+            value = scalar(text)
+        except ValueError as err:
+            assert "digits" in str(err) and len(str(err)) < 200, str(err)[:80]
+            continue
+        assert value.as_fraction() == exact
 
 
 # parameters: ints, Fractions (a denominator up to 10**400 among them) and
@@ -348,3 +350,50 @@ def test_error_report_reports_or_refuses(key, name, xs):
 def test_estimate_radius_estimates_or_refuses(key, name, order):
     r = returned(estimate_radius, _model(key, name, order))
     assert r is None or (type(r) is float and not math.isnan(r)), (key, name, order, r)
+
+
+# -- evaluate against the reference route ---------------------------------------
+#
+# A model's compiled evaluator inlines the domain's open interior, the basis
+# and the Horner sum, and hands every other point to eval_g; both must read
+# as the loop over eval_g does.  The points: signed zeros, subnormals, huge
+# and non-finite floats, each finite domain end and k ulps or the closed
+# ends' 1e-12 * max(1, |end|) of slack (give or take an ulp) on either side
+# of it, ints up to 10**400 and Fractions.
+
+EVAL = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@lru_cache(maxsize=None)
+def _ln1p_model(key, order, x0):
+    f = builtin_function("ln1p", x0=x0)
+    return taylor_baseline(f, order) if key == "tp" else assemble(get_expansion(key), f, order)
+
+
+def _near(end, side, slack, k):
+    """end, or end plus `side` times its slack, moved k ulps."""
+    x = end + side * 1e-12 * max(1.0, abs(end)) if slack else end
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                            math.inf, -math.inf, math.nan])
+_OFFSETS = st.tuples(st.sampled_from([-1.0, 1.0]), st.booleans(), st.integers(-3, 3))
+_EXACT = st.one_of(st.integers(-10**400, 10**400), st.integers(-10, 10), st.fractions(),
+                   st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**400)))
+
+
+@EVAL
+@given(st.sampled_from(FAMILY_KEYS + ("tp",)), st.sampled_from((1, 8, 20, MAX_ORDER)),
+       st.sampled_from((0, Fraction(1, 2))), st.data())
+def test_evaluate_takes_the_reference_route(key, order, x0, data):
+    m = _ln1p_model(key, order, x0)
+    ends = [e for e in (m.expansion.domain.lo, m.expansion.domain.hi) if math.isfinite(e)]
+    strategies = [_SPECIAL, _EXACT]
+    if ends:
+        strategies.append(st.builds(lambda end, off: float(x0) + _near(end, *off),
+                                    st.sampled_from(ends), _OFFSETS))
+    x = data.draw(st.one_of(strategies))
+    assert _outcome(m, x, True) == _loop_outcome(m, x), (key, order, x0, x)
