@@ -961,6 +961,8 @@ class TestEvaluateFloatForm:
             assert "_kernel" not in vars(other)
             assert repr(other) == repr(used) and other == used and hash(other) == hash(used)
             assert repr(evaluate(other, 0.5)) == repr(value)
+        # one code per number of coefficients, shared by the models' evaluators
+        assert vars(other)["_kernel"].__code__ is evaluator.__code__
 
     def test_coefficient_beyond_float_range_is_a_domain_error(self):
         # a_1 = 1e400 from a derivative list; converting it to float overflows
