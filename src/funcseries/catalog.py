@@ -20,11 +20,13 @@ is "both" unless the builder names one.
 
 Families "c1" .. "c6" have no explicit basis formula; g is obtained by
 Newton iteration on the inverse basis, with a bisection fallback and a
-reported (never silent) failure mode.  Their builders and these solvers
-live in :mod:`funcseries.implicit`, which loads on first use: by
+reported (never silent) failure mode.  Their builders and the solver live
+in :mod:`funcseries.implicit`, which loads on first use: by
 :func:`get_expansion` for one of those six keys, and by
 :func:`invert_numeric`.  An explicit family's build and evaluation never
-load it.  a10 always calls :func:`lambert_w0`.
+load it.  Each of the six compiles its solver with its inverse basis
+inline once per process, and its builder gives g as a function from that
+code.  a10 always calls :func:`lambert_w0`.
 a11 and a12 call it away from zero and switch to a series-plus-Newton
 branch near zero, where the W argument sits so close to the branch point
 that the direct formula loses half the mantissa.
@@ -32,11 +34,11 @@ that the direct formula loses half the mantissa.
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.  A series branch sums its table through
-:func:`_horner_kernel`, which compiles a table into a straight-line Horner
-expression once per process.  The package has one writer of that
-expression, :func:`_horner_expr`, and the models of
-:mod:`funcseries.approx` inline it in their evaluators' code.
+documented threshold.  The package has one writer of the straight-line
+Horner expression, :func:`_horner_expr`: a11's and a12's series branches
+sum their tables through :func:`_horner_kernel`, which compiles a table
+into that expression once per process, and the solvers of c3, c4 and c6
+and the models of :mod:`funcseries.approx` inline it in their code.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
@@ -49,16 +51,19 @@ Each builder gives the inverse basis once, as the pair
 they share (exp(y), arccos(1+y), a numerator, one series-branch test)
 once; its slope never raises on its own.  :func:`eval_ginv`,
 :func:`map_domain` and :func:`invert_numeric` read the pair's value.  The
-builders of the implicit bases c1 .. c6 give ``ginv`` alone in place of
-g, for the bisection walk of their g, which needs no slope: its value is
-bit-identical to the pair's, and it raises where the pair raises.  A
-Newton step makes one pair call.  The solver loops' tests are comparisons.
-The series branches of c3, c4 and c6 read one float table per family,
-:func:`_series_floats`, for both of their kernels.
+builders of the implicit bases c1 .. c6 state it as two texts, the pair's
+statements and the value alone as an expression, which their compiled
+solver runs inline: a Newton step computes the pair, a bisection step the
+value, bit-identical to the pair's and raising where it raises.
+:func:`invert_numeric` runs the same solver text over any family's pair,
+one call per step.  The solver loops' tests are comparisons.  The series
+branches of a11, a12, c3, c4 and c6 read one float table per family,
+:func:`_series_floats`.
 
 :class:`Interval` and :class:`Expansion` are records on the one immutable
-base of :mod:`funcseries.exact`.  An entry's evaluators are closures, so
-it copies and pickles as its key and parameters alone.
+base of :mod:`funcseries.exact`.  An entry's evaluators are closures or
+compiled functions, so it copies and pickles as its key and parameters
+alone.
 """
 
 from __future__ import annotations
@@ -216,15 +221,16 @@ def lambert_w0(x: float) -> float:
 
 # -- polynomial kernel and series tables -------------------------------------
 #
-# The tables are kept in ascending order; a series branch compiles the ones
-# it sums, highest degree first, into one kernel, once per process.  The
-# inverse-series tables come from family_series; the a11/a12 Newton start
-# tables are constants, so no float basis reverts a series.
+# The tables are kept in ascending order.  A series branch of a11 or a12
+# compiles the ones it sums, highest degree first, into one kernel, once
+# per process; c3, c4 and c6 sum theirs inline in their compiled solvers.
+# The inverse-series tables come from family_series; the a11/a12 Newton
+# start tables are constants, so no float basis reverts a series.
 
 
-def _horner_expr(terms: list, first: str = "u") -> str:
+def _horner_expr(terms: list, first: str = "u", u: str = "u") -> str:
     """Horner's rule over the terms c_N, ..., c_0 (source text, highest
-    degree first) as one straight-line expression in u:
+    degree first) as one straight-line expression in the variable u:
     (...((0.0*first + c_N)*u + c_(N-1))...)*u + c_0, where `first`,
     evaluated before any other u, may bind u.  These are the multiply-adds
     of the loop acc = acc*u + c in the same order, so every result is the
@@ -235,9 +241,9 @@ def _horner_expr(terms: list, first: str = "u") -> str:
     if len(terms) > 199:
         raise ValueError(f"a polynomial of {len(terms)} terms is over the 199 that "
                          "compile as one expression")
-    expr, u = "0.0", first
+    expr, var = "0.0", first
     for c in terms:
-        expr, u = f"({expr} * {u} + {c})", "u"
+        expr, var = f"({expr} * {var} + {c})", u
     return expr
 
 
@@ -261,18 +267,16 @@ def _horner_kernel(*tables: tuple) -> Callable:
 @lru_cache(maxsize=None)
 def _series_floats(key: str, order: int) -> tuple:
     """The floats c_0 .. c_order of a parameter-free family's family_series,
-    computed once per process for both of its kernels."""
+    computed once per process."""
     return tuple(float(v) for v in family_series(key, order).coeffs)
 
 
 @lru_cache(maxsize=None)
-def _series_kernel(key: str, order: int, slope: bool = False) -> Callable:
+def _series_kernel(key: str, order: int) -> Callable:
     """The kernel of a parameter-free family's inverse series c_0 + ... +
     c_order y^order, over :func:`_series_floats`, built once per process:
-    its value at y, or with slope the pair (value, slope)."""
+    the pair (value, slope) at y."""
     c = _series_floats(key, order)
-    if not slope:
-        return _horner_kernel(c[::-1])
     return _horner_kernel(c[::-1], tuple(n * c[n] for n in range(order, 0, -1)))
 
 
@@ -296,8 +300,9 @@ _G_INIT = {
 #
 # A builder returns what only it knows: the float evaluators, that is the
 # pair ginv_d and g, and the domain and image; a11 and a12 also name their
-# side.  The builders of the implicit bases c1 .. c6 give ginv alone in
-# place of g and live in funcseries.implicit, with the solvers they need.
+# side.  The builders of the implicit bases c1 .. c6 live in
+# funcseries.implicit with their solver, and give in place of g the
+# function that makes g from the image once the scan has found it.
 # get_expansion derives the other fields.  A pair computes what its value
 # shares with the slope once; a series branch sums both in one kernel call.
 
@@ -476,7 +481,7 @@ def _near_zero_start(start: Callable, ginv_d: Callable, x: float) -> float:
 
 
 def _make_a11(p):
-    series_d, start = _series_kernel("a11", 8, True), _start_kernel("a11")
+    series_d, start = _series_kernel("a11", 8), _start_kernel("a11")
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
@@ -498,7 +503,7 @@ def _make_a11(p):
 
 
 def _make_a12(p):
-    series_d, start = _series_kernel("a12", 8, True), _start_kernel("a12")
+    series_d, start = _series_kernel("a12", 8), _start_kernel("a12")
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
@@ -588,11 +593,7 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
     g = pieces.get("g")
     implicit = g is None
     if implicit:
-        ctx = f"family {key!r} numeric inversion"
-
-        def g(x, _solve=solver._invert_monotone, _alone=pieces["ginv"], _ginv_d=ginv_d,
-              _img=image, _inc=increasing, _d1=d1, _ctx=ctx):
-            return _solve(x, _alone, _ginv_d, _img, _inc, _d1, _ctx)
+        g = pieces["solver"](image, increasing, d1, f"family {key!r} numeric inversion")
 
     return Expansion(
         key=key,
@@ -706,10 +707,8 @@ def invert_numeric(exp: Expansion, x: float) -> float:
     from .implicit import _invert_monotone  # loads on first use
 
     try:
-        return _invert_monotone(
-            xd, lambda y: exp._ginv_d(y)[0], exp._ginv_d, exp.image, exp.increasing, exp._d1,
-            f"family {exp.key!r} numeric inversion",
-        )
+        return _invert_monotone(xd, exp._ginv_d, exp.image, exp.increasing, exp._d1,
+                                f"family {exp.key!r} numeric inversion")
     except (ValueError, ZeroDivisionError) as err:
         raise DomainError(
             f"numeric inversion fails at x={xd!r} for family {exp.key!r}: {err}"

@@ -1,72 +1,87 @@
 """The implicit bases c1 .. c6 and the numeric inversion they run on.
 
 These six families have no explicit basis formula: g is the solution y of
-ginv(y) = x, found by :func:`_invert_monotone`, capped Newton on the
-inverse basis with a bisection walk (:func:`_bisect_monotone`) as its
-fallback and a reported (never silent) failure mode.  For c1 .. c5 the
-domain and image are not written down either: :func:`_scan_pieces` scans
-the slope of the inverse basis for its first sign change on each side of
-zero (:func:`_find_flip`).
+ginv(y) = x, found by capped Newton on the inverse basis with a bisection
+walk as its fallback and a reported (never silent) failure mode.  For
+c1 .. c5 the domain and image are not written down either:
+:func:`_scan_pieces` scans the slope of the inverse basis for its first
+sign change on each side of zero (:func:`_find_flip`).
+
+The solver has one source, ``_SOLVER``: the Newton loop
+``_invert_monotone`` and the walk ``_bisect_monotone`` over the names of
+the inverse basis's constants, with two slots for the inverse basis, a
+*pair* (statements that bind v and d, its value and slope at y) and a
+*value* (an expression in y, its value alone).  With the call slots
+``v, d = ginv_d(y)`` and ``ginv_d(y)[0]`` it gives this module's
+``_invert_monotone(x, ginv_d, image, increasing, d1, context)`` and
+``_bisect_monotone(x, ginv_d, image, increasing, tol, context)``, which
+:func:`funcseries.catalog.invert_numeric` runs on any family's pair; they
+compile on first use.
+
+A builder here states its inverse basis once, as a pair text and a value
+text over its float constants (c3, c4 and c6 write their series branches
+through ``catalog._horner_expr``, the coefficients among the constants).
+:func:`_compile` puts the two texts into the solver's slots and
+compiles them, with the pair ``ginv_d`` and the value form ``ginv`` as
+functions of y, once per family per process.  An expansion instantiates
+that code with its constants as the functions' defaults, and g with its
+image, direction, d_1 and error context as well, so every Newton and
+bisection step of g runs the formula inline.  The operations and their
+order are those of the call-slot solver over the pair, so g is that
+solver's float bit for bit.
 
 The module loads on first use: :func:`funcseries.catalog.get_expansion`
 imports it for one of these six keys, and
 :func:`funcseries.catalog.invert_numeric` on its first call, so an
 explicit family's build and evaluation, a bare ``import funcseries`` and
-``import funcseries.cli`` never compile it.  A builder here gives the
-value-and-slope pair ``ginv_d``, as the explicit builders of
-:mod:`funcseries.catalog` do, and ``ginv`` alone in place of ``g``: the
-value-only inverse basis that the bisection walk reads, bit-identical to
-the pair's value, raising where the pair raises.  The series branches of
-c3, c4 and c6 sum their tables through ``catalog._series_kernel``.
+``import funcseries.cli`` never compile it.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from functools import lru_cache
+from types import FunctionType
 from typing import Callable
 
-from .catalog import ConvergenceError, Interval, _series_kernel
+from .catalog import ConvergenceError, Interval, _horner_expr, _series_floats
 
 # -- numeric inversion of a monotone inverse basis ----------------------------
+#
+# ${args} names the inverse basis's constants, each followed by ", "; a
+# line "$pair" takes the pair's statements at its indentation, and $value
+# is the value expression.  The tests are comparisons, not calls: mtol <= f
+# <= tol is abs(f) <= tol and ninf < d < inf is isfinite(d), both False for
+# NaN, with -inf bound once per call.
 
-
-def _invert_monotone(
-    x: float,
-    ginv: Callable,
-    ginv_d: Callable,
-    image: Interval,
-    increasing: bool,
-    d1: float,
-    context: str,
-) -> float:
-    """Solve ginv(y) = x for y inside `image` (monotone there).
-
-    Newton takes value and slope from one ginv_d call per step and hands
-    over to bisection when the pair raises, the slope is 0 or not finite,
-    or a step leaves the image.
-    """
+_SOLVER = '''
+def _invert_monotone(x, ${args}image, increasing, d1, context):
+    # Solve ginv(y) = x for y inside `image` (monotone there).  Newton takes
+    # value and slope from the pair at each step and hands over to the walk
+    # when the pair raises, the slope is 0 or not finite, or a step leaves
+    # the image.
     if x == 0.0:
         return 0.0
     tol = 1e-14 * max(1.0, abs(x))
     lo, hi = image.lo, image.hi
     inf = math.inf
+    ninf = -inf
     y = x / d1
     if y <= lo:
         y = 0.75 * lo
     elif y >= hi:
         y = 0.75 * hi
-    # Each step tests by comparisons, not calls: mtol <= f <= tol is
-    # abs(f) <= tol and -inf < d < inf is isfinite(d), both False for NaN.
     mtol = -tol
     for _ in range(60):
         try:
-            v, d = ginv_d(y)
+            $pair
         except (OverflowError, ValueError):
             break
         f = v - x
         if mtol <= f <= tol:
             return y
-        if d == 0.0 or not -inf < d < inf:
+        if d == 0.0 or not ninf < d < inf:
             break
         yn = y - f / d
         if not lo < yn < hi:
@@ -74,28 +89,28 @@ def _invert_monotone(
         if yn == y:
             break
         y = yn
-    return _bisect_monotone(x, ginv, image, increasing, tol, context)
+    return _bisect_monotone(x, ${args}image, increasing, tol, context)
 
 
-def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
+def _bisect_monotone(x, ${args}image, increasing, tol, context):
     # Walk outward from 0 toward the end where ginv passes x, then bisect.
     # Where ginv overflows, it counts as the infinity it tends to, which
-    # lies beyond the finite x: f is +-inf.  The tests are comparisons,
-    # as in _invert_monotone.  A walk that stalls next to a closed end
-    # tries the end itself, where the solution may lie (a7 at x = -2);
-    # when f changes sign between the last point and the end, the root
-    # lies between two adjacent floats, and the one with the smaller
+    # lies beyond the finite x: f is +-inf.  A walk that stalls next to a
+    # closed end tries the end itself, where the solution may lie (a7 at
+    # x = -2); when f changes sign between the last point and the end, the
+    # root lies between two adjacent floats, and the one with the smaller
     # residual is returned (a7 a hair above -2, where g' = 0 and no float
-    # meets the tolerance).
+    # meets the tolerance).  The value is always taken at y.
     pos0 = -x > 0  # the sign of f = ginv(0) - x
     mtol = -tol
     inf = math.inf
+    ninf = -inf
     direction = 1.0 if (x > 0.0) == increasing else -1.0
     if direction > 0:
         end, closed = image.hi, image.hi_closed
     else:
         end, closed = image.lo, image.lo_closed
-    bounded = -inf < end < inf
+    bounded = ninf < end < inf
     good, fgood = 0.0, -x
     bad = None
     y = 0.5 * direction
@@ -103,9 +118,9 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
         if bounded and (y >= end if direction > 0 else y <= end):
             y = 0.5 * (good + end)
         try:
-            f = ginv(y) - x
+            f = ($value) - x
         except OverflowError:
-            f = inf if (y > 0.0) == increasing else -inf
+            f = inf if (y > 0.0) == increasing else ninf
         if mtol <= f <= tol:
             return y
         if f == 0.0 or (f > 0) != pos0:
@@ -119,7 +134,8 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
         else:
             y *= 2.0
     if bad is None and closed:
-        fend = ginv(end) - x  # a closed end maps to a finite x, so this is finite
+        y = end
+        fend = ($value) - x  # a closed end maps to a finite x, so this is finite
         if mtol <= fend <= tol:
             return end
         if (fend > 0) != pos0:
@@ -128,27 +144,80 @@ def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
         raise ConvergenceError(f"{context}: could not bracket a solution for x={x!r}")
     a, b = good, bad
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
+        y = 0.5 * (a + b)
+        if y == a or y == b:
             break
         try:
-            f = ginv(mid) - x
+            f = ($value) - x
         except OverflowError:
-            f = inf if (mid > 0.0) == increasing else -inf
+            f = inf if (y > 0.0) == increasing else ninf
         if mtol <= f <= tol:
-            return mid
+            return y
         if (f > 0) == pos0:
-            a = mid
+            a = y
         else:
-            b = mid
+            b = y
     y = 0.5 * (a + b)
     try:
-        f = ginv(y) - x
+        f = ($value) - x
     except OverflowError:
         f = inf
     if abs(f) <= 100.0 * tol:
         return y
     raise ConvergenceError(f"{context}: inversion stalled at x={x!r}")
+'''
+
+# The pair and the value form of an implicit basis, as functions of y.
+_FORMS = '''
+def ginv_d(y, ${args}):
+    $pair
+    return v, d
+
+
+def ginv(y, ${args}):
+    return $value
+'''
+
+
+@lru_cache(maxsize=None)
+def _compile(args: str, pair: str, value: str, source: str = _SOLVER + _FORMS) -> dict:
+    """The namespace in which `source` ran with its slots filled, compiled
+    once per process: the pair's lines, their common indentation taken out,
+    at the indentation of each "$pair" line, and args and value in place.
+    The Newton loop finds its walk there."""
+    lines = [line for line in pair.split("\n") if line.strip()]
+    margin = min(len(line) - len(line.lstrip()) for line in lines)
+    text = re.sub(r"^( *)\$pair$", lambda m: "\n".join(m[1] + line[margin:] for line in lines),
+                  source, flags=re.M)
+    text = text.replace("${args}", args).replace("$value", value)
+    ns = {"math": math, "exp": math.exp, "acos": math.acos, "sqrt": math.sqrt,
+          "ConvergenceError": ConvergenceError}
+    exec(compile(text, "<solver>", "exec"), ns)
+    return ns
+
+
+def __getattr__(name: str):
+    # the solver with the call slots, over any family's pair, compiles here
+    # on first use, so a process that only builds and evaluates implicit
+    # bases never compiles it
+    if name in ("_invert_monotone", "_bisect_monotone"):
+        return _compile("ginv_d, ", "v, d = ginv_d(y)", "ginv_d(y)[0]", _SOLVER)[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _basis(names: tuple, consts: tuple, pair: str, value: str, **pieces) -> dict:
+    """A builder's pieces: the pair ``ginv_d``, the value form ``ginv`` and
+    ``solver(image, increasing, d1, context)``, which gives g, each from
+    the code of :func:`_compile` with the constants as defaults."""
+    ns = _compile("".join(n + ", " for n in names), pair, value)
+    solve = ns["_invert_monotone"].__code__
+
+    def solver(image, increasing, d1, context):
+        return FunctionType(solve, ns, "g", consts + (image, increasing, d1, context))
+
+    return dict(pieces, solver=solver,
+                ginv_d=FunctionType(ns["ginv_d"].__code__, ns, "ginv_d", consts),
+                ginv=FunctionType(ns["ginv"].__code__, ns, "ginv", consts))
 
 
 # -- monotone-interval scan for the series-defined families -------------------
@@ -196,86 +265,78 @@ def _scan_pieces(ginv_d, d1: float, tail_neg: float):
 
 # -- family builders -----------------------------------------------------------
 #
-# A builder gives the pair ginv_d, ginv alone for the bisection walk of g,
-# and either tail_neg (c1 .. c5, see _scan_pieces) or, for c6, the domain
-# and image with its side.
+# A builder states its inverse basis once, as the pair and value texts of
+# _basis, and gives either tail_neg (c1 .. c5, see _scan_pieces) or, for
+# c6, the domain and image with its side.
+
+
+def _series(key: str, order: int) -> tuple:
+    """The names, floats and Horner sums in y of a parameter-free family's
+    inverse series c_0 + ... + c_order y^order (from catalog._series_floats)
+    and of its slope: s_n is c_n, t_n is n * c_n."""
+    c = _series_floats(key, order)
+    names = tuple(f"s{n}" for n in range(order + 1)) + tuple(f"t{n}" for n in range(1, order + 1))
+    consts = c + tuple(n * c[n] for n in range(1, order + 1))
+    value = _horner_expr([f"s{n}" for n in range(order, -1, -1)], "y", "y")
+    slope = _horner_expr([f"t{n}" for n in range(order, 0, -1)], "y", "y")
+    return names, consts, value, slope
 
 
 def _make_c1(p):
     wf = float(p["w"])
-
-    def ginv(y):
-        return y * (math.exp(y) + wf - 1.0)
-
-    def ginv_d(y):
-        ey = math.exp(y)
-        return y * (ey + wf - 1.0), (y + 1.0) * ey + wf - 1.0
-
     if wf > 1.0:
         tail_neg = -math.inf
     elif wf == 1.0:
         tail_neg = 0.0  # unreachable: the w=1 branch has a critical point first
     else:
         tail_neg = math.inf
-    return dict(tail_neg=tail_neg, ginv=ginv, ginv_d=ginv_d)
+    return _basis(("wf",), (wf,), """
+        ey = exp(y)
+        v, d = y * (ey + wf - 1.0), (y + 1.0) * ey + wf - 1.0
+    """, "y * (exp(y) + wf - 1.0)", tail_neg=tail_neg)
 
 
 def _make_c2(p):
-    def ginv(y):
-        return (y - 2.0) * math.exp(y) - y + 2.0
-
-    def ginv_d(y):
-        ey = math.exp(y)
-        return (y - 2.0) * ey - y + 2.0, (y - 1.0) * ey - 1.0
-
-    return dict(tail_neg=math.inf, ginv=ginv, ginv_d=ginv_d)
+    return _basis((), (), """
+        ey = exp(y)
+        v, d = (y - 2.0) * ey - y + 2.0, (y - 1.0) * ey - 1.0
+    """, "(y - 2.0) * exp(y) - y + 2.0", tail_neg=math.inf)
 
 
 def _make_c3(p):
-    series, series_d = _series_kernel("c3", 20), _series_kernel("c3", 20, True)
-
-    def ginv(y):
+    names, consts, series, slope = _series("c3", 20)
+    return _basis(names, consts, f"""
         if abs(y) < 0.25:
-            return series(y)
-        return (2.0 * math.exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)
-
-    def ginv_d(y):
-        if abs(y) < 0.25:
-            return series_d(y)
-        ey = math.exp(y)
-        num = 2.0 * ey - 2.0 - 2.0 * y - y * y
-        nump = 2.0 * ey - 2.0 - 2.0 * y
-        try:
-            return num / (2.0 * y * y), (y * nump - 2.0 * num) / (2.0 * y ** 3)
-        except OverflowError:  # y ** 3 for y < -5e102, where the slope is below 1e-200
-            return num / (2.0 * y * y), 0.0
-
-    return dict(tail_neg=-0.5, ginv=ginv, ginv_d=ginv_d)
+            v, d = {series}, {slope}
+        else:
+            ey = exp(y)
+            num = 2.0 * ey - 2.0 - 2.0 * y - y * y
+            nump = 2.0 * ey - 2.0 - 2.0 * y
+            try:
+                v, d = num / (2.0 * y * y), (y * nump - 2.0 * num) / (2.0 * y ** 3)
+            except OverflowError:  # y ** 3 for y < -5e102, where the slope is below 1e-200
+                v, d = num / (2.0 * y * y), 0.0
+    """, f"{series} if abs(y) < 0.25 else (2.0 * exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)",
+        tail_neg=-0.5)
 
 
 def _make_c4(p):
-    series, series_d = _series_kernel("c4", 24), _series_kernel("c4", 24, True)
-
-    def ginv(y):
+    names, consts, series, slope = _series("c4", 24)
+    return _basis(names, consts, f"""
         if abs(y) < 0.5:
-            return series(y)
-        ey = math.exp(y)
-        y3 = y ** 3
-        return (6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0) / (6.0 * y3)
-
-    def ginv_d(y):
-        if abs(y) < 0.5:
-            return series_d(y)
-        ey = math.exp(y)
-        y3 = y ** 3
-        num = 6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0
-        nump = (6.0 * y - 6.0) * ey - 3.0 * y * y + 6.0
-        try:
-            return num / (6.0 * y3), (y * nump - 3.0 * num) / (6.0 * y ** 4)
-        except OverflowError:  # y ** 4 for y < -1.3e77, where the slope is below 1e-200
-            return num / (6.0 * y3), 0.0
-
-    return dict(tail_neg=-1.0 / 6.0, ginv=ginv, ginv_d=ginv_d)
+            v, d = {series}, {slope}
+        else:
+            ey = exp(y)
+            y3 = y ** 3
+            num = 6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0
+            nump = (6.0 * y - 6.0) * ey - 3.0 * y * y + 6.0
+            try:
+                v, d = num / (6.0 * y3), (y * nump - 3.0 * num) / (6.0 * y ** 4)
+            except OverflowError:  # y ** 4 for y < -1.3e77, where the slope is below 1e-200
+                v, d = num / (6.0 * y3), 0.0
+    """, f"{series} if abs(y) < 0.5 else "
+         "(6.0 * y * (ey := exp(y)) - 12.0 * ey - (y3 := y ** 3) + 6.0 * y + 12.0) / (6.0 * y3)",
+        tail_neg=-1.0 / 6.0)
 
 
 def _make_c5(p):
@@ -285,45 +346,32 @@ def _make_c5(p):
 
     q = af + a2f - 2.0
     lin = af + a1f - 1.0
-
-    def ginv(y):
-        return af + lin * y + 0.5 * q * y * y + (y - af) * math.exp(y)
-
-    def ginv_d(y):
-        ey = math.exp(y)
-        return af + lin * y + 0.5 * q * y * y + (y - af) * ey, lin + q * y + (1.0 + y - af) * ey
-
     if q != 0.0:
         tail_neg = math.copysign(math.inf, q)
     elif lin != 0.0:
         tail_neg = -math.copysign(math.inf, lin)
     else:
         tail_neg = af
-    return dict(tail_neg=tail_neg, ginv=ginv, ginv_d=ginv_d)
+    return _basis(("af", "lin", "q"), (af, lin, q), """
+        ey = exp(y)
+        v, d = af + lin * y + 0.5 * q * y * y + (y - af) * ey, lin + q * y + (1.0 + y - af) * ey
+    """, "af + lin * y + 0.5 * q * y * y + (y - af) * exp(y)", tail_neg=tail_neg)
 
 
 def _make_c6(p):
-    series, series_d = _series_kernel("c6", 20), _series_kernel("c6", 20, True)
-
-    def ginv(y):
-        if abs(y) < 0.0625:
-            return series(y)
-        a = math.acos(1.0 + y)
-        return -a * a / (2.0 * y) - 1.0
-
-    def ginv_d(y):
-        if abs(y) < 0.0625:
-            return series_d(y)
-        a = math.acos(1.0 + y)
-        ap = -1.0 / math.sqrt(max(-y * (2.0 + y), 5e-324))
-        return -a * a / (2.0 * y) - 1.0, (a * a - 2.0 * a * ap * y) / (2.0 * y * y)
-
+    names, consts, series, slope = _series("c6", 20)
     hi = 0.25 * math.pi * math.pi - 1.0
-    return dict(
+    return _basis(names, consts, f"""
+        if abs(y) < 0.0625:
+            v, d = {series}, {slope}
+        else:
+            ac = acos(1.0 + y)
+            acp = -1.0 / sqrt(max(-y * (2.0 + y), 5e-324))
+            v, d = -ac * ac / (2.0 * y) - 1.0, (ac * ac - 2.0 * ac * acp * y) / (2.0 * y * y)
+    """, f"{series} if abs(y) < 0.0625 else -(ac := acos(1.0 + y)) * ac / (2.0 * y) - 1.0",
         domain=Interval(0.0, hi, True, True),
         image=Interval(-2.0, 0.0, True, True),
-        side="right_of_zero", ginv=ginv, ginv_d=ginv_d,
-    )
+        side="right_of_zero")
 
 
 _BUILDERS = {

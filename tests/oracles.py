@@ -8,7 +8,10 @@ derivatives by central differences.  Slow is fine; the point
 is that a bug in the package and a bug here would have to coincide.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
+from typing import Callable
 
 import math
 
@@ -291,3 +294,256 @@ def nth_derivative_fd(f, n, h=1e-2):
     d1 = central(h)
     d2 = central(h / 2)
     return (4.0 * d2 - d1) / 3.0
+
+
+# -- numeric inversion of the implicit bases ----------------------------------
+#
+# The Newton loop and the bisection walk as they stood before the package
+# compiled one solver per basis, with the inverse bases c1 .. c6 as the
+# closures it then called: the value-only ginv and the value-and-slope pair
+# ginv_d, each series branch summed by the Horner loop over the table of the
+# exact series above.  The package's compiled g must return these floats
+# bit for bit, and raise where they raise with the same class and message.
+
+
+class ConvergenceError(RuntimeError):
+    """The reference solver's failure; compared by class name and message."""
+
+
+def _invert_monotone(
+    x: float,
+    ginv: Callable,
+    ginv_d: Callable,
+    image,
+    increasing: bool,
+    d1: float,
+    context: str,
+) -> float:
+    """Solve ginv(y) = x for y inside `image` (monotone there).
+
+    Newton takes value and slope from one ginv_d call per step and hands
+    over to bisection when the pair raises, the slope is 0 or not finite,
+    or a step leaves the image.
+    """
+    if x == 0.0:
+        return 0.0
+    tol = 1e-14 * max(1.0, abs(x))
+    lo, hi = image.lo, image.hi
+    inf = math.inf
+    y = x / d1
+    if y <= lo:
+        y = 0.75 * lo
+    elif y >= hi:
+        y = 0.75 * hi
+    # Each step tests by comparisons, not calls: mtol <= f <= tol is
+    # abs(f) <= tol and -inf < d < inf is isfinite(d), both False for NaN.
+    mtol = -tol
+    for _ in range(60):
+        try:
+            v, d = ginv_d(y)
+        except (OverflowError, ValueError):
+            break
+        f = v - x
+        if mtol <= f <= tol:
+            return y
+        if d == 0.0 or not -inf < d < inf:
+            break
+        yn = y - f / d
+        if not lo < yn < hi:
+            break
+        if yn == y:
+            break
+        y = yn
+    return _bisect_monotone(x, ginv, image, increasing, tol, context)
+
+
+def _bisect_monotone(x, ginv, image, increasing, tol, context) -> float:
+    # Walk outward from 0 toward the end where ginv passes x, then bisect.
+    # Where ginv overflows, it counts as the infinity it tends to, which
+    # lies beyond the finite x: f is +-inf.  The tests are comparisons,
+    # as in _invert_monotone.  A walk that stalls next to a closed end
+    # tries the end itself, where the solution may lie (a7 at x = -2);
+    # when f changes sign between the last point and the end, the root
+    # lies between two adjacent floats, and the one with the smaller
+    # residual is returned (a7 a hair above -2, where g' = 0 and no float
+    # meets the tolerance).
+    pos0 = -x > 0  # the sign of f = ginv(0) - x
+    mtol = -tol
+    inf = math.inf
+    direction = 1.0 if (x > 0.0) == increasing else -1.0
+    if direction > 0:
+        end, closed = image.hi, image.hi_closed
+    else:
+        end, closed = image.lo, image.lo_closed
+    bounded = -inf < end < inf
+    good, fgood = 0.0, -x
+    bad = None
+    y = 0.5 * direction
+    for _ in range(200):
+        if bounded and (y >= end if direction > 0 else y <= end):
+            y = 0.5 * (good + end)
+        try:
+            f = ginv(y) - x
+        except OverflowError:
+            f = inf if (y > 0.0) == increasing else -inf
+        if mtol <= f <= tol:
+            return y
+        if f == 0.0 or (f > 0) != pos0:
+            bad = y
+            break
+        good, fgood = y, f
+        if bounded:
+            y = 0.5 * (y + end)
+            if y == good:
+                break
+        else:
+            y *= 2.0
+    if bad is None and closed:
+        fend = ginv(end) - x  # a closed end maps to a finite x, so this is finite
+        if mtol <= fend <= tol:
+            return end
+        if (fend > 0) != pos0:
+            return end if abs(fend) < abs(fgood) else good
+    if bad is None:
+        raise ConvergenceError(f"{context}: could not bracket a solution for x={x!r}")
+    a, b = good, bad
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        try:
+            f = ginv(mid) - x
+        except OverflowError:
+            f = inf if (mid > 0.0) == increasing else -inf
+        if mtol <= f <= tol:
+            return mid
+        if (f > 0) == pos0:
+            a = mid
+        else:
+            b = mid
+    y = 0.5 * (a + b)
+    try:
+        f = ginv(y) - x
+    except OverflowError:
+        f = inf
+    if abs(f) <= 100.0 * tol:
+        return y
+    raise ConvergenceError(f"{context}: inversion stalled at x={x!r}")
+
+
+def _series_loops(table):
+    """The Horner loops over a float table c_0 .. c_N: its value at y, and
+    the pair (value, slope)."""
+    order = len(table) - 1
+
+    def value(y):
+        acc = 0.0
+        for c in reversed(table):
+            acc = acc * y + c
+        return acc
+
+    def pair(y):
+        acc = dacc = 0.0
+        for n in range(order, 0, -1):
+            acc = acc * y + table[n]
+            dacc = dacc * y + n * table[n]
+        return acc * y + table[0], dacc
+
+    return value, pair
+
+
+def implicit_inverse_basis(key, alpha=0, w=1, beta=0):
+    """(ginv, ginv_d) of the implicit basis c1 .. c6 at float parameters:
+    c1 reads w, c5 alpha (the constant shift), w and beta (the first and
+    second derivatives), and the others none."""
+    if key == "c1":
+        wf = float(w)
+
+        def ginv(y):
+            return y * (math.exp(y) + wf - 1.0)
+
+        def ginv_d(y):
+            ey = math.exp(y)
+            return y * (ey + wf - 1.0), (y + 1.0) * ey + wf - 1.0
+
+    elif key == "c2":
+        def ginv(y):
+            return (y - 2.0) * math.exp(y) - y + 2.0
+
+        def ginv_d(y):
+            ey = math.exp(y)
+            return (y - 2.0) * ey - y + 2.0, (y - 1.0) * ey - 1.0
+
+    elif key == "c3":
+        series, series_d = _series_loops([float(c) for c in composite_inverse_series("c3", 20)])
+
+        def ginv(y):
+            if abs(y) < 0.25:
+                return series(y)
+            return (2.0 * math.exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)
+
+        def ginv_d(y):
+            if abs(y) < 0.25:
+                return series_d(y)
+            ey = math.exp(y)
+            num = 2.0 * ey - 2.0 - 2.0 * y - y * y
+            nump = 2.0 * ey - 2.0 - 2.0 * y
+            try:
+                return num / (2.0 * y * y), (y * nump - 2.0 * num) / (2.0 * y ** 3)
+            except OverflowError:
+                return num / (2.0 * y * y), 0.0
+
+    elif key == "c4":
+        series, series_d = _series_loops([float(c) for c in composite_inverse_series("c4", 24)])
+
+        def ginv(y):
+            if abs(y) < 0.5:
+                return series(y)
+            ey = math.exp(y)
+            y3 = y ** 3
+            return (6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0) / (6.0 * y3)
+
+        def ginv_d(y):
+            if abs(y) < 0.5:
+                return series_d(y)
+            ey = math.exp(y)
+            y3 = y ** 3
+            num = 6.0 * y * ey - 12.0 * ey - y3 + 6.0 * y + 12.0
+            nump = (6.0 * y - 6.0) * ey - 3.0 * y * y + 6.0
+            try:
+                return num / (6.0 * y3), (y * nump - 3.0 * num) / (6.0 * y ** 4)
+            except OverflowError:
+                return num / (6.0 * y3), 0.0
+
+    elif key == "c5":
+        af, a1f, a2f = float(alpha), float(w), float(beta)
+        q = af + a2f - 2.0
+        lin = af + a1f - 1.0
+
+        def ginv(y):
+            return af + lin * y + 0.5 * q * y * y + (y - af) * math.exp(y)
+
+        def ginv_d(y):
+            ey = math.exp(y)
+            return (af + lin * y + 0.5 * q * y * y + (y - af) * ey,
+                    lin + q * y + (1.0 + y - af) * ey)
+
+    elif key == "c6":
+        series, series_d = _series_loops([float(c) for c in sq_arccos_shift_by_reversion(20)])
+
+        def ginv(y):
+            if abs(y) < 0.0625:
+                return series(y)
+            a = math.acos(1.0 + y)
+            return -a * a / (2.0 * y) - 1.0
+
+        def ginv_d(y):
+            if abs(y) < 0.0625:
+                return series_d(y)
+            a = math.acos(1.0 + y)
+            ap = -1.0 / math.sqrt(max(-y * (2.0 + y), 5e-324))
+            return -a * a / (2.0 * y) - 1.0, (a * a - 2.0 * a * ap * y) / (2.0 * y * y)
+
+    else:
+        raise ValueError(f"no implicit inverse basis {key!r}")
+    return ginv, ginv_d

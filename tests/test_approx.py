@@ -482,7 +482,7 @@ class TestAssemble:
         def refuse(self):
             raise AssertionError("c6 must not revert a series")
 
-        catalog._series_kernel.cache_clear()
+        catalog._series_floats.cache_clear()
         monkeypatch.setattr(TruncatedSeries, "reversion", refuse)
         exp = get_expansion("c6")
         m = assemble(exp, builtin_function("ln1p"), MAX_ORDER)

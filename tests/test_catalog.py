@@ -579,7 +579,7 @@ class TestInvertNumeric:
         # its sign has no root beside it: both keep the error
         image = Interval(-math.inf, 1.0, hi_closed=closed)
         with pytest.raises(ConvergenceError, match="could not bracket"):
-            _bisect_monotone(2.0, lambda y: y, image, True, 2e-14, "identity")
+            _bisect_monotone(2.0, lambda y: (y, 1.0), image, True, 2e-14, "identity")
 
     def test_rejects_out_of_domain(self):
         with pytest.raises(DomainError):
@@ -711,10 +711,52 @@ class TestValueSlopePair:
             calls.append(y)
             return e._ginv_d(y)
 
-        ginv = _BUILDERS["c4"](e.param_dict())["ginv"]
-        y = _invert_monotone(2.0, ginv, counted, e.image, e.increasing, e._d1, "c4")
+        y = _invert_monotone(2.0, counted, e.image, e.increasing, e._d1, "c4")
         assert y == eval_g(e, 2.0)
         assert len(calls) == len(set(calls)) > 1
+
+
+class TestCompiledSolvers:
+    """Each implicit basis compiles its solver, pair and value form once per
+    process; an expansion supplies its constants as defaults."""
+
+    def test_one_code_per_family(self):
+        import pickle
+
+        for key, variants in (("c1", [{}, {"w": 2}, {"w": Fraction(1, 2)}]),
+                              ("c5", [{}, {"alpha": Fraction(1, 2), "w": 2, "beta": 3}]),
+                              ("c2", [{}]), ("c3", [{}]), ("c4", [{}]), ("c6", [{}])):
+            exps = [get_expansion(key, **params) for params in variants + variants[:1]]
+            exps.append(pickle.loads(pickle.dumps(exps[0])))
+            first = exps[0]
+            for e in exps:
+                assert e._g.__code__ is first._g.__code__, (key, e)
+                assert e._ginv_d.__code__ is first._ginv_d.__code__, (key, e)
+            values = [_BUILDERS[key](e.param_dict())["ginv"] for e in exps]
+            assert all(v.__code__ is values[0].__code__ for v in values), key
+            # the walk that the Newton loop hands over to is the family's own
+            assert first._g.__globals__["_bisect_monotone"].__code__.co_name == "_bisect_monotone"
+        codes = {get_expansion(key)._g.__code__ for key in ("c1", "c2", "c3", "c4", "c5", "c6")}
+        assert len(codes) == 6
+        # parameters are the functions' defaults, not part of the code
+        g2, g_half = get_expansion("c1", w=2)._g, get_expansion("c1", w=Fraction(1, 2))._g
+        assert g2.__defaults__[0] == 2.0 and g_half.__defaults__[0] == 0.5
+        assert g2(0.3) != g_half(0.3)
+
+    def test_explicit_families_compile_no_solver(self):
+        implicit._compile.cache_clear()
+        for key in catalog._BUILDERS:
+            e = get_expansion(key)
+            x = -0.01 if key == "a12" else 0.01
+            eval_ginv(e, eval_g(e, x))
+            map_domain(e, 0.5)
+            evaluate(assemble(e, builtin_function("ln1p"), 8), x)
+        assert implicit._compile.cache_info().misses == 0
+        get_expansion("c4")
+        get_expansion("c4")
+        assert implicit._compile.cache_info().misses == 1  # once per family per process
+        invert_numeric(get_expansion("a1"), 0.5)
+        assert implicit._compile.cache_info().misses == 2  # the call-slot solver, on first use
 
 
 class TestMapDomain:

@@ -19,7 +19,10 @@ catalog's ``Interval``), not over a window that avoids its weak spots:
   ``DomainError``, ``ConvergenceError`` or ``ValueError``;
 * ``evaluate`` takes the reference route, the Horner loop over
   ``eval_g(exp, x - x0)``, bit for bit, or raises what it raises, on every
-  model kind at orders 1 to ``MAX_ORDER``.
+  model kind at orders 1 to ``MAX_ORDER``;
+* the compiled g of each implicit basis c1 .. c6 returns the float of the
+  reference solver over the reference inverse basis (``oracles``) bit for
+  bit, or raises its exception class and message, for any float.
 
 Two values of g(x) agree when they differ by at most 1e-12 max(1, |y|)
 plus 1e-12 max(1, |x|) / ginv'(y), which is how far g moves when x moves
@@ -45,8 +48,10 @@ from funcseries.approx import (PointReport, assemble, builtin_function,
 from funcseries.catalog import (ConvergenceError, DomainError, Expansion, Interval, eval_g,
                                 eval_ginv, get_expansion, invert_numeric, map_domain)
 from funcseries.exact import ExactScalar, scalar
+from funcseries.implicit import _invert_monotone
 from funcseries.pseries import FAMILY_KEYS, FAMILY_PARAMS, MAX_ORDER
-from test_approx import _loop_outcome, _outcome
+import oracles
+from test_approx import _BISECTION_POINTS, _loop_outcome, _outcome, _pinned_points
 
 # derandomized: the same examples on every run, so tier-1 cannot flake
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -397,3 +402,94 @@ def test_evaluate_takes_the_reference_route(key, order, x0, data):
                                     st.sampled_from(ends), _OFFSETS))
     x = data.draw(st.one_of(strategies))
     assert _outcome(m, x, True) == _loop_outcome(m, x), (key, order, x0, x)
+
+
+# -- the compiled implicit solvers ---------------------------------------------
+#
+# Each c1 .. c6 g against the Newton loop and the bisection walk as they
+# stood before the package compiled one solver per basis, over the inverse
+# bases as the closures they then called (oracles.implicit_inverse_basis),
+# with the expansion's image, direction and d_1.  c1 and c5 also run at
+# drawn parameters; the points are every float, +-inf, nan, +-1e300 and the
+# points where c4 and c6 fall back to the walk among them.
+
+SOLVER = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+IMPLICIT = ("c1", "c2", "c3", "c4", "c5", "c6")
+_WALK_POINTS = sorted({x for xs in _BISECTION_POINTS.values() for x in xs})
+_SOLVER_POINTS = st.one_of(
+    st.floats(), st.floats(-3.0, 12.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan]
+                    + _WALK_POINTS),
+)
+_SOLVER_PARAMS = st.one_of(st.none(), st.fractions(-8, 8, max_denominator=64),
+                           st.floats(-1e3, 1e3))
+
+
+@lru_cache(maxsize=None)
+def _solvers(key, params):
+    """g of get_expansion(key, **params), and the reference solver over the
+    reference inverse basis at the expansion's image, direction and d_1."""
+    e = get_expansion(key, **dict(params))
+    ginv, ginv_d = oracles.implicit_inverse_basis(key, **{n: float(v) for n, v in e.params})
+    ctx = f"family {key!r} numeric inversion"
+    return e._g, lambda x: oracles._invert_monotone(x, ginv, ginv_d, e.image, e.increasing,
+                                                     e._d1, ctx)
+
+
+def _solver_outcome(solve, x):
+    try:
+        return repr(solve(x))
+    except Exception as err:  # by name: the reference raises its own ConvergenceError
+        return type(err).__name__, str(err)
+
+
+@SOLVER
+@given(st.sampled_from(IMPLICIT), _SOLVER_PARAMS, _SOLVER_PARAMS, _SOLVER_PARAMS,
+       _SOLVER_POINTS)
+def test_compiled_solver_is_the_reference(key, alpha, beta, w, x):
+    names = FAMILY_PARAMS.get(key, ())
+    params = tuple((name, value) for name, value in (("alpha", alpha), ("beta", beta), ("w", w))
+                   if name in names and value is not None)
+    try:
+        g, reference = _solvers(key, params)
+    except ValueError:
+        return  # parameters that the float evaluators refuse
+    assert _solver_outcome(g, x) == _solver_outcome(reference, x), (key, params, x)
+
+
+@pytest.mark.parametrize("key,params", [(key, ()) for key in IMPLICIT] + [
+    ("c1", (("w", 2),)), ("c1", (("w", Fraction(1, 2)),)),
+    ("c5", (("alpha", Fraction(1, 2)), ("w", 2), ("beta", 3))),
+    ("c5", (("alpha", 2), ("w", Fraction(1, 2)), ("beta", -1))),
+])
+def test_compiled_solver_is_the_reference_at_pinned_points(key, params):
+    # the evaluator pin's points, the walk's, and every domain and image end
+    # with its neighbours
+    e = get_expansion(key, **dict(params))
+    xs = _pinned_points(key, e) + _WALK_POINTS + [5e-324, -5e-324]
+    for end in (e.domain.lo, e.domain.hi, e.image.lo, e.image.hi):
+        if math.isfinite(end):
+            xs += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    g, reference = _solvers(key, params)
+    for x in xs:
+        assert _solver_outcome(g, x) == _solver_outcome(reference, x), (key, params, x)
+
+
+@pytest.mark.parametrize("key", FAMILY_KEYS)
+def test_call_slot_solver_is_the_reference(key):
+    # invert_numeric's solver over the family's pair, at the evaluator pin's
+    # points and, for a7, next to the closed image end where the walk tries
+    # the end itself
+    e = get_expansion(key)
+    ctx = f"family {key!r} numeric inversion"
+    xs = _pinned_points(key, e) + _WALK_POINTS
+    if key == "a7":
+        xs += [-1.9999999999999, -1.999999999998, -1.999999999, -2.0]
+    for x in xs:
+        if x != x or not e.domain.lo <= x <= e.domain.hi:
+            continue  # invert_numeric admits only the domain
+        got = _solver_outcome(
+            lambda x: _invert_monotone(x, e._ginv_d, e.image, e.increasing, e._d1, ctx), x)
+        want = _solver_outcome(lambda x: oracles._invert_monotone(
+            x, lambda y: e._ginv_d(y)[0], e._ginv_d, e.image, e.increasing, e._d1, ctx), x)
+        assert got == want, (key, x)
