@@ -24,12 +24,15 @@ reported (never silent) failure mode.  Their builders and the solver live
 in :mod:`funcseries.implicit`, which loads on first use: by
 :func:`get_expansion` for one of those six keys, and by
 :func:`invert_numeric`.  An explicit family's build and evaluation never
-load it.  Each of the six compiles its solver with its inverse basis
-inline once per process, and its builder gives g as a function from that
-code.  a10 always calls :func:`lambert_w0`.
-a11 and a12 call it away from zero and switch to a series-plus-Newton
-branch near zero, where the W argument sits so close to the branch point
-that the direct formula loses half the mantissa.
+load it.  A build compiles no float code beyond an implicit family's
+pair: each of the six compiles its solver with its inverse basis inline
+once per process, on the first read of ``Expansion._g`` (the first
+``evaluate`` or :func:`eval_g`), and g is a function from that code.
+a10 always calls :func:`lambert_w0`.  a11 and a12 call it away from zero
+and switch to a series-plus-Newton branch near zero, where the W argument
+sits so close to the branch point that the direct formula loses half the
+mantissa; their series and start kernels build on the first point that
+takes that branch.
 
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
@@ -133,16 +136,35 @@ class Expansion(_Record):
     field is a function of key and params, so two entries compare and hash
     by those two alone, each parameter with its exactness, and an entry
     copies and pickles as those two, which :func:`get_expansion` rebuilds.
+
+    An implicit entry is built with _g None and the builder's
+    ``_solver(image, increasing, d1, context)``, which compiles its
+    family's solver once per process: g is made on the first read of _g
+    and kept in the field, so a build that nothing evaluates compiles no
+    solver.
     """
 
-    __slots__ = _fields = ("key", "label", "params", "domain", "image", "side",
-                           "increasing", "implicit", "_g", "_ginv_d", "_d1")
+    _fields = ("key", "label", "params", "domain", "image", "side",
+               "increasing", "implicit", "_g", "_ginv_d", "_d1")
+    __slots__ = (*_fields, "_solver")
     _shown = _fields[:8]
 
     def __init__(self, key: str, label: str, params: tuple, domain: Interval,
                  image: Interval, side: str, increasing: bool, implicit: bool,
-                 _g: Callable, _ginv_d: Callable, _d1: float):
+                 _g: Callable | None, _ginv_d: Callable, _d1: float,
+                 _solver: Callable | None = None):
         self._set(key, label, params, domain, image, side, increasing, implicit, _g, _ginv_d, _d1)
+        if _g is None:  # an unset slot: its first read goes to __getattr__
+            object.__delattr__(self, "_g")
+            object.__setattr__(self, "_solver", _solver)
+
+    def __getattr__(self, name: str):
+        if name != "_g":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        g = self._solver(self.image, self.increasing, self._d1,
+                         f"family {self.key!r} numeric inversion")
+        object.__setattr__(self, "_g", g)
+        return g
 
     def _identity(self) -> tuple:
         return self.key, tuple((name, _tagged(v)) for name, v in self.params)
@@ -223,7 +245,8 @@ def lambert_w0(x: float) -> float:
 #
 # The tables are kept in ascending order.  A series branch of a11 or a12
 # compiles the ones it sums, highest degree first, into one kernel, once
-# per process; c3, c4 and c6 sum theirs inline in their compiled solvers.
+# per process, on its first point; c3, c4 and c6 sum theirs inline in
+# their compiled pairs and solvers.
 # The inverse-series tables come from family_series; the a11/a12 Newton
 # start tables are constants, so no float basis reverts a series.
 
@@ -302,7 +325,8 @@ _G_INIT = {
 # pair ginv_d and g, and the domain and image; a11 and a12 also name their
 # side.  The builders of the implicit bases c1 .. c6 live in
 # funcseries.implicit with their solver, and give in place of g the
-# function that makes g from the image once the scan has found it.
+# function that makes g from the image, which the expansion calls on the
+# first read of its g.
 # get_expansion derives the other fields.  A pair computes what its value
 # shares with the slope once; a series branch sums both in one kernel call.
 
@@ -481,7 +505,15 @@ def _near_zero_start(start: Callable, ginv_d: Callable, x: float) -> float:
 
 
 def _make_a11(p):
-    series_d, start = _series_kernel("a11", 8), _start_kernel("a11")
+    def series_d(y):  # each kernel builds on its first call and takes this name over
+        nonlocal series_d
+        series_d = _series_kernel("a11", 8)
+        return series_d(y)
+
+    def start(x):
+        nonlocal start
+        start = _start_kernel("a11")
+        return start(x)
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
@@ -503,7 +535,15 @@ def _make_a11(p):
 
 
 def _make_a12(p):
-    series_d, start = _series_kernel("a12", 8), _start_kernel("a12")
+    def series_d(y):  # as in _make_a11
+        nonlocal series_d
+        series_d = _series_kernel("a12", 8)
+        return series_d(y)
+
+    def start(x):
+        nonlocal start
+        start = _start_kernel("a12")
+        return start(x)
 
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
@@ -589,12 +629,7 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
         domain, image = solver._scan_pieces(ginv_d, d1, pieces["tail_neg"])
     else:
         domain, image = pieces["domain"], pieces["image"]
-    increasing = d1 > 0
     g = pieces.get("g")
-    implicit = g is None
-    if implicit:
-        g = pieces["solver"](image, increasing, d1, f"family {key!r} numeric inversion")
-
     return Expansion(
         key=key,
         label=fam.label,
@@ -602,11 +637,12 @@ def get_expansion(key: str, *, alpha=None, beta=None, w=None) -> Expansion:
         domain=domain,
         image=image,
         side=pieces.get("side", "both"),
-        increasing=increasing,
-        implicit=implicit,
+        increasing=d1 > 0,
+        implicit=g is None,
         _g=g,
         _ginv_d=ginv_d,
         _d1=d1,
+        _solver=pieces.get("solver"),
     )
 
 

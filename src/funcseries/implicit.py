@@ -21,14 +21,18 @@ compile on first use.
 A builder here states its inverse basis once, as a pair text and a value
 text over its float constants (c3, c4 and c6 write their series branches
 through ``catalog._horner_expr``, the coefficients among the constants).
-:func:`_compile` puts the two texts into the solver's slots and
-compiles them, with the pair ``ginv_d`` and the value form ``ginv`` as
-functions of y, once per family per process.  An expansion instantiates
-that code with its constants as the functions' defaults, and g with its
-image, direction, d_1 and error context as well, so every Newton and
-bisection step of g runs the formula inline.  The operations and their
-order are those of the call-slot solver over the pair, so g is that
-solver's float bit for bit.
+:func:`_compile` puts the two texts into the slots of a source and
+compiles it, once per source per family per process.  A build compiles
+the pair ``ginv_d`` alone, a function of y, which the scan, ``eval_ginv``
+and ``map_domain`` read.  The solver, with the value form ``ginv`` beside
+it, compiles on the first read of ``Expansion._g``: the first
+``evaluate`` or ``eval_g`` of any expansion of the family, so ``coeffs``,
+``radius``, ``map_domain`` and pickling never compile it.  An expansion
+instantiates that code with its constants as the functions' defaults,
+and g with its image, direction, d_1 and error context as well, so every
+Newton and bisection step of g runs the formula inline.  The operations
+and their order are those of the call-slot solver over the pair, so g is
+that solver's float bit for bit.
 
 The module loads on first use: :func:`funcseries.catalog.get_expansion`
 imports it for one of these six keys, and
@@ -167,20 +171,23 @@ def _bisect_monotone(x, ${args}image, increasing, tol, context):
     raise ConvergenceError(f"{context}: inversion stalled at x={x!r}")
 '''
 
-# The pair and the value form of an implicit basis, as functions of y.
-_FORMS = '''
+# The pair of an implicit basis, and its value form, as functions of y: a
+# build compiles the pair, and the first read of g the solver with the
+# value form.
+_PAIR = '''
 def ginv_d(y, ${args}):
     $pair
     return v, d
+'''
 
-
+_VALUE = '''
 def ginv(y, ${args}):
     return $value
 '''
 
 
 @lru_cache(maxsize=None)
-def _compile(args: str, pair: str, value: str, source: str = _SOLVER + _FORMS) -> dict:
+def _compile(args: str, pair: str, value: str, source: str) -> dict:
     """The namespace in which `source` ran with its slots filled, compiled
     once per process: the pair's lines, their common indentation taken out,
     at the indentation of each "$pair" line, and args and value in place.
@@ -206,18 +213,25 @@ def __getattr__(name: str):
 
 
 def _basis(names: tuple, consts: tuple, pair: str, value: str, **pieces) -> dict:
-    """A builder's pieces: the pair ``ginv_d``, the value form ``ginv`` and
-    ``solver(image, increasing, d1, context)``, which gives g, each from
-    the code of :func:`_compile` with the constants as defaults."""
-    ns = _compile("".join(n + ", " for n in names), pair, value)
-    solve = ns["_invert_monotone"].__code__
+    """A builder's pieces: the pair ``ginv_d``, compiled here;
+    ``solver(image, increasing, d1, context)``, which gives g; and
+    ``value_form()``, which gives the value form ``ginv``.  Each is code of
+    :func:`_compile` with the constants as defaults, and the last two
+    compile the solver and the value form on first use."""
+    args = "".join(n + ", " for n in names)
+    ns = _compile(args, pair, value, _PAIR)
 
     def solver(image, increasing, d1, context):
-        return FunctionType(solve, ns, "g", consts + (image, increasing, d1, context))
+        ns = _compile(args, pair, value, _SOLVER + _VALUE)
+        return FunctionType(ns["_invert_monotone"].__code__, ns, "g",
+                            consts + (image, increasing, d1, context))
 
-    return dict(pieces, solver=solver,
-                ginv_d=FunctionType(ns["ginv_d"].__code__, ns, "ginv_d", consts),
-                ginv=FunctionType(ns["ginv"].__code__, ns, "ginv", consts))
+    def value_form():
+        ns = _compile(args, pair, value, _SOLVER + _VALUE)
+        return FunctionType(ns["ginv"].__code__, ns, "ginv", consts)
+
+    return dict(pieces, solver=solver, value_form=value_form,
+                ginv_d=FunctionType(ns["ginv_d"].__code__, ns, "ginv_d", consts))
 
 
 # -- monotone-interval scan for the series-defined families -------------------

@@ -673,10 +673,10 @@ class TestValueSlopePair:
         # bisection walk; an explicit one states its inverse once, as the pair
         e = get_expansion(key)
         pieces = _BUILDERS[key](e.param_dict())
-        assert ("ginv" in pieces) == e.implicit
+        assert ("value_form" in pieces) == e.implicit
         if not e.implicit:
             return
-        ginv = pieces["ginv"]
+        ginv = pieces["value_form"]()
         img = e.image
         ys = _pair_grid(e) + [math.inf, -math.inf, math.nan]
         ys += [sign * t for t in _ulps(_EXP_LIMIT, 3) for sign in (1.0, -1.0)]
@@ -732,7 +732,7 @@ class TestCompiledSolvers:
             for e in exps:
                 assert e._g.__code__ is first._g.__code__, (key, e)
                 assert e._ginv_d.__code__ is first._ginv_d.__code__, (key, e)
-            values = [_BUILDERS[key](e.param_dict())["ginv"] for e in exps]
+            values = [_BUILDERS[key](e.param_dict())["value_form"]() for e in exps]
             assert all(v.__code__ is values[0].__code__ for v in values), key
             # the walk that the Newton loop hands over to is the family's own
             assert first._g.__globals__["_bisect_monotone"].__code__.co_name == "_bisect_monotone"
@@ -754,9 +754,68 @@ class TestCompiledSolvers:
         assert implicit._compile.cache_info().misses == 0
         get_expansion("c4")
         get_expansion("c4")
-        assert implicit._compile.cache_info().misses == 1  # once per family per process
+        assert implicit._compile.cache_info().misses == 1  # the pair, once per family per process
+        eval_g(get_expansion("c4"), 0.5)
+        eval_g(get_expansion("c4"), 0.5)
+        assert implicit._compile.cache_info().misses == 2  # the solver, on the first read of g
         invert_numeric(get_expansion("a1"), 0.5)
-        assert implicit._compile.cache_info().misses == 2  # the call-slot solver, on first use
+        assert implicit._compile.cache_info().misses == 3  # the call-slot solver, on first use
+
+    def test_a_build_compiles_no_float_code(self, monkeypatch):
+        # every family and tp at N = 20 and MAX_ORDER, and the readers that
+        # run no g: no solver, value form, series or start kernel, or
+        # evaluator is asked for, and c1 .. c6 compile their pair alone
+        from funcseries import approx
+        from funcseries.approx import estimate_radius
+        from funcseries.pseries import MAX_ORDER
+
+        asked = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args: asked.append((name, args)) or real(*args))
+
+        for module, name in ((implicit, "_compile"), (implicit, "_series_floats"),
+                             (catalog, "_series_floats"), (catalog, "_series_kernel"),
+                             (catalog, "_start_kernel"), (approx, "_evaluator_code")):
+            spy(module, name)
+        for order in (20, MAX_ORDER):
+            models = [assemble(get_expansion(key), builtin_function("ln1p"), order)
+                      for key in FAMILY_KEYS]
+            models.append(taylor_baseline(builtin_function("ln1p"), order))
+            for m in models:
+                e = m.expansion
+                y = 0.25 if inside(e.image, 0.25) else -0.25  # off a11's and a12's series
+                eval_ginv(e, y)
+                map_domain(e, 0.5)
+                m.to_json_dict()
+                estimate_radius(m)
+        compiled = {(args[3] == implicit._PAIR, args[1]) for name, args in asked
+                    if name == "_compile"}
+        assert all(is_pair for is_pair, _ in compiled)
+        assert len(compiled) == 6  # one pair per implicit family
+        assert {(name, args) for name, args in asked if name != "_compile"} == {
+            ("_series_floats", ("c3", 20)), ("_series_floats", ("c4", 24)),
+            ("_series_floats", ("c6", 20))}  # the pairs' series constants
+
+    def test_first_evaluation_compiles_the_solver_once(self):
+        import pickle
+
+        for key, variants in (("c1", [{}, {"w": 2}, {"w": Fraction(1, 2)}]),
+                              ("c5", [{}, {"alpha": Fraction(1, 2), "w": 2, "beta": 3}]),
+                              ("c2", [{}]), ("c3", [{}]), ("c4", [{}]), ("c6", [{}])):
+            implicit._compile.cache_clear()
+            exps = [get_expansion(key, **params) for params in variants]
+            exps.append(pickle.loads(pickle.dumps(exps[-1])))
+            assert implicit._compile.cache_info().misses == 1, key  # the pair
+            x = 0.3
+            evaluate(assemble(exps[0], builtin_function("ln1p"), 8), x)
+            assert implicit._compile.cache_info().misses == 2, key  # the solver
+            for e in exps:
+                eval_g(e, x)
+                assert e._g.__code__ is exps[0]._g.__code__, (key, e)
+            assert implicit._compile.cache_info().misses == 2, key
 
 
 class TestMapDomain:
