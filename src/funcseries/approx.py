@@ -580,15 +580,16 @@ def error_report(model: ApproximationModel, xs) -> list:
 
 
 def format_decimal(x: float) -> str:
-    """Shortest round-trip decimal form, padded to 17 significant digits."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        return "-0.0000000000000000" if math.copysign(1.0, x) < 0 else "0.0000000000000000"
-    mantissa, e, exponent = repr(float(x)).partition("e")
-    if "." not in mantissa:
+    """Shortest round-trip decimal form, padded to 17 significant digits.
+
+    Built from the one repr: nan, inf and -inf as repr writes them, and a
+    zero counts both digits of its "0.0"."""
+    text = repr(float(x))
+    if text[-1] > "9":  # nan, inf, -inf
+        return text
+    if "e" not in text:
+        return text + "0" * (17 - (len(text.lstrip("-0.").replace(".", "")) or 2))
+    mantissa, _, exponent = text.partition("e")
+    if "." not in mantissa:  # repr writes 1e+16, not 1.0e+16
         mantissa += ".0"
-    pad = 17 - len(mantissa.lstrip("-0.").replace(".", ""))
-    return mantissa + "0" * pad + e + exponent
+    return mantissa + "0" * (18 - len(mantissa.lstrip("-"))) + "e" + exponent

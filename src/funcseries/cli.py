@@ -11,7 +11,9 @@ derivative file's, is read by :func:`funcseries.exact.scalar`, and a point
 nan, a decimal exponent beyond its bound).
 Likewise json and csv are imported by the commands that write them, so
 start-up loads only what every command needs; no command loads the Bell
-verifiers of :mod:`funcseries.bell`.
+verifiers of :mod:`funcseries.bell`.  An invocation builds the parser of
+the command it names alone (no command, -h or an unknown one gets the full
+parser), from the one declaration of each command's flags, `_declare`.
 Exit codes: 0 success, 1 usage error, 2 domain or convergence failure,
 3 I/O failure or a missing optional dependency (radius without numpy).
 """
@@ -39,7 +41,7 @@ from .approx import (
 )
 from .catalog import ConvergenceError, DomainError, _as_float, get_expansion, map_domain
 from .exact import ExactScalar, scalar
-from .pseries import FAMILY_KEYS
+from .pseries import FAMILY_KEYS, _check_order
 
 __all__ = ["main", "UsageError"]
 
@@ -217,42 +219,51 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURE_FAMILIES = tuple(f"a{i}" for i in range(1, 14)) + ("tp",)
+def _approx(model, x: float) -> Optional[float]:
+    """evaluate(model, x), or None where x lies outside the model's domain."""
+    try:
+        return evaluate(model, x)
+    except DomainError:
+        return None
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    _check_order(args.terms)  # before the output directory is made
     os.makedirs(args.out, exist_ok=True)
     xs = _linspace(*args.grid)
     manifest = []
 
-    def emit(filename, header, rows, func_name, family):
-        """Write rows of floats, x first, and list the file in the manifest."""
-        _write(os.path.join(args.out, filename), header,
-               [[format_decimal(v) for v in row] for row in rows])
-        kept = [row[0] for row in rows]
-        manifest.append([
-            func_name, family, filename, str(len(rows)),
-            format_decimal(min(kept)) if kept else "nan",
-            format_decimal(max(kept)) if kept else "nan",
-        ])
+    def emit(filename, header, points, func_name, family):
+        """Write the rows of (x, row) points, and list the file and its x range in the manifest."""
+        _write(os.path.join(args.out, filename), header, [row for _, row in points])
+        kept = [x for x, _ in points]
+        span = [format_decimal(min(kept)), format_decimal(max(kept))] if kept else ["nan"] * 2
+        manifest.append([func_name, family, filename, str(len(kept))] + span)
 
+    # figures takes no --alpha/--beta/--w: a1..a13 at their catalog defaults, each built once
+    expansions = {f"a{i}": get_expansion(f"a{i}") for i in range(1, 14)}
     for func_name in _PLAIN_BUILTINS:
         func = builtin_function(func_name)
-        for family in _FIGURE_FAMILIES:
-            # figures takes no --alpha/--beta/--w: each family at its catalog defaults
-            model = _build_model(family, func, args.terms)
-            # only the points inside both the family's and the target's domain
-            rows = [(point.x, point.approx, point.exact) for point in error_report(model, xs)
-                    if not point.note and not math.isnan(point.exact)]
-            emit(f"{func_name}_{family}.csv", ["x", "approx", "exact"], rows, func_name, family)
+        # once per target: the points with a reference, and their x and reference texts
+        refs = [(x, format_decimal(x), format_decimal(ref))
+                for x, ref in zip(xs, map(func.value_at, xs))
+                if ref is not None and not math.isnan(ref)]
+        for family in (*expansions, "tp"):
+            model = (taylor_baseline(func, args.terms) if family == "tp"
+                     else assemble(expansions[family], func, args.terms))
+            # of those, the points inside the family's domain
+            points = [(x, [x_text, format_decimal(v), ref_text]) for x, x_text, ref_text in refs
+                      if (v := _approx(model, x)) is not None]
+            emit(f"{func_name}_{family}.csv", ["x", "approx", "exact"], points, func_name, family)
 
     # The fifth-root experiment: one file, both approximants side by side.
     func = builtin_function("pow", alpha="1/5")
     a5 = assemble(get_expansion("a5", alpha=2), func, args.terms)
     tp = taylor_baseline(func, args.terms)
-    rows = [(x, evaluate(a5, x), evaluate(tp, x), func.value_at(x))
-            for x in _linspace(-1.0, 6.0, 281)]
-    emit("fifth_root.csv", ["x", "approx_a5", "approx_tp", "exact"], rows, func.name, "a5")
+    points = [(x, [format_decimal(v) for v in (x, evaluate(a5, x), evaluate(tp, x),
+                                                func.value_at(x))])
+              for x in _linspace(-1.0, 6.0, 281)]
+    emit("fifth_root.csv", ["x", "approx_a5", "approx_tp", "exact"], points, func.name, "a5")
 
     _write(os.path.join(args.out, "manifest.csv"),
            ["function", "expansion", "file", "points", "x_lo", "x_hi"], manifest)
@@ -291,10 +302,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.at is not None:
         _write(args.out, None, [[format_decimal(evaluate(model, args.at))]])
         return 0
-    report = error_report(model, _linspace(*args.grid))
+    values = [(x, _approx(model, x)) for x in _linspace(*args.grid)]  # and no reference
     _write(args.out, ["x", "approx"],
-           [[format_decimal(point.x), format_decimal(point.approx)] for point in report])
-    return 2 if any(point.note for point in report) else 0
+           [[format_decimal(x), "nan" if v is None else format_decimal(v)] for x, v in values])
+    return 2 if any(v is None for _, v in values) else 0
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
@@ -318,87 +329,94 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise UsageError("compare needs exactly one of --at or --grid")
     func = _load_function(args.function)
     xs = [args.at] if args.at is not None else _linspace(*args.grid)
-    failed = False
-    rows = []
+    failed, rows, texts = False, [], None
     for key in args.expansions:
         model = _build_model(key, func, args.terms, args.alpha, args.beta, args.w)
         report = error_report(model, xs)
         failed = failed or any(point.note for point in report)
-        rows += [[key] + [format_decimal(v) for v in (p.x, p.approx, p.exact, p.delta)]
-                 for p in report]
+        # each point's x and reference are every key's: formatted once
+        texts = texts or [(format_decimal(p.x), format_decimal(p.exact)) for p in report]
+        rows += [[key, x_text, format_decimal(p.approx), ref_text, format_decimal(p.delta)]
+                 for p, (x_text, ref_text) in zip(report, texts)]
     _write(args.out, ["expansion", "x", "approx", "exact", "delta"], rows)
     return 2 if failed else 0
 
 
-def _add_terms_flag(sub):
-    sub.add_argument("--terms", type=_parse_count, default=8,
-                     help="matched derivative order N (default 8)")
+# Each command's help line and runner.
+_COMMANDS = {
+    "table": ("error table for ln1p at x=0.5", _cmd_table),
+    "figures": ("grid data files for all families", _cmd_figures),
+    "coeffs": ("coefficient listing for one model", _cmd_coeffs),
+    "eval": ("evaluate one model at a point or grid", _cmd_eval),
+    "radius": ("convergence radius and x-interval", _cmd_radius),
+    "compare": ("side-by-side family comparison", _cmd_compare),
+}
 
 
-def _add_model_flags(sub, run, *, points: bool):
-    """The flags of the one-model commands, bound to run: eval and compare
-    also take --at/--grid, coeffs and radius take --format."""
-    sub.set_defaults(run=run)
-    sub.add_argument("--expansion", dest="expansions", metavar="EXPANSION",
-                     type=_parse_expansions, required=True,
-                     help="family key (a1..a13, c1..c6) or tp; compare "
-                          "accepts a comma-separated list")
-    sub.add_argument("--alpha", type=partial(_parse_rational, flag="--alpha"),
-                     help="alpha parameter (rational, e.g. 1/2; use --alpha=-1/2 for a "
-                          "negative value)")
-    sub.add_argument("--beta", type=partial(_parse_rational, flag="--beta"),
-                     help="beta parameter (rational; use --beta=-1/2 for a negative value)")
-    sub.add_argument("--w", type=partial(_parse_rational, flag="--w"),
-                     help="w parameter (rational; use --w=-1/2 for a negative value)")
-    sub.add_argument("--function", required=True,
-                     help="exp | sin | sq | ln1p | pow:RATIONAL | derivative file")
-    _add_terms_flag(sub)
-    sub.add_argument("--out", help="output path (default stdout)")
-    if points:
+def _declare(sub: _Parser, command: str) -> _Parser:
+    """Declare a command's runner and flags on sub: the one declaration of
+    them, read by the full parser and by the command's own parser alike."""
+    sub.set_defaults(run=_COMMANDS[command][1])
+    if command == "table":
+        sub.add_argument("--n-list", type=_parse_n_list, default="3,7,10,20",
+                         help="comma-separated list of orders (default 3,7,10,20)")
+    elif command == "figures":
+        sub.add_argument("--out", default="figures", help="output directory (default ./figures)")
+    else:  # the one-model commands
+        sub.add_argument("--expansion", dest="expansions", metavar="EXPANSION",
+                         type=_parse_expansions, required=True,
+                         help="family key (a1..a13, c1..c6) or tp; compare "
+                              "accepts a comma-separated list")
+        sub.add_argument("--alpha", type=partial(_parse_rational, flag="--alpha"),
+                         help="alpha parameter (rational, e.g. 1/2; use --alpha=-1/2 for a "
+                              "negative value)")
+        sub.add_argument("--beta", type=partial(_parse_rational, flag="--beta"),
+                         help="beta parameter (rational; use --beta=-1/2 for a negative value)")
+        sub.add_argument("--w", type=partial(_parse_rational, flag="--w"),
+                         help="w parameter (rational; use --w=-1/2 for a negative value)")
+        sub.add_argument("--function", required=True,
+                         help="exp | sin | sq | ln1p | pow:RATIONAL | derivative file")
+    if command != "table":
+        sub.add_argument("--terms", type=_parse_count, default=8,
+                         help="matched derivative order N (default 8)")
+    if command == "figures":
+        sub.add_argument("--grid", type=_parse_grid, default="-3:3:241",
+                         help="start:stop:count; write --grid=-3:3:241 when "
+                              "start is negative (default -3:3:241)")
+    else:
+        sub.add_argument("--out", help="output path (default stdout)")
+    if command in ("eval", "compare"):
         sub.add_argument("--at", type=_parse_point,
                          help="single evaluation point (use --at=-0.5 for negative values)")
         sub.add_argument("--grid", type=_parse_grid,
                          help="start:stop:count (use --grid=-1:1:21 when start is negative)")
-    else:
+    elif command in ("coeffs", "radius"):
         sub.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    return sub
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The full parser of all six commands or, given a command, the parser
+    that the full parser's subparser for it would be, built alone."""
+    if command is not None:
+        return _declare(_Parser(prog=f"funcseries {command}"), command)
     parser = _Parser(
         prog="funcseries",
         description="Derivative-matching power-series approximations: "
                     "coefficients, evaluation, error tables, figure data.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    table = subs.add_parser("table", help="error table for ln1p at x=0.5")
-    table.add_argument("--n-list", type=_parse_n_list, default="3,7,10,20",
-                       help="comma-separated list of orders (default 3,7,10,20)")
-    table.add_argument("--out", help="output path (default stdout)")
-    table.set_defaults(run=_cmd_table)
-
-    figures = subs.add_parser("figures", help="grid data files for all families")
-    figures.add_argument("--out", default="figures",
-                         help="output directory (default ./figures)")
-    _add_terms_flag(figures)
-    figures.add_argument("--grid", type=_parse_grid, default="-3:3:241",
-                         help="start:stop:count; write --grid=-3:3:241 when "
-                              "start is negative (default -3:3:241)")
-    figures.set_defaults(run=_cmd_figures)
-
-    for name, help_text, run, points in (
-        ("coeffs", "coefficient listing for one model", _cmd_coeffs, False),
-        ("eval", "evaluate one model at a point or grid", _cmd_eval, True),
-        ("radius", "convergence radius and x-interval", _cmd_radius, False),
-        ("compare", "side-by-side family comparison", _cmd_compare, True),
-    ):
-        _add_model_flags(subs.add_parser(name, help=help_text), run, points=points)
+    for name, (help_text, _) in _COMMANDS.items():
+        _declare(subs.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named command's own parser; anything else (none, -h, a typo) the full one
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv[1:] if command else argv)
         return args.run(args)
     except (DomainError, ConvergenceError) as err:
         code, message = 2, err

@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -1089,3 +1090,31 @@ class TestFormatDecimal:
             s = format_decimal(x).lstrip("-").split("e")[0]
             digits = s.replace(".", "").lstrip("0")
             assert len(digits) == 17, s
+
+    @staticmethod
+    def frozen(x):
+        """format_decimal as it was before it worked from the repr alone."""
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if x == 0.0:
+            return "-0.0000000000000000" if math.copysign(1.0, x) < 0 else "0.0000000000000000"
+        mantissa, e, exponent = repr(float(x)).partition("e")
+        if "." not in mantissa:
+            mantissa += ".0"
+        pad = 17 - len(mantissa.lstrip("-0.").replace(".", ""))
+        return mantissa + "0" * pad + e + exponent
+
+    def test_matches_the_frozen_function(self):
+        rng = random.Random(20261021)
+        bits = [rng.getrandbits(64) for _ in range(20000)]  # every exponent, nan payloads
+        # a zero exponent field under a random mantissa: subnormals of both signs
+        bits += [rng.getrandbits(52) | sign for _ in range(2000) for sign in (0, 1 << 63)]
+        xs = [struct.unpack("<d", struct.pack("<Q", b))[0] for b in bits]
+        xs += [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 1e16, 1e-5, 1e-4, 123.0,
+               0.001, -0.5, 1 / 3, 9007199254740993.0, 1e22, 3, -7, 0]
+        xs += [rng.uniform(-1, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(5000)]
+        for x in xs:
+            assert format_decimal(x) == self.frozen(x), (x, struct.pack(">d", x).hex())

@@ -4,7 +4,9 @@ Golden outputs are frozen as exact strings: the CSV layer must stay
 byte-stable across runs since downstream plotting scripts diff its files.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -374,6 +376,12 @@ class TestFigures:
         for f in sorted(a.iterdir()):
             assert f.read_bytes() == (b / f.name).read_bytes(), f.name
 
+    def test_order_beyond_the_cap_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "figs"
+        assert main(["figures", "--out", str(out), "--terms", "70"]) == 1
+        assert capsys.readouterr().err == "error: order 70 exceeds the supported cap 64\n"
+        assert not out.exists()
+
 
 class TestDerivativeFiles:
     def test_file_backed_function(self, tmp_path, capsys):
@@ -423,6 +431,60 @@ class TestDerivativeFiles:
         rc = main(["coeffs", "--expansion", "a1", "--function", str(path), "--terms", "5"])
         assert rc == 1
         capsys.readouterr()
+
+
+# Per command: --help, then each usage error after its required flags: a
+# flag's missing value, a bad --format choice, the abbreviation --exp, an
+# unknown flag, --terms 0 and a malformed --grid, and each required flag
+# missing.  Then the full parser's own cases (no command, -h, an unknown
+# one) and two runs that parse, one of them through --exp.
+PARSER_CASES = [
+    argv
+    for command, required in [
+        ("table", []), ("figures", []),
+        *((c, ["--expansion", "a1", "--function", "ln1p"])
+          for c in ("coeffs", "eval", "radius", "compare")),
+    ]
+    for argv in [[command, "--help"]] + [
+        [command, *required, *bad]
+        for bad in (["--out"], ["--format", "xml"], ["--exp", "zz"], ["--bogus"],
+                    ["--terms", "0"], ["--grid=1:2"])
+    ] + ([[command, "--function", "ln1p"], [command, "--expansion", "a1"]] if required else [])
+] + [[], ["-h"], ["nonsense"], ["table", "--n-list", "3"],
+     ["coeffs", "--exp", "a1", "--function", "ln1p", "--terms", "3"]]
+
+
+class _NoCommandNamed(dict):
+    """cli._COMMANDS as main sees it when argv[0] names no command."""
+
+    def __contains__(self, key):
+        return False
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of main(argv); --help exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_a_command_parser_answers_as_the_full_parser(argv, monkeypatch):
+    # main builds the named command's parser alone; with every name hidden
+    # it builds the full parser, as it does for no command or an unknown one
+    monkeypatch.setenv("COLUMNS", "100")
+    alone = _main_output(argv)
+    monkeypatch.setattr(cli, "_COMMANDS", _NoCommandNamed(cli._COMMANDS))
+    assert _main_output(argv) == alone
+    code, out, err = alone
+    if "--help" in argv or "-h" in argv:
+        assert code == 0 and out.startswith("usage: funcseries") and err == ""
+    elif code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def _in_child(code: str, *args: str):
