@@ -31,17 +31,17 @@ once per process, on the first read of ``Expansion._g`` (the first
 a10 always calls :func:`lambert_w0`.  a11 and a12 call it away from zero
 and switch to a series-plus-Newton branch near zero, where the W argument
 sits so close to the branch point that the direct formula loses half the
-mantissa; their series and start kernels build on the first point that
-takes that branch.
+mantissa; no evaluation of theirs compiles code, and this module compiles
+none.
 
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.  The package has one writer of the straight-line
-Horner expression, :func:`_horner_expr`: a11's and a12's series branches
-sum their tables through :func:`_horner_kernel`, which compiles a table
-into that expression once per process, and the solvers of c3, c4 and c6
-and the models of :mod:`funcseries.approx` inline it in their code.
+documented threshold.  a11's and a12's series branches sum their tables
+with Horner's rule as a loop, :func:`_horner`.  The package has one
+writer of the same multiply-adds as a straight-line expression,
+:func:`_horner_expr`, which the solvers of c3, c4 and c6 and the models
+of :mod:`funcseries.approx` inline in their code.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
@@ -241,12 +241,11 @@ def lambert_w0(x: float) -> float:
     raise ConvergenceError(f"lambert_w0 failed to converge at x={x!r}")
 
 
-# -- polynomial kernel and series tables -------------------------------------
+# -- Horner's rule and series tables -----------------------------------------
 #
 # The tables are kept in ascending order.  A series branch of a11 or a12
-# compiles the ones it sums, highest degree first, into one kernel, once
-# per process, on its first point; c3, c4 and c6 sum theirs inline in
-# their compiled pairs and solvers.
+# sums the ones it reads with the loop _horner; c3, c4 and c6 sum theirs
+# inline in their compiled pairs and solvers.
 # The inverse-series tables come from family_series; the a11/a12 Newton
 # start tables are constants, so no float basis reverts a series.
 
@@ -270,21 +269,15 @@ def _horner_expr(terms: list, first: str = "u", u: str = "u") -> str:
     return expr
 
 
-def _horner_kernel(*tables: tuple) -> Callable:
-    """A function of one float u that sums each table of finite floats by
-    :func:`_horner_expr`, each coefficient's repr a constant: the one sum,
-    or the tuple of the sums for several tables.  A coefficient that is
-    not finite raises ValueError."""
-    sums = []
-    for table in tables:
-        reprs = []
-        for c in map(float, table):
-            if not math.isfinite(c):
-                raise ValueError(f"polynomial coefficient {c!r} is not finite")
-            reprs.append(repr(c))
-        sums.append(_horner_expr(reprs))
-    body = sums[0] if len(sums) == 1 else f"({', '.join(sums)})"
-    return eval(compile(f"lambda u: {body}", "<horner>", "eval"), {"__builtins__": {}})
+def _horner(table: tuple, u: float) -> float:
+    """Horner's rule over the floats c_0 .. c_N of `table` (ascending) at
+    u: the loop acc = acc*u + c from c_N down, which makes the multiply-adds
+    of :func:`_horner_expr` in its order, so every result is its bit for
+    bit."""
+    acc = 0.0
+    for c in reversed(table):
+        acc = acc * u + c
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -295,18 +288,23 @@ def _series_floats(key: str, order: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _series_kernel(key: str, order: int) -> Callable:
-    """The kernel of a parameter-free family's inverse series c_0 + ... +
-    c_order y^order, over :func:`_series_floats`, built once per process:
-    the pair (value, slope) at y."""
+def _slope_floats(key: str, order: int) -> tuple:
+    """n c_n for n = 1 .. order over :func:`_series_floats`: the slope's
+    table of that series, computed once per process."""
     c = _series_floats(key, order)
-    return _horner_kernel(c[::-1], tuple(n * c[n] for n in range(order, 0, -1)))
+    return tuple(n * c[n] for n in range(1, order + 1))
+
+
+def _series_d(key: str, y: float) -> tuple:
+    """The pair (value, slope) at y of a11's or a12's inverse series
+    c_0 + ... + c_8 y^8."""
+    return _horner(_series_floats(key, 8), y), _horner(_slope_floats(key, 8), y)
 
 
 # t_0 .. t_16 of a11's and a12's basis series, the compositional inverse of
 # the inverse basis (Comtet, *Advanced Combinatorics*, section 3.8): the
 # floats of family_series(key, 16).reversion(), which tests/test_approx.py
-# recomputes; _start_kernel compiles them.
+# recomputes; _near_zero_start sums them.
 _G_INIT = {
     "a11": (0.0, 2.0, -2.6666666666666665, 3.111111111111111, -3.437037037037037,
             3.6938271604938273, -3.905467372134039, 4.085314520870076, -4.241583382324123,
@@ -328,7 +326,7 @@ _G_INIT = {
 # function that makes g from the image, which the expansion calls on the
 # first read of its g.
 # get_expansion derives the other fields.  A pair computes what its value
-# shares with the slope once; a series branch sums both in one kernel call.
+# shares with the slope once.
 
 _FULL_LINE = Interval(-math.inf, math.inf)
 
@@ -487,17 +485,10 @@ def _make_a10(p):
 _NEAR_ZERO = 1e-3
 
 
-@lru_cache(maxsize=None)
-def _start_kernel(key: str) -> Callable:
-    """The kernel of a11's or a12's basis series t_0 + ... + t_16 x^16
-    from _G_INIT, built once per process."""
-    return _horner_kernel(_G_INIT[key][::-1])
-
-
-def _near_zero_start(start: Callable, ginv_d: Callable, x: float) -> float:
-    """a11's and a12's g near zero: the basis series (its kernel start),
-    then two Newton steps on the inverse basis."""
-    y = start(x)
+def _near_zero_start(key: str, ginv_d: Callable, x: float) -> float:
+    """a11's or a12's g near zero: its basis series from _G_INIT, then two
+    Newton steps on the inverse basis."""
+    y = _horner(_G_INIT[key], x)
     for _ in range(2):
         v, d = ginv_d(y)
         y -= (v - x) / d
@@ -505,19 +496,9 @@ def _near_zero_start(start: Callable, ginv_d: Callable, x: float) -> float:
 
 
 def _make_a11(p):
-    def series_d(y):  # each kernel builds on its first call and takes this name over
-        nonlocal series_d
-        series_d = _series_kernel("a11", 8)
-        return series_d(y)
-
-    def start(x):
-        nonlocal start
-        start = _start_kernel("a11")
-        return start(x)
-
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            return series_d(y)
+            return _series_d("a11", y)
         ly = math.log1p(-y)
         return -ly / y - 1.0, (y / (1.0 - y) + ly) / (y * y)
 
@@ -525,7 +506,7 @@ def _make_a11(p):
         if x >= 0.0625:
             t = 1.0 + x
             return lambert_w0(-t * math.exp(-t)) / t + 1.0
-        return _near_zero_start(start, ginv_d, x)
+        return _near_zero_start("a11", ginv_d, x)
 
     return dict(
         domain=Interval(0.0, math.inf, lo_closed=True),
@@ -535,19 +516,9 @@ def _make_a11(p):
 
 
 def _make_a12(p):
-    def series_d(y):  # as in _make_a11
-        nonlocal series_d
-        series_d = _series_kernel("a12", 8)
-        return series_d(y)
-
-    def start(x):
-        nonlocal start
-        start = _start_kernel("a12")
-        return start(x)
-
     def ginv_d(y):
         if abs(y) < _NEAR_ZERO:
-            return series_d(y)
+            return _series_d("a12", y)
         return math.expm1(y) / y - 1.0, ((y - 1.0) * math.exp(y) + 1.0) / (y * y)
 
     def g(x):
@@ -555,7 +526,7 @@ def _make_a12(p):
             t = 1.0 + x
             u = lambert_w0(-math.exp(-1.0 / t) / t)
             return -(u + 1.0 / t)
-        return _near_zero_start(start, ginv_d, x)
+        return _near_zero_start("a12", ginv_d, x)
 
     return dict(
         domain=Interval(-1.0, 0.0, hi_closed=True),

@@ -49,7 +49,7 @@ from functools import lru_cache
 from types import FunctionType
 from typing import Callable
 
-from .catalog import ConvergenceError, Interval, _horner_expr, _series_floats
+from .catalog import ConvergenceError, Interval, _horner_expr, _series_floats, _slope_floats
 
 # -- numeric inversion of a monotone inverse basis ----------------------------
 #
@@ -238,9 +238,13 @@ def _basis(names: tuple, consts: tuple, pair: str, value: str, **pieces) -> dict
 
 
 def _find_flip(ginv_d: Callable, s0: float, sgn: float) -> float:
-    """First sign change of the slope ginv' * s0 in direction sgn, or +-inf."""
+    """First sign change of the slope ginv' * s0 in direction sgn, or +-inf.
+
+    The scan steps by 1/8 out to |y| = 16, then doubles from 32 to 512,
+    the last power of two at which exp(+-y) neither overflows nor
+    underflows to 0."""
     prev = 0.0
-    steps = [0.125 * k for k in range(1, 129)] + [32.0, 64.0]
+    steps = [0.125 * k for k in range(1, 129)] + [32.0, 64.0, 128.0, 256.0, 512.0]
     for mag in steps:
         y = sgn * mag
         if ginv_d(y)[1] * s0 <= 0.0:
@@ -286,11 +290,10 @@ def _scan_pieces(ginv_d, d1: float, tail_neg: float):
 
 def _series(key: str, order: int) -> tuple:
     """The names, floats and Horner sums in y of a parameter-free family's
-    inverse series c_0 + ... + c_order y^order (from catalog._series_floats)
-    and of its slope: s_n is c_n, t_n is n * c_n."""
-    c = _series_floats(key, order)
+    inverse series c_0 + ... + c_order y^order and of its slope (from
+    catalog._series_floats and _slope_floats): s_n is c_n, t_n is n * c_n."""
     names = tuple(f"s{n}" for n in range(order + 1)) + tuple(f"t{n}" for n in range(1, order + 1))
-    consts = c + tuple(n * c[n] for n in range(1, order + 1))
+    consts = _series_floats(key, order) + _slope_floats(key, order)
     value = _horner_expr([f"s{n}" for n in range(order, -1, -1)], "y", "y")
     slope = _horner_expr([f"t{n}" for n in range(order, 0, -1)], "y", "y")
     return names, consts, value, slope

@@ -719,7 +719,7 @@ class TestEvaluate:
                     key, order)
                 twin = ApproximationModel(identity, f, order, m.coefficients, "bell")
                 assert [_outcome(twin, u, True) for u in us] == [_loop_outcome(twin, u) for u in us]
-                horner = catalog._horner_kernel(m._float_form[1])
+                horner = _compiled_horner(m._float_form[1])
                 for u in us:
                     assert repr(horner(u)) == repr(poly_eval_float(m.coefficients, u)), (
                         key, order, u)
@@ -732,9 +732,9 @@ class TestEvaluate:
             assert _outcome(m, u) == _reference_outcome(m, u), u
         assert repr(evaluate(m, -0.0)) == "-0.0"
         # CPython parses at most 200 nested parentheses, one per term
-        assert catalog._horner_kernel((1.0,) * 199, (1.0,) * 199)(0.5) == (2.0, 2.0)
+        assert _compiled_horner((1.0,) * 199)(0.5) == 2.0
         with pytest.raises(ValueError, match="200 terms"):
-            catalog._horner_kernel((1.0,) * 200)
+            catalog._horner_expr(["1.0"] * 200)
 
     def test_only_points_off_the_open_interior_take_eval_g(self, monkeypatch):
         # the evaluator looks eval_g up in approx's namespace at each call,
@@ -760,10 +760,10 @@ class TestEvaluate:
         assert inside == [evaluate(m, x) for x in (-0.5, 0.0, 0.999)] and len(calls) == 4
 
     def test_series_branch_kernels_match_the_loops(self):
-        # each series branch against the Horner loops that its compiled
-        # kernels replaced, bit for bit, at points inside its switch: the
-        # value-only ginv of c3, c4 and c6, the value-and-slope pair of all
-        # five, and a11's and a12's Newton start series
+        # each series branch against Horner loops over tables recomputed
+        # here, bit for bit, at points inside its switch: the value-only
+        # ginv of c3, c4 and c6, the value-and-slope pair of all five, and
+        # a11's and a12's Newton start series
         def loops(key, order, y):
             c = [float(v) for v in family_series(key, order).coeffs]
             acc = 0.0
@@ -788,12 +788,12 @@ class TestEvaluate:
                 if "value_form" in pieces:
                     assert repr(pieces["value_form"]()(y)) == repr(value), (key, y)
         for key, sign in (("a11", 1.0), ("a12", -1.0)):
-            start = catalog._start_kernel(key)
+            table = [float(t) for t in family_series(key, 16).reversion().coeffs]
             for x in [0.0, -0.0, 5e-324] + [sign * 0.0625 * k / 8 for k in range(8)]:
                 acc = 0.0
-                for t in catalog._G_INIT[key][::-1]:
+                for t in table[::-1]:
                     acc = acc * x + t
-                assert repr(start(x)) == repr(acc), (key, x)
+                assert repr(catalog._horner(catalog._G_INIT[key], x)) == repr(acc), (key, x)
 
     def test_domain_error_propagates(self):
         m = assemble(get_expansion("a8"), builtin_function("ln1p"), 5)
@@ -814,6 +814,13 @@ class TestEvaluate:
 # float arithmetic that a Horner step meets (0.0 * inf is nan).
 _KERNEL_ORDERS = (1, 8, 20, MAX_ORDER)
 _KERNEL_POINTS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def _compiled_horner(floats):
+    """catalog._horner_expr over the floats (highest degree first), each its
+    repr, compiled as a function of u."""
+    return eval(compile(f"lambda u: {catalog._horner_expr(list(map(repr, floats)))}",
+                        "<horner>", "eval"))
 
 
 def _reference_outcome(model, x):

@@ -601,7 +601,7 @@ class TestInvertNumeric:
 _PAIR_THRESHOLDS = (1e-3, 0.0625, 0.25, 0.5)  # the series-branch switches
 _EXP_LIMIT = 709.782712893384  # the largest y with a finite exp(y) and expm1(y)
 _SINH_LIMIT = 710.4758600739439  # the largest y with a finite sinh(y) and cosh(y)
-_FLIP_SCAN = tuple(0.125 * k for k in range(1, 129)) + (32.0, 64.0)  # implicit._find_flip
+_FLIP_SCAN = tuple(0.125 * k for k in range(1, 129)) + (32.0, 64.0)  # _find_flip's steps to 64
 
 
 def _nextafter(y, toward, count):
@@ -763,8 +763,8 @@ class TestCompiledSolvers:
 
     def test_a_build_compiles_no_float_code(self, monkeypatch):
         # every family and tp at N = 20 and MAX_ORDER, and the readers that
-        # run no g: no solver, value form, series or start kernel, or
-        # evaluator is asked for, and c1 .. c6 compile their pair alone
+        # run no g: no solver, value form, a11 or a12 series or start sum,
+        # or evaluator is asked for, and c1 .. c6 compile their pair alone
         from funcseries import approx
         from funcseries.approx import estimate_radius
         from funcseries.pseries import MAX_ORDER
@@ -777,8 +777,8 @@ class TestCompiledSolvers:
                                 lambda *args: asked.append((name, args)) or real(*args))
 
         for module, name in ((implicit, "_compile"), (implicit, "_series_floats"),
-                             (catalog, "_series_floats"), (catalog, "_series_kernel"),
-                             (catalog, "_start_kernel"), (approx, "_evaluator_code")):
+                             (catalog, "_series_floats"), (catalog, "_horner"),
+                             (approx, "_evaluator_code")):
             spy(module, name)
         for order in (20, MAX_ORDER):
             models = [assemble(get_expansion(key), builtin_function("ln1p"), order)

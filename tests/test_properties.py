@@ -406,17 +406,12 @@ def test_assemble_builds_or_refuses(key, alpha, beta, w, order, spare, x0, data)
                          and len(m.coefficients) == order + 1), (key, params, order, values)
 
 
-SCAN = ("CHANGES.md FOUND: implicit._find_flip scans the slope of c1 .. c5's inverse "
-        "basis out to |y| = 64 only")
-
-
-@pytest.mark.xfail(strict=True, reason=SCAN)
 def test_c5_builds_where_its_slope_flips_beyond_the_scan():
     # found while drawing c5's parameters for the property above: at
     # w = -100 and beta = 0 the slope of c5's inverse basis changes sign at
-    # y = -100 (ginv = 5001 there), beyond the scan, which then reads the
-    # image as reaching -inf, and the domain (-272.87..., -inf) is refused
-    # as "bad interval bounds"
+    # y = -100 (ginv = 5001 there), between the scan's steps at 64 and 128;
+    # a scan that stops short of it reads the image as reaching -inf and
+    # refuses the domain (-272.87..., -inf) as "bad interval bounds"
     e = get_expansion("c5", w=-100, beta=0)
     assert e.image.lo == pytest.approx(-100.0) and e.domain.hi == pytest.approx(5001.0)
 
