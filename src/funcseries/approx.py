@@ -35,7 +35,7 @@ from types import CodeType, FunctionType
 from typing import Callable, Optional, Sequence
 
 from .catalog import (_FULL_LINE, DomainError, Expansion, Interval, _admit, _as_float,
-                      _float_param, _horner_expr, eval_g, get_expansion)
+                      _float_param, eval_g, get_expansion)
 from .exact import (ONE, ZERO, ExactScalar, _binary, _Record, _round, _supports, _tagged,
                     scalar)
 from .pseries import TruncatedSeries, _check_order, family_series, get_family
@@ -472,6 +472,26 @@ def assemble_via_composition(
     return ApproximationModel(exp, func, order, comp.coeffs, "composition")
 
 
+def _horner_expr(terms: list, first: str = "u") -> str:
+    """Horner's rule over the terms c_N, ..., c_0 (source text, highest
+    degree first) as one straight-line expression in the variable u:
+    (...((0.0*first + c_N)*u + c_(N-1))...)*u + c_0, where `first`,
+    evaluated before any other u, may bind u.  These are the multiply-adds
+    of the loop acc = acc*u + c (``catalog._horner``) in the same order, so
+    every result is the loop's bit for bit, the nan of 0.0*inf included.
+    Each term nests one parenthesis, and CPython parses at most 200 nested,
+    so over 199 terms (a model has at most MAX_ORDER + 1 = 65) raise
+    ValueError.
+    """
+    if len(terms) > 199:
+        raise ValueError(f"a polynomial of {len(terms)} terms is over the 199 that "
+                         "compile as one expression")
+    expr, var = "0.0", first
+    for c in terms:
+        expr, var = f"({expr} * {var} + {c})", "u"
+    return expr
+
+
 @lru_cache(maxsize=None)
 def _evaluator_code(n: int) -> CodeType:
     """The code of a model's evaluator over n coefficients, compiled once
@@ -480,7 +500,7 @@ def _evaluator_code(n: int) -> CodeType:
     computes t = float(x - x0), tests the open interior of the domain as
     _admit tests it first, and binds u = g(t) there and eval_g(exp, t)
     elsewhere (eval_g looked up in this module's namespace at each call)
-    where the Horner sum of catalog._horner_expr first reads u.  An
+    where the Horner sum of :func:`_horner_expr` first reads u.  An
     OverflowError from x - x0 or from g escapes to :func:`evaluate`."""
     cs = [f"c{k}" for k in range(n)]
     u = "(u := g(t) if lo < (t := float(x - x0)) < hi else eval_g(exp, t))"

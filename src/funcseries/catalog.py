@@ -37,11 +37,11 @@ none.
 Evaluators for formulas with removable singularities or catastrophic
 cancellation near zero are written in a stable form: either an algebraic
 rewrite (conjugate fractions) when one exists, or a series branch below a
-documented threshold.  a11's and a12's series branches sum their tables
-with Horner's rule as a loop, :func:`_horner`.  The package has one
-writer of the same multiply-adds as a straight-line expression,
-:func:`_horner_expr`, which the solvers of c3, c4 and c6 and the models
-of :mod:`funcseries.approx` inline in their code.
+documented threshold.  The series branches of a11, a12, c3, c4 and c6
+sum their tables with Horner's rule as a loop, :func:`_horner`, which the
+compiled pairs and solvers of c3, c4 and c6 call.  Only the models of
+:mod:`funcseries.approx` write the same multiply-adds as a straight-line
+expression in their code.
 
 Every point passes one domain step, :func:`_admit`, before an evaluator
 sees it (in :func:`eval_g`, :func:`eval_ginv`, :func:`invert_numeric` and
@@ -243,37 +243,18 @@ def lambert_w0(x: float) -> float:
 
 # -- Horner's rule and series tables -----------------------------------------
 #
-# The tables are kept in ascending order.  A series branch of a11 or a12
-# sums the ones it reads with the loop _horner; c3, c4 and c6 sum theirs
-# inline in their compiled pairs and solvers.
+# The tables are kept in ascending order.  The series branches of a11, a12,
+# c3, c4 and c6 sum the ones they read with the loop _horner, c3's, c4's
+# and c6's from their compiled pairs and solvers.
 # The inverse-series tables come from family_series; the a11/a12 Newton
 # start tables are constants, so no float basis reverts a series.
-
-
-def _horner_expr(terms: list, first: str = "u", u: str = "u") -> str:
-    """Horner's rule over the terms c_N, ..., c_0 (source text, highest
-    degree first) as one straight-line expression in the variable u:
-    (...((0.0*first + c_N)*u + c_(N-1))...)*u + c_0, where `first`,
-    evaluated before any other u, may bind u.  These are the multiply-adds
-    of the loop acc = acc*u + c in the same order, so every result is the
-    loop's bit for bit, the nan of 0.0*inf included.  Each term nests one
-    parenthesis, and CPython parses at most 200 nested, so over 199 terms
-    (a model has at most MAX_ORDER + 1 = 65) raise ValueError.
-    """
-    if len(terms) > 199:
-        raise ValueError(f"a polynomial of {len(terms)} terms is over the 199 that "
-                         "compile as one expression")
-    expr, var = "0.0", first
-    for c in terms:
-        expr, var = f"({expr} * {var} + {c})", u
-    return expr
 
 
 def _horner(table: tuple, u: float) -> float:
     """Horner's rule over the floats c_0 .. c_N of `table` (ascending) at
     u: the loop acc = acc*u + c from c_N down, which makes the multiply-adds
-    of :func:`_horner_expr` in its order, so every result is its bit for
-    bit."""
+    of :func:`funcseries.approx._horner_expr` in its order, so every result
+    is its bit for bit."""
     acc = 0.0
     for c in reversed(table):
         acc = acc * u + c

@@ -19,8 +19,9 @@ the inverse basis's constants, with two slots for the inverse basis, a
 compile on first use.
 
 A builder here states its inverse basis once, as a pair text and a value
-text over its float constants (c3, c4 and c6 write their series branches
-through ``catalog._horner_expr``, the coefficients among the constants).
+text over its float constants (c3, c4 and c6 sum their series branches
+with ``catalog._horner`` over two of them, the tables of the series and
+of its slope).
 :func:`_compile` puts the two texts into the slots of a source and
 compiles it, once per source per family per process.  A build compiles
 the pair ``ginv_d`` alone, a function of y, which the scan, ``eval_ginv``
@@ -30,7 +31,8 @@ it, compiles on the first read of ``Expansion._g``: the first
 ``radius``, ``map_domain`` and pickling never compile it.  An expansion
 instantiates that code with its constants as the functions' defaults,
 and g with its image, direction, d_1 and error context as well, so every
-Newton and bisection step of g runs the formula inline.  The operations
+Newton and bisection step of g runs the formula inline, with one call to
+``catalog._horner`` per table it reads on a series branch.  The operations
 and their order are those of the call-slot solver over the pair, so g is
 that solver's float bit for bit.
 
@@ -49,7 +51,7 @@ from functools import lru_cache
 from types import FunctionType
 from typing import Callable
 
-from .catalog import ConvergenceError, Interval, _horner_expr, _series_floats, _slope_floats
+from .catalog import ConvergenceError, Interval, _horner, _series_floats, _slope_floats
 
 # -- numeric inversion of a monotone inverse basis ----------------------------
 #
@@ -198,7 +200,7 @@ def _compile(args: str, pair: str, value: str, source: str) -> dict:
                   source, flags=re.M)
     text = text.replace("${args}", args).replace("$value", value)
     ns = {"math": math, "exp": math.exp, "acos": math.acos, "sqrt": math.sqrt,
-          "ConvergenceError": ConvergenceError}
+          "_horner": _horner, "ConvergenceError": ConvergenceError}
     exec(compile(text, "<solver>", "exec"), ns)
     return ns
 
@@ -240,11 +242,13 @@ def _basis(names: tuple, consts: tuple, pair: str, value: str, **pieces) -> dict
 def _find_flip(ginv_d: Callable, s0: float, sgn: float) -> float:
     """First sign change of the slope ginv' * s0 in direction sgn, or +-inf.
 
-    The scan steps by 1/8 out to |y| = 16, then doubles from 32 to 512,
-    the last power of two at which exp(+-y) neither overflows nor
-    underflows to 0."""
+    The scan steps by 1/8 out to |y| = 16, doubles from 32 to 512, then
+    takes 640 and 704, below 709.78, past which exp(y) overflows (exp(-y)
+    stays a normal float up to 708.39).  c5's slope tends to lin + q y as
+    y -> -inf, so its flip lies near -lin / q, beyond 512 at alpha = -1/2,
+    w = -100, beta = 7/3 (y = -609)."""
     prev = 0.0
-    steps = [0.125 * k for k in range(1, 129)] + [32.0, 64.0, 128.0, 256.0, 512.0]
+    steps = [0.125 * k for k in range(1, 129)] + [32.0, 64.0, 128.0, 256.0, 512.0, 640.0, 704.0]
     for mag in steps:
         y = sgn * mag
         if ginv_d(y)[1] * s0 <= 0.0:
@@ -285,18 +289,10 @@ def _scan_pieces(ginv_d, d1: float, tail_neg: float):
 #
 # A builder states its inverse basis once, as the pair and value texts of
 # _basis, and gives either tail_neg (c1 .. c5, see _scan_pieces) or, for
-# c6, the domain and image with its side.
-
-
-def _series(key: str, order: int) -> tuple:
-    """The names, floats and Horner sums in y of a parameter-free family's
-    inverse series c_0 + ... + c_order y^order and of its slope (from
-    catalog._series_floats and _slope_floats): s_n is c_n, t_n is n * c_n."""
-    names = tuple(f"s{n}" for n in range(order + 1)) + tuple(f"t{n}" for n in range(1, order + 1))
-    consts = _series_floats(key, order) + _slope_floats(key, order)
-    value = _horner_expr([f"s{n}" for n in range(order, -1, -1)], "y", "y")
-    slope = _horner_expr([f"t{n}" for n in range(order, 0, -1)], "y", "y")
-    return names, consts, value, slope
+# c6, the domain and image with its side.  c3, c4 and c6 bind two tables,
+# S = catalog._series_floats (their inverse series c_0 .. c_N) and
+# T = catalog._slope_floats (its slope's, n c_n), and sum them with
+# catalog._horner below their switches.
 
 
 def _make_c1(p):
@@ -321,10 +317,9 @@ def _make_c2(p):
 
 
 def _make_c3(p):
-    names, consts, series, slope = _series("c3", 20)
-    return _basis(names, consts, f"""
+    return _basis(("S", "T"), (_series_floats("c3", 20), _slope_floats("c3", 20)), """
         if abs(y) < 0.25:
-            v, d = {series}, {slope}
+            v, d = _horner(S, y), _horner(T, y)
         else:
             ey = exp(y)
             num = 2.0 * ey - 2.0 - 2.0 * y - y * y
@@ -333,15 +328,15 @@ def _make_c3(p):
                 v, d = num / (2.0 * y * y), (y * nump - 2.0 * num) / (2.0 * y ** 3)
             except OverflowError:  # y ** 3 for y < -5e102, where the slope is below 1e-200
                 v, d = num / (2.0 * y * y), 0.0
-    """, f"{series} if abs(y) < 0.25 else (2.0 * exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)",
+    """, "_horner(S, y) if abs(y) < 0.25 else "
+         "(2.0 * exp(y) - 2.0 - 2.0 * y - y * y) / (2.0 * y * y)",
         tail_neg=-0.5)
 
 
 def _make_c4(p):
-    names, consts, series, slope = _series("c4", 24)
-    return _basis(names, consts, f"""
+    return _basis(("S", "T"), (_series_floats("c4", 24), _slope_floats("c4", 24)), """
         if abs(y) < 0.5:
-            v, d = {series}, {slope}
+            v, d = _horner(S, y), _horner(T, y)
         else:
             ey = exp(y)
             y3 = y ** 3
@@ -351,7 +346,7 @@ def _make_c4(p):
                 v, d = num / (6.0 * y3), (y * nump - 3.0 * num) / (6.0 * y ** 4)
             except OverflowError:  # y ** 4 for y < -1.3e77, where the slope is below 1e-200
                 v, d = num / (6.0 * y3), 0.0
-    """, f"{series} if abs(y) < 0.5 else "
+    """, "_horner(S, y) if abs(y) < 0.5 else "
          "(6.0 * y * (ey := exp(y)) - 12.0 * ey - (y3 := y ** 3) + 6.0 * y + 12.0) / (6.0 * y3)",
         tail_neg=-1.0 / 6.0)
 
@@ -376,16 +371,15 @@ def _make_c5(p):
 
 
 def _make_c6(p):
-    names, consts, series, slope = _series("c6", 20)
     hi = 0.25 * math.pi * math.pi - 1.0
-    return _basis(names, consts, f"""
+    return _basis(("S", "T"), (_series_floats("c6", 20), _slope_floats("c6", 20)), """
         if abs(y) < 0.0625:
-            v, d = {series}, {slope}
+            v, d = _horner(S, y), _horner(T, y)
         else:
             ac = acos(1.0 + y)
             acp = -1.0 / sqrt(max(-y * (2.0 + y), 5e-324))
             v, d = -ac * ac / (2.0 * y) - 1.0, (ac * ac - 2.0 * ac * acp * y) / (2.0 * y * y)
-    """, f"{series} if abs(y) < 0.0625 else -(ac := acos(1.0 + y)) * ac / (2.0 * y) - 1.0",
+    """, "_horner(S, y) if abs(y) < 0.0625 else -(ac := acos(1.0 + y)) * ac / (2.0 * y) - 1.0",
         domain=Interval(0.0, hi, True, True),
         image=Interval(-2.0, 0.0, True, True),
         side="right_of_zero")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from funcseries import bell, catalog, implicit
+from funcseries import approx, bell, catalog, implicit
 from funcseries.approx import (
     BUILTIN_FUNCTIONS,
     ApproximationModel,
@@ -734,13 +734,11 @@ class TestEvaluate:
         # CPython parses at most 200 nested parentheses, one per term
         assert _compiled_horner((1.0,) * 199)(0.5) == 2.0
         with pytest.raises(ValueError, match="200 terms"):
-            catalog._horner_expr(["1.0"] * 200)
+            approx._horner_expr(["1.0"] * 200)
 
     def test_only_points_off_the_open_interior_take_eval_g(self, monkeypatch):
         # the evaluator looks eval_g up in approx's namespace at each call,
         # where a tracer patches it, and calls it for no point strictly inside
-        from funcseries import approx
-
         calls = []
 
         def counted(exp, t):
@@ -817,9 +815,9 @@ _KERNEL_POINTS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf
 
 
 def _compiled_horner(floats):
-    """catalog._horner_expr over the floats (highest degree first), each its
+    """approx._horner_expr over the floats (highest degree first), each its
     repr, compiled as a function of u."""
-    return eval(compile(f"lambda u: {catalog._horner_expr(list(map(repr, floats)))}",
+    return eval(compile(f"lambda u: {approx._horner_expr(list(map(repr, floats)))}",
                         "<horner>", "eval"))
 
 

@@ -743,6 +743,18 @@ class TestCompiledSolvers:
         assert g2.__defaults__[0] == 2.0 and g_half.__defaults__[0] == 0.5
         assert g2(0.3) != g_half(0.3)
 
+    def test_series_families_bind_their_two_tables(self):
+        # c3, c4 and c6 sum their series branches with catalog._horner over
+        # two tables, bound as defaults: g takes them, then image,
+        # increasing, d_1 and context, and the pair takes them alone
+        for key, order in (("c3", 20), ("c4", 24), ("c6", 20)):
+            e = get_expansion(key)
+            tables = (catalog._series_floats(key, order), catalog._slope_floats(key, order))
+            assert e._ginv_d.__defaults__ == tables, key
+            assert e._g.__defaults__[:2] == tables, key
+            assert e._g.__defaults__[2:] == (e.image, e.increasing, e._d1,
+                                             f"family {key!r} numeric inversion"), key
+
     def test_explicit_families_compile_no_solver(self):
         implicit._compile.cache_clear()
         for key in catalog._BUILDERS:

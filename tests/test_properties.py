@@ -414,6 +414,15 @@ def test_c5_builds_where_its_slope_flips_beyond_the_scan():
     # refuses the domain (-272.87..., -inf) as "bad interval bounds"
     e = get_expansion("c5", w=-100, beta=0)
     assert e.image.lo == pytest.approx(-100.0) and e.domain.hi == pytest.approx(5001.0)
+    # toward -inf the slope tends to lin + q y, which changes sign beyond
+    # the step at 512: at y = -609 for alpha = -1/2, beta = 7/3 and at
+    # y = -592 with alpha and beta swapped, exact or with the float -0.5
+    for alpha, beta, y, x in ((Fraction(-1, 2), Fraction(7, 3), -609.0, 30906.25),
+                              (-0.5, Fraction(7, 3), -609.0, 30906.25),
+                              (Fraction(7, 3), Fraction(-1, 2), -592.0, 87623 / 3),
+                              (Fraction(7, 3), -0.5, -592.0, 87623 / 3)):
+        e = get_expansion("c5", alpha=alpha, w=-100, beta=beta)
+        assert e.image.lo == pytest.approx(y) and e.domain.hi == pytest.approx(x), (alpha, beta)
 
 
 # -- evaluate against the reference route ---------------------------------------
